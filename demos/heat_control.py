@@ -10,11 +10,11 @@ import math
 
 import numpy as np
 
-from nullcontrol import pointwise_heat, synthesize_simple, verify_moments
+from nullcontrol import pointwise_heat, synthesize, verify_moments
 from nullcontrol.synthesis import sample_plan
 
 model = pointwise_heat(math.sqrt(2.0) - 1.0, y0_rule=lambda k, i: 1.0 / k)
-plan = synthesize_simple(model, T=0.4, N=10)
+plan = synthesize(model, T=0.4, N=10)
 report = verify_moments(plan, N_check=12)
 
 print(f"horizon T = {plan.horizon}, controlled modes N = {plan.N}")

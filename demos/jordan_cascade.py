@@ -10,7 +10,7 @@ form.
 from nullcontrol import (
     PiecewiseConstant,
     cascade_boundary_q,
-    synthesize_jordan,
+    synthesize,
     tstar_jordan_profile,
     verify_moments,
 )
@@ -23,7 +23,7 @@ for m in model.modes(8):
     print(f"  k={m.k}: lam {m.lam.real:9.3f}  mu {m.mu.real:+.5f}  "
           f"gamma {m.gamma.real:+.5f}  obs1 {m.obs[0].value:.4f}")
 
-plan = synthesize_jordan(model, T=0.5, N=8)
+plan = synthesize(model, T=0.5, N=8)
 report = verify_moments(plan)
 print(f"\ngeneralized moment residual max: {report.max_abs:.2e}")
 print(f"tail bound beyond N = 8:         {report.tail_bound:.2e}")

@@ -61,6 +61,7 @@ from .synthesis import (
     gramian_control_2x2,
     moment_rhs,
     sample_plan,
+    synthesize,
     synthesize_jordan,
     synthesize_multiple,
     synthesize_simple,

@@ -3,8 +3,6 @@
 For a linearly independent family v_1..v_r with Gram G, the duals are
 w^t = G^{-1} v^t; they satisfy <v_i, w_j> = delta_ij and the norm bound
 ||w_i|| <= sqrt(r)/sigma where sigma^2 is the smallest eigenvalue of G.
-The families here are tiny (r <= 8), so sigma^2 comes from a cyclic
-Jacobi sweep rather than a dense eigensolver.
 """
 
 from __future__ import annotations
@@ -45,52 +43,12 @@ def gram(fam: VectorFamily) -> np.ndarray:
     return v @ v.conj().T
 
 
-def _jacobi_smallest(S: np.ndarray, rel_tol: float = 1e-14, max_sweeps: int = 60) -> float:
-    """Smallest eigenvalue of a real symmetric matrix by cyclic Jacobi."""
-    A = S.copy()
-    n = A.shape[0]
-    if n == 1:
-        return float(A[0, 0])
-    scale = np.max(np.abs(A)) or 1.0
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                off = max(off, abs(apq))
-                if abs(apq) <= rel_tol * scale:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                A = rot.T @ A @ rot
-        if off <= rel_tol * scale:
-            break
-    return float(np.min(np.diag(A)))
-
-
 def smallest_eigenvalue(G: np.ndarray) -> float:
-    """sigma^2: smallest eigenvalue of a hermitian Gram matrix.
-
-    Complex hermitian input is embedded as the real symmetric matrix
-    [[Re G, -Im G], [Im G, Re G]], which carries every eigenvalue twice.
-    """
+    """sigma^2: smallest eigenvalue of a hermitian Gram matrix."""
     G = np.atleast_2d(np.asarray(G, dtype=complex))
     if G.shape[0] != G.shape[1] or np.max(np.abs(G - G.conj().T)) > 1e-10 * (np.max(np.abs(G)) or 1.0):
         raise NotHermitian("Gram matrix must be hermitian")
-    if np.max(np.abs(G.imag)) == 0.0:
-        return _jacobi_smallest(G.real)
-    A, B = G.real, G.imag
-    emb = np.block([[A, -B], [B, A]])
-    emb = 0.5 * (emb + emb.T)
-    return _jacobi_smallest(emb)
+    return float(np.linalg.eigvalsh(G)[0])
 
 
 @dataclass(frozen=True)
@@ -104,13 +62,8 @@ class BiorthogonalVectors:
 
 def biorthogonalize(fam: VectorFamily, sigma_sq_tol: float = SIGMA_SQ_TOL) -> BiorthogonalVectors:
     """Duals w with <v_i, w_j> = delta_ij via one Gram solve."""
-    G = gram(fam)
-    sig_sq = smallest_eigenvalue(G)
-    if sig_sq <= sigma_sq_tol:
-        raise DegenerateFamily(f"smallest Gram eigenvalue {sig_sq:.3e} <= {sigma_sq_tol:g}")
-    mix = np.linalg.solve(G, np.eye(fam.r, dtype=complex))
+    mix, sigma = biorthogonalize_gram(gram(fam), sigma_sq_tol)
     duals = mix @ fam.vectors
-    sigma = float(np.sqrt(sig_sq))
     pair = fam.vectors @ duals.conj().T  # <v_i, w_j>
     delta_res = float(np.max(np.abs(pair - np.eye(fam.r))))
     wnorms = np.linalg.norm(duals, axis=1)

@@ -13,6 +13,7 @@ binary64 path is kept for well-separated spans.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import IllConditioned
-from .precision import to_complex, to_mp, workdps
+from .precision import auto_dps_for_gaps, to_complex, to_mp, workdps
 
 RESIDUAL_THRESHOLD = 1e-8
 _MAX_DPS = 6000
@@ -221,31 +222,6 @@ def _family_from_solution(span, C, G, residual, ln_norms, cond, dps,
     )
 
 
-def _build(span: ExponentialSpan, precision: str, dps,
-           residual_threshold: float) -> BiorthogonalFamily:
-    if precision == "standard":
-        return _build_standard(span, residual_threshold)
-    if dps is None:
-        lg = span.min_log_rel_gap()
-        factor = 5.0 if span.jordan else 2.6
-        if lg == -math.inf:
-            dps = _MAX_DPS
-        else:
-            dps = max(60, int(math.ceil(factor * max(0.0, -lg) / math.log(10)))
-                      + 2 * span.size + 30)
-    dps = min(int(dps), _MAX_DPS)
-    for attempt in range(4):
-        C, G, residual, ln_norms, cond = _solve_at(span, dps)
-        if residual <= residual_threshold or dps >= _MAX_DPS:
-            break
-        dps = min(_MAX_DPS, 2 * dps)
-    if math.isinf(residual):
-        raise IllConditioned(
-            f"Gram not numerically positive definite at {dps} digits")
-    return _family_from_solution(span, C, G, residual, ln_norms, cond, dps,
-                                 residual_threshold)
-
-
 def _build_standard(span: ExponentialSpan, residual_threshold: float) -> BiorthogonalFamily:
     """binary64 path for well-separated spans; raises IllConditioned when
     the pivoted factorization breaks down.
@@ -312,22 +288,34 @@ def _build_standard(span: ExponentialSpan, residual_threshold: float) -> Biortho
 
 def build_biortho(span: ExponentialSpan, precision: str = "extended", dps=None,
                   residual_threshold: float = RESIDUAL_THRESHOLD) -> BiorthogonalFamily:
-    """Dual family to e^{-lam_k t}: int_0^T e^{-lam_j t} q_k(t) dt = delta_jk."""
-    if span.jordan:
-        raise ValueError("span has jordan=True; use build_biortho_jordan")
-    return _build(span, precision, dps, residual_threshold)
+    """Dual family to the span's basis f_j: int_0^T f_j(t) q_k(t) dt = delta_jk,
+    with f_j running over e^{-lam t} (and t e^{-lam t} on a Jordan span)."""
+    if precision == "standard":
+        return _build_standard(span, residual_threshold)
+    if dps is None:
+        dps = auto_dps_for_gaps(span.min_log_rel_gap(), scale=5.0 if span.jordan else 2.6,
+                                size=span.size, cap=_MAX_DPS)
+    dps = min(int(dps), _MAX_DPS)
+    for _ in range(4):
+        C, G, residual, ln_norms, cond = _solve_at(span, dps)
+        if residual <= residual_threshold or dps >= _MAX_DPS:
+            break
+        dps = min(_MAX_DPS, 2 * dps)
+    if math.isinf(residual):
+        raise IllConditioned(
+            f"Gram not numerically positive definite at {dps} digits")
+    return _family_from_solution(span, C, G, residual, ln_norms, cond, dps,
+                                 residual_threshold)
 
 
-def build_biortho_jordan(span: ExponentialSpan, precision: str = "extended", dps=None,
-                         residual_threshold: float = RESIDUAL_THRESHOLD) -> BiorthogonalFamily:
-    """Dual family over the doubled basis {e^{-lam t}, t e^{-lam t}}."""
-    if not span.jordan:
-        raise ValueError("span has jordan=False; use build_biortho")
-    return _build(span, precision, dps, residual_threshold)
+# Alias looked up by tests and the benchmark's tracer; the span itself
+# carries the Jordan flag.
+build_biortho_jordan = build_biortho
 
 
-def pair_with_exponential(family: BiorthogonalFamily, mu, a: int = 0) -> np.ndarray:
-    """int_0^T t^a e^{-mu t} q_k(t) dt for every family member k.
+def pair_with_exponential_mp(family: BiorthogonalFamily, mu, a: int = 0) -> list:
+    """int_0^T t^a e^{-mu t} q_k(t) dt for every family member k, as mp
+    scalars at the family's working precision.
 
     For mu equal to a span rate and a = 0 this returns the corresponding
     Kronecker column up to the solve residual.
@@ -340,21 +328,13 @@ def pair_with_exponential(family: BiorthogonalFamily, mu, a: int = 0) -> np.ndar
         basis = span.basis()
         col = [int_pow_exp(a + p, mu + r, span.T) for (r, p) in basis]
         C = family.mp_coeffs
-        out = []
-        for k in range(span.size):
-            out.append(to_complex(mp.fsum(C[k, j] * col[j] for j in range(span.size))))
-    return np.array(out, dtype=complex)
-
-
-def pair_with_exponential_mp(family: BiorthogonalFamily, mu, a: int = 0) -> list:
-    """Same as pair_with_exponential but keeps mp scalars (no float cast)."""
-    span = family.span
-    mu = to_mp(mu)
-    with workdps(family.dps):
-        basis = span.basis()
-        col = [int_pow_exp(a + p, mu + r, span.T) for (r, p) in basis]
-        C = family.mp_coeffs
         return [mp.fsum(C[k, j] * col[j] for j in range(span.size)) for k in range(span.size)]
+
+
+def pair_with_exponential(family: BiorthogonalFamily, mu, a: int = 0) -> np.ndarray:
+    """Float view of pair_with_exponential_mp."""
+    return np.array([to_complex(v) for v in pair_with_exponential_mp(family, mu, a)],
+                    dtype=complex)
 
 
 def cauchy_inverse_oracle(rates) -> np.ndarray:
@@ -365,15 +345,15 @@ def cauchy_inverse_oracle(rates) -> np.ndarray:
     rates and in high-precision floats otherwise.
     """
     vals = list(rates)
-    n = len(vals)
     exact = all(isinstance(v, (int, Fraction)) or (isinstance(v, float) and v.is_integer())
                 for v in vals)
-    if exact:
-        xs = [Fraction(v) for v in vals]
+    with contextlib.nullcontext() if exact else workdps(80):
+        xs = [Fraction(v) if exact else to_mp(v) for v in vals]
+        n = len(xs)
         out = np.empty((n, n), dtype=float)
         for i in range(n):
             for j in range(n):
-                num = Fraction(1)
+                num = 1
                 for k in range(n):
                     num *= (xs[j] + xs[k]) * (xs[k] + xs[i])
                 den = xs[j] + xs[i]
@@ -383,23 +363,7 @@ def cauchy_inverse_oracle(rates) -> np.ndarray:
                     if k != i:
                         den *= xs[i] - xs[k]
                 out[i, j] = float(num / den)
-        return out
-    with workdps(80):
-        xs = [to_mp(v) for v in vals]
-        out = np.empty((n, n), dtype=float)
-        for i in range(n):
-            for j in range(n):
-                num = mp.mpf(1)
-                for k in range(n):
-                    num *= (xs[j] + xs[k]) * (xs[k] + xs[i])
-                den = xs[j] + xs[i]
-                for k in range(n):
-                    if k != j:
-                        den *= xs[j] - xs[k]
-                    if k != i:
-                        den *= xs[i] - xs[k]
-                out[i, j] = float(num / den)
-        return out
+    return out
 
 
 @dataclass(frozen=True)

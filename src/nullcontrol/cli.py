@@ -200,22 +200,13 @@ def _run_biortho(cfg, out, params, meta):
 
 
 def _synthesize_plan(cfg, params):
-    model = build_model(cfg["model"])
-    T = params.get("T", 0.5)
-    N = params.get("N", 8)
-    precision = params.get("precision", "extended")
-    kinds = {m.kind for m in model.modes(N)}
-    if kinds == {"simple"}:
-        fn = synthesis.synthesize_simple
-    elif "jordan" in kinds:
-        fn = synthesis.synthesize_jordan
-    else:
-        fn = synthesis.synthesize_multiple
-    return model, fn(model, T, N, precision=precision, dps=params.get("dps"))
+    return synthesis.synthesize(
+        build_model(cfg["model"]), params.get("T", 0.5), params.get("N", 8),
+        precision=params.get("precision", "extended"), dps=params.get("dps"))
 
 
 def _run_synthesize(cfg, out, params, meta):
-    model, plan = _synthesize_plan(cfg, params)
+    plan = _synthesize_plan(cfg, params)
     report = synthesis.verify_moments(plan)
     ts, cols, u = synthesis.sample_plan(plan, params.get("samples", 2000))
     header = ["t"] + [f"term_{k}_{j}" for (k, j) in plan.meta["labels"]]
@@ -236,7 +227,7 @@ def _run_synthesize(cfg, out, params, meta):
 
 
 def _run_verify(cfg, out, params, meta):
-    model, plan = _synthesize_plan(cfg, params)
+    plan = _synthesize_plan(cfg, params)
     report = synthesis.verify_moments(plan, N_check=params.get("N_check", plan.N))
     _write_json(out / "verify.json", meta | {"data": {
         "max_abs_residual": report.max_abs,

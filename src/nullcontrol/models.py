@@ -96,9 +96,6 @@ class ParabolicModel:
                      cap: float | None = None) -> ProfileReport | None:
         return None
 
-    def mp_rates(self, K: int) -> list:
-        return [m.lam_mp for m in self.modes(K)]
-
 
 # ---------------------------------------------------------------------------
 # pointwise-control heat equation

@@ -50,17 +50,20 @@ def mp_log_abs(x) -> float:
     return float(mp.log(abs(x)))
 
 
-def auto_dps_for_gaps(min_log_gap: float, scale: float = 2.2, floor: int = DEFAULT_DPS,
-                      cap: int = 6000) -> int:
-    """Decimal digits needed to resolve a relative gap exp(min_log_gap).
+def auto_dps_for_gaps(min_log_gap: float, scale: float = 2.6, size: int = 0,
+                      floor: int = DEFAULT_DPS, cap: int = 6000) -> int:
+    """Decimal digits needed to resolve a relative gap exp(min_log_gap)
+    in a Gram system of ``size`` basis functions.
 
     Solving a Gram system whose basis functions coalesce at relative
     distance g requires roughly cond ~ g^-2, hence ~ 2|log10 g| digits
-    plus headroom.  Unresolvably small gaps saturate at the cap.
+    plus headroom: ``scale`` digits per decade of gap (5 for doubled,
+    Jordan bases), two per basis function and 30 more.  Unresolvably
+    small gaps saturate at the cap.
     """
     if math.isnan(min_log_gap) or min_log_gap == math.inf:
         return floor
     if min_log_gap == -math.inf:
         return cap
     digits = scale * max(0.0, -min_log_gap) / math.log(10.0)
-    return max(floor, min(cap, int(math.ceil(digits)) + 30))
+    return max(floor, min(cap, int(math.ceil(digits)) + 2 * size + 30))

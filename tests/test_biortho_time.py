@@ -203,3 +203,17 @@ class TestGapResolution:
         assert auto_dps_for_gaps(float("-inf")) == 6000
         assert auto_dps_for_gaps(float("nan")) == 60
         assert auto_dps_for_gaps(0.0) == 60
+
+
+class TestDpsPolicy:
+    """Working digits chosen from the smallest relative rate gap and the
+    system size; pinned at the values the package has always used."""
+
+    @pytest.mark.parametrize("span,dps", [
+        (ExponentialSpan(tuple(k * k * PI2 for k in range(1, 41)), 0.4), 115),
+        (ExponentialSpan(tuple(k * k * PI2 for k in range(1, 17)), 0.5, jordan=True), 100),
+        (ExponentialSpan(tuple(AppendixBRule(0.2).mp_entries(20)), 0.5), 99),
+        (ExponentialSpan((1.0,), 1.0), 60),
+    ])
+    def test_auto_dps(self, span, dps):
+        assert build_biortho(span).dps == dps

@@ -1,7 +1,10 @@
 """Cross-cutting contract checks: complex rates, norm identities, exit codes."""
 
+import importlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -118,3 +121,18 @@ class TestRefusalsAndExitCodes:
         cfg = {"command": "indices", "sequence": {"rule": "nope"}}
         with pytest.raises(ValidationError):
             run(cfg, tmp_path / "o")
+
+
+class TestBenchmarkEntryPoints:
+    def test_traced_names_resolve(self):
+        # the benchmark's tracer wraps these names; a missing one breaks
+        # every traced job
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for module, attr, _ in tracing.ENTRY_POINTS:
+            owner = importlib.import_module(module)
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), (module, attr)

@@ -1,5 +1,6 @@
 """Moment-method synthesis: residuals, linearity, Jordan chains, 2x2 block."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -15,13 +16,21 @@ from nullcontrol import (
     gramian_control_2x2,
     moment_rhs,
     pointwise_heat,
+    synthesize,
     synthesize_jordan,
     synthesize_multiple,
     synthesize_simple,
     terminal_projection,
     verify_moments,
 )
-from nullcontrol.errors import DegenerateFamily, UnobservableMode
+from nullcontrol import synthesis
+from nullcontrol.errors import (
+    DegenerateFamily,
+    SynthesisUnsupported,
+    UnobservableMode,
+    ZeroMuUnsupported,
+)
+from nullcontrol.models import PointwiseHeatModel
 
 PI2 = math.pi**2
 X0 = math.sqrt(2.0) - 1.0
@@ -142,9 +151,16 @@ class TestSynthesizeMultiple:
         assert report.max_abs <= 1e-7
 
     def test_reduces_to_simple_for_rank_one(self):
-        model = pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k)
-        p_simple = synthesize_simple(model, 0.4, 6)
-        p_multi = synthesize_multiple(model, 0.4, 6)
+        # the heat modes relabelled as rank-one multiple eigenvalues take the
+        # decoupled construction, which must agree with the simple one
+        class RankOne(PointwiseHeatModel):
+            def _mode(self, k):
+                return dataclasses.replace(super()._mode(k), kind="multiple")
+
+        y0 = lambda k, i: 1.0 / k
+        p_simple = synthesize(pointwise_heat(X0, y0_rule=y0), 0.4, 6)
+        p_multi = synthesize(RankOne(X0, y0_rule=y0), 0.4, 6)
+        assert [t.label for t in p_multi.terms] == [(k, 0) for k in range(1, 7)]
         np.testing.assert_allclose(p_multi.per_mode_norm, p_simple.per_mode_norm,
                                    rtol=1e-12)
         eff_s = np.array([t.coeff * t.direction.value for t in p_simple.terms])
@@ -165,6 +181,53 @@ class TestSynthesizeMultiple:
 
         with pytest.raises(DegenerateFamily):
             synthesize_multiple(Dependent(), 0.5, 2)
+
+
+class _ZeroMu(PointwiseHeatModel):
+    """Heat modes flagged as Jordan chains without a coupling."""
+
+    def _mode(self, k):
+        return dataclasses.replace(super()._mode(k), kind="jordan", mu=0.0, gamma=1.0)
+
+
+class TestSynthesizeDispatch:
+    @staticmethod
+    def _layout(plan):
+        return [(t.basis_index, t.label) for t in plan.terms]
+
+    def test_simple_modes_keep_the_plain_span(self):
+        plan = synthesize(pointwise_heat(X0), 0.4, 4)
+        assert not plan.family.span.jordan
+        assert self._layout(plan) == [(i, (i + 1, 1)) for i in range(4)]
+
+    def test_jordan_modes_double_the_span(self):
+        model = cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.0),)))
+        plan = synthesize(model, 0.5, 3)
+        assert plan.family.span.jordan
+        assert self._layout(plan) == [(2 * i + j - 1, (i + 1, j))
+                                      for i in range(3) for j in (1, 2)]
+
+    def test_multiple_modes_take_the_decoupled_term(self):
+        q, omega = _null_coupling_q()
+        plan = synthesize(cascade_internal_q(q, omega), 0.5, 3)
+        assert not plan.family.span.jordan
+        assert self._layout(plan) == [(i, (i + 1, 0)) for i in range(3)]
+
+    @pytest.mark.parametrize("model,error", [
+        (pointwise_heat(0.5), UnobservableMode),
+        (_ZeroMu(X0), ZeroMuUnsupported),
+        # q outside omega: Jordan chains whose two observations are not
+        # proportional
+        (cascade_internal_q(PiecewiseConstant(((0.6, 0.9, 1.0),)), (0.1, 0.4)),
+         SynthesisUnsupported),
+    ])
+    def test_refusals_precede_the_dual_solve(self, monkeypatch, model, error):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("dual family built for a refused model")
+
+        monkeypatch.setattr(synthesis, "build_biortho", no_solve)
+        with pytest.raises(error):
+            synthesize(model, 0.4, 4)
 
 
 class TestSynthesizeJordan:
