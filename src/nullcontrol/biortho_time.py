@@ -168,7 +168,7 @@ class BiorthogonalFamily:
     degraded: bool
     dps: int
     mp_coeffs: mp.matrix
-    mp_gram: mp.matrix
+    mp_dual_gram: mp.matrix     # <q_i, q_j> = (C G C^H)[i, j]
 
     @property
     def size(self) -> int:
@@ -204,22 +204,7 @@ def _solve_at(span: ExponentialSpan, dps: int):
         gnorm = max(mp.fsum(abs(G[i, j]) for i in range(n)) for j in range(n))
         ginvnorm = max(mp.fsum(abs(C[i, j]) for i in range(n)) for j in range(n))
         cond = float(gnorm * ginvnorm)
-    return C, G, residual, ln_norms, cond
-
-
-def _family_from_solution(span, C, G, residual, ln_norms, cond, dps,
-                          residual_threshold) -> BiorthogonalFamily:
-    n = span.size
-    coeffs = np.array([[to_complex(C[i, j]) for j in range(n)] for i in range(n)])
-    gram = np.array([[to_complex(G[i, j]) for j in range(n)] for i in range(n)])
-    with np.errstate(over="ignore"):
-        norms = np.exp(ln_norms)
-    return BiorthogonalFamily(
-        span=span, coeffs=coeffs, gram=gram, cond_estimate=cond,
-        norms=norms, ln_norms=ln_norms, residual=residual,
-        degraded=residual > residual_threshold, dps=dps,
-        mp_coeffs=C, mp_gram=G,
-    )
+    return C, G, N, residual, ln_norms, cond
 
 
 def _build_standard(span: ExponentialSpan, residual_threshold: float) -> BiorthogonalFamily:
@@ -278,11 +263,13 @@ def _build_standard(span: ExponentialSpan, residual_threshold: float) -> Biortho
         for j in range(n):
             Cmp[i, j] = to_mp(complex(C[i, j]))
             Gm[i, j] = to_mp(complex(G[i, j]))
+    with workdps(16):
+        Nmp = Cmp * Gm * Cmp.transpose_conj()
     return BiorthogonalFamily(
         span=span, coeffs=C, gram=G, cond_estimate=cond,
         norms=np.sqrt(nsq), ln_norms=ln_norms, residual=residual,
         degraded=residual > residual_threshold, dps=16,
-        mp_coeffs=Cmp, mp_gram=Gm,
+        mp_coeffs=Cmp, mp_dual_gram=Nmp,
     )
 
 
@@ -297,15 +284,24 @@ def build_biortho(span: ExponentialSpan, precision: str = "extended", dps=None,
                                 size=span.size, cap=_MAX_DPS)
     dps = min(int(dps), _MAX_DPS)
     for _ in range(4):
-        C, G, residual, ln_norms, cond = _solve_at(span, dps)
+        C, G, N, residual, ln_norms, cond = _solve_at(span, dps)
         if residual <= residual_threshold or dps >= _MAX_DPS:
             break
         dps = min(_MAX_DPS, 2 * dps)
     if math.isinf(residual):
         raise IllConditioned(
             f"Gram not numerically positive definite at {dps} digits")
-    return _family_from_solution(span, C, G, residual, ln_norms, cond, dps,
-                                 residual_threshold)
+    n = span.size
+    coeffs = np.array([[to_complex(C[i, j]) for j in range(n)] for i in range(n)])
+    gram = np.array([[to_complex(G[i, j]) for j in range(n)] for i in range(n)])
+    with np.errstate(over="ignore"):
+        norms = np.exp(ln_norms)
+    return BiorthogonalFamily(
+        span=span, coeffs=coeffs, gram=gram, cond_estimate=cond,
+        norms=norms, ln_norms=ln_norms, residual=residual,
+        degraded=residual > residual_threshold, dps=dps,
+        mp_coeffs=C, mp_dual_gram=N,
+    )
 
 
 # Alias looked up by tests and the benchmark's tracer; the span itself

@@ -25,8 +25,7 @@ class SequenceRule:
     name = "rule"
     infinite = True
 
-    def __init__(self, **params):
-        self.params = params
+    def __init__(self):
         self._float_cache = np.zeros(0, dtype=np.complex128)
         self.fit_cache: dict = {}
 
@@ -54,7 +53,7 @@ class PowerRule(SequenceRule):
     name = "power"
 
     def __init__(self, c=1.0, p=2.0):
-        super().__init__(c=c, p=p)
+        super().__init__()
         self.c = complex(c)
         self.p = float(p)
 
@@ -75,7 +74,7 @@ class AppendixBRule(SequenceRule):
     def __init__(self, tau=1.0):
         if tau <= 0:
             raise ValueError("tau must be positive")
-        super().__init__(tau=tau)
+        super().__init__()
         self.tau = float(tau)
 
     def head_dps(self, n):
@@ -108,7 +107,7 @@ class TwoDiffusionRule(SequenceRule):
     def __init__(self, d, scale=1.0):
         if d <= 0 or abs(d - 1.0) <= 1e-9:
             raise ValueError("need d > 0 and d != 1")
-        super().__init__(d=d, scale=scale)
+        super().__init__()
         self.d = float(d)
         self.scale = float(scale)
 
@@ -140,7 +139,7 @@ class AcademicLfRule(SequenceRule):
     def __init__(self, tau):
         if tau <= 0:
             raise ValueError("tau must be positive")
-        super().__init__(tau=tau)
+        super().__init__()
         self.tau = float(tau)
 
     def head_dps(self, n):
@@ -173,7 +172,7 @@ class ExplicitRule(SequenceRule):
     infinite = False
 
     def __init__(self, values):
-        super().__init__(values=list(values))
+        super().__init__()
         vals = [to_mp(v) for v in values]
         vals.sort(key=lambda z: (abs(z), mp.arg(z)))
         self.values = vals
@@ -207,6 +206,4 @@ def make_rule(name: str, **params) -> SequenceRule:
         cls = _RULES[name]
     except KeyError:
         raise ValueError(f"unknown sequence rule {name!r}; known: {sorted(_RULES)}") from None
-    if name == "explicit":
-        return cls(params["values"] if "values" in params else params["list"])
     return cls(**params)

@@ -4,9 +4,9 @@ The smallest eigenvalue must certifiably sit above n*pi (its true distance
 is exponentially small in n), so the discretization is a conforming P1
 Galerkin pencil (K, M) with exactly integrated potential: by min-max every
 discrete eigenvalue is an upper bound for the true one.  The pencil is
-tridiagonal; the smallest eigenvalue comes from Sturm-sequence bisection
-on K - sigma*M, the eigenvector from two inverse-iteration steps at the
-bisection shift.
+tridiagonal; the smallest eigenvalue comes from bisection on the positive
+definiteness of K - sigma*M (LAPACK dpttrf), the eigenvector from two
+inverse-iteration steps at the bisection shift.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf
 
 from .errors import GridTooCoarse
 from .report import DEFAULT_WINDOW, ProfileReport, make_profile
@@ -71,41 +72,31 @@ def _assemble(n: int, h: float):
     return grid, kd, ke, md, me
 
 
-def _sturm_count(kd, ke, md, me, sigma: float) -> int:
-    """Number of pencil eigenvalues below sigma (LDL^T inertia of K - sigma M)."""
-    d = kd - sigma * md
-    e = ke - sigma * me
-    count = 0
-    p = d[0]
-    if p == 0.0:
-        p = -1e-300
-    if p < 0.0:
-        count += 1
-    dl = d.tolist()
-    el = e.tolist()
-    for i in range(1, len(dl)):
-        p = dl[i] - el[i - 1] * el[i - 1] / p
-        if p == 0.0:
-            p = -1e-300
-        if p < 0.0:
-            count += 1
-    return count
+def _definite(kd, ke, md, me, sigma: float) -> bool:
+    """Whether K - sigma*M is positive definite, i.e. sigma lies below every
+    pencil eigenvalue (LAPACK's LDL^T factorization succeeds)."""
+    return dpttrf(kd - sigma * md, ke - sigma * me)[2] == 0
 
 
-def _smallest_eig(n, kd, ke, md, me, rel_tol=1e-10):
+def _bisect(kd, ke, md, me, lo, hi, rel_tol):
+    """Shrink a bracket lo < lambda_min <= hi until hi - lo <= rel_tol * hi."""
+    while hi - lo > rel_tol * hi:
+        midp = 0.5 * (lo + hi)
+        if _definite(kd, ke, md, me, midp):
+            lo = midp
+        else:
+            hi = midp
+    return lo, hi
+
+
+def _smallest_eig(n, kd, ke, md, me):
     lo, hi = 0.5 * n * math.pi, n * math.pi + 8.0
-    while _sturm_count(kd, ke, md, me, lo) > 0:
+    while not _definite(kd, ke, md, me, lo):
         lo *= 0.5
-    while _sturm_count(kd, ke, md, me, hi) < 1:
+    while _definite(kd, ke, md, me, hi):
         hi += 8.0
     # coarse bisection, then certify the Rayleigh-quotient polish below
-    while hi - lo > 1e-4 * hi:
-        midp = 0.5 * (lo + hi)
-        if _sturm_count(kd, ke, md, me, midp) >= 1:
-            hi = midp
-        else:
-            lo = midp
-    return lo, hi
+    return _bisect(kd, ke, md, me, lo, hi, 1e-4)
 
 
 def _inverse_iteration(kd, ke, md, me, sigma, iterations=2):
@@ -140,16 +131,10 @@ def _solve_eig(n, h, rel_tol=1e-10):
     shift = lo  # strictly below the target eigenvalue
     v = _inverse_iteration(kd, ke, md, me, shift)
     lam = _rayleigh(kd, ke, md, me, v)
-    # certify to rel_tol with two more Sturm counts; fall back to bisection
-    if not (_sturm_count(kd, ke, md, me, lam * (1 - rel_tol)) == 0
-            and _sturm_count(kd, ke, md, me, lam * (1 + rel_tol)) >= 1):
-        lo, hi = shift, max(hi, lam * (1 + 1e-4))
-        while hi - lo > rel_tol * hi:
-            midp = 0.5 * (lo + hi)
-            if _sturm_count(kd, ke, md, me, midp) >= 1:
-                hi = midp
-            else:
-                lo = midp
+    # certify to rel_tol with two more definiteness tests; fall back to bisection
+    if not (_definite(kd, ke, md, me, lam * (1 - rel_tol))
+            and not _definite(kd, ke, md, me, lam * (1 + rel_tol))):
+        lo, _ = _bisect(kd, ke, md, me, shift, max(hi, lam * (1 + 1e-4)), rel_tol)
         v = _inverse_iteration(kd, ke, md, me, lo)
         lam = _rayleigh(kd, ke, md, me, v)
     return grid, lam, v

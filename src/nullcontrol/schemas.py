@@ -3,6 +3,13 @@
 COMMANDS = ["indices", "hypotheses", "tstar", "biortho", "synthesize",
             "verify", "grushin", "gramian2x2"]
 
+
+def _cases(key: str, cases: dict) -> list:
+    """One if/then clause per value of ``key``, applying that value's subschema."""
+    return [{"if": {"properties": {key: {"const": value}}, "required": [key]}, "then": then}
+            for value, then in cases.items()]
+
+
 SEQUENCE_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -16,6 +23,14 @@ SEQUENCE_SCHEMA = {
         "scale": {"type": "number"},
         "values": {"type": "array", "items": {"type": "number"}},
     },
+    # the keys each rule takes, and those it cannot do without
+    "allOf": _cases("rule", {
+        "power": {"propertyNames": {"enum": ["rule", "c", "p"]}},
+        "appendixB": {"propertyNames": {"enum": ["rule", "tau"]}},
+        "two_diffusion": {"propertyNames": {"enum": ["rule", "d", "scale"]}, "required": ["d"]},
+        "academic_lf": {"propertyNames": {"enum": ["rule", "tau"]}, "required": ["tau"]},
+        "explicit": {"propertyNames": {"enum": ["rule", "values"]}, "required": ["values"]},
+    }),
 }
 
 MODEL_SCHEMA = {
@@ -36,6 +51,15 @@ MODEL_SCHEMA = {
         "truncation": {"type": "integer", "minimum": 8},
         "y0": {"enum": ["one", "reciprocal", "reciprocal_sq"]},
     },
+    # the keys each model cannot do without
+    "allOf": _cases("name", {
+        "pointwise_heat": {"required": ["x0"]},
+        "cascade_internal_q": {"required": ["q_breakpoints", "q_values", "omega"]},
+        "cascade_boundary_q": {"required": ["q_breakpoints", "q_values"]},
+        "two_diffusion_boundary": {"required": ["d"]},
+        "two_diffusion_pointwise": {"required": ["d", "x0"]},
+        "academic_lf": {"required": ["tau"]},
+    }),
 }
 
 PARAMS_SCHEMA = {

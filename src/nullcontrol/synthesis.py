@@ -94,10 +94,7 @@ def _tail_bound(model, T_mp, N: int) -> float:
 
 def _finalize(model, T_mp, N, family, terms) -> ControlPlan:
     with workdps(family.dps):
-        n = family.size
-        C = family.mp_coeffs
-        G = family.mp_gram
-        Q = C * G * C.transpose_conj()   # <q_i(T-.), q_j(T-.)> = <q_i, q_j>
+        Q = family.mp_dual_gram   # <q_i(T-.), q_j(T-.)> = <q_i, q_j>
         lns = []
         for t in terms:
             c = abs(t.coeff_mp)

@@ -15,7 +15,9 @@ from nullcontrol import (
     norm_growth_fit,
     pair_with_exponential,
 )
+from nullcontrol.biortho_time import _gram_mp
 from nullcontrol.generators import AppendixBRule
+from nullcontrol.precision import to_mp, workdps
 
 PI2 = math.pi**2
 
@@ -125,6 +127,41 @@ class TestJordanFamily:
     def test_labels_interleave(self):
         fam = build_biortho_jordan(ExponentialSpan((1.0, 2.0), 1.0, jordan=True))
         assert fam.labels() == ((1, 1), (1, 2), (2, 1), (2, 2))
+
+
+class TestDualGram:
+    """mp_dual_gram is C G C^H at the family's digits, formed once by the
+    builder and read by the plan's norm."""
+
+    @staticmethod
+    def _assert_is_product(fam, G):
+        C = fam.mp_coeffs
+        with workdps(fam.dps):
+            want = C * G * C.transpose_conj()
+        Q = fam.mp_dual_gram
+        assert (Q.rows, Q.cols) == (fam.size, fam.size)
+        for i in range(fam.size):
+            for j in range(fam.size):
+                assert Q[i, j] == want[i, j]
+
+    @pytest.mark.parametrize("span", [
+        ExponentialSpan(tuple(k * k * PI2 for k in range(1, 9)), 0.5),
+        ExponentialSpan((1.0, 2.0, 4.0), 1.0, jordan=True),
+    ], ids=["plain", "jordan"])
+    def test_extended_path(self, span):
+        fam = build_biortho(span)
+        with workdps(fam.dps):
+            G = _gram_mp(span)
+        self._assert_is_product(fam, G)
+
+    def test_standard_path(self):
+        fam = build_biortho(ExponentialSpan((1.0, 2.0, 5.0), 1.0), precision="standard")
+        n = fam.size
+        G = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                G[i, j] = to_mp(complex(fam.gram[i, j]))
+        self._assert_is_product(fam, G)
 
 
 class TestCauchyOracle:

@@ -31,6 +31,34 @@ class TestValidation:
         p.write_text("{nope")
         assert main(["--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("section,desc,field", [
+        ("sequence", {"rule": "power", "tau": 1.0}, "tau"),
+        ("sequence", {"rule": "appendixB", "d": 2.0}, "d"),
+        ("sequence", {"rule": "two_diffusion"}, "d"),
+        ("sequence", {"rule": "two_diffusion", "d": 2.0, "tau": 1.0}, "tau"),
+        ("sequence", {"rule": "academic_lf"}, "tau"),
+        ("sequence", {"rule": "academic_lf", "tau": 0.2, "scale": 2.0}, "scale"),
+        ("sequence", {"rule": "explicit"}, "values"),
+        ("model", {"name": "pointwise_heat"}, "x0"),
+        ("model", {"name": "cascade_internal_q", "q_breakpoints": [0.2, 0.8],
+                   "q_values": [1.0]}, "omega"),
+        ("model", {"name": "cascade_boundary_q", "q_values": [1.0]}, "q_breakpoints"),
+        ("model", {"name": "cascade_boundary_q", "q_breakpoints": [0.2, 0.8]}, "q_values"),
+        ("model", {"name": "two_diffusion_boundary"}, "d"),
+        ("model", {"name": "two_diffusion_pointwise", "d": 2.0}, "x0"),
+        ("model", {"name": "academic_lf"}, "tau"),
+    ])
+    def test_key_set_checked_per_rule_and_model(self, tmp_path, capsys, section, desc, field):
+        command = "indices" if section == "sequence" else "tstar"
+        cfgp = _write_config(tmp_path, {"command": command, section: desc,
+                                        "params": {"K": 4}})
+        assert main(["--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "VALIDATION"
+        # rejected by the schema, before any builder runs, with the field named
+        assert err["message"].startswith("config rejected: ")
+        assert f"'{field}'" in err["message"]
+
 
 class TestIndices:
     def test_two_diffusion_csv_columns(self, tmp_path):

@@ -4,10 +4,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nullcontrol import grushin_tstar_profile, observation_integral, solve_mode
 from nullcontrol.errors import GridTooCoarse
-from nullcontrol.grushin import expected_observation_asymptote, observation_log_integral
+from nullcontrol.grushin import (
+    _assemble,
+    _definite,
+    _smallest_eig,
+    expected_observation_asymptote,
+    observation_log_integral,
+)
 
 H = 2e-4
 
@@ -46,6 +53,33 @@ class TestSolveMode:
             solve_mode(61, H)
         with pytest.raises(ValueError):
             solve_mode(1, 2e-3)
+
+
+class TestPencilBisection:
+    """Definiteness test and coarse bracket against a dense generalized
+    eigensolver on a small grid (h = 0.02, 99 interior nodes)."""
+
+    @staticmethod
+    def _dense_smallest(kd, ke, md, me):
+        K = np.diag(kd) + np.diag(ke, 1) + np.diag(ke, -1)
+        M = np.diag(md) + np.diag(me, 1) + np.diag(me, -1)
+        return scipy.linalg.eigh(K, M, eigvals_only=True, subset_by_index=[0, 0])[0]
+
+    @pytest.mark.parametrize("n", [1, 5, 20, 40])
+    def test_definite_switches_at_dense_eigenvalue(self, n):
+        _, kd, ke, md, me = _assemble(n, 0.02)
+        assert len(kd) == 99
+        lam0 = self._dense_smallest(kd, ke, md, me)
+        assert _definite(kd, ke, md, me, lam0 * (1 - 1e-8))
+        assert not _definite(kd, ke, md, me, lam0 * (1 + 1e-8))
+
+    @pytest.mark.parametrize("n", [1, 5, 20, 40])
+    def test_smallest_eig_brackets_dense_eigenvalue(self, n):
+        _, kd, ke, md, me = _assemble(n, 0.02)
+        lam0 = self._dense_smallest(kd, ke, md, me)
+        lo, hi = _smallest_eig(n, kd, ke, md, me)
+        assert lo < lam0 <= hi
+        assert hi - lo <= 1e-4 * hi
 
 
 class TestObservationIntegral:
