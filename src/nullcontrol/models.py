@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import mpmath as mp
 import numpy as np
 
-from .errors import DegenerateB, SupportOverlap, SynthesisUnsupported, UnobservableJordanBranch
-from .errors import RationalRootWarning
+from .errors import DegenerateB, RationalRootWarning, SupportOverlap, UnobservableJordanBranch
 from .generators import AcademicLfRule, TwoDiffusionRule
 from .observations import VANISH_TOL, Scalar, SineSeries
 from .report import DEFAULT_WINDOW, ProfileReport, make_profile
@@ -490,9 +489,6 @@ class HarmonicOscillatorModel(ParabolicModel):
     def _mode(self, k):
         lam = 2 * k - 1
         return SpectralMode(k, complex(lam), mp.mpf(lam), "simple", (None,), (1.0 + 0.0j,))
-
-    def require_synthesizable(self):
-        raise SynthesisUnsupported("harmonic oscillator observations are unavailable")
 
 
 def harmonic_oscillator() -> HarmonicOscillatorModel:

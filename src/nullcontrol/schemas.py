@@ -102,6 +102,17 @@ CONFIG_SCHEMA = {
         "model": MODEL_SCHEMA,
         "params": PARAMS_SCHEMA,
     },
+    # the sections each command reads
+    "allOf": _cases("command", {
+        "indices": {"required": ["sequence"]},
+        "biortho": {"required": ["sequence"]},
+        "hypotheses": {"if": {"not": {"required": ["sequence"]}}, "then": {"required": ["model"]}},
+        "tstar": {"required": ["model"]},
+        "synthesize": {"required": ["model"]},
+        "verify": {"required": ["model"]},
+        "gramian2x2": {"required": ["params"],
+                       "properties": {"params": {"required": ["lam1", "lam2"]}}},
+    }),
 }
 
 DIAGNOSTICS_SCHEMA = {

@@ -273,32 +273,24 @@ def sample_plan(plan: ControlPlan, n: int = 2000):
     u) where u is the assembled scalar control when every direction is a
     scalar observation, else None.
 
-    Well-conditioned families sample vectorized in binary64 (plot grade);
-    deep-cancellation families fall back to the working precision.
+    Every plan is sampled at the family's working precision: each term's
+    coefficient is folded into its dual row once, and each sample point
+    evaluates every basis function once, so the cost is n * basis mp
+    exponentials plus n * terms * basis mp products.
     """
     T = float(plan.T)
     ts = np.linspace(0.0, T, n)
     family = plan.family
-    span = family.span
-    basis = span.basis()
+    basis = family.span.basis()
     cols = np.empty((len(plan.terms), n))
-    if family.cond_estimate < 1e12:
-        s = (T - ts)[None, :]
-        rates = np.array([complex(r.real, r.imag) for r, _ in basis])[:, None]
-        powers = np.array([p for _, p in basis])[:, None]
-        funcs = s**powers * np.exp(-rates * s)
-        for col, term in enumerate(plan.terms):
-            cols[col] = np.real((term.coeff * family.coeffs[term.basis_index]) @ funcs)
-    else:
-        with workdps(family.dps):
-            s_grid = [to_mp(T) - to_mp(float(t)) for t in ts]
-            for col, term in enumerate(plan.terms):
-                row = family.mp_coeffs[term.basis_index, :]
-                for i, s in enumerate(s_grid):
-                    acc = mp.mpf(0)
-                    for j, (rate, power) in enumerate(basis):
-                        acc += row[j] * s**power * mp.e ** (-rate * s)
-                    cols[col, i] = float((term.coeff_mp * acc).real)
+    with workdps(family.dps):
+        rows = [[term.coeff_mp * c for c in family.mp_coeffs[term.basis_index, :]]
+                for term in plan.terms]
+        for i, t in enumerate(ts):
+            s = to_mp(T) - to_mp(float(t))
+            funcs = [s**p * mp.exp(-r * s) for r, p in basis]
+            for col, row in enumerate(rows):
+                cols[col, i] = float(mp.fdot(row, funcs).real)
     scalars = [getattr(t.direction, "value", None) for t in plan.terms]
     u = None
     if all(v is not None for v in scalars):

@@ -59,6 +59,25 @@ class TestValidation:
         assert err["message"].startswith("config rejected: ")
         assert f"'{field}'" in err["message"]
 
+    @pytest.mark.parametrize("cfg,section", [
+        ({"command": "indices"}, "sequence"),
+        ({"command": "biortho", "params": {"N": 2}}, "sequence"),
+        ({"command": "hypotheses", "params": {"K": 4}}, "model"),
+        ({"command": "tstar", "params": {"K": 4}}, "model"),
+        ({"command": "synthesize", "params": {"N": 2}}, "model"),
+        ({"command": "verify", "params": {"N": 2}}, "model"),
+        ({"command": "gramian2x2"}, "params"),
+        ({"command": "gramian2x2", "params": {"lam2": 2.0}}, "lam1"),
+        ({"command": "gramian2x2", "params": {"lam1": 1.0}}, "lam2"),
+    ])
+    def test_section_checked_per_command(self, tmp_path, capsys, cfg, section):
+        cfgp = _write_config(tmp_path, cfg)
+        assert main(["--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "VALIDATION"
+        assert err["message"].startswith("config rejected: ")
+        assert f"'{section}'" in err["message"]
+
 
 class TestIndices:
     def test_two_diffusion_csv_columns(self, tmp_path):

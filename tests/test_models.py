@@ -19,7 +19,7 @@ from nullcontrol import (
     two_diffusion_boundary,
     two_diffusion_pointwise,
 )
-from nullcontrol.errors import DegenerateB, RationalRootWarning, SupportOverlap, SynthesisUnsupported
+from nullcontrol.errors import DegenerateB, RationalRootWarning, SupportOverlap
 
 PI2 = math.pi**2
 SQRT2 = math.sqrt(2.0)
@@ -256,10 +256,6 @@ class TestHarmonicOscillator:
         rep = check_hypotheses(model.spectrum(100), 100)
         assert not rep.summable
         assert "HYP_SUMMABILITY_FAIL" in rep.warnings
-
-    def test_synthesis_refused(self):
-        with pytest.raises(SynthesisUnsupported):
-            harmonic_oscillator().require_synthesizable()
 
     def test_caveat_recorded(self):
         assert "caveat" in harmonic_oscillator().metadata

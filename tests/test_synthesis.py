@@ -289,6 +289,54 @@ class TestAcademicDichotomy:
         assert report.max_abs <= 1e-8
 
 
+def _sample_per_term(plan, n):
+    """Reference for sample_plan: a per-term loop that re-evaluates every
+    basis exponential for every term and applies the coefficient after
+    summing the dual row, all at the family's precision."""
+    T = float(plan.T)
+    ts = np.linspace(0.0, T, n)
+    family = plan.family
+    basis = family.span.basis()
+    cols = np.empty((len(plan.terms), n))
+    with mp.workdps(family.dps):
+        s_grid = [mp.mpf(T) - mp.mpf(float(t)) for t in ts]
+        for col, term in enumerate(plan.terms):
+            row = family.mp_coeffs[term.basis_index, :]
+            for i, s in enumerate(s_grid):
+                acc = mp.mpf(0)
+                for j, (rate, power) in enumerate(basis):
+                    acc += row[j] * s**power * mp.e ** (-rate * s)
+                cols[col, i] = float((term.coeff_mp * acc).real)
+    return ts, cols
+
+
+class TestSamplePlan:
+    @pytest.mark.parametrize("model,T,N", [
+        # well-conditioned: cond ~1e8 at 60 digits
+        (pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k), 0.4, 8),
+        # Jordan span: t e^{-lam t} basis functions, two terms per mode
+        (cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.0),)),
+                            y0_rule=lambda k, i: 1.0 / k), 0.5, 3),
+        # vector (SineSeries) directions: no scalar control
+        (academic_lf(0.2, y0_rule=lambda k, i: 1.0), 0.5, 4),
+    ], ids=["heat", "cascade_jordan", "academic"])
+    def test_matches_per_term_oracle(self, model, T, N):
+        plan = synthesize(model, T, N)
+        ts, cols, u = synthesis.sample_plan(plan, 101)
+        ts_ref, ref = _sample_per_term(plan, 101)
+        assert np.array_equal(ts, ts_ref)
+        assert cols.shape == ref.shape == (len(plan.terms), 101)
+        scale = np.max(np.abs(ref), axis=1)
+        assert np.all(scale > 0)
+        assert np.all(np.max(np.abs(cols - ref), axis=1) <= 1e-12 * scale)
+        values = [getattr(t.direction, "value", None) for t in plan.terms]
+        if any(v is None for v in values):
+            assert u is None
+        else:
+            weights = np.array([float(np.real(v)) for v in values])
+            np.testing.assert_array_equal(u, np.sum(cols * weights[:, None], axis=0))
+
+
 class TestGramian2x2:
     def test_eta_values(self):
         res = gramian_control_2x2(block_2x2(1.0, 2.0, (1.0, 1.0)), (1.0, 1.0), 1.0)
