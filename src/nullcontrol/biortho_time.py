@@ -5,10 +5,9 @@ so they are obtained by one Gram-type solve and every downstream integral
 has a closed form; no quadrature enters anywhere.
 
 These systems are Cauchy-like and their conditioning explodes with the
-number of rates and with rate coalescence, so the solve runs in mpmath at
-a precision chosen from the smallest relative rate gap (with automatic
-retry if the biorthogonality residual misses the target).  A plain
-binary64 path is kept for well-separated spans.
+number of rates and with rate coalescence, so the solve always runs in
+mpmath at a precision chosen from the smallest relative rate gap (with
+automatic retry if the biorthogonality residual misses the target).
 """
 
 from __future__ import annotations
@@ -20,13 +19,11 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-import scipy.linalg
 
 from .errors import IllConditioned
-from .precision import auto_dps_for_gaps, to_complex, to_mp, workdps
+from .precision import DEFAULT_DPS, MAX_DPS, auto_dps_for_gaps, to_complex, to_mp, workdps
 
 RESIDUAL_THRESHOLD = 1e-8
-_MAX_DPS = 6000
 
 
 @dataclass(frozen=True)
@@ -101,9 +98,9 @@ class ExponentialSpan:
                             best = g
                 if best > 0:
                     return float(mp.log(best))
-            if dps >= _MAX_DPS:
+            if dps >= MAX_DPS:
                 return float("-inf")
-            dps = min(_MAX_DPS, 8 * dps)
+            dps = min(MAX_DPS, 8 * dps)
 
 
 def int_pow_exp(a: int, s, T):
@@ -148,9 +145,9 @@ def _pairing_mp(span: ExponentialSpan) -> mp.matrix:
     return M
 
 
-def exp_gram(span: ExponentialSpan, dps: int = 60) -> np.ndarray:
+def exp_gram(span: ExponentialSpan) -> np.ndarray:
     """The span's Gram matrix as complex128 (real rates: also the pairing)."""
-    with workdps(dps):
+    with workdps(DEFAULT_DPS):
         G = _gram_mp(span)
         n = G.rows
         return np.array([[to_complex(G[i, j]) for j in range(n)] for i in range(n)])
@@ -207,87 +204,16 @@ def _solve_at(span: ExponentialSpan, dps: int):
     return C, G, N, residual, ln_norms, cond
 
 
-def _build_standard(span: ExponentialSpan, residual_threshold: float) -> BiorthogonalFamily:
-    """binary64 path for well-separated spans; raises IllConditioned when
-    the pivoted factorization breaks down.
-
-    Two steps of iterative refinement against extra-precise residuals
-    drive the solution to the binary64 representability floor (the
-    residual of the exactly rounded dual coefficients), which is the best
-    any fixed-precision algorithm can do on these Cauchy-like systems.
-    """
-    with workdps(60):
-        Mmp = _pairing_mp(span)
-        Gmp = _gram_mp(span)
-    n = span.size
-    M = np.array([[to_complex(Mmp[i, j]) for j in range(n)] for i in range(n)])
-    G = np.array([[to_complex(Gmp[i, j]) for j in range(n)] for i in range(n)])
-    real = bool(np.all(np.abs(M.imag) == 0.0))
-    try:
-        if real:
-            cf = scipy.linalg.cho_factor(M.real)
-            solve = lambda B: scipy.linalg.cho_solve(cf, B.real).astype(complex)
-        else:
-            lu = scipy.linalg.lu_factor(M)
-            solve = lambda B: scipy.linalg.lu_solve(lu, B)
-        Ct = solve(np.eye(n))
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise IllConditioned(
-            "factorization pivot failed; reduce N or use extended precision") from exc
-
-    def mp_residual(Ct_now):
-        with workdps(60):
-            R = np.empty((n, n), dtype=complex)
-            for i in range(n):
-                for j in range(n):
-                    s = mp.fsum(Mmp[i, k] * to_mp(complex(Ct_now[k, j])) for k in range(n))
-                    R[i, j] = to_complex(s) - (1.0 if i == j else 0.0)
-        return R
-
-    R = mp_residual(Ct)
-    for _ in range(2):
-        if np.max(np.abs(R)) <= 1e-15:
-            break
-        Ct = Ct - solve(R)
-        R = mp_residual(Ct)
-    C = Ct.T
-    residual = float(np.max(np.abs(R)))
-    nsq = np.real(np.diag(C @ G @ C.conj().T))
-    if np.any(nsq <= 0):
-        raise IllConditioned("negative computed norm; use extended precision")
-    cond = float(abs(np.linalg.cond(G, 1)))
-    ln_norms = 0.5 * np.log(nsq)
-    Cmp = mp.matrix(n, n)
-    Gm = mp.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            Cmp[i, j] = to_mp(complex(C[i, j]))
-            Gm[i, j] = to_mp(complex(G[i, j]))
-    with workdps(16):
-        Nmp = Cmp * Gm * Cmp.transpose_conj()
-    return BiorthogonalFamily(
-        span=span, coeffs=C, gram=G, cond_estimate=cond,
-        norms=np.sqrt(nsq), ln_norms=ln_norms, residual=residual,
-        degraded=residual > residual_threshold, dps=16,
-        mp_coeffs=Cmp, mp_dual_gram=Nmp,
-    )
-
-
-def build_biortho(span: ExponentialSpan, precision: str = "extended", dps=None,
-                  residual_threshold: float = RESIDUAL_THRESHOLD) -> BiorthogonalFamily:
+def build_biortho(span: ExponentialSpan) -> BiorthogonalFamily:
     """Dual family to the span's basis f_j: int_0^T f_j(t) q_k(t) dt = delta_jk,
     with f_j running over e^{-lam t} (and t e^{-lam t} on a Jordan span)."""
-    if precision == "standard":
-        return _build_standard(span, residual_threshold)
-    if dps is None:
-        dps = auto_dps_for_gaps(span.min_log_rel_gap(), scale=5.0 if span.jordan else 2.6,
-                                size=span.size, cap=_MAX_DPS)
-    dps = min(int(dps), _MAX_DPS)
+    dps = auto_dps_for_gaps(span.min_log_rel_gap(), scale=5.0 if span.jordan else 2.6,
+                            size=span.size)
     for _ in range(4):
         C, G, N, residual, ln_norms, cond = _solve_at(span, dps)
-        if residual <= residual_threshold or dps >= _MAX_DPS:
+        if residual <= RESIDUAL_THRESHOLD or dps >= MAX_DPS:
             break
-        dps = min(_MAX_DPS, 2 * dps)
+        dps = min(MAX_DPS, 2 * dps)
     if math.isinf(residual):
         raise IllConditioned(
             f"Gram not numerically positive definite at {dps} digits")
@@ -299,7 +225,7 @@ def build_biortho(span: ExponentialSpan, precision: str = "extended", dps=None,
     return BiorthogonalFamily(
         span=span, coeffs=coeffs, gram=gram, cond_estimate=cond,
         norms=norms, ln_norms=ln_norms, residual=residual,
-        degraded=residual > residual_threshold, dps=dps,
+        degraded=residual > RESIDUAL_THRESHOLD, dps=dps,
         mp_coeffs=C, mp_dual_gram=N,
     )
 

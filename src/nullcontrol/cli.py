@@ -164,14 +164,11 @@ def _run_tstar(cfg, out, params, meta):
     window = params.get("window", 10)
     model = build_model(cfg["model"])
     est = hautus.tstar_estimate(model, K, window)
-    profiles = {}
-    if model.observation_available:
-        profiles["observation"] = hautus.tstar_observation_profile(model, K, window)
-    if model.structural_pair_kernel is not None:
-        profiles["gap"] = hautus.tstar_gap_profile(model, K, window)
     re = [m.lam.real for m in model.modes(K)]
-    for name, prof in profiles.items():
-        _profile_csv(out, f"tstar_{name}", prof, re[: len(prof)])
+    for name in ("observation", "gap"):
+        if name in est.profiles:
+            prof = est.profiles[name]
+            _profile_csv(out, f"tstar_{name}", prof, re[: len(prof)])
     tmin = model.tmin_profile(K, window)
     data = {"lower": _json_safe(est.lower), "components": _json_safe(est.components)}
     if tmin is not None:
@@ -187,8 +184,7 @@ def _run_biortho(cfg, out, params, meta):
     N = params.get("N", 8)
     seq = build_sequence(cfg["sequence"], N)
     span = ExponentialSpan(tuple(seq.values[:N]), params.get("T", 1.0))
-    fam = build_biortho(span, precision=params.get("precision", "extended"),
-                        dps=params.get("dps"))
+    fam = build_biortho(span)
     _write_csv(out / "biortho.csv", ["k", "rate", "norm", "ln_norm"],
                [(k + 1, float(span.rates[k].real), fam.norms[k], fam.ln_norms[k])
                 for k in range(N)])
@@ -201,8 +197,7 @@ def _run_biortho(cfg, out, params, meta):
 
 def _synthesize_plan(cfg, params):
     return synthesis.synthesize(
-        build_model(cfg["model"]), params.get("T", 0.5), params.get("N", 8),
-        precision=params.get("precision", "extended"), dps=params.get("dps"))
+        build_model(cfg["model"]), params.get("T", 0.5), params.get("N", 8))
 
 
 def _run_synthesize(cfg, out, params, meta):
@@ -283,7 +278,7 @@ _RUNNERS = {
 }
 
 
-def run(config: dict, out_dir, precision=None, seed=None) -> int:
+def run(config: dict, out_dir, seed=None) -> int:
     """Validate and dispatch one config; returns the process exit code."""
     try:
         jsonschema.validate(config, CONFIG_SCHEMA)
@@ -291,13 +286,10 @@ def run(config: dict, out_dir, precision=None, seed=None) -> int:
         raise ValidationError(f"config rejected: {exc.message}") from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    params = dict(config.get("params", {}))
-    if precision:
-        params["precision"] = precision
+    params = config.get("params", {})
     meta = {
         "command": config["command"],
         "seed": seed,
-        "precision": params.get("precision", "extended"),
         "model": config.get("model"),
         "sequence": config.get("sequence"),
     }
@@ -310,7 +302,6 @@ def main(argv=None) -> int:
         description="moment-method null-control synthesis and minimal-time diagnostics")
     parser.add_argument("--config", required=True, help="path to a JSON run config")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--precision", choices=["standard", "extended"], default=None)
     parser.add_argument("--seed", type=int, default=None,
                         help="seed recorded in diagnostics (property fixtures)")
     args = parser.parse_args(argv)
@@ -320,7 +311,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "BAD_CONFIG", "message": str(exc)}), file=sys.stderr)
         return 2
     try:
-        return run(config, args.out, args.precision, args.seed)
+        return run(config, args.out, args.seed)
     except NullControlError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         return exc.exit_code

@@ -14,7 +14,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from .precision import to_mp, workdps
+from .precision import to_complex, to_mp, workdps
 
 _PI2 = math.pi**2
 
@@ -185,8 +185,7 @@ class ExplicitRule(SequenceRule):
     def _float_block_impl(self, n):
         if n > len(self.values):
             n = len(self.values)
-        return np.array([complex(v.real, v.imag) if isinstance(v, mp.mpc) else complex(float(v), 0.0)
-                         for v in self.values[:n]])
+        return np.array([to_complex(v) for v in self.values[:n]])
 
     def float_entries(self, n):
         return super().float_entries(min(n, len(self.values)))

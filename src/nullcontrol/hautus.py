@@ -132,7 +132,11 @@ def tstar_jordan_profile(model, K: int, window: int = DEFAULT_WINDOW,
 @dataclass(frozen=True)
 class TstarEstimate:
     lower: float
-    components: dict
+    profiles: dict   # name -> the ProfileReport behind that component
+
+    @property
+    def components(self) -> dict:
+        return {name: p.tail_estimate for name, p in self.profiles.items()}
 
 
 def tstar_estimate(model, K: int, window: int = DEFAULT_WINDOW) -> TstarEstimate:
@@ -142,17 +146,17 @@ def tstar_estimate(model, K: int, window: int = DEFAULT_WINDOW) -> TstarEstimate
     When localization and spectral condensation are both present this is
     reported as a lower bound only.
     """
-    components: dict = {}
+    profiles: dict = {}
     if model.observation_available:
-        components["observation"] = tstar_observation_profile(model, K, window)
+        profiles["observation"] = tstar_observation_profile(model, K, window)
     if model.structural_pair_kernel is not None:
-        components["gap"] = tstar_gap_profile(model, K, window)
+        profiles["gap"] = tstar_gap_profile(model, K, window)
     if any(m.kind == "jordan" for m in model.modes(K)):
         try:
-            components["jordan"] = tstar_jordan_profile(model, K, window)
+            profiles["jordan"] = tstar_jordan_profile(model, K, window)
         except NoJordanModes:
             pass
-    if not components:
+    if not profiles:
         raise NoProfileAvailable(f"model {model.name} supports no horizon profile")
-    lower = max(p.tail_estimate for p in components.values())
-    return TstarEstimate(float(lower), {name: p.tail_estimate for name, p in components.items()})
+    lower = max(p.tail_estimate for p in profiles.values())
+    return TstarEstimate(float(lower), profiles)

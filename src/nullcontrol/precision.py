@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import mpmath as mp
 
 DEFAULT_DPS = 60
+MAX_DPS = 6000
 
 
 @contextmanager
@@ -30,9 +31,7 @@ def to_mp(x):
         if x.imag == 0.0:
             return mp.mpf(x.real)
         return mp.mpc(x.real, x.imag)
-    if isinstance(x, (int, float)):
-        return mp.mpf(x)
-    # fractions.Fraction and friends
+    # int, float, fractions.Fraction and friends
     return mp.mpf(x)
 
 
@@ -50,8 +49,7 @@ def mp_log_abs(x) -> float:
     return float(mp.log(abs(x)))
 
 
-def auto_dps_for_gaps(min_log_gap: float, scale: float = 2.6, size: int = 0,
-                      floor: int = DEFAULT_DPS, cap: int = 6000) -> int:
+def auto_dps_for_gaps(min_log_gap: float, scale: float = 2.6, size: int = 0) -> int:
     """Decimal digits needed to resolve a relative gap exp(min_log_gap)
     in a Gram system of ``size`` basis functions.
 
@@ -59,11 +57,11 @@ def auto_dps_for_gaps(min_log_gap: float, scale: float = 2.6, size: int = 0,
     distance g requires roughly cond ~ g^-2, hence ~ 2|log10 g| digits
     plus headroom: ``scale`` digits per decade of gap (5 for doubled,
     Jordan bases), two per basis function and 30 more.  Unresolvably
-    small gaps saturate at the cap.
+    small gaps saturate at MAX_DPS; none gets fewer than DEFAULT_DPS.
     """
     if math.isnan(min_log_gap) or min_log_gap == math.inf:
-        return floor
+        return DEFAULT_DPS
     if min_log_gap == -math.inf:
-        return cap
+        return MAX_DPS
     digits = scale * max(0.0, -min_log_gap) / math.log(10.0)
-    return max(floor, min(cap, int(math.ceil(digits)) + 2 * size + 30))
+    return max(DEFAULT_DPS, min(MAX_DPS, int(math.ceil(digits)) + 2 * size + 30))

@@ -72,8 +72,6 @@ PARAMS_SCHEMA = {
         "T": {"type": "number", "exclusiveMinimum": 0},
         "window": {"type": "integer", "minimum": 1},
         "rel_tail_tol": {"type": "number", "exclusiveMinimum": 0},
-        "precision": {"enum": ["standard", "extended"]},
-        "dps": {"type": "integer", "minimum": 16},
         "cap": {"type": "number"},
         "a": {"type": "number"},
         "b": {"type": "number"},
@@ -124,7 +122,6 @@ DIAGNOSTICS_SCHEMA = {
     "properties": {
         "command": {"enum": COMMANDS},
         "seed": {"type": ["integer", "null"]},
-        "precision": {"enum": ["standard", "extended"]},
         "model": {"type": ["object", "null"]},
         "sequence": {"type": ["object", "null"]},
         "data": {"type": "object"},

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DuplicateEntry, NonPositiveRealPart, TailBoundUnachievable, TooFewModes
 from .generators import SequenceRule
-from .precision import mp_log_abs, to_mp, workdps
+from .precision import mp_log_abs, to_complex, to_mp, workdps
 from .report import DEFAULT_WINDOW, ProfileReport, make_profile
 
 _HEAD_BUFFER = 8
@@ -61,10 +61,7 @@ class SpectralSequence:
             return self.rule.float_entries(n)
         if n > len(self.values):
             raise IndexError("finite sequence exhausted")
-        return np.array(
-            [complex(v.real, v.imag) if isinstance(v, mp.mpc) else complex(float(v), 0.0)
-             for v in self.values[:n]]
-        )
+        return np.array([to_complex(v) for v in self.values[:n]])
 
     @property
     def re(self) -> np.ndarray:
@@ -150,7 +147,6 @@ class HypothesisReport:
     summable: bool
     sup_rk: int
     warnings: list = field(default_factory=list)
-    fitted_scale: float = 1.0
 
 
 def _power_fit(moduli: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
@@ -168,10 +164,10 @@ def check_hypotheses(seq: SpectralSequence, K: int, fit_tol: float = 0.05) -> Hy
     vals = seq.float_values(K)
     moduli = np.abs(vals)
     delta = float(np.min(vals.real / moduli))
-    c, p = _power_fit(moduli, max(1, K // 2), K)
+    _, p = _power_fit(moduli, max(1, K // 2), K)
     summable = p > 1.0 + fit_tol
     warnings = [] if summable else ["HYP_SUMMABILITY_FAIL"]
-    return HypothesisReport(delta, p, summable, int(max(seq.r)), warnings, c)
+    return HypothesisReport(delta, p, summable, int(max(seq.r)), warnings)
 
 
 def _tail_start(seq: SpectralSequence, lam_abs: float, tol: float) -> int:
@@ -226,8 +222,7 @@ def log_E_prime(seq: SpectralSequence, k: int, rel_tail_tol: float = 1e-10) -> f
             total += mp_log_abs(other - lam) + mp_log_abs(other + lam) - 2 * mp_log_abs(other)
     n0 = len(seq)
     J = _tail_start(seq, lam_abs, rel_tail_tol)
-    lam_c = complex(lam.real, lam.imag) if isinstance(lam, mp.mpc) else complex(float(lam), 0.0)
-    total += _far_sum_eprime(seq, lam_c, n0, J)
+    total += _far_sum_eprime(seq, to_complex(lam), n0, J)
     return total
 
 
@@ -344,7 +339,7 @@ def blaschke_log_wprime(seq: SpectralSequence, k: int, rel_tail_tol: float = 1e-
             if j == k:
                 continue
             ln_pk += mp_log_abs(mp.conj(other) + lam) - mp_log_abs(other - lam)
-    lam_c = complex(lam.real, lam.imag) if isinstance(lam, mp.mpc) else complex(float(lam), 0.0)
+    lam_c = to_complex(lam)
     tol_abs = rel_tail_tol * max(1.0, lam_c.real)
     ln_pk += _blaschke_far_and_tail(seq, lam_c, len(seq), tol_abs)
     return -math.log(2.0 * float(lam.real)) - ln_pk

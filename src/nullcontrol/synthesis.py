@@ -166,8 +166,7 @@ def _mode_terms(mode, base: int, T_mp) -> list:
     return [PlanTerm(base, (mode.k, 1), _moment_rhs_mp(mode, T_mp, 1) / nsq, mode.obs[0])]
 
 
-def synthesize(model: ParabolicModel, T, N: int, precision: str = "extended",
-               dps=None) -> ControlPlan:
+def synthesize(model: ParabolicModel, T, N: int) -> ControlPlan:
     """Moment-method null control of the first N modes.
 
     A simple mode gives u = -e^{-lam T} <y0,phi>/||B* phi||^2 q(T-t) B* phi;
@@ -183,7 +182,7 @@ def synthesize(model: ParabolicModel, T, N: int, precision: str = "extended",
         _check_mode(mode)
     jordan = any(mode.kind == "jordan" for mode in modes)
     span = ExponentialSpan(tuple(m.lam_mp for m in modes), to_mp(T), jordan=jordan)
-    family = build_biortho(span, precision=precision, dps=dps)
+    family = build_biortho(span)
     step = 2 if jordan else 1   # a doubled span holds q_{k,1}, q_{k,2} per mode
     terms = []
     with workdps(family.dps):

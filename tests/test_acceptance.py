@@ -110,9 +110,9 @@ def criterion_04():
     """Biorthogonality residual (N=12, T=0.5) and Cauchy-oracle equivalence."""
     t0 = time.perf_counter()
     rates = tuple(k * k * PI2 for k in range(1, 13))
-    fam = build_biortho(ExponentialSpan(rates, 0.5), precision="extended")
+    fam = build_biortho(ExponentialSpan(rates, 0.5))
     sq = [float(k * k) for k in range(1, 9)]
-    fam_inf = build_biortho(ExponentialSpan(tuple(sq), None), precision="extended")
+    fam_inf = build_biortho(ExponentialSpan(tuple(sq), None))
     oracle = cauchy_inverse_oracle(sq)
     rel = float(np.max(np.abs(fam_inf.coeffs.real - oracle) / np.abs(oracle)))
     dt = time.perf_counter() - t0

@@ -2,7 +2,6 @@
 
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,7 +16,7 @@ from nullcontrol import (
 )
 from nullcontrol.biortho_time import _gram_mp
 from nullcontrol.generators import AppendixBRule
-from nullcontrol.precision import to_mp, workdps
+from nullcontrol.precision import workdps
 
 PI2 = math.pi**2
 
@@ -66,13 +65,13 @@ class TestBuildBiortho:
 
     def test_heat_rates_extended_precision_residual(self):
         rates = tuple(k * k * PI2 for k in range(1, 13))
-        fam = build_biortho(ExponentialSpan(rates, 0.5), precision="extended")
+        fam = build_biortho(ExponentialSpan(rates, 0.5))
         assert fam.residual <= 1e-8
         assert not fam.degraded
 
     def test_extended_precision_to_n20(self):
         rates = tuple(k * k * PI2 for k in range(1, 21))
-        fam = build_biortho(ExponentialSpan(rates, 0.3), precision="extended")
+        fam = build_biortho(ExponentialSpan(rates, 0.3))
         assert fam.residual <= 1e-8
 
     def test_cond_estimate_monotone_in_n(self):
@@ -90,23 +89,6 @@ class TestBuildBiortho:
         fam_s = build_biortho(ExponentialSpan(tuple(r / s for r in rates), 0.7 * s))
         np.testing.assert_allclose(fam_s.gram.real, s * fam.gram.real, rtol=1e-12)
         np.testing.assert_allclose(fam_s.norms, fam.norms / math.sqrt(s), rtol=1e-12)
-
-    def test_standard_precision_path(self):
-        fam = build_biortho(ExponentialSpan((1.0, 2.0, 5.0), 1.0), precision="standard")
-        assert fam.residual <= 1e-10
-
-    def test_standard_precision_heat_rates_to_n10(self):
-        rates = tuple(k * k * PI2 for k in range(1, 11))
-        fam = build_biortho(ExponentialSpan(rates, 0.5), precision="standard")
-        assert fam.residual <= 1e-8 and not fam.degraded
-
-    def test_standard_precision_degrades_at_n12(self):
-        # binary64 representability floor of the dual coefficients is
-        # ~1e-6 at N=12 (exactly rounded solution): flagged, not raised
-        rates = tuple(k * k * PI2 for k in range(1, 13))
-        fam = build_biortho(ExponentialSpan(rates, 0.5), precision="standard")
-        assert fam.degraded
-        assert fam.residual <= 5e-6
 
 
 class TestJordanFamily:
@@ -154,15 +136,6 @@ class TestDualGram:
             G = _gram_mp(span)
         self._assert_is_product(fam, G)
 
-    def test_standard_path(self):
-        fam = build_biortho(ExponentialSpan((1.0, 2.0, 5.0), 1.0), precision="standard")
-        n = fam.size
-        G = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                G[i, j] = to_mp(complex(fam.gram[i, j]))
-        self._assert_is_product(fam, G)
-
 
 class TestCauchyOracle:
     def test_two_rates_exact(self):
@@ -175,7 +148,7 @@ class TestCauchyOracle:
     def test_matches_solver_at_squares(self):
         rates = [float(k * k) for k in range(1, 9)]
         oracle = cauchy_inverse_oracle(rates)
-        fam = build_biortho(ExponentialSpan(tuple(rates), None), precision="extended")
+        fam = build_biortho(ExponentialSpan(tuple(rates), None))
         np.testing.assert_allclose(fam.coeffs.real, oracle, rtol=1e-10)
 
 

@@ -22,6 +22,25 @@ class TestValidation:
         cfgp = _write_config(tmp_path, cfg)
         assert main(["--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("key,value", [("precision", "extended"), ("dps", 80)],
+                             ids=["precision", "dps"])
+    def test_unknown_params_key_rejected(self, tmp_path, capsys, key, value):
+        # the dual solve has one working-precision policy: no key selects it
+        cfgp = _write_config(tmp_path, {"command": "biortho",
+                                        "sequence": {"rule": "power", "c": 1.0, "p": 2.0},
+                                        "params": {"N": 2, key: value}})
+        assert main(["--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"].startswith("config rejected: ")
+        assert f"'{key}'" in err["message"]
+
+    def test_precision_flag_rejected(self, tmp_path):
+        cfgp = _write_config(tmp_path, {"command": "indices", "sequence": {"rule": "power"}})
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfgp), "--out", str(tmp_path / "o"),
+                  "--precision", "extended"])
+        assert exc.value.code == 2
+
     def test_unknown_command_rejected(self, tmp_path):
         cfgp = _write_config(tmp_path, {"command": "frobnicate"})
         assert main(["--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
@@ -91,6 +110,16 @@ class TestIndices:
         assert (out / "indices_cond.dat").exists()
         payload = json.loads((out / "indices.json").read_text())
         jsonschema.validate(payload, DIAGNOSTICS_SCHEMA)
+
+    def test_diagnostics_carry_no_precision_field(self, tmp_path):
+        cfg = {"command": "biortho", "sequence": {"rule": "power", "c": 1.0, "p": 2.0},
+               "params": {"N": 3}}
+        out = tmp_path / "out"
+        assert run(cfg, out) == 0
+        payload = json.loads((out / "biortho.json").read_text())
+        assert set(payload) == {"command", "seed", "model", "sequence", "data"}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload | {"precision": "extended"}, DIAGNOSTICS_SCHEMA)
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = {"command": "indices", "sequence": {"rule": "appendixB", "tau": 0.25},

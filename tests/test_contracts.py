@@ -25,8 +25,6 @@ from nullcontrol.models import ParabolicModel, SpectralMode
 from nullcontrol.observations import Scalar
 from nullcontrol.precision import to_mp
 
-PI2 = math.pi**2
-
 
 class TestComplexRates:
     def test_complex_span_biorthogonality(self):
@@ -93,15 +91,15 @@ class TestRefusalsAndExitCodes:
             synthesize_simple(harmonic_oscillator(), 0.5, 4)
 
     def test_numerical_failure_exit_code_3(self, tmp_path, capsys):
-        # N = 20 heat rates at binary64: the pivoted factorization fails
-        cfg = {"command": "biortho",
-               "sequence": {"rule": "power", "c": PI2, "p": 2.0},
-               "params": {"N": 20, "T": 0.5, "precision": "standard"}}
+        # lam_k = k^0.8 is not summable: no far-tail bound of ln|E'| exists
+        cfg = {"command": "indices",
+               "sequence": {"rule": "power", "c": 1.0, "p": 0.8},
+               "params": {"K": 10}}
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         code = cli_main(["--config", str(p), "--out", str(tmp_path / "o")])
         assert code == 3
-        assert json.loads(capsys.readouterr().err)["error"] == "ILL_CONDITIONED"
+        assert json.loads(capsys.readouterr().err)["error"] == "TAIL_BOUND_UNACHIEVABLE"
 
     def test_explicit_sequence_through_cli(self, tmp_path):
         from nullcontrol.cli import run

@@ -179,6 +179,14 @@ class TestTstarEstimate:
         assert est.lower == pytest.approx(0.2, rel=0.1)
         assert est.components["gap"] == pytest.approx(est.lower)
 
+    def test_keeps_the_profiles_behind_its_components(self):
+        model = academic_lf(0.2)
+        est = tstar_estimate(model, 24)
+        np.testing.assert_array_equal(est.profiles["gap"].values,
+                                      tstar_gap_profile(model, 24).values)
+        np.testing.assert_array_equal(est.profiles["observation"].values,
+                                      tstar_observation_profile(model, 24).values)
+
     def test_half_point_infinite(self):
         est = tstar_estimate(pointwise_heat(0.5), 12)
         assert est.lower == math.inf
