@@ -24,6 +24,7 @@ class SequenceRule:
 
     name = "rule"
     infinite = True
+    real = True  # every entry real: far-tail sums take the real-valued path
 
     def __init__(self):
         self._float_cache = np.zeros(0, dtype=np.complex128)
@@ -56,6 +57,7 @@ class PowerRule(SequenceRule):
         super().__init__()
         self.c = complex(c)
         self.p = float(p)
+        self.real = self.c.imag == 0.0
 
     def mp_entries(self, n):
         with workdps(self.head_dps(n)):
@@ -146,16 +148,23 @@ class AcademicLfRule(SequenceRule):
         kmax = (n + 1) // 2
         return int(self.tau * _PI2 * kmax * kmax / math.log(10)) + 50
 
+    def _pair(self, k):
+        """(lam_k - f, lam_k + f) at the working precision."""
+        lam = mp.mpf(k) ** 2 * mp.pi**2
+        f = mp.e ** (-mp.mpf(self.tau) * lam)
+        return lam - f, lam + f
+
     def mp_entries(self, n):
         with workdps(self.head_dps(n)):
-            tau = mp.mpf(self.tau)
             out = []
             for k in range(1, (n + 3) // 2 + 1):
-                lam = mp.mpf(k) ** 2 * mp.pi**2
-                f = mp.e ** (-tau * lam)
-                out.append(lam - f)
-                out.append(lam + f)
+                out.extend(self._pair(k))
             return out[:n]
+
+    def mp_entry(self, j):
+        """Entry j alone, equal to ``mp_entries(j)[j - 1]``."""
+        with workdps(self.head_dps(j)):
+            return self._pair((j + 1) // 2)[(j + 1) % 2]
 
     def _float_block_impl(self, n):
         ks = (np.arange(n) // 2) + 1

@@ -453,7 +453,7 @@ class AcademicLfModel(ParabolicModel):
     def _mode(self, j):
         k = (j + 1) // 2
         minus_branch = (j % 2 == 1)
-        lam_mp = self.rule.mp_entries(j)[j - 1]
+        lam_mp = self.rule.mp_entry(j)
         sign = 1.0 if minus_branch else -1.0  # B* phi^- = +phi_k/sqrt2, B* phi^+ = -phi_k/sqrt2
         obs = SineSeries.single(k, sign / _SQRT2, (0.0, 1.0))
         return SpectralMode(j, complex(float(lam_mp.real), 0.0), lam_mp, "simple",

@@ -8,14 +8,18 @@ limsup-type indices of a normally ordered sequence (lam_k):
 * pairwise (Bohr-type): v_k = -ln inf_{j!=k} |lam_k - lam_j| / Re(lam_k).
 
 All products are evaluated as sums of ln|.| with an adaptively truncated
-far tail; near-coincident entries are subtracted in mpmath so pair gaps
-far below binary64 resolution still contribute their exact logarithm.
+far tail.  Head factors are summed in binary64 from the float view unless
+their float error bound is too large (``_head_split``); those
+near-coincident entries are subtracted in mpmath, so pair gaps far below
+binary64 resolution still contribute their exact logarithm.  For real
+sequences the far tail of E' is summed as log1p(-(lam_k/lam_j)^2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import mpmath as mp
 import numpy as np
@@ -55,13 +59,19 @@ class SpectralSequence:
             raise IndexError(f"index k={k} outside 1..{len(self.values)}")
         return self.values[k - 1]
 
+    @cached_property
+    def _head_floats(self) -> np.ndarray:
+        floats = np.array([to_complex(v) for v in self.values])
+        floats.flags.writeable = False
+        return floats
+
     def float_values(self, n: int | None = None) -> np.ndarray:
         n = len(self.values) if n is None else n
         if self.rule is not None:
             return self.rule.float_entries(n)
         if n > len(self.values):
             raise IndexError("finite sequence exhausted")
-        return np.array([to_complex(v) for v in self.values[:n]])
+        return self._head_floats[:n]
 
     @property
     def re(self) -> np.ndarray:
@@ -175,8 +185,12 @@ def _tail_start(seq: SpectralSequence, lam_abs: float, tol: float) -> int:
     n0 = len(seq)
     if seq.rule is None:
         return n0  # finite sequence: the product is exact, no tail
-    moduli = np.abs(seq.float_values(max(n0, 64)))
-    c, p = _power_fit(moduli, max(1, len(moduli) // 2), len(moduli))
+    n = max(n0, 64)
+    fit = seq.rule.fit_cache.get(("headfit", n))
+    if fit is None:
+        fit = _power_fit(np.abs(seq.float_values(n)), max(1, n // 2), n)
+        seq.rule.fit_cache[("headfit", n)] = fit
+    c, p = fit
     c *= 0.8  # fit safety margin
     if p <= 1.0:
         raise TailBoundUnachievable(f"fitted growth exponent p={p:.3f} <= 1")
@@ -197,11 +211,42 @@ def _far_sum_eprime(seq, lam_c: complex, n0: int, J: int) -> float:
     total = 0.0
     chunk = 1 << 20
     vals = seq.float_values(J)
+    real = seq.rule.real
+    if real:
+        vals, lam_c = vals.real, lam_c.real
     for lo in range(n0, J, chunk):
-        block = vals[lo:min(J, lo + chunk)]
-        w = (lam_c / block) ** 2
-        total += float(np.sum(np.log(np.abs(1.0 - w))))
+        w = np.divide(lam_c, vals[lo:min(J, lo + chunk)])
+        np.multiply(w, w, out=w)
+        if real:  # ln(1 - w^2) in place, accurate for tiny w
+            np.negative(w, out=w)
+            total += float(np.log1p(w, out=w).sum())
+        else:
+            total += float(np.log(np.abs(1.0 - w)).sum())
     return total
+
+
+def _head_split(seq: SpectralSequence, k: int, tol: float):
+    """Split the head factors j != k between float64 and mpmath.
+
+    The float64 error of ln|lam_j -+ lam_k| from the float view is at most
+    about 4 eps (|lam_j| + |lam_k|) / |fl(lam_j) -+ fl(lam_k)| (+inf when
+    the float gap is 0 or an entry overflows).  Factors go to mpmath,
+    largest bound first, until the bounds left in float sum to at most
+    tol / 2.  Returns the float view of the head, 0-based indices of the
+    float factors and of the mp factors (the latter in increasing order).
+    """
+    vals = seq.float_values(len(seq))
+    lam_f = vals[k - 1]
+    others = np.delete(np.arange(len(vals)), k - 1)
+    f = vals[others]
+    scale = 4.0 * np.finfo(float).eps * (np.abs(f) + abs(lam_f))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # |lam_j + lam_k| and |conj(lam_j) + lam_k| both exceed Re(lam_j + lam_k)
+        bound = scale / np.abs(f - lam_f) + scale / (f.real + lam_f.real)
+    bound[~np.isfinite(bound)] = np.inf
+    order = np.argsort(bound, kind="stable")
+    n_float = int(np.searchsorted(np.cumsum(bound[order]), 0.5 * tol, side="right"))
+    return vals, others[order[:n_float]], np.sort(others[order[n_float:]])
 
 
 def log_E_prime(seq: SpectralSequence, k: int, rel_tail_tol: float = 1e-10) -> float:
@@ -209,17 +254,22 @@ def log_E_prime(seq: SpectralSequence, k: int, rel_tail_tol: float = 1e-10) -> f
     neglected log-sum is below ``rel_tail_tol``.
 
     The factor at j = k differentiates to -2 lam_k / lam_k^2, hence the
-    leading ln(2/|lam_k|); stored neighbors are handled in mpmath so pair
-    gaps below float resolution keep their exact logarithm.
+    leading ln(2/|lam_k|).  Stored neighbors are summed in float64 unless
+    their float error bound is too large; those (pair gaps below float
+    resolution in particular) are handled in mpmath and keep their exact
+    logarithm.
     """
     lam = seq.entry(k)
     lam_abs = float(abs(lam))
     total = math.log(2.0) - math.log(lam_abs)
+    vals, fl_js, mp_js = _head_split(seq, k, rel_tail_tol)
+    f, lam_f = vals[fl_js], vals[k - 1]
+    total += float(np.sum(np.log(np.abs(f - lam_f)) + np.log(np.abs(f + lam_f))
+                          - 2.0 * np.log(np.abs(f))))
     with workdps(seq.dps + 20):
-        for j, other in enumerate(seq.values, start=1):
-            if j == k:
-                continue
-            total += mp_log_abs(other - lam) + mp_log_abs(other + lam) - 2 * mp_log_abs(other)
+        for j in mp_js:
+            other = seq.values[j]
+            total += mp_log_abs((other - lam) * (other + lam) / (other * other))
     n0 = len(seq)
     J = _tail_start(seq, lam_abs, rel_tail_tol)
     total += _far_sum_eprime(seq, to_complex(lam), n0, J)
@@ -248,16 +298,25 @@ def bohr_profile(seq: SpectralSequence, K: int,
         raise TooFewModes(f"profile needs K={K} stored entries, have {len(seq)}")
     vs = np.empty(K)
     partners = np.empty(K, dtype=int)
+    vals = seq.float_values(len(seq))
+    eps4 = 4.0 * np.finfo(float).eps
     with workdps(seq.dps + 20):
         for k in range(1, K + 1):
             lam = seq.values[k - 1]
+            # candidates: every j whose true gap may be the minimum, given
+            # a float gap error of at most 4 eps (|lam_j| + |lam_k|)
+            with np.errstate(invalid="ignore", over="ignore"):
+                g = np.abs(vals - vals[k - 1])
+                err = eps4 * (np.abs(vals) + abs(vals[k - 1]))
+                lo, hi = g - err, g + err
+            lo[~np.isfinite(lo)] = -np.inf
+            hi[~np.isfinite(hi)] = np.inf
+            lo[k - 1], hi[k - 1] = np.inf, np.inf
             best, best_j = None, -1
-            for j, other in enumerate(seq.values, start=1):
-                if j == k:
-                    continue
-                g = abs(other - lam)
-                if best is None or g < best:
-                    best, best_j = g, j
+            for j in np.flatnonzero(lo <= hi.min()):
+                gap = abs(seq.values[j] - lam)
+                if best is None or gap < best:
+                    best, best_j = gap, int(j) + 1
             vs[k - 1] = -mp_log_abs(best) / float(lam.real)
             partners[k - 1] = best_j
     return make_profile("bohr", np.arange(1, K + 1), vs, window, cap,
@@ -281,10 +340,9 @@ def _blaschke_far_and_tail(seq, lam_c: complex, n0: int, tol_abs: float) -> floa
         if J > _J_MAX:
             raise TailBoundUnachievable(
                 f"tail completion still above tolerance at J={J}")
-        vals = seq.float_values(J)
-        if np.max(np.abs(vals.imag)) != 0.0:
+        if not seq.rule.real:
             return _blaschke_far_complex(seq, lam_c, n0, J, tol_abs)
-        moduli = vals.real
+        moduli = seq.float_values(J).real
         cached = seq.rule.fit_cache.get(("tailfit", J))
         if cached is None:
             c, p = _power_fit(moduli, J // 2, J)
@@ -333,14 +391,15 @@ def blaschke_log_wprime(seq: SpectralSequence, k: int, rel_tail_tol: float = 1e-
     budget rel_tail_tol is applied to the Re(lam_k)-normalized quantity.
     """
     lam = seq.entry(k)
-    ln_pk = 0.0
-    with workdps(seq.dps + 20):
-        for j, other in enumerate(seq.values, start=1):
-            if j == k:
-                continue
-            ln_pk += mp_log_abs(mp.conj(other) + lam) - mp_log_abs(other - lam)
     lam_c = to_complex(lam)
     tol_abs = rel_tail_tol * max(1.0, lam_c.real)
+    vals, fl_js, mp_js = _head_split(seq, k, tol_abs)
+    f, lam_f = vals[fl_js], vals[k - 1]
+    ln_pk = float(np.sum(np.log(np.abs(np.conj(f) + lam_f)) - np.log(np.abs(f - lam_f))))
+    with workdps(seq.dps + 20):
+        for j in mp_js:
+            other = seq.values[j]
+            ln_pk += mp_log_abs((mp.conj(other) + lam) / (other - lam))
     ln_pk += _blaschke_far_and_tail(seq, lam_c, len(seq), tol_abs)
     return -math.log(2.0 * float(lam.real)) - ln_pk
 

@@ -241,6 +241,14 @@ class TestAcademicLf:
         both = modes[0].obs[0].plus(modes[1].obs[0])
         assert both.norm() <= 1e-15
 
+    def test_mode_eigenvalue_matches_rule_head(self):
+        # each mode builds its own entry; it must equal the j-th entry of
+        # the rule's head at that head's precision, bit for bit
+        model = academic_lf(0.2)
+        for j, m in enumerate(model.modes(70), start=1):
+            want = model.rule.mp_entries(j)[j - 1]
+            assert m.lam_mp == want and repr(m.lam_mp) == repr(want)
+
     def test_tmin_profile_constant(self):
         prof = academic_lf(0.3).tmin_profile(10)
         assert np.all(prof.values == 0.3)

@@ -19,14 +19,78 @@ from nullcontrol import (
     make_rule,
     normal_order,
 )
+from nullcontrol import spectral
 from nullcontrol.errors import (
     DuplicateEntry,
     NonPositiveRealPart,
     TailBoundUnachievable,
     TooFewModes,
 )
+from nullcontrol.precision import mp_log_abs, to_complex, workdps
 
 PI2 = math.pi**2
+
+
+def _all_mp_log_E_prime(seq, k, rel_tail_tol):
+    """Reference: every head factor in mpmath, the far tail as ln|1 - w^2|
+    on complex float64."""
+    lam = seq.entry(k)
+    total = math.log(2.0) - math.log(float(abs(lam)))
+    with workdps(seq.dps + 20):
+        for j, other in enumerate(seq.values, start=1):
+            if j != k:
+                total += mp_log_abs(other - lam) + mp_log_abs(other + lam) - 2 * mp_log_abs(other)
+    J = spectral._tail_start(seq, float(abs(lam)), rel_tail_tol)
+    if J > len(seq):
+        w = to_complex(lam) / seq.float_values(J)[len(seq):]
+        total += float(np.sum(np.log(np.abs(1.0 - w * w))))
+    return total
+
+
+def _all_mp_blaschke_log_wprime(seq, k, rel_tail_tol):
+    """Reference: every head factor of ln P_k in mpmath."""
+    lam = seq.entry(k)
+    ln_pk = 0.0
+    with workdps(seq.dps + 20):
+        for j, other in enumerate(seq.values, start=1):
+            if j != k:
+                ln_pk += mp_log_abs(mp.conj(other) + lam) - mp_log_abs(other - lam)
+    lam_c = to_complex(lam)
+    tol_abs = rel_tail_tol * max(1.0, lam_c.real)
+    ln_pk += spectral._blaschke_far_and_tail(seq, lam_c, len(seq), tol_abs)
+    return -math.log(2.0 * float(lam.real)) - ln_pk
+
+
+def _all_pairs_bohr(seq, K):
+    """Reference: nearest neighbour of every entry over all pairs in mpmath."""
+    vs, partners = [], []
+    with workdps(seq.dps + 20):
+        for k in range(1, K + 1):
+            lam = seq.values[k - 1]
+            best, best_j = None, -1
+            for j, other in enumerate(seq.values, start=1):
+                if j != k and (best is None or abs(other - lam) < best):
+                    best, best_j = abs(other - lam), j
+            vs.append(-mp_log_abs(best) / float(lam.real))
+            partners.append(best_j)
+    return np.array(vs), np.array(partners)
+
+
+def _sub_eps_pair_sequence():
+    # 2 and 2 + 1e-40 coincide in binary64; the rest is well separated
+    with workdps(60):
+        return normal_order([mp.mpf(1), mp.mpf(2), mp.mpf(2) + mp.mpf("1e-40"),
+                             mp.mpf(5), mp.mpf(9) + 2j, mp.mpf(16)])
+
+
+_HYBRID_CASES = {
+    "appendixB-0.25": lambda: from_rule(make_rule("appendixB", tau=0.25), 40),
+    "appendixB-1": lambda: from_rule(make_rule("appendixB", tau=1.0), 30),
+    "academic_lf-0.2": lambda: from_rule(make_rule("academic_lf", tau=0.2), 30),
+    "two_diffusion-2": lambda: from_rule(make_rule("two_diffusion", d=2.0, scale=PI2), 40),
+    "power-complex": lambda: from_rule(make_rule("power", c=1 + 0.5j, p=2.0), 30),
+    "finite-sub-eps": _sub_eps_pair_sequence,
+}
 
 
 class TestNormalOrder:
@@ -145,6 +209,66 @@ class TestLogEPrime:
         seq = from_rule(make_rule("power", c=1.0, p=1.0), 64)
         with pytest.raises(TailBoundUnachievable):
             log_E_prime(seq, 3)
+
+
+class TestHybridHead:
+    """Float64 head factors against the all-mp head loop."""
+
+    @pytest.mark.parametrize("case", sorted(_HYBRID_CASES))
+    def test_log_E_prime_matches_all_mp(self, case):
+        seq = _HYBRID_CASES[case]()
+        tol = 1e-10
+        for k in range(1, min(len(seq), 30) + 1):
+            got = log_E_prime(seq, k, tol)
+            assert abs(got - _all_mp_log_E_prime(seq, k, tol)) <= tol, (case, k)
+
+    @pytest.mark.parametrize("case", sorted(_HYBRID_CASES))
+    def test_blaschke_matches_all_mp(self, case):
+        seq = _HYBRID_CASES[case]()
+        # complex zeros: the far tail is a plain truncation, which cannot
+        # reach 1e-10 within the entry cap
+        tol = 1e-4 if case == "power-complex" else 1e-10
+        for k in range(1, min(len(seq), 30) + 1, 1 if seq.rule is None else 3):
+            got = blaschke_log_wprime(seq, k, tol)
+            want = _all_mp_blaschke_log_wprime(seq, k, tol)
+            assert abs(got - want) <= tol * max(1.0, float(mp.re(seq.entry(k)))), (case, k)
+
+    def test_mp_log_count(self, monkeypatch):
+        # only factors whose float error bound is too large reach mpmath:
+        # for appendixB that is about one pair partner per k
+        calls = [0]
+        real_log = spectral.mp_log_abs
+
+        def counting(x):
+            calls[0] += 1
+            return real_log(x)
+
+        monkeypatch.setattr(spectral, "mp_log_abs", counting)
+        K = 100
+        condensation_profile(from_rule(make_rule("appendixB", tau=0.25), K), K)
+        assert calls[0] <= 3 * K
+
+    @pytest.mark.parametrize("case", ["appendixB-0.25", "appendixB-1", "finite-sub-eps",
+                                      "tie", "float-tie"])
+    def test_bohr_float_candidates_match_all_pairs(self, case):
+        if case == "tie":
+            # lam = 2 has both neighbours at distance exactly 1: the first wins
+            seq, partner_of_2 = normal_order([1.0, 2.0, 3.0, 5.0, 7.0]), 1
+        elif case == "float-tie":
+            # both gaps of lam = 2 round to 1.0; the right one is smaller
+            with workdps(60):
+                seq = normal_order([mp.mpf(1) + mp.mpf("1e-20"), mp.mpf(2),
+                                    mp.mpf(3) - mp.mpf("2e-20"), mp.mpf(5), mp.mpf(7)])
+            partner_of_2 = 3
+        else:
+            seq, partner_of_2 = _HYBRID_CASES[case](), None
+        K = len(seq) if seq.rule is None else 30
+        prof = bohr_profile(seq, K)
+        vs, partners = _all_pairs_bohr(seq, K)
+        assert np.array_equal(prof.values, vs)
+        assert np.array_equal(prof.extras["partner"], partners)
+        if partner_of_2 is not None:
+            assert partners[1] == partner_of_2
 
 
 class TestProfiles:
