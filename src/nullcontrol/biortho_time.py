@@ -1,8 +1,19 @@
 """Biorthogonal families to exponentials e^{-lam t} (and t e^{-lam t}) on (0,T).
 
 The dual functions q_k are representable in the span of the basis itself,
-so they are obtained by one Gram-type solve and every downstream integral
-has a closed form; no quadrature enters anywhere.
+so every downstream integral has a closed form; no quadrature enters
+anywhere.  Their coefficients C are the inverse of the pairing
+M_ij = int_0^T f_i f_j.  The basis obeys f' = -J f, with J = diag(rates)
+plus -1 just below the diagonal at each Jordan pair's (r, 1) row, so M
+satisfies the rank-2 displacement equation
+
+    J M + M J^T = F(0) F(0)^T - F(T) F(T)^T.
+
+Schur elimination on these two generators (Gohberg-Kailath-Olshevsky)
+factors M = L D L^T in O(n^2) operations, and C = M^{-1} follows from
+X J + J^T X = u u^T - v v^T with u = M^{-1} F(0), v = M^{-1} F(T), also
+in O(n^2).  The biorthogonality residual max|M C^T - I| is still checked
+in full, in O(n^3).
 
 These systems are Cauchy-like and their conditioning explodes with the
 number of rates and with rate coalescence, so the solve always runs in
@@ -62,6 +73,10 @@ class ExponentialSpan:
     def size(self) -> int:
         return (2 if self.jordan else 1) * len(self.rates)
 
+    @property
+    def real(self) -> bool:
+        return all(mp.im(r) == 0 for r in self.rates)
+
     def labels(self):
         if not self.jordan:
             return tuple((k, 1) for k in range(1, len(self.rates) + 1))
@@ -107,7 +122,7 @@ def int_pow_exp(a: int, s, T):
     """Closed form of int_0^T t^a e^{-s t} dt for a in {0, 1, 2}."""
     if T is None:
         return mp.factorial(a) / s ** (a + 1)
-    E = mp.e ** (-s * T)
+    E = mp.exp(-s * T)
     if a == 0:
         return (1 - E) / s
     if a == 1:
@@ -157,7 +172,6 @@ def exp_gram(span: ExponentialSpan) -> np.ndarray:
 class BiorthogonalFamily:
     span: ExponentialSpan
     coeffs: np.ndarray          # float view of C: q_k = sum_j C[k, j] basis_j
-    gram: np.ndarray            # float view of the hermitian Gram
     cond_estimate: float
     norms: np.ndarray           # ||q_k||_{L^2(0,T)}, may overflow to inf
     ln_norms: np.ndarray
@@ -165,7 +179,7 @@ class BiorthogonalFamily:
     degraded: bool
     dps: int
     mp_coeffs: mp.matrix
-    mp_dual_gram: mp.matrix     # <q_i, q_j> = (C G C^H)[i, j]
+    mp_dual_gram: mp.matrix     # <q_i, q_j> = (C G C^H)[i, j]; C itself on real spans
 
     @property
     def size(self) -> int:
@@ -175,12 +189,71 @@ class BiorthogonalFamily:
         return self.span.labels()
 
 
+def _displacement(span: ExponentialSpan):
+    """J and the generators of J M + M J^T = F(0) F(0)^T - F(T) F(T)^T.
+
+    J is given by its diagonal (the rates) and its subdiagonal sub[i] =
+    J[i, i-1] (-1 at a Jordan pair's t e^{-r t} row, else 0); F(T) is None
+    on an infinite horizon."""
+    basis = span.basis()
+    diag = [r for r, _ in basis]
+    sub = [-1 if p else 0 for _, p in basis]
+    F0 = [0 if p else 1 for _, p in basis]
+    T = span.T
+    FT = None if T is None else [mp.exp(-r * T) * (T if p else 1) for r, p in basis]
+    return diag, sub, F0, FT
+
+
+def _structured_inverse(diag, sub, F0, FT) -> mp.matrix:
+    """M^{-1} for the symmetric M with J M + M J^T = F0 F0^T - FT FT^T, J
+    lower bidiagonal, in O(n^2); a zero pivot raises ZeroDivisionError."""
+    n = len(diag)
+    a, b = list(F0), None if FT is None else list(FT)
+    L, d = [], []
+    for k in range(n):
+        # column k of the current Schur complement, from its displacement
+        # equation by forward substitution down the bidiagonal J
+        s = []
+        for i in range(k, n):
+            rhs = a[i] * a[k] if b is None else a[i] * a[k] - b[i] * b[k]
+            if i > k and sub[i]:
+                rhs -= sub[i] * s[-1]
+            s.append(rhs / (diag[i] + diag[k]))
+        d.append(s[0])
+        col = [x / s[0] for x in s[1:]]
+        L.append(col)
+        # the next complement's generators; each pivot row is left holding (L^{-1} F)_k
+        for i, li in enumerate(col, k + 1):
+            a[i] -= li * a[k]
+            if b is not None:
+                b[i] -= li * b[k]
+
+    def back(z):  # solves D L^T x = z
+        x = [None] * n
+        for i in reversed(range(n)):
+            x[i] = z[i] / d[i] - mp.fdot(L[i], x[i + 1:])
+        return x
+
+    u, v = back(a), None if b is None else back(b)
+    # X = M^{-1} solves X J + J^T X = u u^T - v v^T; fill it backward
+    X = [[None] * n for _ in range(n)]
+    for i in reversed(range(n)):
+        for j in reversed(range(i, n)):
+            rhs = u[i] * u[j] if v is None else u[i] * u[j] - v[i] * v[j]
+            if j + 1 < n and sub[j + 1]:
+                rhs -= sub[j + 1] * X[i][j + 1]
+            if i + 1 < n and sub[i + 1]:
+                rhs -= sub[i + 1] * X[i + 1][j]
+            X[i][j] = X[j][i] = rhs / (diag[i] + diag[j])
+    return mp.matrix(X)
+
+
 def _solve_at(span: ExponentialSpan, dps: int):
     with workdps(dps):
         M = _pairing_mp(span)
         n = M.rows
         try:
-            C = mp.inverse(M).T  # rows of C solve M C^T = I
+            C = _structured_inverse(*_displacement(span))  # rows of C solve M C^T = I
         except ZeroDivisionError as exc:
             raise IllConditioned(f"pairing matrix singular at {dps} digits") from exc
         R = M * C.T
@@ -188,8 +261,12 @@ def _solve_at(span: ExponentialSpan, dps: int):
         for i in range(n):
             for j in range(n):
                 residual = max(residual, float(abs(R[i, j] - (1 if i == j else 0))))
-        G = _gram_mp(span)
-        N = C * G * C.transpose_conj()
+        if span.real:
+            # the Gram is the pairing, so C G C^H = C M C^T = C
+            G, N = M, C
+        else:
+            G = _gram_mp(span)
+            N = C * G * C.transpose_conj()
         pos_def = all(N[i, i].real > 0 for i in range(n))
         if not pos_def:
             # force a precision retry: a negative computed norm means the
@@ -201,7 +278,7 @@ def _solve_at(span: ExponentialSpan, dps: int):
         gnorm = max(mp.fsum(abs(G[i, j]) for i in range(n)) for j in range(n))
         ginvnorm = max(mp.fsum(abs(C[i, j]) for i in range(n)) for j in range(n))
         cond = float(gnorm * ginvnorm)
-    return C, G, N, residual, ln_norms, cond
+    return C, N, residual, ln_norms, cond
 
 
 def build_biortho(span: ExponentialSpan) -> BiorthogonalFamily:
@@ -210,7 +287,7 @@ def build_biortho(span: ExponentialSpan) -> BiorthogonalFamily:
     dps = auto_dps_for_gaps(span.min_log_rel_gap(), scale=5.0 if span.jordan else 2.6,
                             size=span.size)
     for _ in range(4):
-        C, G, N, residual, ln_norms, cond = _solve_at(span, dps)
+        C, N, residual, ln_norms, cond = _solve_at(span, dps)
         if residual <= RESIDUAL_THRESHOLD or dps >= MAX_DPS:
             break
         dps = min(MAX_DPS, 2 * dps)
@@ -219,11 +296,10 @@ def build_biortho(span: ExponentialSpan) -> BiorthogonalFamily:
             f"Gram not numerically positive definite at {dps} digits")
     n = span.size
     coeffs = np.array([[to_complex(C[i, j]) for j in range(n)] for i in range(n)])
-    gram = np.array([[to_complex(G[i, j]) for j in range(n)] for i in range(n)])
     with np.errstate(over="ignore"):
         norms = np.exp(ln_norms)
     return BiorthogonalFamily(
-        span=span, coeffs=coeffs, gram=gram, cond_estimate=cond,
+        span=span, coeffs=coeffs, cond_estimate=cond,
         norms=norms, ln_norms=ln_norms, residual=residual,
         degraded=residual > RESIDUAL_THRESHOLD, dps=dps,
         mp_coeffs=C, mp_dual_gram=N,

@@ -69,13 +69,13 @@ def moment_rhs(model: ParabolicModel, T, k: int, branch: int = 1) -> complex:
 
 def _moment_rhs_mp(mode, T_mp, branch: int):
     # evaluated at the caller's working precision
-    return -mp.e ** (-mode.lam_mp * T_mp) * to_mp(mode.y0[branch - 1])
+    return -mp.exp(-mode.lam_mp * T_mp) * to_mp(mode.y0[branch - 1])
 
 
 def _generalized_rhs_mp(mode, T_mp):
     """Second Jordan moment target -e^{-lam T}(<y0, phi_2> - T mu <y0, phi_1>)."""
     mu = to_mp(mode.mu)
-    return -mp.e ** (-mode.lam_mp * T_mp) * (to_mp(mode.y0[1]) - T_mp * mu * to_mp(mode.y0[0]))
+    return -mp.exp(-mode.lam_mp * T_mp) * (to_mp(mode.y0[1]) - T_mp * mu * to_mp(mode.y0[0]))
 
 
 def _tail_bound(model, T_mp, N: int) -> float:

@@ -1,7 +1,9 @@
 """Time-biorthogonal families: Gram closed forms, solves, oracles, growth."""
 
+import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,8 +16,11 @@ from nullcontrol import (
     norm_growth_fit,
     pair_with_exponential,
 )
-from nullcontrol.biortho_time import _gram_mp
-from nullcontrol.generators import AppendixBRule
+from nullcontrol import biortho_time
+from nullcontrol.biortho_time import RESIDUAL_THRESHOLD, _gram_mp, _pairing_mp
+from nullcontrol.cli import main
+from nullcontrol.errors import IllConditioned
+from nullcontrol.generators import AcademicLfRule, AppendixBRule
 from nullcontrol.precision import workdps
 
 PI2 = math.pi**2
@@ -85,16 +90,18 @@ class TestBuildBiortho:
         # (T, rates) -> (sT, rates/s) scales the Gram by s and norms by s^{-1/2}
         rates = (1.0, 3.0, 7.0)
         s = 4.0
-        fam = build_biortho(ExponentialSpan(rates, 0.7))
-        fam_s = build_biortho(ExponentialSpan(tuple(r / s for r in rates), 0.7 * s))
-        np.testing.assert_allclose(fam_s.gram.real, s * fam.gram.real, rtol=1e-12)
+        span = ExponentialSpan(rates, 0.7)
+        span_s = ExponentialSpan(tuple(r / s for r in rates), 0.7 * s)
+        fam, fam_s = build_biortho(span), build_biortho(span_s)
+        np.testing.assert_allclose(exp_gram(span_s).real, s * exp_gram(span).real, rtol=1e-12)
         np.testing.assert_allclose(fam_s.norms, fam.norms / math.sqrt(s), rtol=1e-12)
 
 
 class TestJordanFamily:
     def test_single_rate_exact_inverse(self):
-        fam = build_biortho_jordan(ExponentialSpan((1.0,), None, jordan=True))
-        np.testing.assert_allclose(fam.gram.real, [[0.5, 0.25], [0.25, 0.25]], rtol=1e-14)
+        span = ExponentialSpan((1.0,), None, jordan=True)
+        fam = build_biortho_jordan(span)
+        np.testing.assert_allclose(exp_gram(span).real, [[0.5, 0.25], [0.25, 0.25]], rtol=1e-14)
         # inverse of [[1/2, 1/4], [1/4, 1/4]] (det 1/16) is [[4, -4], [-4, 8]]
         np.testing.assert_allclose(fam.coeffs.real, [[4.0, -4.0], [-4.0, 8.0]], rtol=1e-12)
         # q_{1,1} = 4 e^{-t} - 4 t e^{-t}: <e^{-t}, q11> = 4/2 - 4/4 = 1,
@@ -112,29 +119,89 @@ class TestJordanFamily:
 
 
 class TestDualGram:
-    """mp_dual_gram is C G C^H at the family's digits, formed once by the
-    builder and read by the plan's norm."""
+    """mp_dual_gram is <q_i, q_j> = C G C^H at the family's digits, formed
+    once by the builder and read by the plan's norm.  On real spans G is
+    the pairing M, so the builder keeps C itself (C M C^T = C): it matches
+    the recomputed product up to the solve residual.  Complex spans keep
+    the product."""
 
     @staticmethod
-    def _assert_is_product(fam, G):
+    def _product(fam):
         C = fam.mp_coeffs
         with workdps(fam.dps):
-            want = C * G * C.transpose_conj()
-        Q = fam.mp_dual_gram
+            return C * _gram_mp(fam.span) * C.transpose_conj()
+
+    @pytest.mark.parametrize("span", [
+        ExponentialSpan(tuple(k * k * PI2 for k in range(1, 9)), 0.5),
+        ExponentialSpan((1.0, 2.0, 4.0), 1.0, jordan=True),
+        ExponentialSpan(tuple(AcademicLfRule(0.2).mp_entries(20)), 0.5),
+        ExponentialSpan(tuple(AppendixBRule(0.25).mp_entries(12)), 1.0, jordan=True),
+    ], ids=["plain", "jordan", "academic_lf-N20", "appendixB-jordan"])
+    def test_real_span_is_coeffs(self, span):
+        fam = build_biortho(span)
+        Q, want = fam.mp_dual_gram, self._product(fam)
+        assert Q is fam.mp_coeffs
+        with workdps(fam.dps):
+            worst = max(abs(want[i, j] - Q[i, j]) / mp.sqrt(abs(Q[i, i] * Q[j, j]))
+                        for i in range(fam.size) for j in range(fam.size))
+        assert float(worst) <= 10 * fam.residual
+
+    @pytest.mark.parametrize("jordan", [False, True], ids=["plain", "jordan"])
+    def test_complex_span_is_product(self, jordan):
+        fam = build_biortho(ExponentialSpan((1 + 1j, 2 - 0.5j, 3), 1.0, jordan=jordan))
+        Q, want = fam.mp_dual_gram, self._product(fam)
         assert (Q.rows, Q.cols) == (fam.size, fam.size)
         for i in range(fam.size):
             for j in range(fam.size):
                 assert Q[i, j] == want[i, j]
 
+
+class TestStructuredSolve:
+    """The O(n^2) displacement solve against the generic inverse of the
+    pairing, at the family's digits (the squares span is also checked
+    against the closed-form Cauchy inverse in TestCauchyOracle)."""
+
     @pytest.mark.parametrize("span", [
-        ExponentialSpan(tuple(k * k * PI2 for k in range(1, 9)), 0.5),
-        ExponentialSpan((1.0, 2.0, 4.0), 1.0, jordan=True),
-    ], ids=["plain", "jordan"])
-    def test_extended_path(self, span):
+        ExponentialSpan(tuple(k * k * PI2 for k in range(1, 13)), 0.5),
+        ExponentialSpan(tuple(k * k * PI2 for k in range(1, 9)), 0.5, jordan=True),
+        ExponentialSpan(tuple(AppendixBRule(0.25).mp_entries(12)), 1.0, jordan=True),
+        ExponentialSpan((1 + 1j, 2 - 0.5j, 3), 1.0),
+        ExponentialSpan(tuple(float(k * k) for k in range(1, 9)), None),
+    ], ids=["heat-N12", "heat-jordan-N8", "appendixB-jordan", "complex", "squares-inf"])
+    def test_matches_generic_inverse(self, span):
         fam = build_biortho(span)
+        assert fam.residual <= RESIDUAL_THRESHOLD
+        C, n = fam.mp_coeffs, fam.size
         with workdps(fam.dps):
-            G = _gram_mp(span)
-        self._assert_is_product(fam, G)
+            ref = mp.inverse(_pairing_mp(span))
+            scale = max(abs(ref[i, j]) for i in range(n) for j in range(n))
+            worst = max(abs(C[i, j] - ref[i, j]) for i in range(n) for j in range(n)) / scale
+        assert float(worst) <= 10 * fam.residual
+
+    def test_builder_never_calls_generic_inverse(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generic inverse called")
+
+        monkeypatch.setattr(mp, "inverse", refuse)
+        monkeypatch.setattr(mp.mp, "inverse", refuse)
+        for span in (ExponentialSpan(tuple(k * k * PI2 for k in range(1, 9)), 0.5),
+                     ExponentialSpan((1.0, 2.0), 1.0, jordan=True),
+                     ExponentialSpan((1 + 1j, 2.0), None)):
+            assert build_biortho(span).residual <= RESIDUAL_THRESHOLD
+
+    def test_zero_pivot_is_ill_conditioned(self, monkeypatch, tmp_path, capsys):
+        # F(0) = F(T) = 0 makes every Schur column, hence the first pivot, zero
+        monkeypatch.setattr(biortho_time, "_displacement",
+                            lambda span: (list(span.rates), [0] * span.size, [0] * span.size,
+                                          [0] * span.size))
+        with pytest.raises(IllConditioned, match="singular"):
+            build_biortho(ExponentialSpan((1.0, 2.0, 3.0), 1.0))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "biortho",
+                                   "sequence": {"rule": "power", "c": 1.0, "p": 2.0},
+                                   "params": {"N": 3}}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "ILL_CONDITIONED"
 
 
 class TestCauchyOracle:
