@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 from .biortho_time import (
     BiorthogonalFamily,
@@ -27,7 +29,7 @@ from .biortho_space import biorthogonalize_gram
 from .errors import SynthesisUnsupported, UnobservableMode, ZeroMuUnsupported
 from .models import Block2x2, ParabolicModel
 from .observations import combine
-from .precision import to_complex, to_mp, workdps
+from .precision import DEFAULT_DPS, to_complex, to_mp, workdps
 
 _TAIL_MODES = 50
 
@@ -80,16 +82,17 @@ def _generalized_rhs_mp(mode, T_mp):
 
 def _tail_bound(model, T_mp, N: int) -> float:
     """sum_{k>N} e^{-Re(lam_k) T} |<y0, phi_{k,i}>| over the next block of
-    uncontrolled modes (the summand decays super-geometrically)."""
-    total = mp.mpf(0)
+    uncontrolled modes (the summand decays super-geometrically), summed
+    at DEFAULT_DPS whatever the caller's precision."""
     try:
         modes = model.modes(N + _TAIL_MODES)
     except Exception:  # finite mode lists cannot extend past their length
         return float("nan")
-    for mode in modes[N:]:
-        w = mp.e ** (-mode.lam_mp.real * T_mp)
-        total += w * sum(abs(to_mp(c)) for c in mode.y0)
-    return float(total)
+    with workdps(DEFAULT_DPS):
+        total = mp.mpf(0)
+        for mode in modes[N:]:
+            total += mp.exp(-mode.lam_mp.real * T_mp) * sum(abs(to_mp(c)) for c in mode.y0)
+        return float(total)
 
 
 def _finalize(model, T_mp, N, family, terms) -> ControlPlan:
@@ -266,33 +269,89 @@ def terminal_projection(plan: ControlPlan, model: ParabolicModel | None = None,
     return out
 
 
+def _int_parts(values):
+    """Exact integer form of mp scalars: (Re mantissas, Im mantissas, e)
+    with value_j = (re_j + i im_j) 2^e over one common exponent e.  The Im
+    list is empty when every value is real."""
+    parts = [v._mpc_ if type(v) is mp.mpc else (v._mpf_, libmp.fzero) for v in values]
+    exp = min((x[2] for pair in parts for x in pair if x[1]), default=0)
+
+    def signed(x):
+        sign, man, e, _ = x
+        if not man:
+            return 0
+        man <<= e - exp
+        return -man if sign else man
+
+    re = [signed(x) for x, _ in parts]
+    im = [signed(y) for _, y in parts] if any(y[1] for _, y in parts) else []
+    return re, im, exp
+
+
+def _basis_samples(basis, T: float, ts, prec: int):
+    """Yield the basis values s^p e^{-r s} at each s_i = T - t_i.
+
+    e^{-r s} is evaluated once, at s_0, and then follows the recurrence
+    e^{-r s_i} = e^{-r s_(i-1)} e^{r d_i} over the exact grid steps
+    d_i = s_(i-1) - s_i, with one cached e^{r d} per rate and distinct
+    step (np.linspace has a dozen or two).  It is carried with
+    len(ts).bit_length() + 1 guard bits, so that the drift after len(ts)
+    steps stays below one unit in the last place at ``prec`` bits."""
+    rates = list(dict.fromkeys(r for r, _ in basis))
+    slots = [(rates.index(r), p) for r, p in basis]
+    wp = prec + len(ts).bit_length() + 1
+    T_mp = mp.mpf(T)
+    steps = {}
+    prev = None
+    for t in ts:
+        with mp.workprec(wp):
+            s = mp.fsub(T_mp, float(t), exact=True)
+            if prev is None:
+                e = [mp.exp(-r * s) for r in rates]
+            else:
+                d = mp.fsub(prev, s, exact=True)
+                step = steps.get(d)
+                if step is None:
+                    step = steps[d] = [mp.exp(r * d) for r in rates]
+                e = [a * b for a, b in zip(e, step)]
+            values = [s**p * e[k] if p else e[k] for k, p in slots]
+        prev = s
+        yield values
+
+
 def sample_plan(plan: ControlPlan, n: int = 2000):
     """Time samples of the per-term profiles coeff * q(T - t) (CSV export
     only; verification never touches samples).  Returns (t, term_matrix,
-    u) where u is the assembled scalar control when every direction is a
-    scalar observation, else None.
+    u): term_matrix holds the real parts Re(coeff * q(T - t)), and u is
+    the assembled scalar control when every direction is a real scalar
+    observation, else None.
 
-    Every plan is sampled at the family's working precision: each term's
-    coefficient is folded into its dual row once, and each sample point
-    evaluates every basis function once, so the cost is n * basis mp
-    exponentials plus n * terms * basis mp products.
+    Each term's coefficient is folded into its dual row once at the
+    family's working precision; the basis values come from the
+    exponential recurrence of ``_basis_samples``.  Each sample is an exact
+    integer dot product of a folded row with the basis values, rounded
+    once to the family's precision and then to float, as mp.fdot would.
+    The cost is basis * (1 + distinct grid steps) mp exponentials, n *
+    basis mp products and n * terms * basis integer products.
     """
     T = float(plan.T)
     ts = np.linspace(0.0, T, n)
     family = plan.family
-    basis = family.span.basis()
     cols = np.empty((len(plan.terms), n))
     with workdps(family.dps):
-        rows = [[term.coeff_mp * c for c in family.mp_coeffs[term.basis_index, :]]
+        prec = mp.mp.prec
+        rows = [_int_parts([term.coeff_mp * c for c in family.mp_coeffs[term.basis_index, :]])
                 for term in plan.terms]
-        for i, t in enumerate(ts):
-            s = to_mp(T) - to_mp(float(t))
-            funcs = [s**p * mp.exp(-r * s) for r, p in basis]
-            for col, row in enumerate(rows):
-                cols[col, i] = float(mp.fdot(row, funcs).real)
+    for i, funcs in enumerate(_basis_samples(family.span.basis(), T, ts, prec)):
+        f_re, f_im, f_exp = _int_parts(funcs)
+        for col, (a_re, a_im, a_exp) in enumerate(rows):
+            # an empty Im list (a real row or real values) drops the Im*Im sum
+            man = sum(map(mul, a_re, f_re)) - sum(map(mul, a_im, f_im))
+            cols[col, i] = libmp.to_float(
+                libmp.from_man_exp(man, a_exp + f_exp, prec, "n"), rnd="n")
     scalars = [getattr(t.direction, "value", None) for t in plan.terms]
     u = None
-    if all(v is not None for v in scalars):
+    if all(v is not None and np.imag(v) == 0 for v in scalars):
         u = np.sum(cols * np.array([float(np.real(v)) for v in scalars])[:, None], axis=0)
     return ts, cols, u
 

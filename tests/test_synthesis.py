@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath import libmp
 
 from nullcontrol import (
     PiecewiseConstant,
@@ -30,7 +32,9 @@ from nullcontrol.errors import (
     UnobservableMode,
     ZeroMuUnsupported,
 )
-from nullcontrol.models import PointwiseHeatModel
+from nullcontrol.models import ParabolicModel, PointwiseHeatModel, SpectralMode
+from nullcontrol.observations import Scalar
+from nullcontrol.precision import to_mp
 
 PI2 = math.pi**2
 X0 = math.sqrt(2.0) - 1.0
@@ -132,6 +136,15 @@ class TestSynthesizeSimple:
         for key, val in report.residuals.items():
             assert proj[key] == val
 
+    def test_tail_bound_ignores_caller_precision(self):
+        plan = synthesize_simple(pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k), 0.4, 8)
+        bounds = []
+        for dps in (15, 80):
+            with mp.workdps(dps):
+                bounds.append(synthesis._tail_bound(plan.model, plan.T, plan.N))
+        assert bounds[0] > 0
+        assert bounds[0] == bounds[1] == plan.tail_bound
+
     def test_zero_initial_data_zero_plan(self):
         model = pointwise_heat(X0, y0_rule=lambda k, i: 0.0)
         plan = synthesize_simple(model, 0.4, 5)
@@ -168,9 +181,6 @@ class TestSynthesizeMultiple:
         np.testing.assert_allclose(eff_m, eff_s, rtol=1e-12)
 
     def test_dependent_observations_rejected(self):
-        from nullcontrol.models import ParabolicModel, SpectralMode
-        from nullcontrol.observations import Scalar
-
         class Dependent(ParabolicModel):
             observation_available = True
 
@@ -310,16 +320,69 @@ def _sample_per_term(plan, n):
     return ts, cols
 
 
+def _sample_folded(plan, n):
+    """Reference for sample_plan: the folded loop it replaced, which calls
+    mp.exp for every basis function at every sample and mp.fdot for every
+    term, all at the family's precision."""
+    T = float(plan.T)
+    ts = np.linspace(0.0, T, n)
+    family = plan.family
+    basis = family.span.basis()
+    cols = np.empty((len(plan.terms), n))
+    with mp.workdps(family.dps):
+        rows = [[term.coeff_mp * c for c in family.mp_coeffs[term.basis_index, :]]
+                for term in plan.terms]
+        for i, t in enumerate(ts):
+            s = mp.mpf(T) - mp.mpf(float(t))
+            funcs = [s**p * mp.exp(-r * s) for r, p in basis]
+            for col, row in enumerate(rows):
+                cols[col, i] = float(mp.fdot(row, funcs).real)
+    return ts, cols
+
+
+class _ComplexPair(ParabolicModel):
+    """Complex rates k^2 + 0.3ik observed along a complex scalar."""
+
+    observation_available = True
+
+    def _mode(self, k):
+        lam = complex(k * k, 0.3 * k)
+        return SpectralMode(k, lam, mp.mpc(lam.real, lam.imag), "simple",
+                            (Scalar(1.0 + 0.5j),), (1.0 / k,))
+
+
+def _count_exp_calls(fn):
+    """fn() and the number of mpf_exp / mpc_exp calls it made."""
+    codes = {libmp.mpf_exp.__code__, libmp.mpc_exp.__code__}
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, count
+
+
+_SAMPLE_PLANS = [
+    # well-conditioned: cond ~1e8 at 60 digits
+    (pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k), 0.4, 8),
+    # Jordan span: t e^{-lam t} basis functions, two terms per mode
+    (cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.0),)),
+                        y0_rule=lambda k, i: 1.0 / k), 0.5, 3),
+    # vector (SineSeries) directions: no scalar control
+    (academic_lf(0.2, y0_rule=lambda k, i: 1.0), 0.5, 4),
+]
+_SAMPLE_IDS = ["heat", "cascade_jordan", "academic"]
+
+
 class TestSamplePlan:
-    @pytest.mark.parametrize("model,T,N", [
-        # well-conditioned: cond ~1e8 at 60 digits
-        (pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k), 0.4, 8),
-        # Jordan span: t e^{-lam t} basis functions, two terms per mode
-        (cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.0),)),
-                            y0_rule=lambda k, i: 1.0 / k), 0.5, 3),
-        # vector (SineSeries) directions: no scalar control
-        (academic_lf(0.2, y0_rule=lambda k, i: 1.0), 0.5, 4),
-    ], ids=["heat", "cascade_jordan", "academic"])
+    @pytest.mark.parametrize("model,T,N", _SAMPLE_PLANS, ids=_SAMPLE_IDS)
     def test_matches_per_term_oracle(self, model, T, N):
         plan = synthesize(model, T, N)
         ts, cols, u = synthesis.sample_plan(plan, 101)
@@ -335,6 +398,70 @@ class TestSamplePlan:
         else:
             weights = np.array([float(np.real(v)) for v in values])
             np.testing.assert_array_equal(u, np.sum(cols * weights[:, None], axis=0))
+
+    @pytest.mark.parametrize("model,T,N", _SAMPLE_PLANS + [(_ComplexPair(), 0.5, 4)],
+                             ids=_SAMPLE_IDS + ["complex_pair"])
+    def test_bit_exact_against_folded_loop(self, model, T, N):
+        plan = synthesize(model, T, N)
+        ts, cols, _ = synthesis.sample_plan(plan, 101)
+        ts_ref, ref = _sample_folded(plan, 101)
+        assert np.array_equal(ts, ts_ref)
+        assert np.array_equal(cols, ref)
+
+    @pytest.mark.parametrize("n", [2, 9, 2000])
+    def test_heat_bit_exact_and_u_unchanged(self, n):
+        plan = synthesize(pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k), 0.4, 8)
+        ts, cols, u = synthesis.sample_plan(plan, n)
+        _, ref = _sample_folded(plan, n)
+        assert np.array_equal(cols, ref)
+        weights = np.array([t.direction.value.real for t in plan.terms])
+        assert np.array_equal(u, np.sum(ref * weights[:, None], axis=0))
+
+    def test_complex_directions_give_no_scalar_control(self):
+        # cols holds Re(coeff q); with complex direction values the Im*Im
+        # part of Re(sum coeff q value) is missing, so no u is assembled
+        plan = synthesize(_ComplexPair(), 0.5, 4)
+        ts, cols, u = synthesis.sample_plan(plan, 21)
+        assert u is None
+        family = plan.family
+        with mp.workdps(family.dps):
+            direct = []
+            for t in ts:
+                s = plan.T - mp.mpf(float(t))
+                total = mp.mpf(0)
+                for term in plan.terms:
+                    q = mp.fsum(c * mp.exp(-r * s) for c, (r, _) in
+                                zip(family.mp_coeffs[term.basis_index, :],
+                                    family.span.basis()))
+                    total += term.coeff_mp * q * to_mp(term.direction.value)
+                direct.append(float(total.real))
+        real_only = np.sum(cols * np.array([t.direction.value.real
+                                            for t in plan.terms])[:, None], axis=0)
+        assert np.max(np.abs(real_only - direct)) > 0.01 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("model,T,N", _SAMPLE_PLANS[:2], ids=_SAMPLE_IDS[:2])
+    def test_recurrence_drift_below_one_ulp(self, model, T, N):
+        # every basis value stays within 2^-prec relative of s^p e^{-r s},
+        # below one unit in the last place at the family's precision
+        plan = synthesize(model, T, N)
+        with mp.workdps(plan.family.dps):
+            prec = mp.mp.prec
+        T_f = float(plan.T)
+        ts = np.linspace(0.0, T_f, 2000)
+        basis = plan.family.span.basis()
+        with mp.workprec(prec + 64):
+            tol = mp.ldexp(1, -prec)
+            for t, values in zip(ts, synthesis._basis_samples(basis, T_f, ts, prec)):
+                s = mp.mpf(T_f) - mp.mpf(float(t))
+                for v, (r, p) in zip(values, basis):
+                    exact = s**p * mp.exp(-r * s)
+                    assert abs(v - exact) <= tol * abs(exact)
+
+    def test_exponentials_per_distinct_step(self):
+        plan = synthesize(pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k), 0.4, 8)
+        (ts, _, _), count = _count_exp_calls(lambda: synthesis.sample_plan(plan, 2000))
+        steps = len(np.unique(np.diff(ts)))
+        assert count <= plan.family.size * (1 + steps)
 
 
 class TestGramian2x2:
