@@ -24,10 +24,10 @@ class SequenceRule:
 
     name = "rule"
     infinite = True
-    real = True  # every entry real: far-tail sums take the real-valued path
+    real = True  # every entry real: the float view is float64, else complex128
 
     def __init__(self):
-        self._float_cache = np.zeros(0, dtype=np.complex128)
+        self._float_cache = np.zeros(0)
         self.fit_cache: dict = {}
 
     def head_dps(self, n: int) -> int:
@@ -42,9 +42,12 @@ class SequenceRule:
         raise NotImplementedError
 
     def float_entries(self, n: int) -> np.ndarray:
+        """First n entries in binary64: float64 for real rules, else complex128."""
         if len(self._float_cache) < n:
             grow = max(n, 2 * len(self._float_cache), 1024)
-            self._float_cache = np.asarray(self._float_block_impl(grow), dtype=np.complex128)
+            block = np.asarray(self._float_block_impl(grow))
+            self._float_cache = (np.ascontiguousarray(block.real, dtype=np.float64) if self.real
+                                 else np.asarray(block, dtype=np.complex128))
         return self._float_cache[:n]
 
 
@@ -185,6 +188,7 @@ class ExplicitRule(SequenceRule):
         vals = [to_mp(v) for v in values]
         vals.sort(key=lambda z: (abs(z), mp.arg(z)))
         self.values = vals
+        self.real = all(mp.im(v) == 0 for v in vals)
 
     def mp_entries(self, n):
         if n > len(self.values):

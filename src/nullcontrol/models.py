@@ -413,15 +413,15 @@ class TwoDiffusionPointwiseModel(_TwoDiffusionBase):
 
     def tmin_profile(self, K, window=DEFAULT_WINDOW, cap=None, rel_tail_tol=1e-10):
         seq = self.spectrum(K)
-        vals = np.empty(K)
-        for j in range(1, K + 1):
-            _, fam, k = self._tagged(j)[j - 1]
-            s = _SQRT2 * math.sin(k * _PI * self.x0)
-            lam = float(seq.entry(j).real)
-            if abs(s) < VANISH_TOL:
-                vals[j - 1] = math.inf
-                continue
-            vals[j - 1] = (-math.log(abs(s)) - spectral.log_E_prime(seq, j, rel_tail_tol)) / lam
+        observed = {}
+        for j, (_, _, k) in enumerate(self._tagged(K), start=1):
+            s = abs(_SQRT2 * math.sin(k * _PI * self.x0))
+            if s >= VANISH_TOL:
+                observed[j] = s
+        vals = np.full(K, math.inf)  # unobserved modes stay inf
+        log_eprimes = spectral.log_E_primes(seq, list(observed), rel_tail_tol)
+        for (j, s), log_ep in zip(observed.items(), log_eprimes):
+            vals[j - 1] = (-math.log(s) - log_ep) / float(seq.entry(j).real)
         return make_profile("tmin_two_diffusion_pointwise", np.arange(1, K + 1), vals,
                             window, cap)
 

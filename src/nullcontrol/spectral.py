@@ -11,12 +11,16 @@ All products are evaluated as sums of ln|.| with an adaptively truncated
 far tail.  Head factors are summed in binary64 from the float view unless
 their float error bound is too large (``_head_split``); those
 near-coincident entries are subtracted in mpmath, so pair gaps far below
-binary64 resolution still contribute their exact logarithm.  For real
-sequences the far tail of E' is summed as log1p(-(lam_k/lam_j)^2).
+binary64 resolution still contribute their exact logarithm.  The far tail
+of E' is summed for every k of a profile at once: factors with
+|lam_k/lam_j|^2 above 2^-8 directly as Re log1p(-(lam_k/lam_j)^2), the
+rest from power sums of (s/lam_j)^2 shared by all k (s = max_k |lam_k|),
+whose series truncation stays below 2 eps sum_j |lam_k/lam_j|^2.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -205,24 +209,81 @@ def _tail_start(seq: SpectralSequence, lam_abs: float, tol: float) -> int:
     return J
 
 
-def _far_sum_eprime(seq, lam_c: complex, n0: int, J: int) -> float:
-    if J <= n0:
-        return 0.0
-    total = 0.0
-    chunk = 1 << 20
-    vals = seq.float_values(J)
-    real = seq.rule.real
-    if real:
-        vals, lam_c = vals.real, lam_c.real
-    for lo in range(n0, J, chunk):
-        w = np.divide(lam_c, vals[lo:min(J, lo + chunk)])
-        np.multiply(w, w, out=w)
-        if real:  # ln(1 - w^2) in place, accurate for tiny w
+# Far-tail factors with |lam_k/lam_j|^2 <= _RHO for every k of a call are
+# summed from power sums shared by all k: with s = max_k |lam_k| and
+# w = lam_k/lam_j, ln(1 - w^2) = -sum_m (lam_k/s)^(2m) (s/lam_j)^(2m) / m,
+# cut after _M_TERMS terms.  rho^M <= eps bounds the cut series by
+# eps |w|^2 / M per factor, and each power sum stops once its terms are
+# below eps |w|^2 (see _far_sums_eprime): together below 2 eps sum |w|^2,
+# which for a real sequence is at most the magnitude of the far sum itself.
+# 2^-8 was the fastest rho of 2^-4 .. 2^-18 on the indices and tmin profiles.
+_RHO = 2.0**-8
+_EPS = float(np.finfo(float).eps)
+_M_TERMS = math.ceil(math.log(_EPS) / math.log(_RHO))
+_CHUNK = 1 << 20
+
+
+def _far_sums_eprime(seq, lams: np.ndarray, n0: int, Js: np.ndarray) -> np.ndarray:
+    """sum_{n0 <= j < J_k} ln|1 - (lam_k/lam_j)^2| (0-based j) for every k.
+
+    ``lams`` has the dtype of the float view (float64 for real rules,
+    complex128 otherwise).  Near zone [n0, J0), J0 the first entry with
+    |lam_j| >= s/sqrt(rho): each factor directly as Re log1p(-w^2).  Far
+    zone [J0, J_k): the power sums P_m = sum (s/lam_j)^(2m) over the
+    segments between the sorted distinct J_k, one reduceat pass per m.
+    Pass m stops where |s/lam_j|^(2(m-1)) <= eps: the terms dropped there
+    are below eps |w_j|^2 / m each.
+    """
+    out = np.zeros(len(lams))
+    J_max = int(Js.max(initial=n0))
+    if J_max <= n0:
+        return out
+    vals = seq.float_values(J_max)
+    s = float(np.abs(lams).max())
+    J0 = bisect.bisect_left(vals, s / math.sqrt(_RHO), n0, J_max, key=abs)
+
+    if J0 > n0:
+        rows = max(1, _CHUNK // (J0 - n0))  # ks per near-zone block
+        for r0 in range(0, len(lams), rows):
+            r = slice(r0, r0 + rows)
+            w = lams[r, None] / vals[None, n0:J0]
+            np.multiply(w, w, out=w)
             np.negative(w, out=w)
-            total += float(np.log1p(w, out=w).sum())
-        else:
-            total += float(np.log(np.abs(1.0 - w)).sum())
-    return total
+            w[np.arange(n0, J0)[None, :] >= Js[r, None]] = 0.0
+            out[r] += np.log1p(w, out=w).real.sum(axis=1)
+    if J_max <= J0:
+        return out
+
+    # pass m (power m + 1) covers [J0, ends[m])
+    ends = [J_max] + [bisect.bisect_left(vals, s * _EPS ** (-0.5 / m), J0, J_max, key=abs)
+                      for m in range(1, _M_TERMS)]
+    edges = np.unique(np.concatenate(([J0], Js[Js > J0], np.arange(J0, J_max, _CHUNK))))
+    sums = np.zeros((_M_TERMS, len(edges)), dtype=lams.dtype)  # column i: [edges[i], edges[i+1])
+    n_buf = min(_CHUNK, J_max - J0)
+    u_buf, p_buf = np.empty(n_buf, dtype=lams.dtype), np.empty(n_buf, dtype=lams.dtype)
+    for c0 in range(J0, J_max, _CHUNK):
+        c1 = min(c0 + _CHUNK, J_max)
+        i0, i1 = np.searchsorted(edges, (c0, c1))
+        starts = edges[i0:i1] - c0
+        u = np.divide(s, vals[c0:c1], out=u_buf[:c1 - c0])
+        np.multiply(u, u, out=u)
+        p = u
+        for m in range(_M_TERMS):
+            n = min(ends[m], c1) - c0
+            if n <= 0:
+                break
+            if m:
+                p = np.multiply(p[:n], u[:n], out=p_buf[:n])
+            seg = starts[starts < n]
+            sums[m, i0:i0 + len(seg)] = np.add.reduceat(p, seg)
+
+    prefix = np.zeros_like(sums)  # column i: [J0, edges[i]); J_k <= J0 reads column 0
+    np.cumsum(sums[:, :-1], axis=1, out=prefix[:, 1:])
+    cols = np.searchsorted(edges, Js)
+    a = (lams / s) ** 2
+    powers = np.cumprod(np.repeat(a[:, None], _M_TERMS, axis=1), axis=1)
+    out -= (powers / np.arange(1, _M_TERMS + 1) * prefix[:, cols].T).sum(axis=1).real
+    return out
 
 
 def _head_split(seq: SpectralSequence, k: int, tol: float):
@@ -249,31 +310,43 @@ def _head_split(seq: SpectralSequence, k: int, tol: float):
     return vals, others[order[:n_float]], np.sort(others[order[n_float:]])
 
 
-def log_E_prime(seq: SpectralSequence, k: int, rel_tail_tol: float = 1e-10) -> float:
-    """ln|E'(lam_k)| for E(z) = prod_j (1 - z^2/lam_j^2), truncated so the
-    neglected log-sum is below ``rel_tail_tol``.
+def log_E_primes(seq: SpectralSequence, ks, rel_tail_tol: float = 1e-10) -> np.ndarray:
+    """ln|E'(lam_k)| for every k in ``ks`` (1-based, any order), with
+    E(z) = prod_j (1 - z^2/lam_j^2) truncated so the neglected log-sum is
+    below ``rel_tail_tol``.
 
     The factor at j = k differentiates to -2 lam_k / lam_k^2, hence the
     leading ln(2/|lam_k|).  Stored neighbors are summed in float64 unless
     their float error bound is too large; those (pair gaps below float
     resolution in particular) are handled in mpmath and keep their exact
-    logarithm.
+    logarithm.  The far tails of all ks are summed in one batch.
     """
-    lam = seq.entry(k)
-    lam_abs = float(abs(lam))
-    total = math.log(2.0) - math.log(lam_abs)
-    vals, fl_js, mp_js = _head_split(seq, k, rel_tail_tol)
-    f, lam_f = vals[fl_js], vals[k - 1]
-    total += float(np.sum(np.log(np.abs(f - lam_f)) + np.log(np.abs(f + lam_f))
-                          - 2.0 * np.log(np.abs(f))))
-    with workdps(seq.dps + 20):
-        for j in mp_js:
-            other = seq.values[j]
-            total += mp_log_abs((other - lam) * (other + lam) / (other * other))
     n0 = len(seq)
-    J = _tail_start(seq, lam_abs, rel_tail_tol)
-    total += _far_sum_eprime(seq, to_complex(lam), n0, J)
-    return total
+    totals, lams, Js = [], [], []
+    for k in ks:
+        lam = seq.entry(k)
+        lam_abs = float(abs(lam))
+        total = math.log(2.0) - math.log(lam_abs)
+        vals, fl_js, mp_js = _head_split(seq, k, rel_tail_tol)
+        f, lam_f = vals[fl_js], vals[k - 1]
+        total += float(np.sum(np.log(np.abs(f - lam_f)) + np.log(np.abs(f + lam_f))
+                              - 2.0 * np.log(np.abs(f))))
+        with workdps(seq.dps + 20):
+            for j in mp_js:
+                other = seq.values[j]
+                total += mp_log_abs((other - lam) * (other + lam) / (other * other))
+        totals.append(total)
+        lams.append(to_complex(lam))
+        Js.append(_tail_start(seq, lam_abs, rel_tail_tol))
+    lams = np.array(lams)
+    if np.isrealobj(seq.float_values(n0)):  # real rules: float64 far sums
+        lams = lams.real
+    return np.array(totals) + _far_sums_eprime(seq, lams, n0, np.array(Js, dtype=np.int64))
+
+
+def log_E_prime(seq: SpectralSequence, k: int, rel_tail_tol: float = 1e-10) -> float:
+    """ln|E'(lam_k)|; see ``log_E_primes``."""
+    return float(log_E_primes(seq, [k], rel_tail_tol)[0])
 
 
 def condensation_profile(seq: SpectralSequence, K: int,
@@ -284,7 +357,7 @@ def condensation_profile(seq: SpectralSequence, K: int,
     if K > len(seq):
         raise TooFewModes(f"profile needs K={K} stored entries, have {len(seq)}")
     re = seq.re[:K]
-    vs = np.array([-log_E_prime(seq, k, rel_tail_tol) for k in range(1, K + 1)]) / re
+    vs = -log_E_primes(seq, range(1, K + 1), rel_tail_tol) / re
     return make_profile("condensation", np.arange(1, K + 1), vs, window, cap)
 
 

@@ -55,3 +55,22 @@ class TestPairRules:
         assert len(rule.mp_entries(3)) == 3
         with pytest.raises(IndexError):
             rule.mp_entries(4)
+
+
+class TestFloatView:
+    def test_explicit_rule_real_follows_values(self):
+        rule = make_rule("explicit", values=[1 + 1j, 2 - 0.5j, 3])
+        assert not rule.real
+        np.testing.assert_array_equal(rule.float_entries(3), [1 + 1j, 2 - 0.5j, 3])
+        assert make_rule("explicit", values=[3.0, 1.0, 2.0]).real
+
+    @pytest.mark.parametrize("name, params, dtype", [
+        ("power", {"c": 1 + 0j, "p": 2.0}, np.float64),
+        ("appendixB", {"tau": 0.25}, np.float64),
+        ("power", {"c": 1 + 0.5j, "p": 2.0}, np.complex128),
+        ("explicit", {"values": [1 + 1j, 2.0]}, np.complex128),
+    ])
+    def test_float_cache_dtype(self, name, params, dtype):
+        # real rules keep a contiguous float64 view, complex ones complex128
+        v = make_rule(name, **params).float_entries(2)
+        assert v.dtype == dtype and v.flags.c_contiguous

@@ -212,6 +212,27 @@ class TestTwoDiffusion:
         # sine factor contributes -ln|sin(k pi x0)| / lam -> 0
         assert abs(prof.tail_estimate - cond.tail_estimate) < 0.05
 
+    def test_pointwise_tmin_matches_per_mode_loop(self):
+        from nullcontrol import log_E_prime
+        from nullcontrol.observations import VANISH_TOL
+
+        # x0 = 1/2: every even-k mode of both families vanishes
+        model = two_diffusion_pointwise(2.0, 0.5)
+        K = 40
+        prof = model.tmin_profile(K)
+        seq = model.spectrum(K)
+        modes = model.modes(K)
+        even = [m.meta["underlying_k"] % 2 == 0 for m in modes]
+        assert 0 < sum(even) < K
+        for j, (m, vanished) in enumerate(zip(modes, even), start=1):
+            s = SQRT2 * math.sin(m.meta["underlying_k"] * math.pi * 0.5)
+            assert (abs(s) < VANISH_TOL) == vanished
+            if vanished:
+                assert prof.values[j - 1] == math.inf
+                continue
+            want = (-math.log(abs(s)) - log_E_prime(seq, j)) / float(seq.entry(j).real)
+            assert abs(prof.values[j - 1] - want) <= 1e-15, j
+
     def test_pointwise_cap_reports_unbounded(self):
         model = two_diffusion_pointwise(2.0, 0.5)
         prof = model.tmin_profile(12, cap=10.0)

@@ -47,6 +47,39 @@ def _all_mp_log_E_prime(seq, k, rel_tail_tol):
     return total
 
 
+def _direct_far_sum(seq, lam_c, n0, J):
+    """Reference: the per-k far sum over entries n0..J-1, each factor as
+    log1p(-w^2) (real rules) or Re ln(1 + z) = log1p(2x + x^2 + y^2)/2 with
+    z = -w^2 = x + iy (complex rules).  ln|1 - w^2| would round 1 - w^2
+    first and lose up to eps per factor: 1.3e-13 over J = 2.7e5."""
+    if J <= n0:
+        return 0.0
+    total = 0.0
+    chunk = 1 << 20
+    vals = seq.float_values(J)
+    real = seq.rule.real
+    if real:
+        vals, lam_c = vals.real, lam_c.real
+    for lo in range(n0, J, chunk):
+        w = np.divide(lam_c, vals[lo:min(J, lo + chunk)])
+        np.multiply(w, w, out=w)
+        if real:
+            np.negative(w, out=w)
+            total += float(np.log1p(w, out=w).sum())
+        else:
+            x, y = -w.real, -w.imag
+            total += 0.5 * float(np.log1p(x * (2.0 + x) + y * y).sum())
+    return total
+
+
+def _far_args(seq, ks, rel_tail_tol=1e-10):
+    """Float entries and truncations J_k of ks, as log_E_primes passes them."""
+    lams = np.array([to_complex(seq.entry(k)) for k in ks])
+    Js = np.array([spectral._tail_start(seq, float(abs(seq.entry(k))), rel_tail_tol)
+                   for k in ks])
+    return (lams.real if seq.rule.real else lams), Js
+
+
 def _all_mp_blaschke_log_wprime(seq, k, rel_tail_tol):
     """Reference: every head factor of ln P_k in mpmath."""
     lam = seq.entry(k)
@@ -209,6 +242,97 @@ class TestLogEPrime:
         seq = from_rule(make_rule("power", c=1.0, p=1.0), 64)
         with pytest.raises(TailBoundUnachievable):
             log_E_prime(seq, 3)
+
+
+class TestFarTail:
+    """Batched far sums against the per-k direct log1p loop."""
+
+    _CASES = {
+        "power": lambda: from_rule(make_rule("power", c=1.0, p=2.0), 40),
+        "power-complex": lambda: from_rule(make_rule("power", c=1 + 0.5j, p=2.0), 30),
+        "appendixB-0.25": lambda: from_rule(make_rule("appendixB", tau=0.25), 40),
+        "two_diffusion-2": lambda: from_rule(make_rule("two_diffusion", d=2.0, scale=PI2), 40),
+    }
+
+    @staticmethod
+    def _check(seq, lams, Js):
+        got = spectral._far_sums_eprime(seq, lams, len(seq), Js)
+        want = [_direct_far_sum(seq, complex(lam), len(seq), int(J)) for lam, J in zip(lams, Js)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        return got
+
+    @pytest.mark.parametrize("case", sorted(_CASES))
+    def test_matches_direct_loop(self, case):
+        seq = self._CASES[case]()
+        lams, Js = _far_args(seq, range(1, len(seq) + 1))
+        assert Js.max() > 10 * len(seq)  # the far zone is reached
+        self._check(seq, lams, Js)
+
+    def test_shared_empty_and_near_truncations(self):
+        seq = from_rule(make_rule("appendixB", tau=0.25), 20)
+        n0 = len(seq)
+        lams, _ = _far_args(seq, [2, 5, 9, 14, 20, 3, 7, 11])
+        # J0: first entry with |lam_j| >= max_k |lam_k| / sqrt(rho)
+        J0 = int(np.searchsorted(seq.float_values(1 << 16),
+                                 np.abs(lams).max() / math.sqrt(spectral._RHO)))
+        assert n0 + 3 < J0
+        # shared J_k, J_k == J0 (empty far segment, twice), J_k inside the
+        # near zone, J_k <= n0, and truncations across chunk boundaries
+        Js = np.array([J0, J0, n0 + 3, J0 + 1000, J0 + 1000, n0 - 2,
+                       J0 + (1 << 20) + 17, 3 << 19])
+        self._check(seq, lams, Js)
+
+    def test_finite_and_untruncated(self):
+        seq = from_rule(make_rule("power", c=1.0, p=2.0), 30)
+        lams, _ = _far_args(seq, [1, 30])
+        assert not spectral._far_sums_eprime(seq, lams, len(seq), np.array([30, 12])).any()
+        finite = normal_order([1.0, 4.0, 9.0, 16.0])
+        got = spectral.log_E_primes(finite, [3, 1])
+        want = [math.log(2.0 / lam) + sum(math.log(abs(1 - lam**2 / v**2))
+                                          for v in (1.0, 4.0, 9.0, 16.0) if v != lam)
+                for lam in (9.0, 1.0)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_single_k(self):
+        seq = self._CASES["two_diffusion-2"]()
+        for k in (1, 17, 40):
+            lams, Js = _far_args(seq, [k])
+            self._check(seq, lams, Js)
+
+    @pytest.mark.parametrize("case", ["appendixB-0.25", "power-complex"])
+    def test_unsorted_and_sparse_ks(self, case):
+        seq = self._CASES[case]()
+        ks = np.array([19, 3, 27, 8])
+        got = spectral.log_E_primes(seq, ks)
+        order = np.argsort(ks)
+        assert np.array_equal(spectral.log_E_primes(seq, ks[order]), got[order])
+        for k, v in zip(ks, got):
+            assert log_E_prime(seq, k) == spectral.log_E_primes(seq, [k])[0]
+            assert abs(v - log_E_prime(seq, k)) <= 1e-13
+            assert abs(v - _all_mp_log_E_prime(seq, k, 1e-10)) <= 1e-10
+
+    def test_small_chunks(self, monkeypatch):
+        # 1000-entry chunks: many far-zone chunks and several near-zone blocks
+        seq = self._CASES["power-complex"]()
+        lams, Js = _far_args(seq, range(1, len(seq) + 1, 3))
+        want = spectral._far_sums_eprime(seq, lams, len(seq), Js)
+        monkeypatch.setattr(spectral, "_CHUNK", 1000)
+        np.testing.assert_allclose(self._check(seq, lams, Js), want, rtol=0, atol=1e-13)
+
+    def test_log1p_cost(self, monkeypatch):
+        # appendixB K=100: J_100 ~ 1.1e6, so a per-k log1p pass over the
+        # far tail would take ~47e6 evaluations
+        count = [0]
+        log1p = np.log1p
+
+        def counting(x, *args, **kwargs):
+            count[0] += np.size(x)
+            return log1p(x, *args, **kwargs)
+
+        monkeypatch.setattr(spectral.np, "log1p", counting)
+        K = 100
+        condensation_profile(from_rule(make_rule("appendixB", tau=0.25), K), K)
+        assert 0 < count[0] < 1_000_000
 
 
 class TestHybridHead:
