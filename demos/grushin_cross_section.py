@@ -4,7 +4,8 @@ Frequency n sees the 1D operator -v'' + (n pi)^2 x^2 v on (-1, 1); its
 ground state concentrates like a Gaussian, so the observation window
 (a, b) captures mass ~ e^{-a^2 n pi} and the marginal horizons T_n drift
 toward a^2/2.  The conforming discretization keeps lambda_n >= n pi
-certifiably.
+certifiably; each lambda_n is the upper end of an LDL^T-inertia bracket whose
+relative width is printed.
 """
 
 import math
@@ -14,13 +15,14 @@ from nullcontrol.grushin import expected_observation_asymptote
 
 A, B, H = 0.3, 0.5, 2e-4
 
-print(" n    lambda_n - n pi   mass on (a,b)   vs asymptote    T_n")
+print(" n    lambda_n - n pi    rel. bracket   mass on (a,b)   vs asymptote    T_n")
 for n in (5, 10, 20, 30, 40):
     mode = solve_mode(n, H)
     integ = observation_integral(mode, A, B)
     ratio = integ / expected_observation_asymptote(n, A)
     t_n = (math.log(mode.lam) - math.log(2 * integ)) / (2 * mode.lam)
-    print(f"{n:3d}   {mode.lam - n * math.pi:14.3e}   {integ:12.4e}   "
+    width = (mode.meta["lam_upper"] - mode.meta["lam_lower"]) / mode.lam
+    print(f"{n:3d}   {mode.lam - n * math.pi:14.3e}   {width:12.2e}   {integ:12.4e}   "
           f"{ratio:10.4f}   {t_n:8.4f}")
 
 prof = grushin_tstar_profile(A, B, 40, H)

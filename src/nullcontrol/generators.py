@@ -132,7 +132,7 @@ class TwoDiffusionRule(SequenceRule):
         m = n + 4
         ks = np.arange(1, m + 1, dtype=float) ** 2
         vals = np.concatenate([self.scale * ks, self.scale * self.d * ks])
-        vals.sort()
+        vals.sort(kind="stable")  # timsort merges the two sorted runs
         return vals[:n]
 
 

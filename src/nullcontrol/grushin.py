@@ -4,9 +4,12 @@ The smallest eigenvalue must certifiably sit above n*pi (its true distance
 is exponentially small in n), so the discretization is a conforming P1
 Galerkin pencil (K, M) with exactly integrated potential: by min-max every
 discrete eigenvalue is an upper bound for the true one.  The pencil is
-tridiagonal; the smallest eigenvalue comes from bisection on the positive
-definiteness of K - sigma*M (LAPACK dpttrf), the eigenvector from two
-inverse-iteration steps at the bisection shift.
+tridiagonal, and the LDL^T factorization of K - sigma*M (LAPACK dpttrf)
+succeeds exactly when sigma lies below the smallest eigenvalue.  One
+bisection on that test closes the bracket [n*pi, RQ*(1 + 1e-7)], n*pi by
+domain monotonicity and RQ the Rayleigh quotient of inverse iteration
+through the factor at n*pi; the upper end is reported and the bracket kept
+in ``CrossSectionMode.meta``.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import GridTooCoarse
 from .report import DEFAULT_WINDOW, ProfileReport, make_profile
@@ -31,7 +33,7 @@ LOG_DOMAIN_THRESHOLD = 1e-280
 @dataclass(frozen=True)
 class CrossSectionMode:
     n: int
-    lam: float                # variational (upper-bound) eigenvalue at step h
+    lam: float                # upper end of the certified dpttrf bracket at step h
     vec: np.ndarray           # nodal values on the full grid, L2-normalized
     grid: np.ndarray
     h: float
@@ -72,45 +74,24 @@ def _assemble(n: int, h: float):
     return grid, kd, ke, md, me
 
 
-def _definite(kd, ke, md, me, sigma: float) -> bool:
-    """Whether K - sigma*M is positive definite, i.e. sigma lies below every
-    pencil eigenvalue (LAPACK's LDL^T factorization succeeds)."""
-    return dpttrf(kd - sigma * md, ke - sigma * me)[2] == 0
+def _factor(kd, ke, md, me, sigma: float):
+    """LDL^T factor (d, e) of K - sigma*M when it is positive definite, i.e.
+    sigma lies below every pencil eigenvalue; None otherwise."""
+    d, e, info = dpttrf(kd - sigma * md, ke - sigma * me)
+    return (d, e) if info == 0 else None
 
 
-def _bisect(kd, ke, md, me, lo, hi, rel_tol):
-    """Shrink a bracket lo < lambda_min <= hi until hi - lo <= rel_tol * hi."""
-    while hi - lo > rel_tol * hi:
-        midp = 0.5 * (lo + hi)
-        if _definite(kd, ke, md, me, midp):
-            lo = midp
-        else:
-            hi = midp
-    return lo, hi
+def _mass_times(md, me, v):
+    mv = md * v
+    mv[:-1] += me * v[1:]
+    mv[1:] += me * v[:-1]
+    return mv
 
 
-def _smallest_eig(n, kd, ke, md, me):
-    lo, hi = 0.5 * n * math.pi, n * math.pi + 8.0
-    while not _definite(kd, ke, md, me, lo):
-        lo *= 0.5
-    while _definite(kd, ke, md, me, hi):
-        hi += 8.0
-    # coarse bisection, then certify the Rayleigh-quotient polish below
-    return _bisect(kd, ke, md, me, lo, hi, 1e-4)
-
-
-def _inverse_iteration(kd, ke, md, me, sigma, iterations=2):
-    nin = len(kd)
-    ab = np.zeros((3, nin))
-    ab[0, 1:] = ke - sigma * me
-    ab[1, :] = kd - sigma * md
-    ab[2, :-1] = ke - sigma * me
-    v = np.ones(nin) / math.sqrt(nin)
+def _inverse_iteration(factor, md, me, v, iterations):
+    """Steps v <- (K - sigma M)^{-1} M v through the kept factor of K - sigma M."""
     for _ in range(iterations):
-        rhs = md * v
-        rhs[:-1] += me * v[1:]
-        rhs[1:] += me * v[:-1]
-        v = solve_banded((1, 1), ab, rhs)
+        v = dpttrs(*factor, _mass_times(md, me, v))[0]
         v /= np.linalg.norm(v)
     return v
 
@@ -119,25 +100,34 @@ def _rayleigh(kd, ke, md, me, v):
     kv = kd * v
     kv[:-1] += ke * v[1:]
     kv[1:] += ke * v[:-1]
-    mv = md * v
-    mv[:-1] += me * v[1:]
-    mv[1:] += me * v[:-1]
-    return float(v @ kv) / float(v @ mv)
+    return float(v @ kv) / float(v @ _mass_times(md, me, v))
 
 
 def _solve_eig(n, h, rel_tol=1e-10):
+    """(grid, lo, hi, v, dpttrf calls): K - lo*M is definite, K - hi*M is not,
+    and hi - lo <= rel_tol * hi brackets the smallest pencil eigenvalue."""
     grid, kd, ke, md, me = _assemble(n, h)
-    lo, hi = _smallest_eig(n, kd, ke, md, me)
-    shift = lo  # strictly below the target eigenvalue
-    v = _inverse_iteration(kd, ke, md, me, shift)
-    lam = _rayleigh(kd, ke, md, me, v)
-    # certify to rel_tol with two more definiteness tests; fall back to bisection
-    if not (_definite(kd, ke, md, me, lam * (1 - rel_tol))
-            and not _definite(kd, ke, md, me, lam * (1 + rel_tol))):
-        lo, _ = _bisect(kd, ke, md, me, shift, max(hi, lam * (1 + 1e-4)), rel_tol)
-        v = _inverse_iteration(kd, ke, md, me, lo)
-        lam = _rayleigh(kd, ke, md, me, v)
-    return grid, lam, v
+    calls = 0
+
+    def factor(sigma):
+        nonlocal calls
+        calls += 1
+        return _factor(kd, ke, md, me, sigma)
+
+    lo = n * math.pi  # below the true eigenvalue, hence below the pencil's
+    while (kept := factor(lo)) is None:  # binary64 rounding on very fine grids
+        lo *= 0.5
+    v = _inverse_iteration(kept, md, me, np.ones(len(kd)), 2)
+    hi = _rayleigh(kd, ke, md, me, v) * (1.0 + 1e-7)
+    while (f := factor(hi)) is not None:  # the quotient fell short: widen
+        lo, kept, hi = hi, f, 2.0 * hi - lo
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if (f := factor(mid)) is None:
+            hi = mid
+        else:
+            lo, kept = mid, f
+    return grid, lo, hi, _inverse_iteration(kept, md, me, v, 1), calls
 
 
 @lru_cache(maxsize=256)
@@ -155,8 +145,8 @@ def solve_mode(n: int, h: float = 2e-4, err_tol: float = 1e-4) -> CrossSectionMo
         raise ValueError("n must lie in 1..60")
     if h > 1e-3:
         raise ValueError("h must be <= 1e-3")
-    grid, lam, v_in = _solve_mode_cached(n, float(h))
-    _, lam_half, _ = _solve_mode_cached(n, float(h) / 2.0)
+    grid, lo, lam, v_in, calls = _solve_mode_cached(n, float(h))
+    _, _, lam_half, _, calls_half = _solve_mode_cached(n, float(h) / 2.0)
     err_est = abs(lam - lam_half)
     if err_est > err_tol * lam:
         raise GridTooCoarse(f"discretization error estimate {err_est:.3e} > {err_tol:g} * lambda")
@@ -168,7 +158,9 @@ def solve_mode(n: int, h: float = 2e-4, err_tol: float = 1e-4) -> CrossSectionMo
     full = full / nrm
     sym = float(np.max(np.abs(full - full[::-1])))
     return CrossSectionMode(n, lam, full, grid, float(h),
-                            meta={"lam_half_step": lam_half, "richardson_err": err_est,
+                            meta={"lam_lower": lo, "lam_upper": lam,
+                                  "dpttrf_calls": calls + calls_half,
+                                  "lam_half_step": lam_half, "richardson_err": err_est,
                                   "symmetry_defect": sym})
 
 

@@ -10,8 +10,8 @@ from nullcontrol import grushin_tstar_profile, observation_integral, solve_mode
 from nullcontrol.errors import GridTooCoarse
 from nullcontrol.grushin import (
     _assemble,
-    _definite,
-    _smallest_eig,
+    _factor,
+    _solve_eig,
     expected_observation_asymptote,
     observation_log_integral,
 )
@@ -56,30 +56,62 @@ class TestSolveMode:
 
 
 class TestPencilBisection:
-    """Definiteness test and coarse bracket against a dense generalized
+    """Definiteness test and certified bracket against a dense generalized
     eigensolver on a small grid (h = 0.02, 99 interior nodes)."""
 
     @staticmethod
     def _dense_smallest(kd, ke, md, me):
         K = np.diag(kd) + np.diag(ke, 1) + np.diag(ke, -1)
         M = np.diag(md) + np.diag(me, 1) + np.diag(me, -1)
-        return scipy.linalg.eigh(K, M, eigvals_only=True, subset_by_index=[0, 0])[0]
+        lam, vec = scipy.linalg.eigh(K, M, subset_by_index=[0, 0])
+        return lam[0], vec[:, 0]
 
     @pytest.mark.parametrize("n", [1, 5, 20, 40])
     def test_definite_switches_at_dense_eigenvalue(self, n):
         _, kd, ke, md, me = _assemble(n, 0.02)
         assert len(kd) == 99
-        lam0 = self._dense_smallest(kd, ke, md, me)
-        assert _definite(kd, ke, md, me, lam0 * (1 - 1e-8))
-        assert not _definite(kd, ke, md, me, lam0 * (1 + 1e-8))
+        lam0, _ = self._dense_smallest(kd, ke, md, me)
+        assert _factor(kd, ke, md, me, lam0 * (1 - 1e-8)) is not None
+        assert _factor(kd, ke, md, me, lam0 * (1 + 1e-8)) is None
 
     @pytest.mark.parametrize("n", [1, 5, 20, 40])
     def test_smallest_eig_brackets_dense_eigenvalue(self, n):
         _, kd, ke, md, me = _assemble(n, 0.02)
-        lam0 = self._dense_smallest(kd, ke, md, me)
-        lo, hi = _smallest_eig(n, kd, ke, md, me)
+        lam0, vec0 = self._dense_smallest(kd, ke, md, me)
+        _, lo, hi, v, _ = _solve_eig(n, 0.02)
         assert lo < lam0 <= hi
-        assert hi - lo <= 1e-4 * hi
+        assert hi - lo <= 1e-10 * hi
+        vec0 = vec0 / np.linalg.norm(vec0) * np.sign(vec0 @ v)
+        assert np.max(np.abs(v - vec0)) <= 1e-8
+
+
+class TestCertifiedBracket:
+    """Every reported lambda is the upper end of an LDL^T-inertia bracket."""
+
+    @pytest.mark.parametrize("h", [H, H / 2])
+    def test_every_reported_lambda_certified(self, h):
+        for n in range(1, 41):
+            mode = solve_mode(n, h)
+            _, kd, ke, md, me = _assemble(n, h)
+            lo = mode.meta["lam_lower"]
+            assert mode.meta["lam_upper"] == mode.lam
+            assert _factor(kd, ke, md, me, mode.lam) is None
+            assert _factor(kd, ke, md, me, lo) is not None
+            assert mode.lam - lo <= 1e-10 * mode.lam
+
+    def test_fallback_when_binary64_rejects_n_pi(self):
+        n, h = 20, 1e-5
+        _, kd, ke, md, me = _assemble(n, h)
+        assert _factor(kd, ke, md, me, n * math.pi) is None  # the case under test
+        _, lo, hi, _, _ = _solve_eig(n, h)
+        assert _factor(kd, ke, md, me, lo) is not None
+        assert _factor(kd, ke, md, me, hi) is None
+        assert hi - lo <= 1e-10 * hi
+
+    def test_profile_factorization_budget(self):
+        grushin_tstar_profile(0.3, 0.5, 40, H)
+        total = sum(solve_mode(n, H).meta["dpttrf_calls"] for n in range(1, 41))
+        assert total <= 1300
 
 
 class TestObservationIntegral:
