@@ -17,6 +17,8 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import hautus, spectral, synthesis
 from .errors import NullControlError, ValidationError
@@ -34,6 +36,18 @@ from .models import (
     two_diffusion_pointwise,
 )
 from .schemas import CONFIG_SCHEMA, DIAGNOSTICS_SCHEMA
+
+# Built once: jsonschema.validate would re-check the schema against its
+# metaschema on every call (the tests check the constant schemas instead).
+_CONFIG = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+_DIAGNOSTICS = validator_for(DIAGNOSTICS_SCHEMA)(DIAGNOSTICS_SCHEMA)
+
+
+def _validate(validator, instance):
+    """Raise the error jsonschema.validate(instance, validator.schema) raises."""
+    error = best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise error
 
 
 def _fmt(x) -> str:
@@ -58,7 +72,7 @@ def _write_dat(path: Path, xs, ys):
 
 
 def _write_json(path: Path, payload):
-    jsonschema.validate(payload, DIAGNOSTICS_SCHEMA)
+    _validate(_DIAGNOSTICS, payload)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -281,7 +295,7 @@ _RUNNERS = {
 def run(config: dict, out_dir, seed=None) -> int:
     """Validate and dispatch one config; returns the process exit code."""
     try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
+        _validate(_CONFIG, config)
     except jsonschema.ValidationError as exc:
         raise ValidationError(f"config rejected: {exc.message}") from exc
     out = Path(out_dir)

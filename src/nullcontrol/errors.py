@@ -81,6 +81,10 @@ class GridTooCoarse(NumericalError):
     code = "GRID_TOO_COARSE"
 
 
+class GridTooFine(NumericalError):
+    code = "GRID_TOO_FINE"
+
+
 # minimal-time profiles
 class ObservationUnavailable(ValidationError):
     code = "OBSERVATION_UNAVAILABLE"

@@ -9,7 +9,10 @@ succeeds exactly when sigma lies below the smallest eigenvalue.  One
 bisection on that test closes the bracket [n*pi, RQ*(1 + 1e-7)], n*pi by
 domain monotonicity and RQ the Rayleigh quotient of inverse iteration
 through the factor at n*pi; the upper end is reported and the bracket kept
-in ``CrossSectionMode.meta``.
+in ``CrossSectionMode.meta``.  On grids fine enough that binary64 rounding
+of the pencil exceeds lambda - n*pi, ``solve_mode`` raises GridTooFine.
+scipy (for dpttrf/dpttrs) is imported by the first factorization, not by
+importing this module.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import GridTooCoarse
+from .errors import GridTooCoarse, GridTooFine
 from .report import DEFAULT_WINDOW, ProfileReport, make_profile
 
 _GAUSS_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
@@ -77,6 +79,8 @@ def _assemble(n: int, h: float):
 def _factor(kd, ke, md, me, sigma: float):
     """LDL^T factor (d, e) of K - sigma*M when it is positive definite, i.e.
     sigma lies below every pencil eigenvalue; None otherwise."""
+    from scipy.linalg.lapack import dpttrf  # scipy loads only when a mode is solved
+
     d, e, info = dpttrf(kd - sigma * md, ke - sigma * me)
     return (d, e) if info == 0 else None
 
@@ -90,6 +94,8 @@ def _mass_times(md, me, v):
 
 def _inverse_iteration(factor, md, me, v, iterations):
     """Steps v <- (K - sigma M)^{-1} M v through the kept factor of K - sigma M."""
+    from scipy.linalg.lapack import dpttrs
+
     for _ in range(iterations):
         v = dpttrs(*factor, _mass_times(md, me, v))[0]
         v /= np.linalg.norm(v)
@@ -139,13 +145,17 @@ def solve_mode(n: int, h: float = 2e-4, err_tol: float = 1e-4) -> CrossSectionMo
     """Ground mode of the cross-section operator at frequency n.
 
     Raises GridTooCoarse when the h vs h/2 Richardson difference exceeds
-    err_tol * lambda_n.
+    err_tol * lambda_n, and GridTooFine when the certified bracket does not
+    lie above n*pi, which bounds the exact pencil's eigenvalue from below.
     """
     if not 1 <= n <= 60:
         raise ValueError("n must lie in 1..60")
     if h > 1e-3:
         raise ValueError("h must be <= 1e-3")
     grid, lo, lam, v_in, calls = _solve_mode_cached(n, float(h))
+    if lam <= n * math.pi:
+        raise GridTooFine(f"lambda_{n} = {lam!r} <= n*pi at h = {h:g}: binary64 rounding "
+                          "of the pencil exceeds lambda - n*pi on this grid")
     _, _, lam_half, _, calls_half = _solve_mode_cached(n, float(h) / 2.0)
     err_est = abs(lam - lam_half)
     if err_est > err_tol * lam:

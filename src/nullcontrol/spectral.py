@@ -257,7 +257,8 @@ def _far_sums_eprime(seq, lams: np.ndarray, n0: int, Js: np.ndarray) -> np.ndarr
     # pass m (power m + 1) covers [J0, ends[m])
     ends = [J_max] + [bisect.bisect_left(vals, s * _EPS ** (-0.5 / m), J0, J_max, key=abs)
                       for m in range(1, _M_TERMS)]
-    edges = np.unique(np.concatenate(([J0], Js[Js > J0], np.arange(J0, J_max, _CHUNK))))
+    edges = np.sort(np.concatenate(([J0], Js[Js > J0], np.arange(J0, J_max, _CHUNK))))
+    edges = edges[np.diff(edges, prepend=J0 - 1) > 0]  # np.unique would import numpy.ma
     sums = np.zeros((_M_TERMS, len(edges)), dtype=lams.dtype)  # column i: [edges[i], edges[i+1])
     n_buf = min(_CHUNK, J_max - J0)
     u_buf, p_buf = np.empty(n_buf, dtype=lams.dtype), np.empty(n_buf, dtype=lams.dtype)

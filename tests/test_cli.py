@@ -2,12 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
+from jsonschema.validators import validator_for
 
 from nullcontrol.cli import main, run
-from nullcontrol.schemas import DIAGNOSTICS_SCHEMA
+from nullcontrol.schemas import CONFIG_SCHEMA, DIAGNOSTICS_SCHEMA, ERROR_SCHEMA
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _write_config(tmp_path, cfg, name="cfg.json"):
@@ -96,6 +103,48 @@ class TestValidation:
         assert err["error"] == "VALIDATION"
         assert err["message"].startswith("config rejected: ")
         assert f"'{section}'" in err["message"]
+
+
+class TestSchemas:
+    """The CLI validates against prebuilt validators and never runs
+    check_schema itself, so the constant schemas are checked here."""
+
+    @pytest.mark.parametrize("schema", [CONFIG_SCHEMA, DIAGNOSTICS_SCHEMA, ERROR_SCHEMA],
+                             ids=["config", "diagnostics", "error"])
+    def test_schema_valid_against_metaschema(self, schema):
+        validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize("cfg", [
+        {"command": "indices", "sequence": {"rule": "power", "bogus": 1.0}},
+        {"command": "indices", "params": {"K": 4}},
+        {"command": "frobnicate"},
+    ], ids=["unknown_sequence_key", "missing_required_key", "unknown_command"])
+    def test_message_matches_jsonschema_validate(self, tmp_path, capsys, cfg):
+        with pytest.raises(jsonschema.ValidationError) as exc:
+            jsonschema.validate(cfg, CONFIG_SCHEMA)
+        cfgp = _write_config(tmp_path, cfg)
+        assert main(["--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == "config rejected: " + exc.value.message
+
+
+def test_cold_start_loads_neither_scipy_nor_numpy_ma(tmp_path):
+    # a fresh process, as the nullcontrol console script runs one config
+    cfgp = _write_config(tmp_path, {"command": "indices",
+                                    "sequence": {"rule": "power", "c": 1.0, "p": 2.0},
+                                    "params": {"K": 10}})
+    script = (
+        "import json, sys\n"
+        "import nullcontrol\n"
+        "import nullcontrol.cli as cli\n"
+        f"rc = cli.main(['--config', {str(cfgp)!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+        "print(json.dumps([rc] + [m in sys.modules for m in ('scipy', 'numpy.ma')]))\n"
+    )
+    env = dict(os.environ, MPMATH_NOGMPY="1", PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, False, False]
 
 
 class TestIndices:

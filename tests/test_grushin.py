@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from nullcontrol import grushin_tstar_profile, observation_integral, solve_mode
-from nullcontrol.errors import GridTooCoarse
+from nullcontrol.errors import GridTooCoarse, GridTooFine
 from nullcontrol.grushin import (
     _assemble,
     _factor,
@@ -47,6 +47,15 @@ class TestSolveMode:
     def test_grid_too_coarse_raises(self):
         with pytest.raises(GridTooCoarse):
             solve_mode(40, 1e-3, err_tol=1e-9)
+
+    def test_grid_too_fine_raises(self):
+        # binary64 rounding of the pencil at h = 1e-5 exceeds lambda_20 - 20 pi
+        with pytest.raises(GridTooFine) as exc:
+            solve_mode(20, 1e-5)
+        assert (exc.value.code, exc.value.exit_code) == ("GRID_TOO_FINE", 3)
+
+    def test_fine_grid_still_above_n_pi(self):
+        assert solve_mode(10, 1e-5).lam > 10 * math.pi
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
