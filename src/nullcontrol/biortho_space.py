@@ -60,9 +60,9 @@ class BiorthogonalVectors:
     delta_residual: float    # max |<v_i, w_j> - delta_ij|
 
 
-def biorthogonalize(fam: VectorFamily, sigma_sq_tol: float = SIGMA_SQ_TOL) -> BiorthogonalVectors:
+def biorthogonalize(fam: VectorFamily) -> BiorthogonalVectors:
     """Duals w with <v_i, w_j> = delta_ij via one Gram solve."""
-    mix, sigma = biorthogonalize_gram(gram(fam), sigma_sq_tol)
+    mix, sigma = biorthogonalize_gram(gram(fam))
     duals = mix @ fam.vectors
     pair = fam.vectors @ duals.conj().T  # <v_i, w_j>
     delta_res = float(np.max(np.abs(pair - np.eye(fam.r))))
@@ -71,14 +71,14 @@ def biorthogonalize(fam: VectorFamily, sigma_sq_tol: float = SIGMA_SQ_TOL) -> Bi
     return BiorthogonalVectors(duals, mix, sigma, bound_ok, delta_res)
 
 
-def biorthogonalize_gram(G: np.ndarray, sigma_sq_tol: float = SIGMA_SQ_TOL):
+def biorthogonalize_gram(G: np.ndarray):
     """Coefficient-level variant for vectors known only through their Gram:
     returns (G^{-1}, sigma).  w_i = sum_j (G^{-1})_ij v_j has
     ||w_i||^2 = (G^{-1})_ii.
     """
     G = np.atleast_2d(np.asarray(G, dtype=complex))
     sig_sq = smallest_eigenvalue(G)
-    if sig_sq <= sigma_sq_tol:
-        raise DegenerateFamily(f"smallest Gram eigenvalue {sig_sq:.3e} <= {sigma_sq_tol:g}")
+    if sig_sq <= SIGMA_SQ_TOL:
+        raise DegenerateFamily(f"smallest Gram eigenvalue {sig_sq:.3e} <= {SIGMA_SQ_TOL:g}")
     mix = np.linalg.solve(G, np.eye(G.shape[0], dtype=complex))
     return mix, float(np.sqrt(sig_sq))

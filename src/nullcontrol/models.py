@@ -66,7 +66,6 @@ class ParabolicModel:
     """Base class: lazily memoized mode construction."""
 
     name = "model"
-    scalar_control = False
     structural_pair_kernel: str | None = None
     observation_available = True
 
@@ -87,9 +86,7 @@ class ParabolicModel:
 
     def spectrum(self, K: int) -> spectral.SpectralSequence:
         ms = self.modes(K)
-        r = [m.r for m in ms]
-        mus = [m.mu for m in ms]
-        return spectral.normal_order([m.lam_mp for m in ms], r=r, jordan_mu=mus)
+        return spectral.normal_order([m.lam_mp for m in ms], r=[m.r for m in ms])
 
     def tmin_profile(self, K: int, window: int = DEFAULT_WINDOW,
                      cap: float | None = None) -> ProfileReport | None:
@@ -101,7 +98,6 @@ class ParabolicModel:
 
 class PointwiseHeatModel(ParabolicModel):
     name = "pointwise_heat"
-    scalar_control = True
     structural_pair_kernel = "scalar-control"
 
     def __init__(self, x0: float, y0_rule=None):
@@ -224,10 +220,8 @@ class CascadeInternalModel(ParabolicModel):
     """Cascade pair with coupling q and internal control on omega = (a, b)."""
 
     name = "cascade_internal_q"
-    scalar_control = False
 
-    def __init__(self, q: PiecewiseConstant, omega, M: int = 200, y0_rule=None,
-                 zero_tol: float = VANISH_TOL):
+    def __init__(self, q: PiecewiseConstant, omega, M: int = 200, y0_rule=None):
         a, b = float(omega[0]), float(omega[1])
         if not (0.0 <= a < b <= 1.0):
             raise ValueError("omega must be a subinterval of (0, 1)")
@@ -238,7 +232,6 @@ class CascadeInternalModel(ParabolicModel):
         self.q = q
         self.omega = (a, b)
         self.M = int(M)
-        self.zero_tol = float(zero_tol)
         self.metadata["convention"] = "phi_{k,2} = (phi_k, psi_k) un-normalized; mu_k is the raw coupling integral"
 
     def coupling(self, k: int) -> tuple[float, float]:
@@ -256,10 +249,10 @@ class CascadeInternalModel(ParabolicModel):
             "I_k": I_k, "I1_k": I1_k, "tau_k": tau_k,
             "xi_norm": xi.norm(), "solvability_residual": solv,
             "psi_tail_bound": tail,
-            "approx_controllable": abs(I_k) > self.zero_tol or abs(I1_k) > self.zero_tol,
+            "approx_controllable": abs(I_k) > VANISH_TOL or abs(I1_k) > VANISH_TOL,
         }
         y0 = (complex(self.y0_rule(k, 1)), complex(self.y0_rule(k, 2)))
-        if abs(I_k) <= self.zero_tol:
+        if abs(I_k) <= VANISH_TOL:
             return SpectralMode(k, complex(lam), mp.mpf(k) ** 2 * mp.pi**2, "multiple",
                                 (obs1, obs2), y0, r=2, meta=meta)
         return SpectralMode(k, complex(lam), mp.mpf(k) ** 2 * mp.pi**2, "jordan",
@@ -284,7 +277,6 @@ class CascadeBoundaryModel(ParabolicModel):
     """Cascade pair with coupling q and a scalar boundary control."""
 
     name = "cascade_boundary_q"
-    scalar_control = True
     structural_pair_kernel = "scalar-control"
 
     def __init__(self, q: PiecewiseConstant, M: int = 200, y0_rule=None):
@@ -344,7 +336,6 @@ def _check_rational_root(d: float, qmax: int = 50, tol: float = 1e-9) -> None:
 
 
 class _TwoDiffusionBase(ParabolicModel):
-    scalar_control = True
     structural_pair_kernel = "scalar-control"
 
     def __init__(self, d: float, y0_rule=None):
@@ -437,7 +428,6 @@ class AcademicLfModel(ParabolicModel):
     """Pair spectrum lam_k -+ e^{-tau lam_k}; the pair sum is unobservable."""
 
     name = "academic_lf"
-    scalar_control = False  # U = L^2(0,1); the pair-kernel rule still holds
     structural_pair_kernel = "paired-branches"
 
     def __init__(self, tau: float, y0_rule=None):

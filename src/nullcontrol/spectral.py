@@ -11,11 +11,13 @@ All products are evaluated as sums of ln|.| with an adaptively truncated
 far tail.  Head factors are summed in binary64 from the float view unless
 their float error bound is too large (``_head_split``); those
 near-coincident entries are subtracted in mpmath, so pair gaps far below
-binary64 resolution still contribute their exact logarithm.  The far tail
-of E' is summed for every k of a profile at once: factors with
-|lam_k/lam_j|^2 above 2^-8 directly as Re log1p(-(lam_k/lam_j)^2), the
-rest from power sums of (s/lam_j)^2 shared by all k (s = max_k |lam_k|),
-whose series truncation stays below 2 eps sum_j |lam_k/lam_j|^2.
+binary64 resolution still contribute their exact logarithm.  The far tails
+of E' and W' are summed for every k of a profile at once by one kernel:
+factors with |lam_k/lam_j| above 2^-4 directly through log1p, the rest from
+power sums of (s/lam_j)^2 (E') or s/lam_j (W') shared by all k
+(s = max_k |lam_k|), whose series truncation stays below
+2 eps sum_j |lam_k/lam_j|^2 resp. 2 eps sum_j |lam_k/lam_j|.  W' keeps an
+Euler-Maclaurin completion past its work zone on real sequences.
 """
 
 from __future__ import annotations
@@ -36,11 +38,12 @@ from .report import DEFAULT_WINDOW, ProfileReport, make_profile
 _HEAD_BUFFER = 8
 _J_MAX = 8_000_000
 _DUP_GAP = 1e-300
+_FIT_TOL = 0.05  # summable once the fitted growth exponent exceeds 1 + _FIT_TOL
 
 
 @dataclass(frozen=True)
 class SpectralSequence:
-    """Normally ordered eigenvalues with multiplicity/Jordan metadata.
+    """Normally ordered eigenvalues with their multiplicities.
 
     ``values`` are mpf/mpc scalars; multiplicity is carried by ``r``,
     never by repetition.  ``rule`` (when present) extends the sequence
@@ -49,8 +52,6 @@ class SpectralSequence:
 
     values: tuple
     r: tuple
-    jordan_mu: tuple
-    sector_delta: float | None = None
     rule: SequenceRule | None = None
     dps: int = 60
 
@@ -103,7 +104,7 @@ def _validate(values, context_dps) -> None:
                 raise DuplicateEntry(f"ordering violated between {a} and {b}")
 
 
-def normal_order(raw, r=None, jordan_mu=None, sector_delta=None) -> SpectralSequence:
+def normal_order(raw, r=None) -> SpectralSequence:
     """Sort by modulus, breaking ties by strictly increasing argument.
 
     ``raw`` is a finite list of complex scalars (multiplicity goes in
@@ -115,9 +116,8 @@ def normal_order(raw, r=None, jordan_mu=None, sector_delta=None) -> SpectralSequ
     vals = [to_mp(z) for z in raw]
     dps = mp.mp.dps
     rr = list(r) if r is not None else [1] * len(vals)
-    mus = list(jordan_mu) if jordan_mu is not None else [None] * len(vals)
-    if len(rr) != len(vals) or len(mus) != len(vals):
-        raise ValueError("r / jordan_mu must align with raw")
+    if len(rr) != len(vals):
+        raise ValueError("r must align with raw")
     with workdps(dps + 10):
         for z in vals:
             if not (z.real > 0):
@@ -125,14 +125,13 @@ def normal_order(raw, r=None, jordan_mu=None, sector_delta=None) -> SpectralSequ
         order = sorted(range(len(vals)), key=lambda i: _order_key(vals[i]))
         vals = [vals[i] for i in order]
         rr = [rr[i] for i in order]
-        mus = [mus[i] for i in order]
         for a, b in zip(vals, vals[1:]):
             if abs(b - a) < _DUP_GAP:
                 raise DuplicateEntry(f"entries {a} and {b} coincide below 1e-300")
-    return SpectralSequence(tuple(vals), tuple(rr), tuple(mus), sector_delta, None, dps)
+    return SpectralSequence(tuple(vals), tuple(rr), None, dps)
 
 
-def from_rule(rule: SequenceRule, K: int, sector_delta=None) -> SpectralSequence:
+def from_rule(rule: SequenceRule, K: int) -> SpectralSequence:
     """Materialize the first K entries of a rule (plus a small buffer)."""
     if K < 1:
         raise TooFewModes("K must be >= 1")
@@ -148,10 +147,7 @@ def from_rule(rule: SequenceRule, K: int, sector_delta=None) -> SpectralSequence
             raise TooFewModes(f"rule {rule.name!r} has fewer than K={K} entries") from None
     dps = max(rule.head_dps(n), 60)
     _validate(vals, dps + 10)
-    return SpectralSequence(
-        tuple(vals), (1,) * len(vals), (None,) * len(vals), sector_delta,
-        rule if rule.infinite else None, dps,
-    )
+    return SpectralSequence(tuple(vals), (1,) * len(vals), rule if rule.infinite else None, dps)
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ def _power_fit(moduli: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
     return float(math.exp(lnc)), float(p)
 
 
-def check_hypotheses(seq: SpectralSequence, K: int, fit_tol: float = 0.05) -> HypothesisReport:
+def check_hypotheses(seq: SpectralSequence, K: int) -> HypothesisReport:
     """Sector constant and summability exponent of the first K moduli."""
     if len(seq) < max(K, 16):
         raise TooFewModes(f"need at least max(K, 16) = {max(K, 16)} entries, have {len(seq)}")
@@ -179,7 +175,7 @@ def check_hypotheses(seq: SpectralSequence, K: int, fit_tol: float = 0.05) -> Hy
     moduli = np.abs(vals)
     delta = float(np.min(vals.real / moduli))
     _, p = _power_fit(moduli, max(1, K // 2), K)
-    summable = p > 1.0 + fit_tol
+    summable = p > 1.0 + _FIT_TOL
     warnings = [] if summable else ["HYP_SUMMABILITY_FAIL"]
     return HypothesisReport(delta, p, summable, int(max(seq.r)), warnings)
 
@@ -204,41 +200,45 @@ def _tail_start(seq: SpectralSequence, lam_abs: float, tol: float) -> int:
     j_tail = (2.0 * lam_abs**2 / (c * c * (2 * p - 1) * tol)) ** (1.0 / (2 * p - 1))
     J = int(math.ceil(max(j_sep, j_tail, n0)))
     if J > _J_MAX:
-        raise TailBoundUnachievable(
-            f"truncation J={J} exceeds cap {_J_MAX} for tol {tol:g}")
+        raise TailBoundUnachievable(f"truncation J={J} exceeds cap {_J_MAX} for tol {tol:g}")
     return J
 
 
-# Far-tail factors with |lam_k/lam_j|^2 <= _RHO for every k of a call are
-# summed from power sums shared by all k: with s = max_k |lam_k| and
-# w = lam_k/lam_j, ln(1 - w^2) = -sum_m (lam_k/s)^(2m) (s/lam_j)^(2m) / m,
-# cut after _M_TERMS terms.  rho^M <= eps bounds the cut series by
-# eps |w|^2 / M per factor, and each power sum stops once its terms are
-# below eps |w|^2 (see _far_sums_eprime): together below 2 eps sum |w|^2,
-# which for a real sequence is at most the magnitude of the far sum itself.
-# 2^-8 was the fastest rho of 2^-4 .. 2^-18 on the indices and tmin profiles.
+# Far-tail factors with |w| = |lam_k/lam_j| <= rho^(1/2) = 2^-4 for every k of
+# a call are summed from power sums shared by all k.  With s = max_k |lam_k|,
+# a = lam_k/s and u = s/lam_j, both log-factors are power series in u^step:
+#   E' (step 2):  ln(1 - w^2) = -sum_q a^(2q) u^(2q) / q,
+#   W' (step 1):  ln(1 + conj(a) u) - ln(1 - a u) = sum_q [(-1)^(q+1) conj(a)^q + a^q] u^q / q
+# (real parts; on real rules the even-q W' coefficients are exactly 0), cut
+# after n terms with (rho^(step/2))^n <= eps: below eps |w|^step per factor.
+# Each power sum stops once its terms are below eps |u|^step (see _far_sums):
+# the far sum is off by at most 2 eps sum |w|^step, at most 2 eps of its own
+# magnitude on a real sequence.  2^-8 was the fastest rho of 2^-4 .. 2^-18
+# on the indices and tmin profiles.
 _RHO = 2.0**-8
 _EPS = float(np.finfo(float).eps)
-_M_TERMS = math.ceil(math.log(_EPS) / math.log(_RHO))
 _CHUNK = 1 << 20
 
 
-def _far_sums_eprime(seq, lams: np.ndarray, n0: int, Js: np.ndarray) -> np.ndarray:
-    """sum_{n0 <= j < J_k} ln|1 - (lam_k/lam_j)^2| (0-based j) for every k.
+def _far_sums(seq, lams: np.ndarray, n0: int, Js: np.ndarray, step: int) -> np.ndarray:
+    """sum_{n0 <= j < J_k} (0-based j) for every k of the log-factor at
+    w = lam_k/lam_j: Re ln(1 - w^2) for E' (step 2), Re[ln(1 + conj(lam_k)/lam_j)
+    - ln(1 - w)] for W' (step 1); float64 on real rules, else complex128.
 
-    ``lams`` has the dtype of the float view (float64 for real rules,
-    complex128 otherwise).  Near zone [n0, J0), J0 the first entry with
-    |lam_j| >= s/sqrt(rho): each factor directly as Re log1p(-w^2).  Far
-    zone [J0, J_k): the power sums P_m = sum (s/lam_j)^(2m) over the
-    segments between the sorted distinct J_k, one reduceat pass per m.
-    Pass m stops where |s/lam_j|^(2(m-1)) <= eps: the terms dropped there
-    are below eps |w_j|^2 / m each.
+    Near zone [n0, J0), J0 the first entry with |lam_j| >= s/sqrt(rho):
+    each factor directly through log1p.  Far zone [J0, J_k): the series
+    above from the power sums P_q = sum u^(step q) over the segments
+    between the sorted distinct J_k, one reduceat pass per q.  Pass q stops
+    where |u|^(step (q-1)) <= eps: the terms dropped there are below
+    eps |u|^step each.
     """
     out = np.zeros(len(lams))
     J_max = int(Js.max(initial=n0))
     if J_max <= n0:
         return out
     vals = seq.float_values(J_max)
+    if np.isrealobj(vals):
+        lams = lams.real
     s = float(np.abs(lams).max())
     J0 = bisect.bisect_left(vals, s / math.sqrt(_RHO), n0, J_max, key=abs)
 
@@ -247,19 +247,24 @@ def _far_sums_eprime(seq, lams: np.ndarray, n0: int, Js: np.ndarray) -> np.ndarr
         for r0 in range(0, len(lams), rows):
             r = slice(r0, r0 + rows)
             w = lams[r, None] / vals[None, n0:J0]
-            np.multiply(w, w, out=w)
-            np.negative(w, out=w)
-            w[np.arange(n0, J0)[None, :] >= Js[r, None]] = 0.0
-            out[r] += np.log1p(w, out=w).real.sum(axis=1)
+            if step == 2:
+                np.multiply(w, w, out=w)
+                np.negative(w, out=w)
+                f = np.log1p(w, out=w).real
+            else:
+                f = (np.log1p(np.conj(lams[r, None]) / vals[None, n0:J0]) - np.log1p(-w)).real
+            f[np.arange(n0, J0)[None, :] >= Js[r, None]] = 0.0
+            out[r] += f.sum(axis=1)
     if J_max <= J0:
         return out
 
-    # pass m (power m + 1) covers [J0, ends[m])
-    ends = [J_max] + [bisect.bisect_left(vals, s * _EPS ** (-0.5 / m), J0, J_max, key=abs)
-                      for m in range(1, _M_TERMS)]
+    q = np.arange(1, math.ceil(2 * math.log(_EPS) / (step * math.log(_RHO))) + 1)
+    # pass m sums P_{m+1} over [J0, ends[m])
+    ends = [J_max] + [bisect.bisect_left(vals, s * _EPS ** (-1.0 / (step * m)), J0, J_max, key=abs)
+                      for m in q[:-1]]
     edges = np.sort(np.concatenate(([J0], Js[Js > J0], np.arange(J0, J_max, _CHUNK))))
     edges = edges[np.diff(edges, prepend=J0 - 1) > 0]  # np.unique would import numpy.ma
-    sums = np.zeros((_M_TERMS, len(edges)), dtype=lams.dtype)  # column i: [edges[i], edges[i+1])
+    sums = np.zeros((len(q), len(edges)), dtype=lams.dtype)  # column i: [edges[i], edges[i+1])
     n_buf = min(_CHUNK, J_max - J0)
     u_buf, p_buf = np.empty(n_buf, dtype=lams.dtype), np.empty(n_buf, dtype=lams.dtype)
     for c0 in range(J0, J_max, _CHUNK):
@@ -267,9 +272,10 @@ def _far_sums_eprime(seq, lams: np.ndarray, n0: int, Js: np.ndarray) -> np.ndarr
         i0, i1 = np.searchsorted(edges, (c0, c1))
         starts = edges[i0:i1] - c0
         u = np.divide(s, vals[c0:c1], out=u_buf[:c1 - c0])
-        np.multiply(u, u, out=u)
+        if step == 2:
+            np.multiply(u, u, out=u)
         p = u
-        for m in range(_M_TERMS):
+        for m in range(len(q)):
             n = min(ends[m], c1) - c0
             if n <= 0:
                 break
@@ -280,10 +286,10 @@ def _far_sums_eprime(seq, lams: np.ndarray, n0: int, Js: np.ndarray) -> np.ndarr
 
     prefix = np.zeros_like(sums)  # column i: [J0, edges[i]); J_k <= J0 reads column 0
     np.cumsum(sums[:, :-1], axis=1, out=prefix[:, 1:])
-    cols = np.searchsorted(edges, Js)
-    a = (lams / s) ** 2
-    powers = np.cumprod(np.repeat(a[:, None], _M_TERMS, axis=1), axis=1)
-    out -= (powers / np.arange(1, _M_TERMS + 1) * prefix[:, cols].T).sum(axis=1).real
+    powers = np.cumprod(np.repeat(((lams / s) ** step)[:, None], len(q), axis=1), axis=1)
+    sign = np.where(q % 2, 1.0, -1.0)
+    coefs = -powers / q if step == 2 else (sign * np.conj(powers) + powers) / q
+    out += (coefs * prefix[:, np.searchsorted(edges, Js)].T).sum(axis=1).real
     return out
 
 
@@ -339,10 +345,7 @@ def log_E_primes(seq: SpectralSequence, ks, rel_tail_tol: float = 1e-10) -> np.n
         totals.append(total)
         lams.append(to_complex(lam))
         Js.append(_tail_start(seq, lam_abs, rel_tail_tol))
-    lams = np.array(lams)
-    if np.isrealobj(seq.float_values(n0)):  # real rules: float64 far sums
-        lams = lams.real
-    return np.array(totals) + _far_sums_eprime(seq, lams, n0, np.array(Js, dtype=np.int64))
+    return np.array(totals) + _far_sums(seq, np.array(lams), n0, np.array(Js, dtype=np.int64), 2)
 
 
 def log_E_prime(seq: SpectralSequence, k: int, rel_tail_tol: float = 1e-10) -> float:
@@ -397,35 +400,36 @@ def bohr_profile(seq: SpectralSequence, K: int,
                         extras={"partner": partners})
 
 
-def _blaschke_far_and_tail(seq, lam_c: complex, n0: int, tol_abs: float) -> float:
-    """Far-zone sum of ln|(1 + lam/conj(l)) / (1 - lam/l)| plus an
-    Euler-Maclaurin completion of the remaining tail.
+def _blaschke_tail(seq, lam_abs: float, n0: int, tol_abs: float) -> tuple[int, float]:
+    """End J of the W' far zone [n0, J) and the closed-form remainder past J.
 
-    Those factors only decay like 2|lam|/|l|, so a hard truncation meeting
-    tol would need J ~ |lam|/tol entries; instead the work zone is summed
-    exactly and the remainder of the fitted power-law tail is added in
-    closed form, with the completion error held below tol.
+    The factors ln|(1 + lam/conj(l)) / (1 - lam/l)| only decay like
+    2|lam|/|l|, so a hard truncation meeting tol would need J ~ |lam|/tol
+    entries; real sequences add instead an Euler-Maclaurin completion of the
+    fitted power-law tail, with its error held below tol.  Complex ones are
+    truncated plainly under the 2|lam|/(|l| - |lam|) bound (remainder 0).
     """
     if seq.rule is None:
-        return 0.0
-    lam_abs = abs(lam_c)
+        return n0, 0.0
     J = max(4 * n0, 1 << 16)
     while True:
         if J > _J_MAX:
-            raise TailBoundUnachievable(
-                f"tail completion still above tolerance at J={J}")
-        if not seq.rule.real:
-            return _blaschke_far_complex(seq, lam_c, n0, J, tol_abs)
-        moduli = seq.float_values(J).real
-        cached = seq.rule.fit_cache.get(("tailfit", J))
-        if cached is None:
+            raise TailBoundUnachievable(f"tail completion still above tolerance at J={J}")
+        fit = seq.rule.fit_cache.get(("tailfit", J))
+        if fit is None:
+            moduli = np.abs(seq.float_values(J))
             c, p = _power_fit(moduli, J // 2, J)
             fit_resid = float(np.max(np.abs(
                 np.log(moduli[J // 2 - 1:J])
                 - (math.log(c) + p * np.log(np.arange(J // 2, J + 1))))))
-            seq.rule.fit_cache[("tailfit", J)] = (c, p, fit_resid)
-        else:
-            c, p, fit_resid = cached
+            fit = seq.rule.fit_cache[("tailfit", J)] = (c, p, fit_resid)
+        c, p, fit_resid = fit
+        if not seq.rule.real:
+            bound = 4.0 * lam_abs / (0.8 * c * (p - 1)) * J ** (1 - p) if p > 1 else math.inf
+            if bound > tol_abs:
+                raise TailBoundUnachievable(
+                    f"complex-tail truncation bound {bound:.2e} above tolerance at J={J}")
+            return J, 0.0
         if p <= 1.0:
             raise TailBoundUnachievable(f"fitted growth exponent p={p:.3f} <= 1")
         # remainder of sum 2 artanh(lam/l): first-order + cubic term
@@ -435,47 +439,43 @@ def _blaschke_far_and_tail(seq, lam_c: complex, n0: int, tol_abs: float) -> floa
         err = rem * fit_resid * (2.0 + math.log(J)) \
             + (2.0 * lam_abs / c) * p * J ** (-p - 1) * 5.0
         if err < tol_abs:
-            break
+            return J, rem
         J *= 2
-    far = float(np.sum(np.log1p(lam_c.real / moduli[n0:J])
-                       - np.log1p(-lam_c.real / moduli[n0:J])))
-    return far + rem
 
 
-def _blaschke_far_complex(seq, lam_c, n0, J, tol_abs) -> float:
-    # complex sequences: plain truncation with the 2|lam|/(|l|-|lam|) bound
-    vals = seq.float_values(J)
-    moduli = np.abs(vals)
-    c, p = _power_fit(moduli, J // 2, J)
-    bound = 4.0 * abs(lam_c) / (0.8 * c * (p - 1)) * J ** (1 - p) if p > 1 else math.inf
-    if bound > tol_abs:
-        raise TailBoundUnachievable(
-            f"complex-tail truncation bound {bound:.2e} above tolerance at J={J}")
-    block = vals[n0:J]
-    return float(np.sum(np.log(np.abs(1.0 + lam_c / np.conj(block)))
-                        - np.log(np.abs(1.0 - lam_c / block))))
-
-
-def blaschke_log_wprime(seq: SpectralSequence, k: int, rel_tail_tol: float = 1e-10) -> float:
-    """ln|W'(lam_k)| of the half-plane inner function with zeros lam_j.
+def blaschke_log_wprimes(seq: SpectralSequence, ks, rel_tail_tol: float = 1e-10) -> np.ndarray:
+    """ln|W'(lam_k)| of the half-plane inner function with zeros lam_j, for
+    every k in ``ks`` (1-based, any order).
 
     |W'(lam_k)| = P_k^{-1} / (2 Re lam_k) with
     P_k = prod_{l != k} |(1 + lam_k/conj(lam_l)) / (1 - lam_k/lam_l)|;
     unimodular normalizing factors drop out of the modulus.  The error
     budget rel_tail_tol is applied to the Re(lam_k)-normalized quantity.
+    Head as in ``log_E_primes``; far zones in one batch, tails by ``_blaschke_tail``.
     """
-    lam = seq.entry(k)
-    lam_c = to_complex(lam)
-    tol_abs = rel_tail_tol * max(1.0, lam_c.real)
-    vals, fl_js, mp_js = _head_split(seq, k, tol_abs)
-    f, lam_f = vals[fl_js], vals[k - 1]
-    ln_pk = float(np.sum(np.log(np.abs(np.conj(f) + lam_f)) - np.log(np.abs(f - lam_f))))
-    with workdps(seq.dps + 20):
-        for j in mp_js:
-            other = seq.values[j]
-            ln_pk += mp_log_abs((mp.conj(other) + lam) / (other - lam))
-    ln_pk += _blaschke_far_and_tail(seq, lam_c, len(seq), tol_abs)
-    return -math.log(2.0 * float(lam.real)) - ln_pk
+    n0 = len(seq)
+    totals, lams, Js = [], [], []
+    for k in ks:
+        lam = seq.entry(k)
+        lam_c = to_complex(lam)
+        tol_abs = rel_tail_tol * max(1.0, lam_c.real)
+        vals, fl_js, mp_js = _head_split(seq, k, tol_abs)
+        f, lam_f = vals[fl_js], vals[k - 1]
+        ln_pk = float(np.sum(np.log(np.abs(np.conj(f) + lam_f)) - np.log(np.abs(f - lam_f))))
+        with workdps(seq.dps + 20):
+            for j in mp_js:
+                other = seq.values[j]
+                ln_pk += mp_log_abs((mp.conj(other) + lam) / (other - lam))
+        J, rem = _blaschke_tail(seq, abs(lam_c), n0, tol_abs)
+        totals.append(-math.log(2.0 * float(lam.real)) - ln_pk - rem)
+        lams.append(lam_c)
+        Js.append(J)
+    return np.array(totals) - _far_sums(seq, np.array(lams), n0, np.array(Js, dtype=np.int64), 1)
+
+
+def blaschke_log_wprime(seq: SpectralSequence, k: int, rel_tail_tol: float = 1e-10) -> float:
+    """ln|W'(lam_k)|; see ``blaschke_log_wprimes``."""
+    return float(blaschke_log_wprimes(seq, [k], rel_tail_tol)[0])
 
 
 def blaschke_profile(seq: SpectralSequence, K: int,
@@ -486,7 +486,7 @@ def blaschke_profile(seq: SpectralSequence, K: int,
     if K > len(seq):
         raise TooFewModes(f"profile needs K={K} stored entries, have {len(seq)}")
     re = seq.re[:K]
-    vs = np.array([-blaschke_log_wprime(seq, k, rel_tail_tol) for k in range(1, K + 1)]) / re
+    vs = -blaschke_log_wprimes(seq, range(1, K + 1), rel_tail_tol) / re
     return make_profile("blaschke", np.arange(1, K + 1), vs, window, cap)
 
 

@@ -409,7 +409,7 @@ def gramian_control_2x2(block: Block2x2, y0, T: float, rk4_h: float = 1e-4,
         ut = u(t)
         return np.array([-l1 * y[0] + b1 * ut, -l2 * y[1] + b2 * ut])
 
-    nsteps = int(round(T / rk4_h))
+    nsteps = max(1, round(T / rk4_h))  # rk4_h > 2T still takes one step
     hh = T / nsteps
     y = y0.copy()
     t = 0.0

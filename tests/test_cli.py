@@ -240,6 +240,14 @@ class TestOtherCommands:
         assert payload["data"]["sigma_bounds_ok"] is True
         assert payload["data"]["terminal_abs"] <= 1e-6
 
+    def test_gramian_step_longer_than_horizon(self, tmp_path):
+        # the default rk4_h = 1e-4 exceeds 2T: the integrator still takes one step
+        cfgp = _write_config(tmp_path, {"command": "gramian2x2",
+                                        "params": {"lam1": 1, "lam2": 2, "T": 1e-9}})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfgp), "--out", str(out)]) == 0
+        assert "data" in json.loads((out / "gramian.json").read_text())
+
     def test_verify_command(self, tmp_path):
         cfg = {"command": "verify",
                "model": {"name": "cascade_boundary_q",

@@ -129,7 +129,6 @@ class _SyntheticJordan(ParabolicModel):
     lam_k = k^2 keeps the coupling representable out to k = 40."""
 
     name = "synthetic_jordan"
-    scalar_control = True
     structural_pair_kernel = "scalar-control"
 
     def __init__(self, rho):

@@ -72,6 +72,24 @@ def _direct_far_sum(seq, lam_c, n0, J):
     return total
 
 
+def _direct_blaschke_far_sum(seq, lam_c, n0, J):
+    """Reference: the per-k W' far sum over entries n0..J-1, each factor as
+    log1p(w) - log1p(-w) (real rules) or, for z = conj(lam)/l and z = -lam/l,
+    Re ln(1 + z) = log1p(2x + x^2 + y^2)/2 (complex rules).  ln|1 -+ w|
+    would round 1 -+ w first: 3.7e-12 over J = 65536 (power c=1+0.5j, k=30)."""
+    if J <= n0:
+        return 0.0
+    vals = seq.float_values(J)[n0:J]
+    if seq.rule.real:
+        lam = lam_c.real
+        return float(np.sum(np.log1p(lam / vals.real) - np.log1p(-lam / vals.real)))
+
+    def re_log1p(z):
+        return 0.5 * np.log1p(z.real * (2.0 + z.real) + z.imag * z.imag)
+
+    return float(np.sum(re_log1p(np.conj(lam_c) / vals) - re_log1p(-lam_c / vals)))
+
+
 def _far_args(seq, ks, rel_tail_tol=1e-10):
     """Float entries and truncations J_k of ks, as log_E_primes passes them."""
     lams = np.array([to_complex(seq.entry(k)) for k in ks])
@@ -90,7 +108,8 @@ def _all_mp_blaschke_log_wprime(seq, k, rel_tail_tol):
                 ln_pk += mp_log_abs(mp.conj(other) + lam) - mp_log_abs(other - lam)
     lam_c = to_complex(lam)
     tol_abs = rel_tail_tol * max(1.0, lam_c.real)
-    ln_pk += spectral._blaschke_far_and_tail(seq, lam_c, len(seq), tol_abs)
+    J, rem = spectral._blaschke_tail(seq, abs(lam_c), len(seq), tol_abs)
+    ln_pk += _direct_blaschke_far_sum(seq, lam_c, len(seq), J) + rem
     return -math.log(2.0 * float(lam.real)) - ln_pk
 
 
@@ -256,7 +275,7 @@ class TestFarTail:
 
     @staticmethod
     def _check(seq, lams, Js):
-        got = spectral._far_sums_eprime(seq, lams, len(seq), Js)
+        got = spectral._far_sums(seq, lams, len(seq), Js, 2)
         want = [_direct_far_sum(seq, complex(lam), len(seq), int(J)) for lam, J in zip(lams, Js)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
         return got
@@ -285,7 +304,7 @@ class TestFarTail:
     def test_finite_and_untruncated(self):
         seq = from_rule(make_rule("power", c=1.0, p=2.0), 30)
         lams, _ = _far_args(seq, [1, 30])
-        assert not spectral._far_sums_eprime(seq, lams, len(seq), np.array([30, 12])).any()
+        assert not spectral._far_sums(seq, lams, len(seq), np.array([30, 12]), 2).any()
         finite = normal_order([1.0, 4.0, 9.0, 16.0])
         got = spectral.log_E_primes(finite, [3, 1])
         want = [math.log(2.0 / lam) + sum(math.log(abs(1 - lam**2 / v**2))
@@ -315,7 +334,7 @@ class TestFarTail:
         # 1000-entry chunks: many far-zone chunks and several near-zone blocks
         seq = self._CASES["power-complex"]()
         lams, Js = _far_args(seq, range(1, len(seq) + 1, 3))
-        want = spectral._far_sums_eprime(seq, lams, len(seq), Js)
+        want = spectral._far_sums(seq, lams, len(seq), Js, 2)
         monkeypatch.setattr(spectral, "_CHUNK", 1000)
         np.testing.assert_allclose(self._check(seq, lams, Js), want, rtol=0, atol=1e-13)
 
@@ -332,6 +351,106 @@ class TestFarTail:
         monkeypatch.setattr(spectral.np, "log1p", counting)
         K = 100
         condensation_profile(from_rule(make_rule("appendixB", tau=0.25), K), K)
+        assert 0 < count[0] < 1_000_000
+
+
+class TestBlaschkeFarTail:
+    """Batched W' far sums against the per-k direct loop."""
+
+    _CASES = {
+        "appendixB-0.25": (lambda: from_rule(make_rule("appendixB", tau=0.25), 40), 1e-10),
+        "appendixB-1": (lambda: from_rule(make_rule("appendixB", tau=1.0), 40), 1e-10),
+        "power-pi2": (lambda: from_rule(make_rule("power", c=PI2, p=2.0), 40), 1e-9),
+        "power-complex": (lambda: from_rule(make_rule("power", c=1 + 0.5j, p=2.0), 30), 1e-4),
+    }
+
+    @staticmethod
+    def _args(seq, ks, tol):
+        """Float entries and work-zone ends J_k of ks, as blaschke_log_wprimes passes them."""
+        lams = np.array([to_complex(seq.entry(k)) for k in ks])
+        Js = np.array([spectral._blaschke_tail(seq, abs(lam), len(seq), tol * max(1.0, lam.real))[0]
+                       for lam in lams])
+        return lams, Js
+
+    @staticmethod
+    def _check(seq, lams, Js):
+        got = spectral._far_sums(seq, lams, len(seq), Js, 1)
+        want = [_direct_blaschke_far_sum(seq, lam, len(seq), int(J)) for lam, J in zip(lams, Js)]
+        np.testing.assert_allclose(got, want, rtol=2e-15, atol=1e-13)
+        return got
+
+    @pytest.mark.parametrize("case", sorted(_CASES))
+    def test_matches_direct_loop(self, case):
+        make, tol = self._CASES[case]
+        seq = make()
+        lams, Js = self._args(seq, range(1, len(seq) + 1, 3), tol)
+        assert Js.min() > 100 * len(seq)  # the far zone is reached
+        self._check(seq, lams, Js)
+
+    def test_crafted_truncations(self):
+        # shared J_k, J_k == J0, inside the near zone, <= n0, across chunks
+        seq = from_rule(make_rule("appendixB", tau=0.25), 20)
+        n0 = len(seq)
+        lams, _ = self._args(seq, [2, 5, 9, 14, 20, 3, 7, 11], 1e-10)
+        J0 = int(np.searchsorted(seq.float_values(1 << 16),
+                                 np.abs(lams).max() / math.sqrt(spectral._RHO)))
+        assert n0 + 3 < J0
+        Js = np.array([J0, J0, n0 + 3, J0 + 1000, J0 + 1000, n0 - 2,
+                       J0 + (1 << 20) + 17, 3 << 19])
+        self._check(seq, lams, Js)
+
+    @pytest.mark.parametrize("case", ["appendixB-0.25", "power-complex"])
+    def test_series_zone_alone(self, case):
+        # n0 = J0: every factor comes from the cut series, those with
+        # |w| near 2^-4 weigh most (13 -> 10 terms moves appendixB by 3e-14)
+        make, tol = self._CASES[case]
+        seq = make()
+        lams, _ = self._args(seq, [2, 5, 9, 14, 20], tol)
+        J0 = int(np.searchsorted(np.abs(seq.float_values(1 << 16)),
+                                 np.abs(lams).max() / math.sqrt(spectral._RHO)))
+        Js = J0 + np.array([1, 10, 100, 1000, 30000])
+        got = spectral._far_sums(seq, lams, J0, Js, 1)
+        want = [_direct_blaschke_far_sum(seq, lam, J0, int(J)) for lam, J in zip(lams, Js)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("case", ["appendixB-0.25", "power-complex"])
+    def test_unsorted_and_sparse_ks(self, case):
+        make, tol = self._CASES[case]
+        seq = make()
+        ks = np.array([19, 3, 27, 8])
+        got = spectral.blaschke_log_wprimes(seq, ks, tol)
+        order = np.argsort(ks)
+        assert np.array_equal(spectral.blaschke_log_wprimes(seq, ks[order], tol), got[order])
+        for k, v in zip(ks, got):
+            one = blaschke_log_wprime(seq, k, tol)
+            assert one == spectral.blaschke_log_wprimes(seq, [k], tol)[0]
+            assert abs(v - one) <= 1e-12
+            want = _all_mp_blaschke_log_wprime(seq, k, tol)
+            assert abs(v - want) <= tol * max(1.0, float(mp.re(seq.entry(k))))
+
+    @pytest.mark.parametrize("case", ["power-pi2", "power-complex"])
+    def test_small_chunks(self, monkeypatch, case):
+        # 1000-entry chunks: many far-zone chunks and several near-zone blocks
+        make, tol = self._CASES[case]
+        seq = make()
+        lams, Js = self._args(seq, range(1, len(seq) + 1, 3), tol)
+        want = spectral._far_sums(seq, lams, len(seq), Js, 1)
+        monkeypatch.setattr(spectral, "_CHUNK", 1000)
+        np.testing.assert_allclose(self._check(seq, lams, Js), want, rtol=2e-15, atol=1e-13)
+
+    def test_log1p_cost(self, monkeypatch):
+        # appendixB K=100: every J_k is 2^21, so a per-k log1p pass over
+        # the work zone would take ~4e8 evaluations
+        count = [0]
+        log1p = np.log1p
+
+        def counting(x, *args, **kwargs):
+            count[0] += np.size(x)
+            return log1p(x, *args, **kwargs)
+
+        monkeypatch.setattr(spectral.np, "log1p", counting)
+        K = 100
+        blaschke_profile(from_rule(make_rule("appendixB", tau=0.25), K), K)
         assert 0 < count[0] < 1_000_000
 
 
