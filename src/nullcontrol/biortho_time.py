@@ -13,7 +13,8 @@ Schur elimination on these two generators (Gohberg-Kailath-Olshevsky)
 factors M = L D L^T in O(n^2) operations, and C = M^{-1} follows from
 X J + J^T X = u u^T - v v^T with u = M^{-1} F(0), v = M^{-1} F(T), also
 in O(n^2).  The biorthogonality residual max|M C^T - I| is still checked
-in full, in O(n^3).
+in full, in O(n^3), as exact integer dot products rounded once
+(``precision.int_dot``); so are the closed-form moment pairings.
 
 These systems are Cauchy-like and their conditioning explodes with the
 number of rates and with rate coalescence, so the solve always runs in
@@ -24,6 +25,7 @@ automatic retry if the biorthogonality residual misses the target).
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +34,9 @@ import mpmath as mp
 import numpy as np
 
 from .errors import IllConditioned
-from .precision import DEFAULT_DPS, MAX_DPS, auto_dps_for_gaps, to_complex, to_mp, workdps
+from .precision import (
+    DEFAULT_DPS, MAX_DPS, auto_dps_for_gaps, int_dot, int_parts, to_complex, to_mp, workdps,
+)
 
 RESIDUAL_THRESHOLD = 1e-8
 
@@ -185,6 +189,11 @@ class BiorthogonalFamily:
     def size(self) -> int:
         return self.span.size
 
+    @functools.cached_property
+    def int_rows(self) -> list:
+        """The rows of C in exact integer form (``precision.int_parts``)."""
+        return [int_parts(row) for row in self.mp_coeffs.tolist()]
+
     def labels(self):
         return self.span.labels()
 
@@ -256,17 +265,24 @@ def _solve_at(span: ExponentialSpan, dps: int):
             C = _structured_inverse(*_displacement(span))  # rows of C solve M C^T = I
         except ZeroDivisionError as exc:
             raise IllConditioned(f"pairing matrix singular at {dps} digits") from exc
-        R = M * C.T
+        # max |M C^T - I|, each entry an exact dot of a row of M with a row of C
+        c_rows = [int_parts(row) for row in C.tolist()]
         residual = 0.0
-        for i in range(n):
-            for j in range(n):
-                residual = max(residual, float(abs(R[i, j] - (1 if i == j else 0))))
+        for i, m_row in enumerate(M.tolist()):
+            m_row = int_parts(m_row)
+            for j, c_row in enumerate(c_rows):
+                residual = max(residual, float(abs(int_dot(m_row, c_row) - (1 if i == j else 0))))
         if span.real:
             # the Gram is the pairing, so C G C^H = C M C^T = C
             G, N = M, C
         else:
             G = _gram_mp(span)
-            N = C * G * C.transpose_conj()
+            g_cols = [int_parts(col) for col in G.T.tolist()]
+            cg_rows = [int_parts([int_dot(c_row, g_col) for g_col in g_cols])
+                       for c_row in c_rows]
+            ch_cols = [int_parts(map(mp.conj, c_row.values)) for c_row in c_rows]
+            N = mp.matrix([[int_dot(cg_row, ch_col) for ch_col in ch_cols]
+                           for cg_row in cg_rows])
         pos_def = all(N[i, i].real > 0 for i in range(n))
         if not pos_def:
             # force a precision retry: a negative computed norm means the
@@ -316,17 +332,16 @@ def pair_with_exponential_mp(family: BiorthogonalFamily, mu, a: int = 0) -> list
     scalars at the family's working precision.
 
     For mu equal to a span rate and a = 0 this returns the corresponding
-    Kronecker column up to the solve residual.
+    Kronecker column up to the solve residual.  The closed-form column is
+    converted once and dotted exactly with the cached integer rows of C.
     """
     if a not in (0, 1):
         raise ValueError("t-power a must be 0 or 1")
     span = family.span
     mu = to_mp(mu)
     with workdps(family.dps):
-        basis = span.basis()
-        col = [int_pow_exp(a + p, mu + r, span.T) for (r, p) in basis]
-        C = family.mp_coeffs
-        return [mp.fsum(C[k, j] * col[j] for j in range(span.size)) for k in range(span.size)]
+        col = int_parts(int_pow_exp(a + p, mu + r, span.T) for (r, p) in span.basis())
+        return [int_dot(row, col) for row in family.int_rows]
 
 
 def pair_with_exponential(family: BiorthogonalFamily, mu, a: int = 0) -> np.ndarray:

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from operator import mul
+from typing import NamedTuple
 
 import mpmath as mp
+from mpmath import libmp
 
 DEFAULT_DPS = 60
 MAX_DPS = 6000
@@ -65,3 +68,66 @@ def auto_dps_for_gaps(min_log_gap: float, scale: float = 2.6, size: int = 0) -> 
         return MAX_DPS
     digits = scale * max(0.0, -min_log_gap) / math.log(10.0)
     return max(DEFAULT_DPS, min(MAX_DPS, int(math.ceil(digits)) + 2 * size + 30))
+
+
+class IntVector(NamedTuple):
+    """Exact integer form of mp scalars: value_j = (re[j] + i im[j]) 2^exp.
+
+    ``im`` is empty when no value is an mpc.  ``spread`` is the distance in
+    bits between the lowest and the highest least significant bit of the
+    nonzero parts (inf when a value is not finite); ``values`` are the
+    scalars themselves."""
+
+    re: list
+    im: list
+    exp: int
+    spread: float
+    values: list
+
+
+def int_parts(values) -> IntVector:
+    """The exact integer form of a sequence of mp scalars, for ``int_dot``."""
+    values = list(values)
+    cplx = mp.mpc in map(type, values)
+    if cplx:
+        flat = [x for v in values
+                for x in (v._mpc_ if type(v) is mp.mpc else (v._mpf_, libmp.fzero))]
+    else:
+        flat = [v._mpf_ for v in values]
+    # mpf tuples are normalized (odd mantissa), so the exponent of a
+    # nonzero part is the position of its least significant bit
+    exps = [x[2] for x in flat if x[1]]
+    exp = min(exps, default=0)
+    spread = max(exps, default=0) - exp
+    if len(exps) < len(flat) and any(x[3] for x in flat if not x[1]):
+        spread = math.inf   # an inf or nan (zero mantissa, nonzero bitcount): left to mp.fdot
+    ints = [0 if not man else -(man << (e - exp)) if sign else man << (e - exp)
+            for sign, man, e, _ in flat]
+    if cplx:
+        return IntVector(ints[0::2], ints[1::2], exp, spread, values)
+    return IntVector(ints, [], exp, spread, values)
+
+
+def int_dot(a: IntVector, b: IntVector):
+    """sum_j a_j b_j at the working precision, equal to
+    ``mp.fdot(a.values, b.values)`` bit for bit.
+
+    The products and their sum are exact integers, rounded once.  mp.fdot
+    does the same except that it drops a partial sum or a term lying more
+    than 2 prec bits below the other; no such gap can arise while the
+    least significant bits of all products lie within 2 prec bits of each
+    other, which ``a.spread + b.spread`` bounds.  Wider spreads go to
+    mp.fdot itself.
+    """
+    prec = mp.mp.prec
+    if a.spread + b.spread > 2 * prec:
+        return mp.fdot(a.values, b.values)
+    e = a.exp + b.exp
+    # an empty Im list (a vector without mpc values) drops its sums
+    re = libmp.from_man_exp(sum(map(mul, a.re, b.re)) - sum(map(mul, a.im, b.im)),
+                            e, prec, "n")
+    if not (a.im or b.im):
+        return mp.make_mpf(re)
+    im = libmp.from_man_exp(sum(map(mul, a.re, b.im)) + sum(map(mul, a.im, b.re)),
+                            e, prec, "n")
+    return mp.make_mpc((re, im))

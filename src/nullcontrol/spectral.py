@@ -408,6 +408,7 @@ def _blaschke_tail(seq, lam_abs: float, n0: int, tol_abs: float) -> tuple[int, f
     entries; real sequences add instead an Euler-Maclaurin completion of the
     fitted power-law tail, with its error held below tol.  Complex ones are
     truncated plainly under the 2|lam|/(|l| - |lam|) bound (remainder 0).
+    Either way J doubles until the error meets tol, up to _J_MAX.
     """
     if seq.rule is None:
         return n0, 0.0
@@ -424,20 +425,17 @@ def _blaschke_tail(seq, lam_abs: float, n0: int, tol_abs: float) -> tuple[int, f
                 - (math.log(c) + p * np.log(np.arange(J // 2, J + 1))))))
             fit = seq.rule.fit_cache[("tailfit", J)] = (c, p, fit_resid)
         c, p, fit_resid = fit
-        if not seq.rule.real:
-            bound = 4.0 * lam_abs / (0.8 * c * (p - 1)) * J ** (1 - p) if p > 1 else math.inf
-            if bound > tol_abs:
-                raise TailBoundUnachievable(
-                    f"complex-tail truncation bound {bound:.2e} above tolerance at J={J}")
-            return J, 0.0
         if p <= 1.0:
             raise TailBoundUnachievable(f"fitted growth exponent p={p:.3f} <= 1")
-        # remainder of sum 2 artanh(lam/l): first-order + cubic term
-        lead = (2.0 * lam_abs / c) * (J ** (1 - p) / (p - 1) + 0.5 * J ** (-p))
-        cubic = (2.0 * lam_abs**3 / (3.0 * c**3)) * J ** (1 - 3 * p) / (3 * p - 1)
-        rem = lead + cubic
-        err = rem * fit_resid * (2.0 + math.log(J)) \
-            + (2.0 * lam_abs / c) * p * J ** (-p - 1) * 5.0
+        if seq.rule.real:
+            # remainder of sum 2 artanh(lam/l): first-order + cubic term
+            lead = (2.0 * lam_abs / c) * (J ** (1 - p) / (p - 1) + 0.5 * J ** (-p))
+            cubic = (2.0 * lam_abs**3 / (3.0 * c**3)) * J ** (1 - 3 * p) / (3 * p - 1)
+            rem = lead + cubic
+            err = rem * fit_resid * (2.0 + math.log(J)) \
+                + (2.0 * lam_abs / c) * p * J ** (-p - 1) * 5.0
+        else:
+            rem, err = 0.0, 4.0 * lam_abs / (0.8 * c * (p - 1)) * J ** (1 - p)
         if err < tol_abs:
             return J, rem
         J *= 2

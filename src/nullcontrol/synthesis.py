@@ -29,7 +29,7 @@ from .biortho_space import biorthogonalize_gram
 from .errors import SynthesisUnsupported, UnobservableMode, ZeroMuUnsupported
 from .models import Block2x2, ParabolicModel
 from .observations import combine
-from .precision import DEFAULT_DPS, to_complex, to_mp, workdps
+from .precision import DEFAULT_DPS, int_parts, to_complex, to_mp, workdps
 
 _TAIL_MODES = 50
 
@@ -269,25 +269,6 @@ def terminal_projection(plan: ControlPlan, model: ParabolicModel | None = None,
     return out
 
 
-def _int_parts(values):
-    """Exact integer form of mp scalars: (Re mantissas, Im mantissas, e)
-    with value_j = (re_j + i im_j) 2^e over one common exponent e.  The Im
-    list is empty when every value is real."""
-    parts = [v._mpc_ if type(v) is mp.mpc else (v._mpf_, libmp.fzero) for v in values]
-    exp = min((x[2] for pair in parts for x in pair if x[1]), default=0)
-
-    def signed(x):
-        sign, man, e, _ = x
-        if not man:
-            return 0
-        man <<= e - exp
-        return -man if sign else man
-
-    re = [signed(x) for x, _ in parts]
-    im = [signed(y) for _, y in parts] if any(y[1] for _, y in parts) else []
-    return re, im, exp
-
-
 def _basis_samples(basis, T: float, ts, prec: int):
     """Yield the basis values s^p e^{-r s} at each s_i = T - t_i.
 
@@ -329,8 +310,12 @@ def sample_plan(plan: ControlPlan, n: int = 2000):
     Each term's coefficient is folded into its dual row once at the
     family's working precision; the basis values come from the
     exponential recurrence of ``_basis_samples``.  Each sample is an exact
-    integer dot product of a folded row with the basis values, rounded
-    once to the family's precision and then to float, as mp.fdot would.
+    integer dot product of a folded row with the basis values, both in the
+    shared form ``precision.int_parts``, rounded once to the family's
+    precision and then to float.  Unlike ``precision.int_dot`` it keeps
+    the exact sum at any exponent spread (the basis values fall by
+    hundreds of bits between s = 0 and s = T), where mp.fdot may drop
+    terms.
     The cost is basis * (1 + distinct grid steps) mp exponentials, n *
     basis mp products and n * terms * basis integer products.
     """
@@ -340,15 +325,15 @@ def sample_plan(plan: ControlPlan, n: int = 2000):
     cols = np.empty((len(plan.terms), n))
     with workdps(family.dps):
         prec = mp.mp.prec
-        rows = [_int_parts([term.coeff_mp * c for c in family.mp_coeffs[term.basis_index, :]])
+        rows = [int_parts([term.coeff_mp * c for c in family.mp_coeffs[term.basis_index, :]])
                 for term in plan.terms]
     for i, funcs in enumerate(_basis_samples(family.span.basis(), T, ts, prec)):
-        f_re, f_im, f_exp = _int_parts(funcs)
-        for col, (a_re, a_im, a_exp) in enumerate(rows):
-            # an empty Im list (a real row or real values) drops the Im*Im sum
-            man = sum(map(mul, a_re, f_re)) - sum(map(mul, a_im, f_im))
+        f = int_parts(funcs)
+        for col, a in enumerate(rows):
+            # an empty Im list (no mpc in the row or the values) drops the Im*Im sum
+            man = sum(map(mul, a.re, f.re)) - sum(map(mul, a.im, f.im))
             cols[col, i] = libmp.to_float(
-                libmp.from_man_exp(man, a_exp + f_exp, prec, "n"), rnd="n")
+                libmp.from_man_exp(man, a.exp + f.exp, prec, "n"), rnd="n")
     scalars = [getattr(t.direction, "value", None) for t in plan.terms]
     u = None
     if all(v is not None and np.imag(v) == 0 for v in scalars):
@@ -359,10 +344,9 @@ def sample_plan(plan: ControlPlan, n: int = 2000):
 # ---------------------------------------------------------------------------
 # finite 2x2 minimal-norm control
 
-def _eta(s: float) -> float:
-    if s == 0.0:
-        return 1.0
-    return math.expm1(s) / s
+def _eta(s):
+    """(e^s - 1)/s at the working precision."""
+    return mp.expm1(s) / s if s else mp.mpf(1)
 
 
 @dataclass(frozen=True)
@@ -386,21 +370,36 @@ def gramian_control_2x2(block: Block2x2, y0, T: float, rk4_h: float = 1e-4,
     """Minimal-L2-norm control u(t) = -B^T e^{A(T-t)} Q^{-1} e^{AT} y0 of the
     2x2 diagonal block, with Gramian assembled in closed form via
     eta(s) = (e^s - 1)/s, plus an RK4 forward integration as an
-    independent check that y(T) = 0."""
+    independent check that y(T) = 0.
+
+    Q, det Q, its smaller eigenvalue sigma and the weights Q^{-1} e^{AT} y0
+    are evaluated in mpmath: det Q = q11 q22 - q12^2 keeps only about
+    ((lam2 - lam1) min(T, 1/(lam1 + lam2)))^2 / 12 of its terms (T^4 / 12
+    times (lam2 - lam1)^2 at small T), so those lost digits are carried on
+    top of DEFAULT_DPS."""
+    if not T > 0:
+        raise ValueError("horizon T must be positive")
     l1, l2 = block.lam1, block.lam2
     b1, b2 = block.b
     y0 = np.asarray(y0, dtype=float)
-    Q = T * np.array([
-        [b1 * b1 * _eta(-2 * T * l1), b1 * b2 * _eta(-T * (l1 + l2))],
-        [b1 * b2 * _eta(-T * (l1 + l2)), b2 * b2 * _eta(-2 * T * l2)],
-    ])
-    det_q = float(np.linalg.det(Q))
-    tr_q = float(np.trace(Q))
-    sigma = 2.0 * det_q / (tr_q + math.sqrt(max(tr_q * tr_q - 4.0 * det_q, 0.0)))
-    bounds_ok = det_q / tr_q <= sigma <= 2.0 * det_q / tr_q + 1e-15
-    eAT = np.array([math.exp(-l1 * T), math.exp(-l2 * T)])
-    w = np.linalg.solve(Q, eAT * y0)
-    norm_sq = float(np.dot(w, eAT * y0))
+    lost = -2.0 * (math.log10(l2 - l1) + math.log10(min(T, 1.0 / (l1 + l2))))
+    with workdps(DEFAULT_DPS + max(0, math.ceil(lost))):
+        T_mp, l1_mp, l2_mp = mp.mpf(T), mp.mpf(l1), mp.mpf(l2)
+        q11 = T_mp * b1 * b1 * _eta(-2 * T_mp * l1_mp)
+        q12 = T_mp * b1 * b2 * _eta(-T_mp * (l1_mp + l2_mp))
+        q22 = T_mp * b2 * b2 * _eta(-2 * T_mp * l2_mp)
+        det_mp, tr_mp = q11 * q22 - q12 * q12, q11 + q22
+        sigma_mp = 2 * det_mp / (tr_mp + mp.sqrt(max(tr_mp * tr_mp - 4 * det_mp, 0)))
+        # det/tr <= sigma <= 2 det/tr, up to a relative rounding slack
+        slack = mp.ldexp(1, 8 - mp.mp.prec)
+        bounds_ok = (det_mp / tr_mp * (1 - slack) <= sigma_mp
+                     <= 2 * det_mp / tr_mp * (1 + slack))
+        r1, r2 = mp.exp(-l1_mp * T_mp) * y0[0], mp.exp(-l2_mp * T_mp) * y0[1]
+        w_mp = ((q22 * r1 - q12 * r2) / det_mp, (q11 * r2 - q12 * r1) / det_mp)
+        norm_sq = float(w_mp[0] * r1 + w_mp[1] * r2)
+        Q = np.array([[float(q11), float(q12)], [float(q12), float(q22)]])
+        det_q, tr_q, sigma = float(det_mp), float(tr_mp), float(sigma_mp)
+        w = [float(x) for x in w_mp]
 
     def u(t: float) -> float:
         return -(b1 * math.exp(-l1 * (T - t)) * w[0] + b2 * math.exp(-l2 * (T - t)) * w[1])
@@ -425,7 +424,7 @@ def gramian_control_2x2(block: Block2x2, y0, T: float, rk4_h: float = 1e-4,
     grid_norm_sq = float(np.trapezoid(us * us, ts))
     decay_scale = (l1 + l2) * math.exp(-2 * l1 * T) * float(np.dot(y0, y0))
     return GramianControlResult(
-        block=block, T=float(T), Q=Q, det_Q=det_q, tr_Q=tr_q, sigma=float(sigma),
+        block=block, T=float(T), Q=Q, det_Q=det_q, tr_Q=tr_q, sigma=sigma,
         sigma_bounds_ok=bool(bounds_ok), control_norm_sq=norm_sq,
         times=ts, samples=us, terminal_state=y,
         diagnostics={

@@ -17,11 +17,13 @@ from nullcontrol import (
     pair_with_exponential,
 )
 from nullcontrol import biortho_time
-from nullcontrol.biortho_time import RESIDUAL_THRESHOLD, _gram_mp, _pairing_mp
+from nullcontrol.biortho_time import (
+    RESIDUAL_THRESHOLD, _gram_mp, _pairing_mp, int_pow_exp, pair_with_exponential_mp,
+)
 from nullcontrol.cli import main
 from nullcontrol.errors import IllConditioned
 from nullcontrol.generators import AcademicLfRule, AppendixBRule
-from nullcontrol.precision import workdps
+from nullcontrol.precision import to_mp, workdps
 
 PI2 = math.pi**2
 
@@ -189,6 +191,28 @@ class TestStructuredSolve:
                      ExponentialSpan((1 + 1j, 2.0), None)):
             assert build_biortho(span).residual <= RESIDUAL_THRESHOLD
 
+    def test_builder_never_forms_matrix_products(self, monkeypatch):
+        # the residual M C^T is formed from exact integer dot products
+        def refuse(*args, **kwargs):
+            raise AssertionError("mp matrix product formed")
+
+        monkeypatch.setattr(mp.matrix, "__mul__", refuse)
+        for span in (ExponentialSpan(tuple(k * k * PI2 for k in range(1, 9)), 0.5),
+                     ExponentialSpan((1.0, 2.0), 1.0, jordan=True)):
+            assert build_biortho(span).residual <= RESIDUAL_THRESHOLD
+
+    def test_pairing_never_calls_fsum(self, monkeypatch):
+        fam = build_biortho(ExponentialSpan(tuple(k * k * PI2 for k in range(1, 9)), 0.5))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mp.fsum called")
+
+        monkeypatch.setattr(mp, "fsum", refuse)
+        monkeypatch.setattr(mp.mp, "fsum", refuse)
+        col = pair_with_exponential_mp(fam, fam.span.rates[2], 0)
+        assert abs(col[2] - 1) <= 10 * fam.residual
+        pair_with_exponential_mp(fam, 3.0, 1)
+
     def test_zero_pivot_is_ill_conditioned(self, monkeypatch, tmp_path, capsys):
         # F(0) = F(T) = 0 makes every Schur column, hence the first pivot, zero
         monkeypatch.setattr(biortho_time, "_displacement",
@@ -219,7 +243,39 @@ class TestCauchyOracle:
         np.testing.assert_allclose(fam.coeffs.real, oracle, rtol=1e-10)
 
 
+def _fsum_pairing(fam, mu, a):
+    """The earlier pair_with_exponential_mp, kept as the reference: an
+    mp.fsum of products each rounded to the family's precision.  Returns
+    the pairings and, per row, sum_j |C_kj col_j|."""
+    span, n = fam.span, fam.size
+    with workdps(fam.dps):
+        col = [int_pow_exp(a + p, to_mp(mu) + r, span.T) for (r, p) in span.basis()]
+        C = fam.mp_coeffs
+        return ([mp.fsum(C[k, j] * col[j] for j in range(n)) for k in range(n)],
+                [mp.fsum(abs(C[k, j] * col[j]) for j in range(n)) for k in range(n)])
+
+
 class TestPairings:
+    @pytest.mark.parametrize("span", [
+        ExponentialSpan(tuple(k * k * PI2 for k in range(1, 41)), 0.4),
+        ExponentialSpan(tuple(AcademicLfRule(0.2).mp_entries(20)), 0.5),
+        ExponentialSpan((1 + 1j, 2 - 0.5j, 3), 1.0, jordan=True),
+    ], ids=["heat-N40", "academic_lf-N20", "complex-jordan"])
+    def test_exact_dot_matches_rounded_products(self, span):
+        # the exact dot rounds once; the reference rounds each of n products
+        # and its sum, so they differ by at most n 2^(1-prec) sum_j |C_kj col_j|
+        fam = build_biortho(span)
+        n = fam.size
+        mus = list(span.rates[::7]) + [1.5 * span.rates[-1] + 0.25]
+        with workdps(fam.dps):
+            tol = n * mp.ldexp(1, 1 - mp.mp.prec)
+            for mu in mus:
+                for a in (0, 1):
+                    got = pair_with_exponential_mp(fam, mu, a)
+                    want, scale = _fsum_pairing(fam, mu, a)
+                    for g, w, s in zip(got, want, scale):
+                        assert abs(g - w) <= tol * s, (mu, a)
+
     def test_kronecker_column_at_span_rate(self):
         fam = build_biortho(ExponentialSpan((1.0, 2.0, 3.0), 1.0))
         col = pair_with_exponential(fam, 1.0, 0)

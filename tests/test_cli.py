@@ -248,6 +248,18 @@ class TestOtherCommands:
         assert main(["--config", str(cfgp), "--out", str(out)]) == 0
         assert "data" in json.loads((out / "gramian.json").read_text())
 
+    def test_gramian_tiny_horizon_determinant(self, tmp_path):
+        # det Q = T^4 (lam2 - lam1)^2 / 12 + O(T^5) is lost to cancellation
+        # in binary64
+        cfgp = _write_config(tmp_path, {"command": "gramian2x2",
+                                        "params": {"lam1": 1, "lam2": 2, "T": 1e-9}})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfgp), "--out", str(out)]) == 0
+        data = json.loads((out / "gramian.json").read_text())["data"]
+        assert data["det_Q"] == pytest.approx(1e-36 / 12, rel=1e-6)
+        assert data["sigma"] > 0
+        assert data["sigma_bounds_ok"] is True
+
     def test_verify_command(self, tmp_path):
         cfg = {"command": "verify",
                "model": {"name": "cascade_boundary_q",

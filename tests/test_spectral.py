@@ -453,6 +453,19 @@ class TestBlaschkeFarTail:
         blaschke_profile(from_rule(make_rule("appendixB", tau=0.25), K), K)
         assert 0 < count[0] < 1_000_000
 
+    def test_complex_blaschke_tail_doubles_J(self):
+        # the plain-truncation bound misses 3e-5 at the first J and meets it
+        # at J = 2^18; 1e-6 would need J past the cap
+        seq = from_rule(make_rule("power", c=1 + 0.5j, p=2.0), 30)
+        tol_abs = 3e-5 * float(mp.re(seq.entry(30)))
+        lam_abs = abs(to_complex(seq.entry(30)))
+        assert spectral._blaschke_tail(seq, lam_abs, len(seq), tol_abs) == (1 << 18, 0.0)
+        got = blaschke_log_wprime(seq, 30, 3e-5)
+        assert got == pytest.approx(-86.6603, abs=1e-4)
+        assert abs(got - blaschke_log_wprime(seq, 30, 1e-4)) <= tol_abs
+        with pytest.raises(TailBoundUnachievable, match="J="):
+            blaschke_log_wprime(seq, 30, 1e-6)
+
 
 class TestHybridHead:
     """Float64 head factors against the all-mp head loop."""

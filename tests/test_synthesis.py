@@ -486,6 +486,17 @@ class TestGramian2x2:
             assert res.det_Q / res.tr_Q <= res.sigma <= 2 * res.det_Q / res.tr_Q + 1e-15
             assert res.sigma_bounds_ok
 
+    def test_determinant_beyond_default_digits(self):
+        # det Q = T^4 (lam2 - lam1)^2 / 12 + O(T^5) cancels about 80 digits
+        # at T = 1e-40, more than DEFAULT_DPS holds
+        res = gramian_control_2x2(block_2x2(1.0, 2.0, (1.0, 1.0)), (1.0, 1.0), 1e-40)
+        assert res.det_Q == pytest.approx(1e-160 / 12, rel=1e-6)
+        assert 0 < res.sigma and res.sigma_bounds_ok
+
+    def test_rejects_nonpositive_horizon(self):
+        with pytest.raises(ValueError, match="positive"):
+            gramian_control_2x2(block_2x2(1.0, 2.0, (1.0, 1.0)), (1.0, 1.0), 0.0)
+
     def test_closed_form_norm_matches_grid(self):
         res = gramian_control_2x2(block_2x2(1.0, 2.0, (1.0, 1.0)), (1.0, 1.0), 1.0,
                                   samples=20001)
