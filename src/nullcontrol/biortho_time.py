@@ -25,9 +25,8 @@ automatic retry if the biorthogonality residual misses the target).
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
@@ -184,15 +183,11 @@ class BiorthogonalFamily:
     dps: int
     mp_coeffs: mp.matrix
     mp_dual_gram: mp.matrix     # <q_i, q_j> = (C G C^H)[i, j]; C itself on real spans
+    int_rows: list = field(repr=False, compare=False)  # rows of C as precision.int_parts
 
     @property
     def size(self) -> int:
         return self.span.size
-
-    @functools.cached_property
-    def int_rows(self) -> list:
-        """The rows of C in exact integer form (``precision.int_parts``)."""
-        return [int_parts(row) for row in self.mp_coeffs.tolist()]
 
     def labels(self):
         return self.span.labels()
@@ -280,7 +275,7 @@ def _solve_at(span: ExponentialSpan, dps: int):
             g_cols = [int_parts(col) for col in G.T.tolist()]
             cg_rows = [int_parts([int_dot(c_row, g_col) for g_col in g_cols])
                        for c_row in c_rows]
-            ch_cols = [int_parts(map(mp.conj, c_row.values)) for c_row in c_rows]
+            ch_cols = [r._replace(im=[-x for x in r.im]) for r in c_rows]  # conj(C)^T
             N = mp.matrix([[int_dot(cg_row, ch_col) for ch_col in ch_cols]
                            for cg_row in cg_rows])
         pos_def = all(N[i, i].real > 0 for i in range(n))
@@ -294,7 +289,7 @@ def _solve_at(span: ExponentialSpan, dps: int):
         gnorm = max(mp.fsum(abs(G[i, j]) for i in range(n)) for j in range(n))
         ginvnorm = max(mp.fsum(abs(C[i, j]) for i in range(n)) for j in range(n))
         cond = float(gnorm * ginvnorm)
-    return C, N, residual, ln_norms, cond
+    return C, c_rows, N, residual, ln_norms, cond
 
 
 def build_biortho(span: ExponentialSpan) -> BiorthogonalFamily:
@@ -303,7 +298,7 @@ def build_biortho(span: ExponentialSpan) -> BiorthogonalFamily:
     dps = auto_dps_for_gaps(span.min_log_rel_gap(), scale=5.0 if span.jordan else 2.6,
                             size=span.size)
     for _ in range(4):
-        C, N, residual, ln_norms, cond = _solve_at(span, dps)
+        C, c_rows, N, residual, ln_norms, cond = _solve_at(span, dps)
         if residual <= RESIDUAL_THRESHOLD or dps >= MAX_DPS:
             break
         dps = min(MAX_DPS, 2 * dps)
@@ -318,7 +313,7 @@ def build_biortho(span: ExponentialSpan) -> BiorthogonalFamily:
         span=span, coeffs=coeffs, cond_estimate=cond,
         norms=norms, ln_norms=ln_norms, residual=residual,
         degraded=residual > RESIDUAL_THRESHOLD, dps=dps,
-        mp_coeffs=C, mp_dual_gram=N,
+        mp_coeffs=C, mp_dual_gram=N, int_rows=c_rows,
     )
 
 
@@ -333,7 +328,7 @@ def pair_with_exponential_mp(family: BiorthogonalFamily, mu, a: int = 0) -> list
 
     For mu equal to a span rate and a = 0 this returns the corresponding
     Kronecker column up to the solve residual.  The closed-form column is
-    converted once and dotted exactly with the cached integer rows of C.
+    converted once and dotted exactly with the family's integer rows of C.
     """
     if a not in (0, 1):
         raise ValueError("t-power a must be 0 or 1")

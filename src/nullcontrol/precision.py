@@ -71,22 +71,18 @@ def auto_dps_for_gaps(min_log_gap: float, scale: float = 2.6, size: int = 0) -> 
 
 
 class IntVector(NamedTuple):
-    """Exact integer form of mp scalars: value_j = (re[j] + i im[j]) 2^exp.
+    """Exact integer form of finite mp scalars: value_j = (re[j] + i im[j]) 2^exp.
 
-    ``im`` is empty when no value is an mpc.  ``spread`` is the distance in
-    bits between the lowest and the highest least significant bit of the
-    nonzero parts (inf when a value is not finite); ``values`` are the
-    scalars themselves."""
+    ``im`` is empty when no value is an mpc."""
 
     re: list
     im: list
     exp: int
-    spread: float
-    values: list
 
 
 def int_parts(values) -> IntVector:
-    """The exact integer form of a sequence of mp scalars, for ``int_dot``."""
+    """The exact integer form of a sequence of finite mp scalars, for
+    ``int_dot``; an inf or nan raises ValueError."""
     values = list(values)
     cplx = mp.mpc in map(type, values)
     if cplx:
@@ -97,37 +93,42 @@ def int_parts(values) -> IntVector:
     # mpf tuples are normalized (odd mantissa), so the exponent of a
     # nonzero part is the position of its least significant bit
     exps = [x[2] for x in flat if x[1]]
-    exp = min(exps, default=0)
-    spread = max(exps, default=0) - exp
+    # an inf or nan has a zero mantissa and a nonzero bit count
     if len(exps) < len(flat) and any(x[3] for x in flat if not x[1]):
-        spread = math.inf   # an inf or nan (zero mantissa, nonzero bitcount): left to mp.fdot
+        raise ValueError("exact integer form of a non-finite value")
+    exp = min(exps, default=0)
     ints = [0 if not man else -(man << (e - exp)) if sign else man << (e - exp)
             for sign, man, e, _ in flat]
     if cplx:
-        return IntVector(ints[0::2], ints[1::2], exp, spread, values)
-    return IntVector(ints, [], exp, spread, values)
+        return IntVector(ints[0::2], ints[1::2], exp)
+    return IntVector(ints, [], exp)
+
+
+def _re_man(a: IntVector, b: IntVector) -> int:
+    """Re(sum_j a_j b_j) / 2^(a.exp + b.exp), exactly."""
+    # an empty Im list (a vector without mpc values) drops the Im*Im sum
+    return sum(map(mul, a.re, b.re)) - sum(map(mul, a.im, b.im))
 
 
 def int_dot(a: IntVector, b: IntVector):
-    """sum_j a_j b_j at the working precision, equal to
-    ``mp.fdot(a.values, b.values)`` bit for bit.
+    """sum_j a_j b_j, summed exactly and rounded once to the working precision.
 
-    The products and their sum are exact integers, rounded once.  mp.fdot
-    does the same except that it drops a partial sum or a term lying more
-    than 2 prec bits below the other; no such gap can arise while the
-    least significant bits of all products lie within 2 prec bits of each
-    other, which ``a.spread + b.spread`` bounds.  Wider spreads go to
-    mp.fdot itself.
+    This is what mp.fdot computes, except that mp.fdot drops a partial sum
+    or a term lying more than 2 prec bits below the other; the exact sum
+    keeps it.
     """
     prec = mp.mp.prec
-    if a.spread + b.spread > 2 * prec:
-        return mp.fdot(a.values, b.values)
     e = a.exp + b.exp
-    # an empty Im list (a vector without mpc values) drops its sums
-    re = libmp.from_man_exp(sum(map(mul, a.re, b.re)) - sum(map(mul, a.im, b.im)),
-                            e, prec, "n")
+    re = libmp.from_man_exp(_re_man(a, b), e, prec, "n")
     if not (a.im or b.im):
         return mp.make_mpf(re)
     im = libmp.from_man_exp(sum(map(mul, a.re, b.im)) + sum(map(mul, a.im, b.re)),
                             e, prec, "n")
     return mp.make_mpc((re, im))
+
+
+def int_dot_real(a: IntVector, b: IntVector, prec: int) -> float:
+    """Re(sum_j a_j b_j) summed exactly, rounded once to ``prec`` bits and
+    then to float."""
+    return libmp.to_float(libmp.from_man_exp(_re_man(a, b), a.exp + b.exp, prec, "n"),
+                          rnd="n")

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
 
 import mpmath as mp
 import numpy as np
-from mpmath import libmp
 
 from .biortho_time import (
     BiorthogonalFamily,
@@ -29,7 +27,7 @@ from .biortho_space import biorthogonalize_gram
 from .errors import SynthesisUnsupported, UnobservableMode, ZeroMuUnsupported
 from .models import Block2x2, ParabolicModel
 from .observations import combine
-from .precision import DEFAULT_DPS, int_parts, to_complex, to_mp, workdps
+from .precision import DEFAULT_DPS, int_dot_real, int_parts, to_complex, to_mp, workdps
 
 _TAIL_MODES = 50
 
@@ -312,10 +310,9 @@ def sample_plan(plan: ControlPlan, n: int = 2000):
     exponential recurrence of ``_basis_samples``.  Each sample is an exact
     integer dot product of a folded row with the basis values, both in the
     shared form ``precision.int_parts``, rounded once to the family's
-    precision and then to float.  Unlike ``precision.int_dot`` it keeps
-    the exact sum at any exponent spread (the basis values fall by
-    hundreds of bits between s = 0 and s = T), where mp.fdot may drop
-    terms.
+    precision and then to float (``precision.int_dot_real``).  The sum
+    stays exact at any exponent spread (the basis values fall by hundreds
+    of bits between s = 0 and s = T), where mp.fdot may drop terms.
     The cost is basis * (1 + distinct grid steps) mp exponentials, n *
     basis mp products and n * terms * basis integer products.
     """
@@ -330,10 +327,7 @@ def sample_plan(plan: ControlPlan, n: int = 2000):
     for i, funcs in enumerate(_basis_samples(family.span.basis(), T, ts, prec)):
         f = int_parts(funcs)
         for col, a in enumerate(rows):
-            # an empty Im list (no mpc in the row or the values) drops the Im*Im sum
-            man = sum(map(mul, a.re, f.re)) - sum(map(mul, a.im, f.im))
-            cols[col, i] = libmp.to_float(
-                libmp.from_man_exp(man, a.exp + f.exp, prec, "n"), rnd="n")
+            cols[col, i] = int_dot_real(a, f, prec)
     scalars = [getattr(t.direction, "value", None) for t in plan.terms]
     u = None
     if all(v is not None and np.imag(v) == 0 for v in scalars):

@@ -3,14 +3,15 @@ solve's residual against the matrix product it replaces."""
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath import libmp
 
-from nullcontrol import precision
 from nullcontrol.biortho_time import ExponentialSpan, _pairing_mp, build_biortho
 from nullcontrol.models import PiecewiseConstant, cascade_boundary_q
-from nullcontrol.precision import int_dot, int_parts, workdps
+from nullcontrol.precision import int_dot, int_dot_real, int_parts, workdps
 
 PI2 = math.pi**2
 
@@ -45,11 +46,34 @@ def _vector(rng, prec, n, spread, kind, short=0.2):
     return out
 
 
+def _fraction(x):
+    sign, man, exp, _ = x
+    return Fraction((-1) ** sign * man) * Fraction(2) ** exp
+
+
+def _exact(a, b):
+    """sum_j a_j b_j in Fractions, rounded once to the working precision."""
+    parts = [v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_, None) for v in a]
+    qarts = [v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_, None) for v in b]
+    re = im = Fraction(0)
+    for (ar, ai), (br, bi) in zip(parts, qarts):
+        ar, br = _fraction(ar), _fraction(br)
+        ai = Fraction(0) if ai is None else _fraction(ai)
+        bi = Fraction(0) if bi is None else _fraction(bi)
+        re += ar * br - ai * bi
+        im += ar * bi + ai * br
+    prec = mp.mp.prec
+    rnd = [libmp.from_rational(x.numerator, x.denominator, prec, "n") for x in (re, im)]
+    if any(isinstance(v, mp.mpc) for v in a + b):
+        return mp.make_mpc(tuple(rnd))
+    return mp.make_mpf(rnd[0])
+
+
 class TestIntDot:
     @pytest.mark.parametrize("dps", [60, 115, 301])
     @pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
     @pytest.mark.parametrize("spread", [0, 64, 400, 900])
-    def test_bit_identical_to_fdot(self, dps, kind, spread):
+    def test_rounds_the_exact_sum_once(self, dps, kind, spread):
         rng = random.Random(f"{dps}:{kind}:{spread}")
         with workdps(dps):
             prec = mp.mp.prec
@@ -57,9 +81,28 @@ class TestIntDot:
                 a = _vector(rng, prec, n, spread, kind)
                 b = _vector(rng, prec, n, spread, rng.choice(("real", kind)))
                 got = int_dot(int_parts(a), int_parts(b))
+                assert _bits(got) == _bits(_exact(a, b)), (n, a, b)
+
+    # full mantissas whose magnitudes spread over at most prec bits: the
+    # least significant bits of all products then lie within 2 prec bits
+    # of each other, and mp.fdot drops no term either
+    @pytest.mark.parametrize("dps,spread", [
+        (60, 0), (60, 64), (60, 200), (115, 0), (115, 64), (115, 380),
+        (301, 0), (301, 400), (301, 900),
+    ])
+    @pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+    def test_bit_identical_to_fdot(self, dps, spread, kind):
+        rng = random.Random(f"fdot:{dps}:{kind}:{spread}")
+        with workdps(dps):
+            prec = mp.mp.prec
+            assert spread <= prec
+            for n in range(1, 41):
+                a = _vector(rng, prec, n, spread, kind, short=0)
+                b = _vector(rng, prec, n, spread, rng.choice(("real", kind)), short=0)
+                got = int_dot(int_parts(a), int_parts(b))
                 assert _bits(got) == _bits(mp.fdot(a, b)), (n, a, b)
 
-    def test_rounds_the_exact_sum_once(self):
+    def test_keeps_terms_fdot_drops(self):
         # 1 + 2^-300 - 1 loses everything when rounded term by term at 60
         # digits (203 bits); the exact sum keeps 2^-300
         with workdps(60):
@@ -67,36 +110,16 @@ class TestIntDot:
             ones = [mp.mpf(1)] * 3
             assert int_dot(int_parts(a), int_parts(ones)) == mp.ldexp(1, -300)
             assert (a[0] + a[1]) + a[2] == 0
-
-    def test_wide_spread_follows_fdot(self):
-        # 2^500 + 1 - 2^500: mp.fdot drops the 1, which lies more than
-        # 2 prec bits below the partial sum; the kernel must do the same
-        with workdps(60):
+            # 2^500 + 1 - 2^500: mp.fdot drops the 1, which lies more than
+            # 2 prec bits below the partial sum
             a = [mp.ldexp(1, 500), mp.mpf(1), -mp.ldexp(1, 500)]
-            ones = [mp.mpf(1)] * 3
+            assert int_dot(int_parts(a), int_parts(ones)) == 1
             assert mp.fdot(a, ones) == 0
-            assert _bits(int_dot(int_parts(a), int_parts(ones))) == _bits(mp.fdot(a, ones))
 
-    def test_narrow_spread_stays_in_integers(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("mp.fdot called")
-
-        # full mantissas whose magnitudes spread over 64 bits, as in the
-        # rows of the pairing and of its inverse
-        rng = random.Random(7)
-        with workdps(115):
-            a = _vector(rng, mp.mp.prec, 40, 64, "complex", short=0)
-            b = _vector(rng, mp.mp.prec, 40, 64, "real", short=0)
-            want = mp.fdot(a, b)
-            monkeypatch.setattr(precision.mp, "fdot", refuse)
-            assert _bits(int_dot(int_parts(a), int_parts(b))) == _bits(want)
-
-    def test_non_finite_values_go_to_fdot(self):
-        with workdps(60):
-            a = [mp.mpf(1), mp.inf]
-            b = [mp.mpf(2), mp.mpf(3)]
-            assert int_parts(a).spread == math.inf
-            assert int_dot(int_parts(a), int_parts(b)) == mp.inf
+    @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan, mp.mpc(1, mp.inf)])
+    def test_non_finite_values_raise(self, bad):
+        with workdps(60), pytest.raises(ValueError, match="non-finite"):
+            int_parts([mp.mpf(1), bad])
 
     def test_parts_are_exact(self):
         with workdps(60):
@@ -106,6 +129,13 @@ class TestIntDot:
                 assert mp.ldexp(re, parts.exp) == mp.re(v)
                 assert mp.ldexp(im, parts.exp) == mp.im(v)
             assert int_parts(values[:1]).im == []
+
+    def test_real_part_as_float(self):
+        with workdps(60):
+            prec = mp.mp.prec
+            a = [mp.mpc(1, 2) / 3, mp.mpf(-5) / 7, mp.ldexp(1, -400)]
+            b = [mp.mpc(-2, 1) / 9, mp.mpf(11), mp.mpf(1)]
+            assert int_dot_real(int_parts(a), int_parts(b), prec) == float(mp.re(_exact(a, b)))
 
 
 def _cascade_jordan_span(N=16, T=0.5):
