@@ -7,7 +7,6 @@ from .biortho_time import (
     BiorthogonalFamily,
     ExponentialSpan,
     build_biortho,
-    build_biortho_jordan,
     cauchy_inverse_oracle,
     exp_gram,
     norm_growth_fit,
@@ -62,9 +61,6 @@ from .synthesis import (
     moment_rhs,
     sample_plan,
     synthesize,
-    synthesize_jordan,
-    synthesize_multiple,
-    synthesize_simple,
     terminal_projection,
     verify_moments,
 )

@@ -174,14 +174,13 @@ def exp_gram(span: ExponentialSpan) -> np.ndarray:
 @dataclass(frozen=True)
 class BiorthogonalFamily:
     span: ExponentialSpan
-    coeffs: np.ndarray          # float view of C: q_k = sum_j C[k, j] basis_j
     cond_estimate: float
     norms: np.ndarray           # ||q_k||_{L^2(0,T)}, may overflow to inf
     ln_norms: np.ndarray
     residual: float             # max |pairing(C) - I|
     degraded: bool
     dps: int
-    mp_coeffs: mp.matrix
+    mp_coeffs: mp.matrix        # C: q_k = sum_j C[k, j] basis_j
     mp_dual_gram: mp.matrix     # <q_i, q_j> = (C G C^H)[i, j]; C itself on real spans
     int_rows: list = field(repr=False, compare=False)  # rows of C as precision.int_parts
 
@@ -305,20 +304,18 @@ def build_biortho(span: ExponentialSpan) -> BiorthogonalFamily:
     if math.isinf(residual):
         raise IllConditioned(
             f"Gram not numerically positive definite at {dps} digits")
-    n = span.size
-    coeffs = np.array([[to_complex(C[i, j]) for j in range(n)] for i in range(n)])
     with np.errstate(over="ignore"):
         norms = np.exp(ln_norms)
     return BiorthogonalFamily(
-        span=span, coeffs=coeffs, cond_estimate=cond,
+        span=span, cond_estimate=cond,
         norms=norms, ln_norms=ln_norms, residual=residual,
         degraded=residual > RESIDUAL_THRESHOLD, dps=dps,
         mp_coeffs=C, mp_dual_gram=N, int_rows=c_rows,
     )
 
 
-# Alias looked up by tests and the benchmark's tracer; the span itself
-# carries the Jordan flag.
+# Not exported: the only reader is the benchmark's tracer
+# (perfbench/tracing.py ENTRY_POINTS).  The span carries the Jordan flag.
 build_biortho_jordan = build_biortho
 
 

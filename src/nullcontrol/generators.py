@@ -35,7 +35,12 @@ class SequenceRule:
 
     def mp_entries(self, n: int):
         """First n entries as mpf/mpc, normally ordered."""
-        raise NotImplementedError
+        return [self.mp_entry(j) for j in range(1, n + 1)]
+
+    def mp_entry(self, j: int):
+        """Entry j alone, bit-identical to ``mp_entries(j)[j - 1]``; a rule
+        overrides this or ``mp_entries``."""
+        return self.mp_entries(j)[j - 1]
 
     def _float_block_impl(self, n: int) -> np.ndarray:
         """First n entries in binary64 (pair splittings may collapse)."""
@@ -62,10 +67,9 @@ class PowerRule(SequenceRule):
         self.p = float(p)
         self.real = self.c.imag == 0.0
 
-    def mp_entries(self, n):
-        with workdps(self.head_dps(n)):
-            c = to_mp(self.c)
-            return [c * mp.mpf(k) ** self.p for k in range(1, n + 1)]
+    def mp_entry(self, j):
+        with workdps(self.head_dps(j)):
+            return to_mp(self.c) * mp.mpf(j) ** self.p
 
     def _float_block_impl(self, n):
         return self.c * np.arange(1, n + 1, dtype=float) ** self.p
@@ -115,18 +119,28 @@ class TwoDiffusionRule(SequenceRule):
         super().__init__()
         self.d = float(d)
         self.scale = float(scale)
+        self._tags: list = []
 
-    def _merged(self, n, xp):
-        # the n-th smallest of the union needs at most n members per family
-        m = n + 4
-        fam1 = [self.scale * xp(k) ** 2 for k in range(1, m + 1)]
-        fam2 = [self.scale * self.d * xp(k) ** 2 for k in range(1, m + 1)]
-        merged = sorted(fam1 + fam2, key=abs)
-        return merged[:n]
+    def _value(self, family, k):
+        # a binary64 factor times k^2: exact at the head precision
+        return (self.scale if family == 1 else self.scale * self.d) * mp.mpf(k) ** 2
 
-    def mp_entries(self, n):
-        with workdps(self.head_dps(n)):
-            return self._merged(n, lambda k: mp.mpf(k))
+    def tag(self, j):
+        """(family, k) of entry j: family 1 is {s k^2}, family 2 {s d k^2}."""
+        if len(self._tags) < j:
+            # two-pointer merge by exact value, family 1 first on a tie
+            m, tags, ks = max(j, 2 * len(self._tags)), [], [1, 1]
+            with workdps(self.head_dps(m)):
+                while len(tags) < m:
+                    fam = 1 if self._value(1, ks[0]) <= self._value(2, ks[1]) else 2
+                    tags.append((fam, ks[fam - 1]))
+                    ks[fam - 1] += 1
+            self._tags = tags
+        return self._tags[j - 1]
+
+    def mp_entry(self, j):
+        with workdps(self.head_dps(j)):
+            return self._value(*self.tag(j))
 
     def _float_block_impl(self, n):
         m = n + 4
@@ -148,26 +162,24 @@ class AcademicLfRule(SequenceRule):
         self.tau = float(tau)
 
     def head_dps(self, n):
-        kmax = (n + 1) // 2
-        return int(self.tau * _PI2 * kmax * kmax / math.log(10)) + 50
+        return self._dps((n + 1) // 2)
+
+    def _dps(self, k):
+        return int(self.tau * _PI2 * k * k / math.log(10)) + 50
 
     def _pair(self, k):
-        """(lam_k - f, lam_k + f) at the working precision."""
-        lam = mp.mpf(k) ** 2 * mp.pi**2
-        f = mp.e ** (-mp.mpf(self.tau) * lam)
-        return lam - f, lam + f
+        """(lam_k - f, lam_k + f) at the digits pair k needs, so an entry
+        does not depend on how many entries are asked for."""
+        with workdps(self._dps(k)):
+            lam = mp.mpf(k) ** 2 * mp.pi**2
+            f = mp.e ** (-mp.mpf(self.tau) * lam)
+            return lam - f, lam + f
 
     def mp_entries(self, n):
-        with workdps(self.head_dps(n)):
-            out = []
-            for k in range(1, (n + 3) // 2 + 1):
-                out.extend(self._pair(k))
-            return out[:n]
+        return [x for k in range(1, (n + 1) // 2 + 1) for x in self._pair(k)][:n]
 
     def mp_entry(self, j):
-        """Entry j alone, equal to ``mp_entries(j)[j - 1]``."""
-        with workdps(self.head_dps(j)):
-            return self._pair((j + 1) // 2)[(j + 1) % 2]
+        return self._pair((j + 1) // 2)[(j + 1) % 2]
 
     def _float_block_impl(self, n):
         ks = (np.arange(n) // 2) + 1

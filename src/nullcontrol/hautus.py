@@ -26,7 +26,6 @@ from .report import DEFAULT_WINDOW, ProfileReport, make_profile
 from . import spectral
 
 NEAR_ZERO_WARN = 1e-10
-_SPECTRUM_BUFFER = 4
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,7 @@ def tstar_gap_profile(model, K: int, window: int = DEFAULT_WINDOW,
     if model.structural_pair_kernel is None:
         raise StructuralHypothesisMissing(
             f"model {model.name} declares no two-mode kernel rule")
-    seq = model.spectrum(K + _SPECTRUM_BUFFER)
+    seq = model.spectrum(K)  # from_rule keeps spare entries past K
     bohr = spectral.bohr_profile(seq, K, window=window)
     re = seq.re[:K]
     vals = np.array([_clamp(v + math.log(r) / r) for v, r in zip(bohr.values, re)])

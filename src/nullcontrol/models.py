@@ -1,7 +1,8 @@
 """The concrete model gallery: spectra, observations, initial data.
 
 Each model exposes the data the moment method consumes: eigenvalues with
-multiplicity/Jordan structure, the observation values B* phi_{k,i} as
+multiplicity/Jordan structure (taken from the model's sequence rule, the
+one place that decides them), the observation values B* phi_{k,i} as
 ObservationVector instances, coefficients <y0, phi_{k,i}> of the initial
 state, and (when a closed form is known) the minimal-time profile rule.
 
@@ -16,14 +17,15 @@ from __future__ import annotations
 import math
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import mpmath as mp
 import numpy as np
 
 from .errors import DegenerateB, RationalRootWarning, SupportOverlap, UnobservableJordanBranch
-from .generators import AcademicLfRule, TwoDiffusionRule
+from .generators import AcademicLfRule, PowerRule, SequenceRule, TwoDiffusionRule
 from .observations import VANISH_TOL, Scalar, SineSeries
+from .precision import to_complex
 from .report import DEFAULT_WINDOW, ProfileReport, make_profile
 from . import spectral
 
@@ -63,20 +65,30 @@ def _default_y0(k: int, branch: int) -> complex:
 
 
 class ParabolicModel:
-    """Base class: lazily memoized mode construction."""
+    """Base class: lazily memoized mode construction.
+
+    ``rule`` alone decides the eigenvalues: mode j carries
+    ``rule.mp_entry(j)`` and ``spectrum`` reads the same entries, so
+    neither depends on the caller's mpmath precision."""
 
     name = "model"
     structural_pair_kernel: str | None = None
     observation_available = True
 
-    def __init__(self, y0_rule=None):
+    def __init__(self, y0_rule=None, rule: SequenceRule | None = None):
         self.y0_rule = y0_rule or _default_y0
+        self.rule = rule
         self.metadata: dict = {}
         self._modes: list[SpectralMode] = []
         self._lock = threading.Lock()
 
     def _mode(self, k: int) -> SpectralMode:
         raise NotImplementedError
+
+    def _rate(self, j: int):
+        """(lam, lam_mp) of mode j, both from the rule's entry j."""
+        lam_mp = self.rule.mp_entry(j)
+        return to_complex(lam_mp), lam_mp
 
     def modes(self, K: int) -> list[SpectralMode]:
         with self._lock:
@@ -85,8 +97,9 @@ class ParabolicModel:
             return self._modes[:K]
 
     def spectrum(self, K: int) -> spectral.SpectralSequence:
-        ms = self.modes(K)
-        return spectral.normal_order([m.lam_mp for m in ms], r=[m.r for m in ms])
+        """The rule's first K entries (plus its buffer) with the modes' multiplicities."""
+        seq = spectral.from_rule(self.rule, K)
+        return replace(seq, r=tuple(m.r for m in self.modes(len(seq))))
 
     def tmin_profile(self, K: int, window: int = DEFAULT_WINDOW,
                      cap: float | None = None) -> ProfileReport | None:
@@ -103,7 +116,7 @@ class PointwiseHeatModel(ParabolicModel):
     def __init__(self, x0: float, y0_rule=None):
         if not 0.0 < x0 < 1.0:
             raise ValueError("x0 must lie in (0, 1)")
-        super().__init__(y0_rule)
+        super().__init__(y0_rule, PowerRule(_PI2, 2.0))
         self.x0 = float(x0)
         self.metadata["observation"] = "sqrt(2) sin(k pi x0)"
 
@@ -112,18 +125,16 @@ class PointwiseHeatModel(ParabolicModel):
         return 0.0 if abs(v) < VANISH_TOL else v
 
     def _mode(self, k):
-        lam = k * k * _PI2
-        v = self._obs_value(k)
-        return SpectralMode(k, complex(lam), mp.mpf(k) ** 2 * mp.pi**2, "simple",
-                            (Scalar(v),), (complex(self.y0_rule(k, 1)),))
+        return SpectralMode(k, *self._rate(k), "simple", (Scalar(self._obs_value(k)),),
+                            (complex(self.y0_rule(k, 1)),))
 
     def tmin_profile(self, K, window=DEFAULT_WINDOW, cap=None):
         ks = np.arange(1, K + 1)
+        lams = self.rule.float_entries(K)
         vals = np.empty(K)
         for i, k in enumerate(ks):
             v = self._obs_value(int(k))
-            lam = float(k * k * _PI2)
-            vals[i] = math.inf if v == 0.0 else -math.log(abs(v)) / lam
+            vals[i] = math.inf if v == 0.0 else -math.log(abs(v)) / lams[i]
         return make_profile("tmin_pointwise", ks, vals, window, cap)
 
 
@@ -228,7 +239,7 @@ class CascadeInternalModel(ParabolicModel):
         for lo, hi in q.support():
             if lo < b and hi > a:
                 raise SupportOverlap(f"support piece ({lo}, {hi}) meets omega ({a}, {b})")
-        super().__init__(y0_rule)
+        super().__init__(y0_rule, PowerRule(_PI2, 2.0))
         self.q = q
         self.omega = (a, b)
         self.M = int(M)
@@ -238,7 +249,6 @@ class CascadeInternalModel(ParabolicModel):
         return (self.q.integral_sin2(k), self.q.integral_sin2(k, 0.0, self.omega[0]))
 
     def _mode(self, k):
-        lam = k * k * _PI2
         I_k, I1_k = self.coupling(k)
         ms, cs, solv, tail = _psi_coefficients(self.q, k, self.M)
         obs1 = SineSeries.single(k, 1.0, self.omega)
@@ -253,19 +263,18 @@ class CascadeInternalModel(ParabolicModel):
         }
         y0 = (complex(self.y0_rule(k, 1)), complex(self.y0_rule(k, 2)))
         if abs(I_k) <= VANISH_TOL:
-            return SpectralMode(k, complex(lam), mp.mpf(k) ** 2 * mp.pi**2, "multiple",
-                                (obs1, obs2), y0, r=2, meta=meta)
-        return SpectralMode(k, complex(lam), mp.mpf(k) ** 2 * mp.pi**2, "jordan",
-                            (obs1, obs2), y0, r=1, mu=complex(I_k), gamma=None, meta=meta)
+            return SpectralMode(k, *self._rate(k), "multiple", (obs1, obs2), y0, r=2, meta=meta)
+        return SpectralMode(k, *self._rate(k), "jordan", (obs1, obs2), y0,
+                            r=1, mu=complex(I_k), gamma=None, meta=meta)
 
     def tmin_profile(self, K, window=DEFAULT_WINDOW, cap=None):
         ks = np.arange(1, K + 1)
+        lams = self.rule.float_entries(K)
         vals = np.empty(K)
         for i, k in enumerate(ks):
             I_k, I1_k = self.coupling(int(k))
-            lam = float(k * k * _PI2)
             cands = [-math.log(abs(v)) for v in (I_k, I1_k) if abs(v) > 0.0]
-            vals[i] = min(cands) / lam if cands else math.inf
+            vals[i] = min(cands) / lams[i] if cands else math.inf
         return make_profile("tmin_cascade_internal", ks, vals, window, cap)
 
 
@@ -280,7 +289,7 @@ class CascadeBoundaryModel(ParabolicModel):
     structural_pair_kernel = "scalar-control"
 
     def __init__(self, q: PiecewiseConstant, M: int = 200, y0_rule=None):
-        super().__init__(y0_rule)
+        super().__init__(y0_rule, PowerRule(_PI2, 2.0))
         self.q = q
         self.M = int(M)
         self.metadata["convention"] = "obs_2 = psi_k'(0) from the truncated spectral expansion"
@@ -289,7 +298,6 @@ class CascadeBoundaryModel(ParabolicModel):
         return self.q.integral_sin2(k)
 
     def _mode(self, k):
-        lam = k * k * _PI2
         I_k = self.coupling(k)
         obs1_val = _SQRT2 * k * _PI
         if abs(obs1_val) < VANISH_TOL:
@@ -303,17 +311,17 @@ class CascadeBoundaryModel(ParabolicModel):
         gamma = obs2_val / obs1_val
         meta = {"I_k": I_k, "solvability_residual": solv, "obs2_tail_bound": deriv_tail}
         y0 = (complex(self.y0_rule(k, 1)), complex(self.y0_rule(k, 2)))
-        return SpectralMode(k, complex(lam), mp.mpf(k) ** 2 * mp.pi**2, "jordan",
+        return SpectralMode(k, *self._rate(k), "jordan",
                             (Scalar(obs1_val), Scalar(obs2_val)), y0,
                             r=1, mu=complex(I_k), gamma=complex(gamma), meta=meta)
 
     def tmin_profile(self, K, window=DEFAULT_WINDOW, cap=None):
         ks = np.arange(1, K + 1)
+        lams = self.rule.float_entries(K)
         vals = np.empty(K)
         for i, k in enumerate(ks):
             I_k = self.coupling(int(k))
-            lam = float(k * k * _PI2)
-            vals[i] = math.inf if I_k == 0.0 else -math.log(abs(I_k)) / lam
+            vals[i] = math.inf if I_k == 0.0 else -math.log(abs(I_k)) / lams[i]
         return make_profile("tmin_cascade_boundary", ks, vals, window, cap)
 
 
@@ -339,34 +347,16 @@ class _TwoDiffusionBase(ParabolicModel):
     structural_pair_kernel = "scalar-control"
 
     def __init__(self, d: float, y0_rule=None):
-        if d <= 0 or abs(d - 1.0) <= 1e-9:
-            raise ValueError("need d > 0 and d != 1")
+        super().__init__(y0_rule, TwoDiffusionRule(d, scale=_PI2))  # rejects d <= 0, d = 1
         _check_rational_root(d)
-        super().__init__(y0_rule)
         self.d = float(d)
-        self.rule = TwoDiffusionRule(self.d, scale=_PI2)
-        self._tags: list = []
-
-    def _tagged(self, n: int):
-        """Merged (value, family, underlying k), family 1 = slow diffusion."""
-        if len(self._tags) < n:
-            m = n + 8  # at most n per family enter the first n of the merge
-            fam1 = [(k * k * _PI2, 1, k) for k in range(1, m + 1)]
-            fam2 = [(self.d * k * k * _PI2, 2, k) for k in range(1, m + 1)]
-            self._tags = sorted(fam1 + fam2)[:m]
-        return self._tags[:n]
-
-    def spectrum(self, K):
-        return spectral.from_rule(self.rule, K)
 
     def _observation(self, fam: int, k: int):
         raise NotImplementedError
 
     def _mode(self, j):
-        val, fam, k = self._tagged(j)[j - 1]
-        lam_mp = (mp.mpf(1) if fam == 1 else mp.mpf(self.d)) * mp.mpf(k) ** 2 * mp.pi**2
-        return SpectralMode(j, complex(val), lam_mp, "simple",
-                            (self._observation(fam, k),),
+        fam, k = self.rule.tag(j)  # family 1 = slow diffusion
+        return SpectralMode(j, *self._rate(j), "simple", (self._observation(fam, k),),
                             (complex(self.y0_rule(j, 1)),),
                             meta={"family": fam, "underlying_k": k})
 
@@ -405,7 +395,8 @@ class TwoDiffusionPointwiseModel(_TwoDiffusionBase):
     def tmin_profile(self, K, window=DEFAULT_WINDOW, cap=None, rel_tail_tol=1e-10):
         seq = self.spectrum(K)
         observed = {}
-        for j, (_, _, k) in enumerate(self._tagged(K), start=1):
+        for j in range(1, K + 1):
+            _, k = self.rule.tag(j)
             s = abs(_SQRT2 * math.sin(k * _PI * self.x0))
             if s >= VANISH_TOL:
                 observed[j] = s
@@ -431,23 +422,15 @@ class AcademicLfModel(ParabolicModel):
     structural_pair_kernel = "paired-branches"
 
     def __init__(self, tau: float, y0_rule=None):
-        if tau <= 0:
-            raise ValueError("tau must be positive")
-        super().__init__(y0_rule)
+        super().__init__(y0_rule, AcademicLfRule(tau))  # rejects tau <= 0
         self.tau = float(tau)
-        self.rule = AcademicLfRule(self.tau)
-
-    def spectrum(self, K):
-        return spectral.from_rule(self.rule, K)
 
     def _mode(self, j):
         k = (j + 1) // 2
         minus_branch = (j % 2 == 1)
-        lam_mp = self.rule.mp_entry(j)
         sign = 1.0 if minus_branch else -1.0  # B* phi^- = +phi_k/sqrt2, B* phi^+ = -phi_k/sqrt2
         obs = SineSeries.single(k, sign / _SQRT2, (0.0, 1.0))
-        return SpectralMode(j, complex(float(lam_mp.real), 0.0), lam_mp, "simple",
-                            (obs,), (complex(self.y0_rule(j, 1)),),
+        return SpectralMode(j, *self._rate(j), "simple", (obs,), (complex(self.y0_rule(j, 1)),),
                             meta={"underlying_k": k, "branch": "-" if minus_branch else "+"})
 
     def tmin_profile(self, K, window=DEFAULT_WINDOW, cap=None):
@@ -463,6 +446,16 @@ def academic_lf(tau: float, y0_rule=None) -> AcademicLfModel:
 # ---------------------------------------------------------------------------
 # harmonic oscillator (diagnostics only)
 
+class _OddRule(SequenceRule):
+    """lambda_k = 2k - 1."""
+
+    def mp_entry(self, j):
+        return mp.mpf(2 * j - 1)
+
+    def _float_block_impl(self, n):
+        return 2.0 * np.arange(1, n + 1) - 1.0
+
+
 class HarmonicOscillatorModel(ParabolicModel):
     """lam_k = 2k - 1: the reciprocal sum diverges, so the minimal-time
     machinery does not apply; kept for the hypothesis diagnostics."""
@@ -471,14 +464,13 @@ class HarmonicOscillatorModel(ParabolicModel):
     observation_available = False
 
     def __init__(self):
-        super().__init__()
+        super().__init__(rule=_OddRule())
         self.metadata["caveat"] = (
             "the quantified test holds for every horizon while null "
             "controllability fails at every horizon; no synthesis is defined")
 
     def _mode(self, k):
-        lam = 2 * k - 1
-        return SpectralMode(k, complex(lam), mp.mpf(lam), "simple", (None,), (1.0 + 0.0j,))
+        return SpectralMode(k, *self._rate(k), "simple", (None,), (1.0 + 0.0j,))
 
 
 def harmonic_oscillator() -> HarmonicOscillatorModel:

@@ -20,7 +20,7 @@ from .biortho_time import (
     BiorthogonalFamily,
     ExponentialSpan,
     build_biortho,
-    build_biortho_jordan,  # noqa: F401  looked up by name on this module
+    build_biortho_jordan,  # noqa: F401  read only by perfbench/tracing.py ENTRY_POINTS
     pair_with_exponential_mp,
 )
 from .biortho_space import biorthogonalize_gram
@@ -192,8 +192,8 @@ def synthesize(model: ParabolicModel, T, N: int) -> ControlPlan:
     return _finalize(model, span.T, N, family, terms)
 
 
-# The per-kind names stay as aliases: tests and the benchmark's tracer
-# look them up on this module.
+# The per-kind aliases are not exported; their only reader is the
+# benchmark's tracer (perfbench/tracing.py ENTRY_POINTS).
 synthesize_simple = synthesize      # all modes simple
 synthesize_multiple = synthesize    # multiple eigenvalues
 synthesize_jordan = synthesize      # length-2 Jordan chains
@@ -393,10 +393,13 @@ def gramian_control_2x2(block: Block2x2, y0, T: float, rk4_h: float = 1e-4,
         norm_sq = float(w_mp[0] * r1 + w_mp[1] * r2)
         Q = np.array([[float(q11), float(q12)], [float(q12), float(q22)]])
         det_q, tr_q, sigma = float(det_mp), float(tr_mp), float(sigma_mp)
-        w = [float(x) for x in w_mp]
+        # u(T - s) = -e^{-lam1 s} [u0 + b2 w1 expm1(-(lam2 - lam1) s)]: the sum
+        # u0 = b1 w0 + b2 w1 cancels most digits of the weights at small T
+        u0, b2w1 = float(b1 * w_mp[0] + b2 * w_mp[1]), float(b2 * w_mp[1])
 
     def u(t: float) -> float:
-        return -(b1 * math.exp(-l1 * (T - t)) * w[0] + b2 * math.exp(-l2 * (T - t)) * w[1])
+        s = T - t
+        return -math.exp(-l1 * s) * (u0 + b2w1 * math.expm1(-(l2 - l1) * s))
 
     def rhs(t, y):
         ut = u(t)

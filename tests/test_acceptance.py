@@ -28,7 +28,6 @@ from nullcontrol import (
     academic_lf,
     block_2x2,
     build_biortho,
-    build_biortho_jordan,
     cascade_boundary_q,
     cauchy_inverse_oracle,
     check_hypotheses,
@@ -39,8 +38,7 @@ from nullcontrol import (
     norm_growth_fit,
     pointwise_heat,
     solve_mode,
-    synthesize_jordan,
-    synthesize_simple,
+    synthesize,
     tstar_estimate,
     verify_moments,
 )
@@ -114,7 +112,8 @@ def criterion_04():
     sq = [float(k * k) for k in range(1, 9)]
     fam_inf = build_biortho(ExponentialSpan(tuple(sq), None))
     oracle = cauchy_inverse_oracle(sq)
-    rel = float(np.max(np.abs(fam_inf.coeffs.real - oracle) / np.abs(oracle)))
+    coeffs = np.array(fam_inf.mp_coeffs.tolist(), dtype=float)
+    rel = float(np.max(np.abs(coeffs - oracle) / np.abs(oracle)))
     dt = time.perf_counter() - t0
     ok = fam.residual <= 1e-8 and rel <= 1e-10 and dt < 1.0
     return ok, f"residual {fam.residual:.2e}, oracle rel {rel:.2e}, {dt:.2f}s"
@@ -124,10 +123,10 @@ def criterion_05():
     """Doubled-basis residual (N=8, T=0.5) and Jordan norm-growth bound."""
     t0 = time.perf_counter()
     rates = tuple(k * k * PI2 for k in range(1, 9))
-    fam = build_biortho_jordan(ExponentialSpan(rates, 0.5, jordan=True))
+    fam = build_biortho(ExponentialSpan(rates, 0.5, jordan=True))
     tau = 0.25
     pair_rates = tuple(AppendixBRule(tau).mp_entries(12))
-    fam_pairs = build_biortho_jordan(ExponentialSpan(pair_rates, 1.0, jordan=True))
+    fam_pairs = build_biortho(ExponentialSpan(pair_rates, 1.0, jordan=True))
     rep = norm_growth_fit(fam_pairs, c_est=tau, window=12)
     dt = time.perf_counter() - t0
     ok = fam.residual <= 1e-6 and rep.slope <= 4 * tau + 0.1 and dt < 2.0
@@ -138,7 +137,7 @@ def criterion_06():
     """Simple synthesis: moment residuals, tail bound, finite norm."""
     t0 = time.perf_counter()
     model = pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k)
-    plan = synthesize_simple(model, 0.4, 10)
+    plan = synthesize(model, 0.4, 10)
     report = verify_moments(plan)
     dt = time.perf_counter() - t0
     ok = (report.max_abs <= 1e-8 and report.tail_bound <= 1e-15
@@ -153,7 +152,7 @@ def criterion_07():
     model = academic_lf(0.2, y0_rule=lambda k, i: 1.0)
     signs = {}
     for T in (0.1, 0.4):
-        plan = synthesize_simple(model, T, 12)
+        plan = synthesize(model, T, 12)
         pair_ln = [max(plan.ln_per_mode_norm[2 * i], plan.ln_per_mode_norm[2 * i + 1])
                    for i in range(6)]
         diffs = np.diff(pair_ln[2:])
@@ -170,7 +169,7 @@ def criterion_08():
     t0 = time.perf_counter()
     model = cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.0),)),
                                y0_rule=lambda k, i: 1.0 / k if i == 1 else 1.0 / k**2)
-    plan = synthesize_jordan(model, 0.5, 8)
+    plan = synthesize(model, 0.5, 8)
     report = verify_moments(plan)
     obs3 = model.modes(3)[2].obs[0].value
     dt = time.perf_counter() - t0
@@ -258,9 +257,9 @@ def criterion_13():
         C1, C2 = sorted(rng.uniform(0.1, 4.0, size=2))
         ok = ok and inequality_ratio(tv, T2, C1) >= inequality_ratio(tv, T1, C1)
         ok = ok and inequality_ratio(tv, T1, C2) >= inequality_ratio(tv, T1, C1)
-    p1 = synthesize_simple(pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k), 0.4, 6)
-    p2 = synthesize_simple(pointwise_heat(X0, y0_rule=lambda k, i: float(k)), 0.4, 6)
-    p12 = synthesize_simple(pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k + k), 0.4, 6)
+    p1 = synthesize(pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k), 0.4, 6)
+    p2 = synthesize(pointwise_heat(X0, y0_rule=lambda k, i: float(k)), 0.4, 6)
+    p12 = synthesize(pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k + k), 0.4, 6)
     c1 = np.array([t.coeff for t in p1.terms])
     c2 = np.array([t.coeff for t in p2.terms])
     c12 = np.array([t.coeff for t in p12.terms])

@@ -10,7 +10,6 @@ import pytest
 from nullcontrol import (
     ExponentialSpan,
     build_biortho,
-    build_biortho_jordan,
     cauchy_inverse_oracle,
     exp_gram,
     norm_growth_fit,
@@ -60,12 +59,12 @@ class TestBuildBiortho:
     def test_single_rate_infinite_horizon(self):
         fam = build_biortho(ExponentialSpan((1.0,), None))
         # q_1(t) = 2 e^{-t}, norm sqrt(2)
-        assert fam.coeffs[0, 0].real == pytest.approx(2.0, abs=1e-12)
+        assert float(fam.mp_coeffs[0, 0]) == pytest.approx(2.0, abs=1e-12)
         assert fam.norms[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_two_rates_exact_inverse(self):
         fam = build_biortho(ExponentialSpan((1.0, 2.0), None))
-        np.testing.assert_allclose(fam.coeffs.real, [[18.0, -24.0], [-24.0, 36.0]],
+        np.testing.assert_allclose(np.array(fam.mp_coeffs.tolist(), dtype=float), [[18.0, -24.0], [-24.0, 36.0]],
                                    rtol=1e-12)
         # biorthogonality by hand: int e^{-t} q_1 = 18/2 - 24/3 = 1
         assert 18 / 2 - 24 / 3 == 1 and 18 / 3 - 24 / 4 == 0
@@ -102,21 +101,21 @@ class TestBuildBiortho:
 class TestJordanFamily:
     def test_single_rate_exact_inverse(self):
         span = ExponentialSpan((1.0,), None, jordan=True)
-        fam = build_biortho_jordan(span)
+        fam = build_biortho(span)
         np.testing.assert_allclose(exp_gram(span).real, [[0.5, 0.25], [0.25, 0.25]], rtol=1e-14)
         # inverse of [[1/2, 1/4], [1/4, 1/4]] (det 1/16) is [[4, -4], [-4, 8]]
-        np.testing.assert_allclose(fam.coeffs.real, [[4.0, -4.0], [-4.0, 8.0]], rtol=1e-12)
+        np.testing.assert_allclose(np.array(fam.mp_coeffs.tolist(), dtype=float), [[4.0, -4.0], [-4.0, 8.0]], rtol=1e-12)
         # q_{1,1} = 4 e^{-t} - 4 t e^{-t}: <e^{-t}, q11> = 4/2 - 4/4 = 1,
         # <t e^{-t}, q11> = 4 * 1/4 - 4 * 2/8 = 0
         assert 4 / 2 - 4 / 4 == 1 and 4 * (1 / 4) - 4 * (2 / 8) == 0
 
     def test_heat_rates_doubled_basis_residual(self):
         rates = tuple(k * k * PI2 for k in range(1, 9))
-        fam = build_biortho_jordan(ExponentialSpan(rates, 0.5, jordan=True))
+        fam = build_biortho(ExponentialSpan(rates, 0.5, jordan=True))
         assert fam.residual <= 1e-6
 
     def test_labels_interleave(self):
-        fam = build_biortho_jordan(ExponentialSpan((1.0, 2.0), 1.0, jordan=True))
+        fam = build_biortho(ExponentialSpan((1.0, 2.0), 1.0, jordan=True))
         assert fam.labels() == ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
@@ -240,7 +239,7 @@ class TestCauchyOracle:
         rates = [float(k * k) for k in range(1, 9)]
         oracle = cauchy_inverse_oracle(rates)
         fam = build_biortho(ExponentialSpan(tuple(rates), None))
-        np.testing.assert_allclose(fam.coeffs.real, oracle, rtol=1e-10)
+        np.testing.assert_allclose(np.array(fam.mp_coeffs.tolist(), dtype=float), oracle, rtol=1e-10)
 
 
 def _fsum_pairing(fam, mu, a):
@@ -310,7 +309,7 @@ class TestNormGrowth:
         tau = 0.25
         rule = AppendixBRule(tau)
         rates = tuple(rule.mp_entries(12))
-        fam = build_biortho_jordan(ExponentialSpan(rates, 1.0, jordan=True))
+        fam = build_biortho(ExponentialSpan(rates, 1.0, jordan=True))
         rep = norm_growth_fit(fam, c_est=tau, window=12)
         assert rep.slope <= 4 * tau + 0.1
 

@@ -16,7 +16,7 @@ from nullcontrol import (
     harmonic_oscillator,
     moment_rhs,
     pointwise_heat,
-    synthesize_simple,
+    synthesize,
     verify_moments,
 )
 from nullcontrol.cli import main as cli_main
@@ -59,19 +59,19 @@ class TestComplexRates:
                 return SpectralMode(k, lam, to_mp(lam), "simple",
                                     (Scalar(1.0 + 0.5j),), (1.0 / k,))
 
-        plan = synthesize_simple(ComplexPair(), 0.5, 4)
+        plan = synthesize(ComplexPair(), 0.5, 4)
         assert verify_moments(plan).max_abs <= 1e-12
 
 
 class TestControlNormIdentities:
     def test_total_norm_below_triangle_bound(self):
         model = pointwise_heat(math.sqrt(2.0) - 1.0, y0_rule=lambda k, i: 1.0 / k)
-        plan = synthesize_simple(model, 0.4, 8)
+        plan = synthesize(model, 0.4, 8)
         assert plan.total_norm <= float(np.sum(plan.per_mode_norm)) + 1e-10
 
     def test_single_term_norm_equals_per_mode(self):
         model = pointwise_heat(0.3, y0_rule=lambda k, i: 1.0 if k == 1 else 0.0)
-        plan = synthesize_simple(model, 0.5, 1)
+        plan = synthesize(model, 0.5, 1)
         assert plan.total_norm == pytest.approx(plan.per_mode_norm[0], rel=1e-10)
 
     def test_total_norm_quadrature_cross_check(self):
@@ -79,7 +79,7 @@ class TestControlNormIdentities:
         from nullcontrol import sample_plan
 
         model = pointwise_heat(0.3, y0_rule=lambda k, i: 1.0 / k)
-        plan = synthesize_simple(model, 0.6, 4)
+        plan = synthesize(model, 0.6, 4)
         ts, _, u = sample_plan(plan, n=40001)
         grid = math.sqrt(np.trapezoid(u * u, ts))
         assert grid == pytest.approx(plan.total_norm, rel=1e-5)
@@ -88,7 +88,7 @@ class TestControlNormIdentities:
 class TestRefusalsAndExitCodes:
     def test_harmonic_oscillator_synthesis_refused(self):
         with pytest.raises(SynthesisUnsupported):
-            synthesize_simple(harmonic_oscillator(), 0.5, 4)
+            synthesize(harmonic_oscillator(), 0.5, 4)
 
     def test_numerical_failure_exit_code_3(self, tmp_path, capsys):
         # lam_k = k^0.8 is not summable: no far-tail bound of ln|E'| exists

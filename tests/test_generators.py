@@ -25,6 +25,36 @@ class TestTwoDiffusionMerge:
         np.testing.assert_allclose(np.real(rule.float_entries(60)), mp_vals, rtol=1e-12)
 
 
+class TestEntryAlone:
+    @pytest.mark.parametrize("name, params", [
+        ("power", {"c": math.pi**2, "p": 2.0}),
+        ("power", {"c": 1 + 0.5j, "p": 1.5}),
+        ("two_diffusion", {"d": 3.7, "scale": math.pi**2}),
+        ("two_diffusion", {"d": 0.3, "scale": 1.0}),
+        ("academic_lf", {"tau": 0.2}),
+    ])
+    def test_entry_matches_every_head(self, name, params):
+        # entry j does not depend on how many entries are asked for
+        heads = [make_rule(name, **params).mp_entries(n) for n in (1, 7, 40)]
+        rule = make_rule(name, **params)
+        for j in range(40, 0, -1):  # largest first: the merge must grow on demand
+            got = rule.mp_entry(j)
+            for head in heads:
+                if j <= len(head):
+                    assert got == head[j - 1] and repr(got) == repr(head[j - 1]), j
+
+    def test_appendix_entry_defaults_to_its_head(self):
+        rule = make_rule("appendixB", tau=0.5)
+        for j in (1, 2, 9, 30):
+            assert repr(rule.mp_entry(j)) == repr(rule.mp_entries(j)[j - 1])
+
+    def test_two_diffusion_tags(self):
+        rule = make_rule("two_diffusion", d=2.0, scale=1.0)
+        # 1, 2, 4, 8, 9, 16
+        assert [rule.tag(j) for j in range(1, 7)] == [(1, 1), (2, 1), (1, 2), (2, 2),
+                                                       (1, 3), (1, 4)]
+
+
 class TestPairRules:
     def test_appendix_pairs_resolved_at_head_precision(self):
         rule = make_rule("appendixB", tau=1.0)

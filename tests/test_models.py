@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -20,6 +21,7 @@ from nullcontrol import (
     two_diffusion_pointwise,
 )
 from nullcontrol.errors import DegenerateB, RationalRootWarning, SupportOverlap
+from nullcontrol.precision import to_complex
 
 PI2 = math.pi**2
 SQRT2 = math.sqrt(2.0)
@@ -288,6 +290,56 @@ class TestHarmonicOscillator:
 
     def test_caveat_recorded(self):
         assert "caveat" in harmonic_oscillator().metadata
+
+
+def _gallery():
+    q = PiecewiseConstant(((0.0, 0.2, 1.0),))
+    return [
+        pointwise_heat(math.sqrt(2.0) - 1.0),
+        cascade_internal_q(q, (0.5, 0.7)),
+        cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.0),))),
+        two_diffusion_boundary(2.0),
+        two_diffusion_boundary(3.7),
+        two_diffusion_pointwise(3.7, math.sqrt(2.0) - 1.0),
+        academic_lf(0.2),
+        harmonic_oscillator(),
+    ]
+
+
+class TestOneSpectrum:
+    """modes() and spectrum() read the same entries of the model's rule."""
+
+    @pytest.mark.parametrize("model", _gallery(), ids=lambda m: f"{m.name}")
+    def test_modes_carry_the_spectrum_entries(self, model):
+        K = 100
+        seq = model.spectrum(K)
+        for j, m in enumerate(model.modes(K), start=1):
+            entry = seq.entry(j)
+            assert m.lam_mp == entry and repr(m.lam_mp) == repr(entry), j
+            assert m.lam == to_complex(entry), j
+
+    def test_heat_rates_are_exact(self):
+        # fl(pi^2) k^2, whatever precision is in force when a mode is built
+        for dps in (15, 40):
+            model = pointwise_heat(0.3)
+            with mp.workdps(dps):
+                modes = model.modes(50)
+            with mp.workdps(100):
+                for k, m in enumerate(modes, start=1):
+                    assert m.lam_mp == mp.mpf(PI2) * k * k
+                    assert m.lam == k * k * PI2
+
+    def test_null_coupling_keeps_multiplicity(self):
+        model = cascade_internal_q(PiecewiseConstant(((0.0, 0.2, 0.0),)), (0.5, 0.7))
+        seq = model.spectrum(20)
+        assert set(seq.r) == {2}
+        assert check_hypotheses(seq, 20).sup_rk == 2
+
+    def test_spectrum_keeps_spare_entries(self):
+        # the rule's buffer: 16 entries for K = 8, as check_hypotheses needs
+        seq = pointwise_heat(0.3).spectrum(8)
+        assert len(seq) == 16 and seq.rule is not None
+        assert check_hypotheses(seq, 8).summable
 
 
 class TestBlock2x2:

@@ -19,10 +19,9 @@ from nullcontrol import (
     moment_rhs,
     pointwise_heat,
     synthesize,
-    synthesize_jordan,
-    synthesize_multiple,
-    synthesize_simple,
     terminal_projection,
+    two_diffusion_boundary,
+    two_diffusion_pointwise,
     verify_moments,
 )
 from nullcontrol import synthesis
@@ -74,7 +73,7 @@ class TestMomentRhs:
 class TestSynthesizeSimple:
     def test_heat_moment_residuals(self):
         model = pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k)
-        plan = synthesize_simple(model, 0.4, 10)
+        plan = synthesize(model, 0.4, 10)
         report = verify_moments(plan)
         assert report.max_abs <= 1e-8
         assert report.tail_bound <= 1e-15
@@ -82,22 +81,22 @@ class TestSynthesizeSimple:
 
     def test_single_mode_plan(self):
         model = pointwise_heat(X0, y0_rule=lambda k, i: 1.0 if k == 1 else 0.0)
-        plan = synthesize_simple(model, 0.5, 1)
+        plan = synthesize(model, 0.5, 1)
         obs = model.modes(1)[0].obs[0]
         want = -math.exp(-PI2 * 0.5) / obs.norm() ** 2
         assert plan.terms[0].coeff.real == pytest.approx(want, rel=1e-12)
 
     def test_unobservable_mode_rejected(self):
         with pytest.raises(UnobservableMode):
-            synthesize_simple(pointwise_heat(0.5), 0.4, 4)
+            synthesize(pointwise_heat(0.5), 0.4, 4)
 
     def test_linearity_in_initial_data(self):
         m1 = pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k)
         m2 = pointwise_heat(X0, y0_rule=lambda k, i: float(k))
         m12 = pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k + float(k))
-        p1 = synthesize_simple(m1, 0.4, 6)
-        p2 = synthesize_simple(m2, 0.4, 6)
-        p12 = synthesize_simple(m12, 0.4, 6)
+        p1 = synthesize(m1, 0.4, 6)
+        p2 = synthesize(m2, 0.4, 6)
+        p12 = synthesize(m12, 0.4, 6)
         c1 = np.array([t.coeff for t in p1.terms])
         c2 = np.array([t.coeff for t in p2.terms])
         c12 = np.array([t.coeff for t in p12.terms])
@@ -117,27 +116,27 @@ class TestSynthesizeSimple:
                 return mode
 
         s = 3.0
-        base = synthesize_simple(pointwise_heat(X0), 0.4, 5)
-        scaled = synthesize_simple(Scaled(s), 0.4 * s, 5)
+        base = synthesize(pointwise_heat(X0), 0.4, 5)
+        scaled = synthesize(Scaled(s), 0.4 * s, 5)
         assert scaled.total_norm == pytest.approx(base.total_norm / math.sqrt(s), rel=1e-10)
 
     def test_verification_beyond_plan_reports_leakage(self):
         model = pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k)
-        plan = synthesize_simple(model, 0.4, 6)
+        plan = synthesize(model, 0.4, 6)
         report = verify_moments(plan, N_check=8)
         assert (7, 1) in report.leakage and (8, 1) in report.leakage
         assert report.max_abs <= 1e-8  # leakage not counted against the plan
 
     def test_terminal_projection_equals_residuals(self):
         model = pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k)
-        plan = synthesize_simple(model, 0.4, 6)
+        plan = synthesize(model, 0.4, 6)
         report = verify_moments(plan, N_check=8)
         proj = terminal_projection(plan, K=8)
         for key, val in report.residuals.items():
             assert proj[key] == val
 
     def test_tail_bound_ignores_caller_precision(self):
-        plan = synthesize_simple(pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k), 0.4, 8)
+        plan = synthesize(pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k), 0.4, 8)
         bounds = []
         for dps in (15, 80):
             with mp.workdps(dps):
@@ -147,10 +146,38 @@ class TestSynthesizeSimple:
 
     def test_zero_initial_data_zero_plan(self):
         model = pointwise_heat(X0, y0_rule=lambda k, i: 0.0)
-        plan = synthesize_simple(model, 0.4, 5)
+        plan = synthesize(model, 0.4, 5)
         assert plan.total_norm == pytest.approx(0.0, abs=1e-30)
         report = verify_moments(plan)
         assert report.max_abs == pytest.approx(0.0, abs=1e-30)
+
+
+_CALLER_DPS_MODELS = [
+    (lambda: pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k), 0.4, 6),
+    (lambda: academic_lf(0.2, y0_rule=lambda k, i: 1.0), 0.5, 4),
+    (lambda: cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.0),))), 0.5, 3),
+    (lambda: cascade_internal_q(*_null_coupling_q()), 0.5, 3),
+    (lambda: two_diffusion_boundary(3.7), 0.5, 6),
+    (lambda: two_diffusion_pointwise(3.7, X0), 0.5, 6),
+]
+
+
+class TestCallerPrecision:
+    @pytest.mark.parametrize("make,T,N", _CALLER_DPS_MODELS,
+                             ids=["heat", "academic", "cascade_boundary", "cascade_internal",
+                                  "two_diffusion_boundary", "two_diffusion_pointwise"])
+    def test_plan_independent_of_dps_at_mode_build(self, make, T, N):
+        plans = []
+        for dps in (15, 40):
+            model = make()
+            with mp.workdps(dps):
+                model.modes(N)
+            plans.append(synthesize(model, T, N))
+        lo, hi = plans
+        assert lo.total_norm == hi.total_norm
+        np.testing.assert_array_equal(lo.per_mode_norm, hi.per_mode_norm)
+        assert [t.coeff for t in lo.terms] == [t.coeff for t in hi.terms]
+        assert [repr(t.coeff_mp) for t in lo.terms] == [repr(t.coeff_mp) for t in hi.terms]
 
 
 class TestSynthesizeMultiple:
@@ -159,7 +186,7 @@ class TestSynthesizeMultiple:
         model = cascade_internal_q(q, omega)
         modes = model.modes(3)
         assert all(m.kind == "multiple" for m in modes)
-        plan = synthesize_multiple(model, 0.5, 3)
+        plan = synthesize(model, 0.5, 3)
         report = verify_moments(plan)
         assert report.max_abs <= 1e-7
 
@@ -190,7 +217,7 @@ class TestSynthesizeMultiple:
                                     (1.0, 1.0), r=2)
 
         with pytest.raises(DegenerateFamily):
-            synthesize_multiple(Dependent(), 0.5, 2)
+            synthesize(Dependent(), 0.5, 2)
 
 
 class _ZeroMu(PointwiseHeatModel):
@@ -244,7 +271,7 @@ class TestSynthesizeJordan:
     def test_cascade_boundary_generalized_residuals(self):
         model = cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.0),)),
                                    y0_rule=lambda k, i: 1.0 / k if i == 1 else 1.0 / k**2)
-        plan = synthesize_jordan(model, 0.5, 8)
+        plan = synthesize(model, 0.5, 8)
         report = verify_moments(plan)
         assert report.max_abs <= 1e-6
 
@@ -253,7 +280,7 @@ class TestSynthesizeJordan:
         model = cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.0),)),
                                    y0_rule=lambda k, i: 1.0 if i == 1 else 0.0)
         T = 0.5
-        plan = synthesize_jordan(model, T, 1)
+        plan = synthesize(model, T, 1)
         mode = model.modes(1)[0]
         lam, mu, gamma = mode.lam.real, mode.mu.real, mode.gamma.real
         nsq = mode.obs[0].norm() ** 2
@@ -272,8 +299,8 @@ class TestSynthesizeJordan:
         # observations decay like e^{-rho lam}: k <= 10 keeps them above
         # the unobservability snap threshold
         model = _SyntheticJordan(0.3)
-        lo = synthesize_jordan(model, 0.4, 10)
-        hi = synthesize_jordan(model, 0.7, 10)
+        lo = synthesize(model, 0.4, 10)
+        hi = synthesize(model, 0.7, 10)
         ln_lo = [max(lo.ln_per_mode_norm[2 * i], lo.ln_per_mode_norm[2 * i + 1])
                  for i in range(4, 10)]
         ln_hi = [max(hi.ln_per_mode_norm[2 * i], hi.ln_per_mode_norm[2 * i + 1])
@@ -286,7 +313,7 @@ class TestAcademicDichotomy:
     @pytest.mark.parametrize("T,increasing", [(0.1, True), (0.4, False)])
     def test_per_pair_norm_growth_sign(self, T, increasing):
         model = academic_lf(0.2, y0_rule=lambda k, i: 1.0)
-        plan = synthesize_simple(model, T, 12)
+        plan = synthesize(model, T, 12)
         pair_ln = [max(plan.ln_per_mode_norm[2 * i], plan.ln_per_mode_norm[2 * i + 1])
                    for i in range(6)]
         diffs = np.diff(pair_ln[2:])
@@ -294,7 +321,7 @@ class TestAcademicDichotomy:
 
     def test_moment_residuals_stay_small(self):
         model = academic_lf(0.2, y0_rule=lambda k, i: 1.0)
-        plan = synthesize_simple(model, 0.4, 12)
+        plan = synthesize(model, 0.4, 12)
         report = verify_moments(plan)
         assert report.max_abs <= 1e-8
 
@@ -496,6 +523,28 @@ class TestGramian2x2:
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError, match="positive"):
             gramian_control_2x2(block_2x2(1.0, 2.0, (1.0, 1.0)), (1.0, 1.0), 0.0)
+
+    @pytest.mark.parametrize("T", [1e-9, 1e-6, 1.0])
+    def test_samples_match_high_precision_control(self, T):
+        # u = -(b1 e^{-lam1 s} w0 + b2 e^{-lam2 s} w1), s = T - t, cancels
+        # about 9.5 digits in binary64 at T = 1e-9
+        lam1, lam2, b = 1.0, 2.0, (1.0, -0.5)
+        y0 = (1.0, 1.0)
+        res = gramian_control_2x2(block_2x2(lam1, lam2, b), y0, T, samples=200)
+        with mp.workdps(80):
+            Tm = mp.mpf(T)
+            eta = lambda s: mp.expm1(s) / s
+            q11 = Tm * b[0] ** 2 * eta(-2 * lam1 * Tm)
+            q12 = Tm * b[0] * b[1] * eta(-(lam1 + lam2) * Tm)
+            q22 = Tm * b[1] ** 2 * eta(-2 * lam2 * Tm)
+            det = q11 * q22 - q12 * q12
+            r1, r2 = mp.exp(-lam1 * Tm) * y0[0], mp.exp(-lam2 * Tm) * y0[1]
+            w0, w1 = (q22 * r1 - q12 * r2) / det, (q11 * r2 - q12 * r1) / det
+            ref = np.array([float(-(b[0] * mp.exp(-lam1 * (Tm - t)) * w0
+                                    + b[1] * mp.exp(-lam2 * (Tm - t)) * w1))
+                            for t in res.times])
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(res.samples - ref)) <= 1e-14 * scale
 
     def test_closed_form_norm_matches_grid(self):
         res = gramian_control_2x2(block_2x2(1.0, 2.0, (1.0, 1.0)), (1.0, 1.0), 1.0,
