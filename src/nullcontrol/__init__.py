@@ -8,9 +8,7 @@ from .biortho_time import (
     ExponentialSpan,
     build_biortho,
     cauchy_inverse_oracle,
-    exp_gram,
     norm_growth_fit,
-    pair_with_exponential,
 )
 from .generators import make_rule
 from .grushin import (
@@ -53,15 +51,12 @@ from .spectral import (
     log_E_prime,
     log_eprime_single_family,
     log_eprime_two_family,
-    normal_order,
 )
 from .synthesis import (
     ControlPlan,
     gramian_control_2x2,
-    moment_rhs,
     sample_plan,
     synthesize,
-    terminal_projection,
     verify_moments,
 )
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import IllConditioned
 from .precision import (
-    DEFAULT_DPS, MAX_DPS, auto_dps_for_gaps, int_dot, int_parts, to_complex, to_mp, workdps,
+    MAX_DPS, auto_dps_for_gaps, int_dot, int_parts, to_mp, workdps,
 )
 
 RESIDUAL_THRESHOLD = 1e-8
@@ -45,8 +45,7 @@ class ExponentialSpan:
     """Distinct decay rates with Re > 0 on a horizon T (None = infinite).
 
     With ``jordan=True`` the span holds both e^{-lam t} and t e^{-lam t}
-    per rate; basis functions are labelled (k, j) with j in {1, 2} and
-    ordered (1,1), (1,2), (2,1), ...
+    per rate, interleaved: ``basis()`` runs (r_1, 0), (r_1, 1), (r_2, 0), ...
     """
 
     rates: tuple
@@ -80,14 +79,6 @@ class ExponentialSpan:
     def real(self) -> bool:
         return all(mp.im(r) == 0 for r in self.rates)
 
-    def labels(self):
-        if not self.jordan:
-            return tuple((k, 1) for k in range(1, len(self.rates) + 1))
-        out = []
-        for k in range(1, len(self.rates) + 1):
-            out += [(k, 1), (k, 2)]
-        return tuple(out)
-
     def basis(self):
         """(rate, t-power) per basis function."""
         if not self.jordan:
@@ -100,25 +91,20 @@ class ExponentialSpan:
     def min_log_rel_gap(self) -> float:
         """ln of the smallest relative pairwise rate gap.
 
-        Escalates the working precision until the smallest gap resolves
-        (distinct rates can differ by e^{-900} and beyond)."""
+        Distinct rates can differ by e^{-900} and beyond, but an mpf
+        difference is exact before it is rounded, so every gap of the
+        (distinct) rates is nonzero at any working precision."""
         if len(self.rates) == 1:
             return 0.0
-        dps = max(mp.mp.dps, 50)
-        while True:
-            with workdps(dps):
-                best = None
-                for i in range(len(self.rates)):
-                    for j in range(i + 1, len(self.rates)):
-                        g = abs(self.rates[i] - self.rates[j]) \
-                            / (1 + abs(self.rates[i]) + abs(self.rates[j]))
-                        if best is None or g < best:
-                            best = g
-                if best > 0:
-                    return float(mp.log(best))
-            if dps >= MAX_DPS:
-                return float("-inf")
-            dps = min(MAX_DPS, 8 * dps)
+        with workdps(max(mp.mp.dps, 50)):
+            best = None
+            for i in range(len(self.rates)):
+                for j in range(i + 1, len(self.rates)):
+                    g = abs(self.rates[i] - self.rates[j]) \
+                        / (1 + abs(self.rates[i]) + abs(self.rates[j]))
+                    if best is None or g < best:
+                        best = g
+            return float(mp.log(best))
 
 
 def int_pow_exp(a: int, s, T):
@@ -163,14 +149,6 @@ def _pairing_mp(span: ExponentialSpan) -> mp.matrix:
     return M
 
 
-def exp_gram(span: ExponentialSpan) -> np.ndarray:
-    """The span's Gram matrix as complex128 (real rates: also the pairing)."""
-    with workdps(DEFAULT_DPS):
-        G = _gram_mp(span)
-        n = G.rows
-        return np.array([[to_complex(G[i, j]) for j in range(n)] for i in range(n)])
-
-
 @dataclass(frozen=True)
 class BiorthogonalFamily:
     span: ExponentialSpan
@@ -187,9 +165,6 @@ class BiorthogonalFamily:
     @property
     def size(self) -> int:
         return self.span.size
-
-    def labels(self):
-        return self.span.labels()
 
 
 def _displacement(span: ExponentialSpan):
@@ -334,12 +309,6 @@ def pair_with_exponential_mp(family: BiorthogonalFamily, mu, a: int = 0) -> list
     with workdps(family.dps):
         col = int_parts(int_pow_exp(a + p, mu + r, span.T) for (r, p) in span.basis())
         return [int_dot(row, col) for row in family.int_rows]
-
-
-def pair_with_exponential(family: BiorthogonalFamily, mu, a: int = 0) -> np.ndarray:
-    """Float view of pair_with_exponential_mp."""
-    return np.array([to_complex(v) for v in pair_with_exponential_mp(family, mu, a)],
-                    dtype=complex)
 
 
 def cauchy_inverse_oracle(rates) -> np.ndarray:

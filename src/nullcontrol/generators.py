@@ -208,12 +208,12 @@ class ExplicitRule(SequenceRule):
         return self.values[:n]
 
     def _float_block_impl(self, n):
-        if n > len(self.values):
-            n = len(self.values)
         return np.array([to_complex(v) for v in self.values[:n]])
 
     def float_entries(self, n):
-        return super().float_entries(min(n, len(self.values)))
+        if n > len(self.values):
+            raise IndexError("explicit sequence exhausted")
+        return super().float_entries(n)
 
 
 _RULES = {

@@ -203,6 +203,12 @@ class PiecewiseConstant:
         return out
 
 
+def _tail_ms(M: int, k: int) -> np.ndarray:
+    """m = M+1 .. M+20000 without m = k (the psi series skips it), as floats."""
+    mm = np.arange(M + 1, M + 20001, dtype=float)
+    return mm[mm != k]
+
+
 def _psi_coefficients(q: PiecewiseConstant, k: int, M: int):
     """Spectral solve of -psi'' - lam_k psi = (I_k - q) phi_k with
     <psi, phi_k> = 0: psi_hat_m = -<q phi_k, phi_m> / (lam_m - lam_k).
@@ -221,7 +227,7 @@ def _psi_coefficients(q: PiecewiseConstant, k: int, M: int):
     # solvability: <(I_k - q) phi_k, phi_k> must vanish identically
     solv = q.integral_sin2(k) - q.integral_cross(k, k)
     V = q.total_variation()
-    mm = np.arange(M + 1, M + 20001, dtype=float)
+    mm = _tail_ms(M, k)
     gbound = (4.0 * V / _PI) / (mm - k)
     tail = float(np.sum((gbound / ((mm * mm - k * k) * _PI2)) ** 2))
     return np.array(ms), np.array(cs), solv, tail
@@ -305,7 +311,7 @@ class CascadeBoundaryModel(ParabolicModel):
         ms, cs, solv, _ = _psi_coefficients(self.q, k, self.M)
         obs2_val = float(np.sum(cs * (_SQRT2 * ms * _PI)))
         V = self.q.total_variation()
-        mm = np.arange(self.M + 1, self.M + 20001, dtype=float)
+        mm = _tail_ms(self.M, k)
         deriv_tail = float(np.sum((4.0 * V / _PI) / (mm - k) * (_SQRT2 * mm * _PI)
                                   / ((mm * mm - k * k) * _PI2)))
         gamma = obs2_val / obs1_val

@@ -1,4 +1,4 @@
-"""Spectral sequences: ordering, hypothesis checks, clustering indices.
+"""Spectral sequences: materialization, hypothesis checks, clustering indices.
 
 The two clustering diagnostics are windowed finite surrogates of
 limsup-type indices of a normally ordered sequence (lam_k):
@@ -25,19 +25,17 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import mpmath as mp
 import numpy as np
 
 from .errors import DuplicateEntry, NonPositiveRealPart, TailBoundUnachievable, TooFewModes
 from .generators import SequenceRule
-from .precision import mp_log_abs, to_complex, to_mp, workdps
+from .precision import mp_log_abs, to_complex, workdps
 from .report import DEFAULT_WINDOW, ProfileReport, make_profile
 
 _HEAD_BUFFER = 8
 _J_MAX = 8_000_000
-_DUP_GAP = 1e-300
 _FIT_TOL = 0.05  # summable once the fitted growth exponent exceeds 1 + _FIT_TOL
 
 
@@ -46,13 +44,14 @@ class SpectralSequence:
     """Normally ordered eigenvalues with their multiplicities.
 
     ``values`` are mpf/mpc scalars; multiplicity is carried by ``r``,
-    never by repetition.  ``rule`` (when present) extends the sequence
-    lazily past the stored head for tail evaluations.
+    never by repetition.  ``rule`` is the sequence the values came from:
+    an infinite rule extends it lazily past the stored head for tail
+    evaluations, a finite one is stored whole.
     """
 
     values: tuple
     r: tuple
-    rule: SequenceRule | None = None
+    rule: SequenceRule
     dps: int = 60
 
     def __len__(self) -> int:
@@ -64,32 +63,18 @@ class SpectralSequence:
             raise IndexError(f"index k={k} outside 1..{len(self.values)}")
         return self.values[k - 1]
 
-    @cached_property
-    def _head_floats(self) -> np.ndarray:
-        floats = np.array([to_complex(v) for v in self.values])
-        floats.flags.writeable = False
-        return floats
-
     def float_values(self, n: int | None = None) -> np.ndarray:
         n = len(self.values) if n is None else n
-        if self.rule is not None:
-            return self.rule.float_entries(n)
-        if n > len(self.values):
-            raise IndexError("finite sequence exhausted")
-        return self._head_floats[:n]
+        return self.rule.float_entries(n)
 
     @property
     def re(self) -> np.ndarray:
         return self.float_values(len(self)).real
 
 
-def _order_key(z):
-    return (abs(z), mp.arg(z))
-
-
 def _validate(values, context_dps) -> None:
     # entries live at context_dps digits: reject only gaps the stored
-    # precision cannot resolve (raw float input uses the 1e-300 cutoff)
+    # precision cannot resolve
     with workdps(context_dps):
         resolvable = mp.mpf(10) ** (-(context_dps - 5))
         for z in values:
@@ -104,50 +89,23 @@ def _validate(values, context_dps) -> None:
                 raise DuplicateEntry(f"ordering violated between {a} and {b}")
 
 
-def normal_order(raw, r=None) -> SpectralSequence:
-    """Sort by modulus, breaking ties by strictly increasing argument.
-
-    ``raw`` is a finite list of complex scalars (multiplicity goes in
-    ``r``, aligned with ``raw``).  The output is a permutation of the
-    input; identical complex values are rejected.
-    """
-    if len(raw) == 0:
-        raise TooFewModes("empty sequence")
-    vals = [to_mp(z) for z in raw]
-    dps = mp.mp.dps
-    rr = list(r) if r is not None else [1] * len(vals)
-    if len(rr) != len(vals):
-        raise ValueError("r must align with raw")
-    with workdps(dps + 10):
-        for z in vals:
-            if not (z.real > 0):
-                raise NonPositiveRealPart(f"Re(lambda) <= 0 for entry {z}")
-        order = sorted(range(len(vals)), key=lambda i: _order_key(vals[i]))
-        vals = [vals[i] for i in order]
-        rr = [rr[i] for i in order]
-        for a, b in zip(vals, vals[1:]):
-            if abs(b - a) < _DUP_GAP:
-                raise DuplicateEntry(f"entries {a} and {b} coincide below 1e-300")
-    return SpectralSequence(tuple(vals), tuple(rr), None, dps)
-
-
 def from_rule(rule: SequenceRule, K: int) -> SpectralSequence:
-    """Materialize the first K entries of a rule (plus a small buffer)."""
+    """Materialize the first K entries of an infinite rule (plus a small
+    buffer), or every entry of a finite one (at least K)."""
     if K < 1:
         raise TooFewModes("K must be >= 1")
-    align = 2 if rule.name in ("appendixB", "academic_lf", "two_diffusion") else 1
-    n = K + _HEAD_BUFFER
-    n += (-n) % align
-    try:
-        vals = rule.mp_entries(n)
-    except IndexError:
-        try:
-            vals = rule.mp_entries(K)
-        except IndexError:
-            raise TooFewModes(f"rule {rule.name!r} has fewer than K={K} entries") from None
+    if rule.infinite:
+        align = 2 if rule.name in ("appendixB", "academic_lf", "two_diffusion") else 1
+        n = K + _HEAD_BUFFER
+        n += (-n) % align
+    else:
+        n = len(rule.values)
+        if n < K:
+            raise TooFewModes(f"rule {rule.name!r} has {n} entries, fewer than K={K}")
+    vals = rule.mp_entries(n)
     dps = max(rule.head_dps(n), 60)
     _validate(vals, dps + 10)
-    return SpectralSequence(tuple(vals), (1,) * len(vals), rule if rule.infinite else None, dps)
+    return SpectralSequence(tuple(vals), (1,) * len(vals), rule, dps)
 
 
 @dataclass(frozen=True)
@@ -183,7 +141,7 @@ def check_hypotheses(seq: SpectralSequence, K: int) -> HypothesisReport:
 def _tail_start(seq: SpectralSequence, lam_abs: float, tol: float) -> int:
     """Smallest J with a proven bound sum_{j>J} |ln|1-lam^2/lam_j^2|| < tol."""
     n0 = len(seq)
-    if seq.rule is None:
+    if not seq.rule.infinite:
         return n0  # finite sequence: the product is exact, no tail
     n = max(n0, 64)
     fit = seq.rule.fit_cache.get(("headfit", n))
@@ -410,7 +368,7 @@ def _blaschke_tail(seq, lam_abs: float, n0: int, tol_abs: float) -> tuple[int, f
     truncated plainly under the 2|lam|/(|l| - |lam|) bound (remainder 0).
     Either way J doubles until the error meets tol, up to _J_MAX.
     """
-    if seq.rule is None:
+    if not seq.rule.infinite:
         return n0, 0.0
     J = max(4 * n0, 1 << 16)
     while True:

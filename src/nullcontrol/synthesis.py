@@ -62,13 +62,9 @@ class ControlPlan:
         return float(self.T)
 
 
-def moment_rhs(model: ParabolicModel, T, k: int, branch: int = 1) -> complex:
-    """Target moment -e^{-lam_k T} <y0, phi_{k,branch}>."""
-    return to_complex(_moment_rhs_mp(model.modes(k)[k - 1], to_mp(T), branch))
-
-
 def _moment_rhs_mp(mode, T_mp, branch: int):
-    # evaluated at the caller's working precision
+    """Target moment -e^{-lam_k T} <y0, phi_{k,branch}> at the caller's
+    working precision."""
     return -mp.exp(-mode.lam_mp * T_mp) * to_mp(mode.y0[branch - 1])
 
 
@@ -82,10 +78,7 @@ def _tail_bound(model, T_mp, N: int) -> float:
     """sum_{k>N} e^{-Re(lam_k) T} |<y0, phi_{k,i}>| over the next block of
     uncontrolled modes (the summand decays super-geometrically), summed
     at DEFAULT_DPS whatever the caller's precision."""
-    try:
-        modes = model.modes(N + _TAIL_MODES)
-    except Exception:  # finite mode lists cannot extend past their length
-        return float("nan")
+    modes = model.modes(N + _TAIL_MODES)
     with workdps(DEFAULT_DPS):
         total = mp.mpf(0)
         for mode in modes[N:]:
@@ -207,14 +200,14 @@ class MomentResidualReport:
     leakage: dict              # residuals at k > N(plan), reported not asserted
 
 
-def verify_moments(plan: ControlPlan, model: ParabolicModel | None = None,
-                   T=None, N_check: int | None = None) -> MomentResidualReport:
-    """Re-evaluate every moment equation with closed-form pairings."""
-    model = model or plan.model
-    T_mp = plan.T if T is None else to_mp(T)
+def verify_moments(plan: ControlPlan, N_check: int | None = None) -> MomentResidualReport:
+    """Re-evaluate every moment equation of ``plan.model`` at ``plan.T`` with
+    closed-form pairings, for the first N_check modes (default: the
+    plan's N)."""
+    T_mp = plan.T
     N_check = N_check or plan.N
     family = plan.family
-    modes = model.modes(N_check)
+    modes = plan.model.modes(N_check)
     residuals: dict = {}
     leakage: dict = {}
     max_abs = 0.0
@@ -253,18 +246,6 @@ def verify_moments(plan: ControlPlan, model: ParabolicModel | None = None,
                 else:
                     leakage[key] = cval
     return MomentResidualReport(residuals, max_abs, plan.tail_bound, leakage)
-
-
-def terminal_projection(plan: ControlPlan, model: ParabolicModel | None = None,
-                        T=None, K: int | None = None) -> dict:
-    """Coefficients <y(T), phi_{k,i}> of the controlled state.
-
-    The solution identity makes these exactly the moment residuals, so
-    this is verify_moments viewed as terminal data."""
-    report = verify_moments(plan, model, T, K or plan.N)
-    out = dict(report.residuals)
-    out.update(report.leakage)
-    return out
 
 
 def _basis_samples(basis, T: float, ts, prec: int):

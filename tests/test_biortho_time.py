@@ -11,9 +11,7 @@ from nullcontrol import (
     ExponentialSpan,
     build_biortho,
     cauchy_inverse_oracle,
-    exp_gram,
     norm_growth_fit,
-    pair_with_exponential,
 )
 from nullcontrol import biortho_time
 from nullcontrol.biortho_time import (
@@ -22,23 +20,34 @@ from nullcontrol.biortho_time import (
 from nullcontrol.cli import main
 from nullcontrol.errors import IllConditioned
 from nullcontrol.generators import AcademicLfRule, AppendixBRule
-from nullcontrol.precision import to_mp, workdps
+from nullcontrol.precision import DEFAULT_DPS, to_complex, to_mp, workdps
 
 PI2 = math.pi**2
 
 
+def _float_gram(span):
+    """The span's Gram matrix at the default working digits, as complex128."""
+    with workdps(DEFAULT_DPS):
+        return np.array(_gram_mp(span).tolist(), dtype=complex)
+
+
+def _float_pairing(family, mu, a=0):
+    """pair_with_exponential_mp as complex128."""
+    return np.array([to_complex(v) for v in pair_with_exponential_mp(family, mu, a)])
+
+
 class TestExpGram:
     def test_infinite_horizon_cauchy(self):
-        G = exp_gram(ExponentialSpan((1.0, 2.0), None))
+        G = _float_gram(ExponentialSpan((1.0, 2.0), None))
         np.testing.assert_allclose(G.real, [[0.5, 1 / 3], [1 / 3, 0.25]], rtol=1e-14)
 
     def test_single_rate_finite_horizon(self):
-        G = exp_gram(ExponentialSpan((1.0,), 1.0))
+        G = _float_gram(ExponentialSpan((1.0,), 1.0))
         assert G[0, 0].real == pytest.approx((1 - math.exp(-2)) / 2, abs=1e-15)
         assert G[0, 0].real == pytest.approx(0.4323323583, abs=1e-9)
 
     def test_jordan_block_entries(self):
-        G = exp_gram(ExponentialSpan((1.0,), 1.0, jordan=True))
+        G = _float_gram(ExponentialSpan((1.0,), 1.0, jordan=True))
         want_12 = (1 - 3 * math.exp(-2)) / 4  # int_0^1 t e^{-2t} dt
         assert G[0, 1].real == pytest.approx(want_12, abs=1e-15)
         assert G[0, 1].real == pytest.approx(0.1485, abs=5e-5)
@@ -94,7 +103,7 @@ class TestBuildBiortho:
         span = ExponentialSpan(rates, 0.7)
         span_s = ExponentialSpan(tuple(r / s for r in rates), 0.7 * s)
         fam, fam_s = build_biortho(span), build_biortho(span_s)
-        np.testing.assert_allclose(exp_gram(span_s).real, s * exp_gram(span).real, rtol=1e-12)
+        np.testing.assert_allclose(_float_gram(span_s).real, s * _float_gram(span).real, rtol=1e-12)
         np.testing.assert_allclose(fam_s.norms, fam.norms / math.sqrt(s), rtol=1e-12)
 
 
@@ -102,7 +111,7 @@ class TestJordanFamily:
     def test_single_rate_exact_inverse(self):
         span = ExponentialSpan((1.0,), None, jordan=True)
         fam = build_biortho(span)
-        np.testing.assert_allclose(exp_gram(span).real, [[0.5, 0.25], [0.25, 0.25]], rtol=1e-14)
+        np.testing.assert_allclose(_float_gram(span).real, [[0.5, 0.25], [0.25, 0.25]], rtol=1e-14)
         # inverse of [[1/2, 1/4], [1/4, 1/4]] (det 1/16) is [[4, -4], [-4, 8]]
         np.testing.assert_allclose(np.array(fam.mp_coeffs.tolist(), dtype=float), [[4.0, -4.0], [-4.0, 8.0]], rtol=1e-12)
         # q_{1,1} = 4 e^{-t} - 4 t e^{-t}: <e^{-t}, q11> = 4/2 - 4/4 = 1,
@@ -116,7 +125,7 @@ class TestJordanFamily:
 
     def test_labels_interleave(self):
         fam = build_biortho(ExponentialSpan((1.0, 2.0), 1.0, jordan=True))
-        assert fam.labels() == ((1, 1), (1, 2), (2, 1), (2, 2))
+        assert fam.span.basis() == ((1, 0), (1, 1), (2, 0), (2, 1))
 
 
 class TestDualGram:
@@ -277,15 +286,15 @@ class TestPairings:
 
     def test_kronecker_column_at_span_rate(self):
         fam = build_biortho(ExponentialSpan((1.0, 2.0, 3.0), 1.0))
-        col = pair_with_exponential(fam, 1.0, 0)
+        col = _float_pairing(fam, 1.0, 0)
         np.testing.assert_allclose(col.real, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_exponential_moment_single_rate(self):
         fam = build_biortho(ExponentialSpan((1.0,), None))
         # q_1 = 2 e^{-t}: int e^{-3t} q_1 = 2/4
-        assert pair_with_exponential(fam, 3.0, 0)[0].real == pytest.approx(0.5, abs=1e-12)
+        assert _float_pairing(fam, 3.0, 0)[0].real == pytest.approx(0.5, abs=1e-12)
         # int t e^{-3t} q_1 = 2/16
-        assert pair_with_exponential(fam, 3.0, 1)[0].real == pytest.approx(0.125, abs=1e-12)
+        assert _float_pairing(fam, 3.0, 1)[0].real == pytest.approx(0.125, abs=1e-12)
 
 
 class TestNormGrowth:
@@ -328,6 +337,14 @@ class TestGapResolution:
         lg = span.min_log_rel_gap()
         # relative gap e^{-900} / (1 + 2*900)
         assert lg == pytest.approx(-900.0 - math.log(1 + 2 * 900.0), rel=1e-3)
+
+    def test_min_log_rel_gap_far_below_working_precision(self):
+        # a gap of 1e-3000 resolves at 50 digits: the difference is exact
+        # before it is rounded
+        with workdps(3100):
+            rates = (mp.mpf(2), mp.mpf(2) + mp.mpf("1e-3000"))
+        lg = ExponentialSpan(rates, 1.0).min_log_rel_gap()
+        assert lg == pytest.approx(-3000 * math.log(10) - math.log(5), rel=1e-12)
 
     def test_auto_dps_saturates_for_unresolvable_gaps(self):
         from nullcontrol.precision import auto_dps_for_gaps

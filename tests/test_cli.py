@@ -170,6 +170,23 @@ class TestIndices:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(payload | {"precision": "extended"}, DIAGNOSTICS_SCHEMA)
 
+    def test_explicit_sequence_keeps_every_entry(self, tmp_path):
+        # the profile of a finite sequence at k does not depend on K
+        values = [float(k * k) for k in range(1, 21)]
+        rows = {}
+        for K in (4, 12):
+            cfgp = _write_config(tmp_path, {"command": "indices",
+                                            "sequence": {"rule": "explicit", "values": values},
+                                            "params": {"K": K}}, f"indices{K}.json")
+            assert main(["--config", str(cfgp), "--out", str(tmp_path / f"o{K}")]) == 0
+            rows[K] = (tmp_path / f"o{K}" / "indices.csv").read_text().splitlines()
+        assert rows[4][:5] == rows[12][:5]  # header and k = 1..4
+        # 16 entries are enough for check_hypotheses at any K <= 16
+        cfgp = _write_config(tmp_path, {"command": "hypotheses",
+                                        "sequence": {"rule": "explicit", "values": values[:16]},
+                                        "params": {"K": 5}}, "hypotheses.json")
+        assert main(["--config", str(cfgp), "--out", str(tmp_path / "h")]) == 0
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = {"command": "indices", "sequence": {"rule": "appendixB", "tau": 0.25},
                "params": {"K": 24}}

@@ -21,6 +21,7 @@ from nullcontrol import (
     two_diffusion_pointwise,
 )
 from nullcontrol.errors import DegenerateB, RationalRootWarning, SupportOverlap
+from nullcontrol.models import _psi_coefficients
 from nullcontrol.precision import to_complex
 
 PI2 = math.pi**2
@@ -138,6 +139,20 @@ class TestCascadeBoundary:
         model = cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.0),)))
         for m in model.modes(6):
             assert m.obs[1].value == pytest.approx(m.gamma * m.obs[0].value, abs=1e-10)
+
+    def test_tail_bounds_past_the_truncation(self):
+        # k = 10 > M = 8: both tail sums run over m > M and must skip m = k
+        q = PiecewiseConstant(((0.2, 0.8, 1.0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            short = cascade_boundary_q(q, M=8).modes(10)[9]
+            _, _, _, psi_tail = _psi_coefficients(q, 10, 8)
+        ms, cs, _, _ = _psi_coefficients(q, 10, 400)
+        long = cascade_boundary_q(q, M=400).modes(10)[9]
+        bound = short.meta["obs2_tail_bound"]
+        assert math.isfinite(bound) and math.isfinite(psi_tail)
+        assert abs(short.obs[1].value - long.obs[1].value) <= bound
+        assert float(np.sum(cs[ms > 8] ** 2)) <= psi_tail
 
     def test_tmin_tail_vanishes(self):
         model = cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.0),)))

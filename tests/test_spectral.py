@@ -17,7 +17,6 @@ from nullcontrol import (
     log_eprime_single_family,
     log_eprime_two_family,
     make_rule,
-    normal_order,
 )
 from nullcontrol import spectral
 from nullcontrol.errors import (
@@ -128,11 +127,16 @@ def _all_pairs_bohr(seq, K):
     return np.array(vs), np.array(partners)
 
 
+def _explicit(values):
+    """The finite sequence of ``values``, in normal order."""
+    return from_rule(make_rule("explicit", values=values), len(values))
+
+
 def _sub_eps_pair_sequence():
     # 2 and 2 + 1e-40 coincide in binary64; the rest is well separated
     with workdps(60):
-        return normal_order([mp.mpf(1), mp.mpf(2), mp.mpf(2) + mp.mpf("1e-40"),
-                             mp.mpf(5), mp.mpf(9) + 2j, mp.mpf(16)])
+        return _explicit([mp.mpf(1), mp.mpf(2), mp.mpf(2) + mp.mpf("1e-40"),
+                          mp.mpf(5), mp.mpf(9) + 2j, mp.mpf(16)])
 
 
 _HYBRID_CASES = {
@@ -146,37 +150,45 @@ _HYBRID_CASES = {
 
 
 class TestNormalOrder:
+    """Finite sequences are put in normal order by the explicit rule."""
+
     def test_sorts_by_modulus(self):
-        seq = normal_order([4, 1, 9])
+        seq = _explicit([4, 1, 9])
         assert [float(v) for v in seq.values] == [1.0, 4.0, 9.0]
 
+    def test_float_view_ends_with_the_sequence(self):
+        seq = _explicit([9.0, 1.0, 4.0])
+        assert list(seq.float_values(3)) == [1.0, 4.0, 9.0]
+        with pytest.raises(IndexError):
+            seq.float_values(4)
+
     def test_modulus_then_argument(self):
-        seq = normal_order([1 + 1j, 1 - 1j, 1])
+        seq = _explicit([1 + 1j, 1 - 1j, 1])
         got = [complex(v) for v in seq.values]
         assert got == [1 + 0j, 1 - 1j, 1 + 1j]
 
     def test_already_ordered_untouched(self):
         vals = [k * k * PI2 for k in range(1, 6)]
-        seq = normal_order(vals)
+        seq = _explicit(vals)
         assert [float(v) for v in seq.values] == vals
 
     def test_rejects_nonpositive_real_part(self):
         with pytest.raises(NonPositiveRealPart):
-            normal_order([1.0, -2.0])
+            _explicit([1.0, -2.0])
         with pytest.raises(NonPositiveRealPart):
-            normal_order([1j])
+            _explicit([1j])
 
     def test_rejects_duplicates(self):
         with pytest.raises(DuplicateEntry):
-            normal_order([3.0, 3.0])
+            _explicit([3.0, 3.0])
 
     def test_permutation_invariance_of_profiles(self):
         rng = np.random.default_rng(7)
         vals = [k * k * PI2 for k in range(1, 25)]
         shuffled = list(vals)
         rng.shuffle(shuffled)
-        a = bohr_profile(normal_order(vals), 16)
-        b = bohr_profile(normal_order(shuffled), 16)
+        a = bohr_profile(_explicit(vals), 16)
+        b = bohr_profile(_explicit(shuffled), 16)
         np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
 
 
@@ -188,7 +200,7 @@ class TestCheckHypotheses:
         assert rep.summable and rep.warnings == []
 
     def test_linear_growth_flags_failure(self):
-        seq = normal_order([2 * k - 1 for k in range(1, 101)])
+        seq = _explicit([2 * k - 1 for k in range(1, 101)])
         rep = check_hypotheses(seq, 100)
         assert abs(rep.summability_exponent - 1.0) < 0.05
         assert not rep.summable
@@ -201,7 +213,7 @@ class TestCheckHypotheses:
         assert abs(rep.sector_delta_est - 1 / math.sqrt(2.0)) < 1e-12
 
     def test_too_few_modes(self):
-        seq = normal_order([1.0, 2.0, 3.0])
+        seq = _explicit([1.0, 2.0, 3.0])
         with pytest.raises(TooFewModes):
             check_hypotheses(seq, 3)
 
@@ -209,7 +221,7 @@ class TestCheckHypotheses:
 class TestLogEPrime:
     def test_single_entry_exact(self):
         # E(z) = 1 - z^2, E'(1) = -2
-        seq = normal_order([1.0])
+        seq = _explicit([1.0])
         assert log_E_prime(seq, 1) == pytest.approx(math.log(2.0), abs=1e-14)
 
     def test_sine_product_oracle_symbolic(self):
@@ -251,7 +263,7 @@ class TestLogEPrime:
 
     def test_finite_list_is_exact_product(self):
         vals = [1.0, 4.0, 9.0]
-        seq = normal_order(vals)
+        seq = _explicit(vals)
         lam = 4.0
         want = math.log(2.0 / lam) + sum(
             math.log(abs(1 - lam**2 / v**2)) for v in vals if v != lam)
@@ -305,7 +317,7 @@ class TestFarTail:
         seq = from_rule(make_rule("power", c=1.0, p=2.0), 30)
         lams, _ = _far_args(seq, [1, 30])
         assert not spectral._far_sums(seq, lams, len(seq), np.array([30, 12]), 2).any()
-        finite = normal_order([1.0, 4.0, 9.0, 16.0])
+        finite = _explicit([1.0, 4.0, 9.0, 16.0])
         got = spectral.log_E_primes(finite, [3, 1])
         want = [math.log(2.0 / lam) + sum(math.log(abs(1 - lam**2 / v**2))
                                           for v in (1.0, 4.0, 9.0, 16.0) if v != lam)
@@ -484,7 +496,7 @@ class TestHybridHead:
         # complex zeros: the far tail is a plain truncation, which cannot
         # reach 1e-10 within the entry cap
         tol = 1e-4 if case == "power-complex" else 1e-10
-        for k in range(1, min(len(seq), 30) + 1, 1 if seq.rule is None else 3):
+        for k in range(1, min(len(seq), 30) + 1, 1 if not seq.rule.infinite else 3):
             got = blaschke_log_wprime(seq, k, tol)
             want = _all_mp_blaschke_log_wprime(seq, k, tol)
             assert abs(got - want) <= tol * max(1.0, float(mp.re(seq.entry(k)))), (case, k)
@@ -509,16 +521,16 @@ class TestHybridHead:
     def test_bohr_float_candidates_match_all_pairs(self, case):
         if case == "tie":
             # lam = 2 has both neighbours at distance exactly 1: the first wins
-            seq, partner_of_2 = normal_order([1.0, 2.0, 3.0, 5.0, 7.0]), 1
+            seq, partner_of_2 = _explicit([1.0, 2.0, 3.0, 5.0, 7.0]), 1
         elif case == "float-tie":
             # both gaps of lam = 2 round to 1.0; the right one is smaller
             with workdps(60):
-                seq = normal_order([mp.mpf(1) + mp.mpf("1e-20"), mp.mpf(2),
-                                    mp.mpf(3) - mp.mpf("2e-20"), mp.mpf(5), mp.mpf(7)])
+                seq = _explicit([mp.mpf(1) + mp.mpf("1e-20"), mp.mpf(2),
+                                 mp.mpf(3) - mp.mpf("2e-20"), mp.mpf(5), mp.mpf(7)])
             partner_of_2 = 3
         else:
             seq, partner_of_2 = _HYBRID_CASES[case](), None
-        K = len(seq) if seq.rule is None else 30
+        K = len(seq) if not seq.rule.infinite else 30
         prof = bohr_profile(seq, K)
         vs, partners = _all_pairs_bohr(seq, K)
         assert np.array_equal(prof.values, vs)
@@ -585,7 +597,7 @@ class TestProfiles:
 
 class TestBlaschke:
     def test_single_entry(self):
-        seq = normal_order([1.0])
+        seq = _explicit([1.0])
         assert blaschke_log_wprime(seq, 1) == pytest.approx(-math.log(2.0), abs=1e-14)
 
     def test_tail_agrees_with_condensation_limit_direction(self):

@@ -16,10 +16,8 @@ from nullcontrol import (
     cascade_boundary_q,
     cascade_internal_q,
     gramian_control_2x2,
-    moment_rhs,
     pointwise_heat,
     synthesize,
-    terminal_projection,
     two_diffusion_boundary,
     two_diffusion_pointwise,
     verify_moments,
@@ -33,7 +31,7 @@ from nullcontrol.errors import (
 )
 from nullcontrol.models import ParabolicModel, PointwiseHeatModel, SpectralMode
 from nullcontrol.observations import Scalar
-from nullcontrol.precision import to_mp
+from nullcontrol.precision import to_complex, to_mp
 
 PI2 = math.pi**2
 X0 = math.sqrt(2.0) - 1.0
@@ -61,13 +59,14 @@ def _null_coupling_q(omega=(0.5, 0.9), nzero=3):
 
 class TestMomentRhs:
     def test_basic_value(self):
-        model = pointwise_heat(X0)
-        assert moment_rhs(model, 1.0, 1) == pytest.approx(-math.exp(-PI2), rel=1e-12)
+        mode = pointwise_heat(X0).modes(1)[0]
+        got = to_complex(synthesis._moment_rhs_mp(mode, to_mp(1.0), 1))
+        assert got == pytest.approx(-math.exp(-PI2), rel=1e-12)
         assert -math.exp(-PI2) == pytest.approx(-5.172e-5, abs=5e-8)
 
     def test_zero_initial_coefficient(self):
-        model = pointwise_heat(X0, y0_rule=lambda k, i: 0.0)
-        assert moment_rhs(model, 1.0, 1) == 0.0
+        mode = pointwise_heat(X0, y0_rule=lambda k, i: 0.0).modes(1)[0]
+        assert synthesis._moment_rhs_mp(mode, to_mp(1.0), 1) == 0.0
 
 
 class TestSynthesizeSimple:
@@ -126,14 +125,6 @@ class TestSynthesizeSimple:
         report = verify_moments(plan, N_check=8)
         assert (7, 1) in report.leakage and (8, 1) in report.leakage
         assert report.max_abs <= 1e-8  # leakage not counted against the plan
-
-    def test_terminal_projection_equals_residuals(self):
-        model = pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k)
-        plan = synthesize(model, 0.4, 6)
-        report = verify_moments(plan, N_check=8)
-        proj = terminal_projection(plan, K=8)
-        for key, val in report.residuals.items():
-            assert proj[key] == val
 
     def test_tail_bound_ignores_caller_precision(self):
         plan = synthesize(pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k), 0.4, 8)
