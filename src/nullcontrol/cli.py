@@ -50,25 +50,16 @@ def _validate(validator, instance):
         raise error
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
-
-
 def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    # %.17g round-trips every binary64 value, spells +-inf as inf/-inf and
+    # prints the integer columns exactly (indices, far below 2^53)
+    line = ",".join(["%.17g"] * len(header))
+    path.write_text("\n".join([",".join(header)] + [line % tuple(row) for row in rows]) + "\n")
 
 
 def _write_dat(path: Path, xs, ys):
-    lines = [f"{_fmt(x)} {_fmt(y)}" for x, y in zip(xs, ys)]
-    path.write_text("\n".join(lines) + "\n")
+    pairs = zip(np.asarray(xs).tolist(), np.asarray(ys).tolist())
+    path.write_text("\n".join(["%.17g %.17g" % xy for xy in pairs]) + "\n")
 
 
 def _write_json(path: Path, payload):
@@ -219,13 +210,12 @@ def _run_synthesize(cfg, out, params, meta):
     report = synthesis.verify_moments(plan)
     ts, cols, u = synthesis.sample_plan(plan, params.get("samples", 2000))
     header = ["t"] + [f"term_{k}_{j}" for (k, j) in plan.meta["labels"]]
-    rows = [tuple([ts[i]] + [cols[c, i] for c in range(cols.shape[0])])
-            for i in range(len(ts))]
+    columns = [ts, cols.T]
     if u is not None:
         header.append("u")
-        rows = [r + (u[i],) for i, r in enumerate(rows)]
+        columns.append(u)
         _write_dat(out / "control.dat", ts, u)
-    _write_csv(out / "control.csv", header, rows)
+    _write_csv(out / "control.csv", header, np.column_stack(columns).tolist())
     _write_json(out / "residuals.json", meta | {"data": {
         "max_abs_residual": report.max_abs,
         "tail_bound": _json_safe(report.tail_bound),

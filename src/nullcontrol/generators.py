@@ -13,6 +13,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 from .precision import to_complex, to_mp, workdps
 
@@ -201,6 +202,13 @@ class ExplicitRule(SequenceRule):
         vals.sort(key=lambda z: (abs(z), mp.arg(z)))
         self.values = vals
         self.real = all(mp.im(v) == 0 for v in vals)
+
+    def head_dps(self, n):
+        """The digits of the longest mantissa among the first n entries,
+        at least 60: entries a caller built at more digits stay distinct."""
+        bits = max((x[3] for v in self.values[:n]
+                    for x in (v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_,))), default=0)
+        return max(60, libmp.prec_to_dps(bits))
 
     def mp_entries(self, n):
         if n > len(self.values):

@@ -203,10 +203,14 @@ class PiecewiseConstant:
         return out
 
 
-def _tail_ms(M: int, k: int) -> np.ndarray:
-    """m = M+1 .. M+20000 without m = k (the psi series skips it), as floats."""
-    mm = np.arange(M + 1, M + 20001, dtype=float)
-    return mm[mm != k]
+def _tail_ms(M: int, k: int):
+    """(m, L): m = M+1 .. L without m = k (the psi series skips it), as
+    floats, with L = max(M, k) + 20000.  The tail sums add a closed-form
+    remainder for m > L: each summand there is at most a decreasing
+    c / (m - k)^n, and the sum of those is at most its integral past L."""
+    L = max(M, k) + 20000
+    mm = np.arange(M + 1, L + 1, dtype=float)
+    return mm[mm != k], L
 
 
 def _psi_coefficients(q: PiecewiseConstant, k: int, M: int):
@@ -227,9 +231,12 @@ def _psi_coefficients(q: PiecewiseConstant, k: int, M: int):
     # solvability: <(I_k - q) phi_k, phi_k> must vanish identically
     solv = q.integral_sin2(k) - q.integral_cross(k, k)
     V = q.total_variation()
-    mm = _tail_ms(M, k)
-    gbound = (4.0 * V / _PI) / (mm - k)
-    tail = float(np.sum((gbound / ((mm * mm - k * k) * _PI2)) ** 2))
+    mm, L = _tail_ms(M, k)
+    g = 4.0 * V / _PI
+    tail = float(np.sum((g / (mm - k) / ((mm * mm - k * k) * _PI2)) ** 2))
+    # m > L: the summand g^2 / ((m - k)^4 (m + k)^2 pi^4) is at most
+    # g^2 / (pi^4 (m - k)^6), whose integral past L is c / (5 (L - k)^5)
+    tail += g * g / (_PI2 * _PI2) / (5.0 * float(L - k) ** 5)
     return np.array(ms), np.array(cs), solv, tail
 
 
@@ -311,9 +318,13 @@ class CascadeBoundaryModel(ParabolicModel):
         ms, cs, solv, _ = _psi_coefficients(self.q, k, self.M)
         obs2_val = float(np.sum(cs * (_SQRT2 * ms * _PI)))
         V = self.q.total_variation()
-        mm = _tail_ms(self.M, k)
-        deriv_tail = float(np.sum((4.0 * V / _PI) / (mm - k) * (_SQRT2 * mm * _PI)
+        mm, L = _tail_ms(self.M, k)
+        g = 4.0 * V / _PI
+        deriv_tail = float(np.sum(g / (mm - k) * (_SQRT2 * mm * _PI)
                                   / ((mm * mm - k * k) * _PI2)))
+        # m > L: the summand c m / ((m - k)^2 (m + k)), c = sqrt(2) g / pi,
+        # is at most c / (m - k)^2, whose integral past L is c / (L - k)
+        deriv_tail += _SQRT2 * g / _PI / (L - k)
         gamma = obs2_val / obs1_val
         meta = {"I_k": I_k, "solvability_residual": solv, "obs2_tail_bound": deriv_tail}
         y0 = (complex(self.y0_rule(k, 1)), complex(self.y0_rule(k, 2)))

@@ -90,6 +90,12 @@ def int_parts(values) -> IntVector:
                 for x in (v._mpc_ if type(v) is mp.mpc else (v._mpf_, libmp.fzero))]
     else:
         flat = [v._mpf_ for v in values]
+    return int_parts_raw(flat, cplx)
+
+
+def int_parts_raw(flat, cplx: bool) -> IntVector:
+    """``int_parts`` of raw mpf tuples: one per value, or (re, im) pairs
+    laid out flat when ``cplx``."""
     # mpf tuples are normalized (odd mantissa), so the exponent of a
     # nonzero part is the position of its least significant bit
     exps = [x[2] for x in flat if x[1]]
@@ -106,8 +112,10 @@ def int_parts(values) -> IntVector:
 
 def _re_man(a: IntVector, b: IntVector) -> int:
     """Re(sum_j a_j b_j) / 2^(a.exp + b.exp), exactly."""
-    # an empty Im list (a vector without mpc values) drops the Im*Im sum
-    return sum(map(mul, a.re, b.re)) - sum(map(mul, a.im, b.im))
+    man = sum(map(mul, a.re, b.re))
+    if a.im and b.im:
+        man -= sum(map(mul, a.im, b.im))
+    return man
 
 
 def int_dot(a: IntVector, b: IntVector):
@@ -127,8 +135,36 @@ def int_dot(a: IntVector, b: IntVector):
     return mp.make_mpc((re, im))
 
 
+def _round_half_even(man: int, bits: int):
+    """(m, shift) with m 2^shift the integer ``man`` rounded half to even
+    to ``bits`` significant bits."""
+    shift = man.bit_length() - bits
+    if shift <= 0:
+        return man, 0
+    m, rem = divmod(man, 1 << shift)   # floor, so 0 <= rem < 2^shift
+    half = 1 << (shift - 1)
+    if rem > half or (rem == half and m & 1):
+        m += 1
+    return m, shift
+
+
 def int_dot_real(a: IntVector, b: IntVector, prec: int) -> float:
-    """Re(sum_j a_j b_j) summed exactly, rounded once to ``prec`` bits and
-    then to float."""
-    return libmp.to_float(libmp.from_man_exp(_re_man(a, b), a.exp + b.exp, prec, "n"),
-                          rnd="n")
+    """Re(sum_j a_j b_j) summed exactly, rounded half to even to ``prec``
+    bits and then to float, in integer arithmetic: the double rounding of
+    ``libmp.to_float(libmp.from_man_exp(man, exp, prec, "n"))``.
+
+    CPython converts an int to float correctly rounded, half to even, and
+    math.ldexp then scales exactly, or rounds into the subnormal range as
+    ``libmp.to_float`` does with its 53-bit mantissa.  Overflow gives
+    +-inf.  That int -> float step is the second rounding; it takes ints
+    below 2^1024, so past 1000 bits of ``prec`` the mantissa is rounded to
+    53 bits in integers first.
+    """
+    man, shift = _round_half_even(_re_man(a, b), prec)
+    if prec > 1000:
+        man, extra = _round_half_even(man, 53)
+        shift += extra
+    try:
+        return math.ldexp(float(man), a.exp + b.exp + shift)
+    except OverflowError:
+        return -math.inf if man < 0 else math.inf

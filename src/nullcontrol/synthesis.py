@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 from .biortho_time import (
     BiorthogonalFamily,
@@ -27,7 +28,9 @@ from .biortho_space import biorthogonalize_gram
 from .errors import SynthesisUnsupported, UnobservableMode, ZeroMuUnsupported
 from .models import Block2x2, ParabolicModel
 from .observations import combine
-from .precision import DEFAULT_DPS, int_dot_real, int_parts, to_complex, to_mp, workdps
+from .precision import (
+    DEFAULT_DPS, int_dot_real, int_parts, int_parts_raw, to_complex, to_mp, workdps,
+)
 
 _TAIL_MODES = 50
 
@@ -75,14 +78,26 @@ def _generalized_rhs_mp(mode, T_mp):
 
 
 def _tail_bound(model, T_mp, N: int) -> float:
-    """sum_{k>N} e^{-Re(lam_k) T} |<y0, phi_{k,i}>| over the next block of
-    uncontrolled modes (the summand decays super-geometrically), summed
-    at DEFAULT_DPS whatever the caller's precision."""
-    modes = model.modes(N + _TAIL_MODES)
+    """sum_{k>N} e^{-Re(lam_k) T} |<y0, phi_{k,i}>| over at most the next
+    50 uncontrolled modes, summed at DEFAULT_DPS whatever the caller's
+    precision.
+
+    The modes are built one at a time, and the sum stops at the first
+    nonzero term below 2^-(prec+1) times the running total: that term is
+    under half a unit in the last place, so adding it leaves the rounded
+    total as it is.  Stopping there assumes that the nonzero terms
+    decrease, as they do super-geometrically for the gallery's spectra and
+    initial data; every later term then leaves the total as it is too.  A
+    zero term (initial data without that mode) does not stop the sum."""
     with workdps(DEFAULT_DPS):
+        tiny = mp.ldexp(1, -mp.mp.prec - 1)
         total = mp.mpf(0)
-        for mode in modes[N:]:
-            total += mp.exp(-mode.lam_mp.real * T_mp) * sum(abs(to_mp(c)) for c in mode.y0)
+        for k in range(N + 1, N + _TAIL_MODES + 1):
+            mode = model.modes(k)[-1]
+            term = mp.exp(-mode.lam_mp.real * T_mp) * sum(abs(to_mp(c)) for c in mode.y0)
+            if term and term < tiny * total:
+                break
+            total += term
         return float(total)
 
 
@@ -249,34 +264,59 @@ def verify_moments(plan: ControlPlan, N_check: int | None = None) -> MomentResid
 
 
 def _basis_samples(basis, T: float, ts, prec: int):
-    """Yield the basis values s^p e^{-r s} at each s_i = T - t_i.
+    """Yield the basis values s^p e^{-r s} at each s_i = T - t_i, in the
+    exact integer form of ``precision.int_parts``.
 
     e^{-r s} is evaluated once, at s_0, and then follows the recurrence
     e^{-r s_i} = e^{-r s_(i-1)} e^{r d_i} over the exact grid steps
     d_i = s_(i-1) - s_i, with one cached e^{r d} per rate and distinct
     step (np.linspace has a dozen or two).  It is carried with
     len(ts).bit_length() + 1 guard bits, so that the drift after len(ts)
-    steps stays below one unit in the last place at ``prec`` bits."""
+    steps stays below one unit in the last place at ``prec`` bits.
+
+    Per sample the recurrence costs two exact subtractions (s and d) and
+    one product per rate and per p = 1 basis function, rounded to nearest
+    at the carried precision, all on raw mpf tuples (mpc pairs for a
+    complex rate) through ``libmp``: no mp scalar and no precision context
+    is built per sample.  A span holds p = 0 and p = 1 only, and s is
+    exact (T and t are doubles of nearby magnitude, so s has far fewer
+    bits than are carried), so s e^{-r s} is the rounded s^p e^{-r s}.
+    """
     rates = list(dict.fromkeys(r for r, _ in basis))
     slots = [(rates.index(r), p) for r, p in basis]
+    cplx = [type(r) is mp.mpc for r in rates]
+    mul = [libmp.mpc_mul if c else libmp.mpf_mul for c in cplx]
+    smul = [libmp.mpc_mul_mpf if c else libmp.mpf_mul for c in cplx]   # s is real
+    flat_c = any(cplx)
     wp = prec + len(ts).bit_length() + 1
-    T_mp = mp.mpf(T)
+
+    def exps(x):
+        """e^{r x} per rate as raw tuples, for a raw mpf x."""
+        with mp.workprec(wp):
+            x = mp.make_mpf(x)
+            vals = [mp.exp(r * x) for r in rates]
+        return [v._mpc_ if c else v._mpf_ for v, c in zip(vals, cplx)]
+
+    T_raw = libmp.from_float(float(T))
     steps = {}
     prev = None
     for t in ts:
-        with mp.workprec(wp):
-            s = mp.fsub(T_mp, float(t), exact=True)
-            if prev is None:
-                e = [mp.exp(-r * s) for r in rates]
-            else:
-                d = mp.fsub(prev, s, exact=True)
-                step = steps.get(d)
-                if step is None:
-                    step = steps[d] = [mp.exp(r * d) for r in rates]
-                e = [a * b for a, b in zip(e, step)]
-            values = [s**p * e[k] if p else e[k] for k, p in slots]
+        s = libmp.mpf_sub(T_raw, libmp.from_float(float(t)))   # exact
+        if prev is None:
+            e = exps(libmp.mpf_neg(s))
+        else:
+            d = libmp.mpf_sub(prev, s)   # exact
+            step = steps.get(d)
+            if step is None:
+                step = steps[d] = exps(d)
+            e = [m(a, b, wp, "n") for m, a, b in zip(mul, e, step)]
         prev = s
-        yield values
+        values = [smul[k](e[k], s, wp, "n") if p else e[k] for k, p in slots]
+        if flat_c:
+            # an (re, im) pair has length 2, an mpf tuple 4: a value of a
+            # real rate takes a zero imaginary part
+            values = [x for v in values for x in (v if len(v) == 2 else (v, libmp.fzero))]
+        yield int_parts_raw(values, flat_c)
 
 
 def sample_plan(plan: ControlPlan, n: int = 2000):
@@ -294,21 +334,23 @@ def sample_plan(plan: ControlPlan, n: int = 2000):
     precision and then to float (``precision.int_dot_real``).  The sum
     stays exact at any exponent spread (the basis values fall by hundreds
     of bits between s = 0 and s = T), where mp.fdot may drop terms.
-    The cost is basis * (1 + distinct grid steps) mp exponentials, n *
-    basis mp products and n * terms * basis integer products.
+
+    Cost: basis * (1 + distinct grid steps) mp exponentials; per sample,
+    two exact tuple subtractions and about basis libmp products at the
+    carried precision; then n * terms integer dot products of length
+    basis, each with one integer rounding and one int -> float
+    conversion.  No mp scalar is built per sample.
     """
     T = float(plan.T)
     ts = np.linspace(0.0, T, n)
     family = plan.family
-    cols = np.empty((len(plan.terms), n))
     with workdps(family.dps):
         prec = mp.mp.prec
         rows = [int_parts([term.coeff_mp * c for c in family.mp_coeffs[term.basis_index, :]])
                 for term in plan.terms]
-    for i, funcs in enumerate(_basis_samples(family.span.basis(), T, ts, prec)):
-        f = int_parts(funcs)
-        for col, a in enumerate(rows):
-            cols[col, i] = int_dot_real(a, f, prec)
+    samples = [[int_dot_real(a, f, prec) for a in rows]
+               for f in _basis_samples(family.span.basis(), T, ts, prec)]
+    cols = np.array(samples, dtype=float).reshape(n, len(rows)).T.copy()
     scalars = [getattr(t.direction, "value", None) for t in plan.terms]
     u = None
     if all(v is not None and np.imag(v) == 0 for v in scalars):

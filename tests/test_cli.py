@@ -8,9 +8,11 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
+from nullcontrol import cli
 from nullcontrol.cli import main, run
 from nullcontrol.schemas import CONFIG_SCHEMA, DIAGNOSTICS_SCHEMA, ERROR_SCHEMA
 
@@ -297,3 +299,39 @@ class TestOtherCommands:
         lines = (out / "grushin.csv").read_text().splitlines()
         assert lines[0] == "n,lambda,integral,T_n"
         assert len(lines) == 7
+
+
+def _fmt_per_value(x) -> str:
+    """The per-value formatter that the bulk writers replaced."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    x = float(x)
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return format(x, ".17g")
+
+
+class TestWriters:
+    """The bulk CSV and .dat writers spell every value as the per-value
+    formatter did: integers up to 2^53 (index columns), numpy scalars,
+    +-inf, nan, -0.0 and subnormals."""
+
+    ROWS = [(1, 0.1, -math.inf, math.inf),
+            (np.int64(12), np.float64(1 / 3), -0.0, 5e-324),
+            (2**53, math.nan, 1e300, np.float32(-2.5)),
+            (True, 2.0**-1074 * 3, -1e-310, 123456789.0)]
+
+    def test_csv(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, ["a", "b", "c", "d"], self.ROWS)
+        want = ["a,b,c,d"] + [",".join(_fmt_per_value(v) for v in row) for row in self.ROWS]
+        assert path.read_text() == "\n".join(want) + "\n"
+
+    def test_dat(self, tmp_path):
+        path = tmp_path / "t.dat"
+        xs, ys = np.arange(1, 5), np.array([0.1, -math.inf, math.inf, -1e-310])
+        cli._write_dat(path, xs, ys)
+        assert path.read_text() == "".join(
+            f"{_fmt_per_value(x)} {_fmt_per_value(y)}\n" for x, y in zip(xs, ys))
+        cli._write_dat(path, range(1, 3), [0.5, math.nan])
+        assert path.read_text() == "1 0.5\n2 nan\n"

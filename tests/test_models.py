@@ -154,6 +154,25 @@ class TestCascadeBoundary:
         assert abs(short.obs[1].value - long.obs[1].value) <= bound
         assert float(np.sum(cs[ms > 8] ** 2)) <= psi_tail
 
+    @pytest.mark.parametrize("k", [1, 7, 30])
+    def test_tail_bounds_cover_the_whole_tail(self, k):
+        # the obs2 summands fall like 1/m^2: a bound summed to M + 20000
+        # alone is 1% short at M = 200; each bound must exceed the same
+        # series summed to M + 2e6
+        q = PiecewiseConstant(((0.2, 0.8, 1.0), (0.9, 1.0, -0.5)))
+        M = 200
+        g = 4.0 * q.total_variation() / math.pi
+        obs2_sum = psi_sum = 0.0
+        for lo in range(M + 1, M + 2_000_001, 100_000):
+            mm = np.arange(lo, lo + 100_000, dtype=float)
+            mm = mm[mm != k]
+            obs2_sum += float(np.sum(g / (mm - k) * (SQRT2 * mm * math.pi)
+                                     / ((mm * mm - k * k) * PI2)))
+            psi_sum += float(np.sum((g / (mm - k) / ((mm * mm - k * k) * PI2)) ** 2))
+        mode = cascade_boundary_q(q, M=M).modes(k)[-1]
+        assert mode.meta["obs2_tail_bound"] >= obs2_sum
+        assert _psi_coefficients(q, k, M)[3] >= psi_sum
+
     def test_tmin_tail_vanishes(self):
         model = cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.0),)))
         prof = model.tmin_profile(40)

@@ -3,6 +3,8 @@ solve's residual against the matrix product it replaces."""
 
 import math
 import random
+import struct
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,7 +13,7 @@ from mpmath import libmp
 
 from nullcontrol.biortho_time import ExponentialSpan, _pairing_mp, build_biortho
 from nullcontrol.models import PiecewiseConstant, cascade_boundary_q
-from nullcontrol.precision import int_dot, int_dot_real, int_parts, workdps
+from nullcontrol.precision import IntVector, int_dot, int_dot_real, int_parts, workdps
 
 PI2 = math.pi**2
 
@@ -136,6 +138,98 @@ class TestIntDot:
             a = [mp.mpc(1, 2) / 3, mp.mpf(-5) / 7, mp.ldexp(1, -400)]
             b = [mp.mpc(-2, 1) / 9, mp.mpf(11), mp.mpf(1)]
             assert int_dot_real(int_parts(a), int_parts(b), prec) == float(mp.re(_exact(a, b)))
+
+
+def _float_bits(x):
+    """The binary64 encoding, so that -0.0 and 0.0 differ."""
+    return struct.pack("<d", x)
+
+
+def _tie_cases(prec):
+    """(man, exp) pairs whose prec-bit rounding lands exactly on a 53-bit
+    tie, so that rounding once to 53 bits would give another float."""
+    rng = random.Random(prec)
+    out = []
+    for odd in (1, 0):
+        # v: a 53-bit mantissa and a half unit of it, at prec bits
+        m53 = (1 << 52) | rng.getrandbits(51) << 1 | odd
+        v = (m53 << (prec - 53)) | (1 << (prec - 54))
+        exp = rng.randint(-200, 200) - prec
+        # below v (rounds up to the tie, then to even: m53 + 1 if odd) or
+        # above it (rounds down to the tie, then to even: m53 if even)
+        out.append(((v << 10) - 1 if odd else (v << 10) + 1, exp))
+        # halfway between v and its odd neighbour at prec bits, below
+        # (m53 odd) or above (m53 even): the first rounding is a tie too,
+        # and goes to the even v
+        out.append((((v - 1) << 1) + 1 if odd else (v << 1) + 1, exp))
+    return out
+
+
+def _edge_cases(prec):
+    rng = random.Random(-prec)
+    return [
+        # all ones: the prec-bit rounding carries into a power of two
+        ((1 << (prec + 7)) - 1, -prec),
+        # fewer bits than prec: no first rounding, and a 53-bit tie
+        ((1 << 60) | (1 << 6), -30),
+        (rng.getrandbits(prec - 20) | 1, -prec),
+        (0, 0),
+        (0, -5000),
+        # overflow, also after rounding up to 2^1024
+        ((1 << 60) + 1, 1000),
+        ((1 << 60) - 1, 1024 - 60),
+        # subnormal results, rounded once more into the subnormal range
+        (rng.getrandbits(prec + 40) | 1 << (prec + 39), -1074 - prec - 60),
+        (3, -1076),
+        ((1 << 53) + 3, -1074 - 53 - 1),
+        # underflow to zero
+        (1, -1100),
+    ]
+
+
+class TestIntDotReal:
+    """int_dot_real against the mpmath rounding it replaces, bit for bit."""
+
+    @staticmethod
+    def _reference(man, exp, prec):
+        return libmp.to_float(libmp.from_man_exp(man, exp, prec, "n"), rnd="n")
+
+    @pytest.mark.parametrize("prec", [203, 385, 1100])
+    def test_double_rounding_ties(self, prec):
+        for man, exp in _tie_cases(prec):
+            for sign in (1, -1):
+                got = int_dot_real(IntVector([sign * man], [], exp), IntVector([1], [], 0), prec)
+                want = self._reference(sign * man, exp, prec)
+                assert _float_bits(got) == _float_bits(want)
+                # rounding the exact sum once would give the other neighbour
+                assert got != self._reference(sign * man, exp, 53)
+
+    @pytest.mark.parametrize("prec", [203, 385, 1100])
+    def test_carry_short_zero_overflow_subnormal(self, prec):
+        kinds = set()
+        for man, exp in _edge_cases(prec):
+            for sign in (1, -1):
+                a = IntVector([sign * man], [], exp)
+                got = int_dot_real(a, IntVector([1], [], 0), prec)
+                want = self._reference(sign * man, exp, prec)
+                assert _float_bits(got) == _float_bits(want), (sign * man, exp)
+                kinds.add("inf" if math.isinf(got) else "zero" if got == 0
+                          else "subnormal" if abs(got) < sys.float_info.min else "normal")
+        assert kinds == {"inf", "zero", "subnormal", "normal"}
+
+    @pytest.mark.parametrize("dps", [60, 115, 301, 400])
+    @pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+    def test_random_sums(self, dps, kind):
+        rng = random.Random(f"real:{dps}:{kind}")
+        with workdps(dps):
+            prec = mp.mp.prec
+            for n in range(1, 41):
+                a = int_parts(_vector(rng, prec, n, 900, kind))
+                b = int_parts(_vector(rng, prec, n, 900, rng.choice(("real", kind))))
+                re = sum(x * y for x, y in zip(a.re, b.re)) \
+                    - sum(x * y for x, y in zip(a.im, b.im))
+                want = self._reference(re, a.exp + b.exp, prec)
+                assert _float_bits(int_dot_real(a, b, prec)) == _float_bits(want)
 
 
 def _cascade_jordan_span(N=16, T=0.5):

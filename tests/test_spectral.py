@@ -182,6 +182,17 @@ class TestNormalOrder:
         with pytest.raises(DuplicateEntry):
             _explicit([3.0, 3.0])
 
+    def test_entries_keep_their_own_digits(self):
+        # 1 and 1 + 1e-80 built at 100 digits: validated at 60 + 10 digits
+        # they would coincide
+        with workdps(100):
+            pair = [mp.mpf(1), 1 + mp.mpf("1e-80")]
+        seq = _explicit(pair)
+        assert seq.dps >= 100
+        assert list(seq.values) == pair and seq.values[0] != seq.values[1]
+        # binary64 entries keep the 60-digit floor
+        assert _explicit([3.0, 1.0, 2.0 + 1j]).dps == 60
+
     def test_permutation_invariance_of_profiles(self):
         rng = np.random.default_rng(7)
         vals = [k * k * PI2 for k in range(1, 25)]

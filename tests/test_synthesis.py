@@ -135,6 +135,33 @@ class TestSynthesizeSimple:
         assert bounds[0] > 0
         assert bounds[0] == bounds[1] == plan.tail_bound
 
+    @pytest.mark.parametrize("y0", ["one", "reciprocal", "reciprocal_sq", "odd_modes"])
+    @pytest.mark.parametrize("name", ["heat", "academic", "cascade", "two_diffusion"])
+    def test_tail_bound_stop_matches_full_sum(self, name, y0):
+        # the early stop leaves every bit of the sum over all 50 modes; a
+        # zero term (odd_modes) must not stop it
+        rule = {"one": lambda k, i: 1.0, "reciprocal": lambda k, i: 1.0 / k,
+                "reciprocal_sq": lambda k, i: 1.0 / k**2,
+                "odd_modes": lambda k, i: float(k % 2)}[y0]
+        model = {
+            "heat": lambda: pointwise_heat(X0, y0_rule=rule),
+            "academic": lambda: academic_lf(0.2, y0_rule=rule),
+            "cascade": lambda: cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.0),)),
+                                                  y0_rule=rule),
+            "two_diffusion": lambda: two_diffusion_boundary(2.0, y0_rule=rule),
+        }[name]()
+        synthesis._tail_bound(model, mp.mpf(0.4), 4)
+        assert len(model._modes) < 4 + 50   # it stopped early
+        for N in (4, 8, 12, 20):
+            for T in (0.05, 0.4, 2.0):
+                T_mp = mp.mpf(T)
+                with mp.workdps(60):
+                    full = mp.mpf(0)
+                    for mode in model.modes(N + 50)[N:]:
+                        full += mp.exp(-mode.lam_mp.real * T_mp) \
+                            * sum(abs(to_mp(c)) for c in mode.y0)
+                assert synthesis._tail_bound(model, T_mp, N) == float(full), (N, T)
+
     def test_zero_initial_data_zero_plan(self):
         model = pointwise_heat(X0, y0_rule=lambda k, i: 0.0)
         plan = synthesize(model, 0.4, 5)
@@ -469,8 +496,11 @@ class TestSamplePlan:
         basis = plan.family.span.basis()
         with mp.workprec(prec + 64):
             tol = mp.ldexp(1, -prec)
-            for t, values in zip(ts, synthesis._basis_samples(basis, T_f, ts, prec)):
+            for t, f in zip(ts, synthesis._basis_samples(basis, T_f, ts, prec)):
                 s = mp.mpf(T_f) - mp.mpf(float(t))
+                # real spans: the integer form holds re_j 2^exp exactly
+                assert not f.im
+                values = [mp.ldexp(re, f.exp) for re in f.re]
                 for v, (r, p) in zip(values, basis):
                     exact = s**p * mp.exp(-r * s)
                     assert abs(v - exact) <= tol * abs(exact)
