@@ -18,8 +18,13 @@ in full, in O(n^3), as exact integer dot products rounded once
 
 These systems are Cauchy-like and their conditioning explodes with the
 number of rates and with rate coalescence, so the solve always runs in
-mpmath at a precision chosen from the smallest relative rate gap (with
-automatic retry if the biorthogonality residual misses the target).
+mpmath, at digits chosen from the smallest relative rate gap (with
+automatic retry if the biorthogonality residual misses the target).  The
+family is then carried at fewer digits, chosen from the conditioning the
+solve measured: ceil(log10 cond) + CARRY_DIGITS.  C is rounded to them,
+and the residual, the dual Gram, the plan and its checks all run there.
+Every closed form takes its exponentials from one table E_j = e^{-r_j T}
+per span, n exponentials instead of one per pair.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ from .precision import (
 )
 
 RESIDUAL_THRESHOLD = 1e-8
+# digits the family carries beyond log10 of its Gram's condition estimate
+CARRY_DIGITS = 30
 
 
 @dataclass(frozen=True)
@@ -107,11 +114,11 @@ class ExponentialSpan:
             return float(mp.log(best))
 
 
-def int_pow_exp(a: int, s, T):
-    """Closed form of int_0^T t^a e^{-s t} dt for a in {0, 1, 2}."""
+def int_pow_exp(a: int, s, T, E):
+    """Closed form of int_0^T t^a e^{-s t} dt for a in {0, 1, 2}, given
+    E = e^{-s T} (unread on an infinite horizon, T = None)."""
     if T is None:
         return mp.factorial(a) / s ** (a + 1)
-    E = mp.exp(-s * T)
     if a == 0:
         return (1 - E) / s
     if a == 1:
@@ -121,29 +128,44 @@ def int_pow_exp(a: int, s, T):
     raise ValueError(f"t-power {a} not supported")
 
 
-def _gram_mp(span: ExponentialSpan) -> mp.matrix:
-    """Hermitian Gram <f_j, f_i> = int f_j conj(f_i)."""
+def _exp_table(span: ExponentialSpan) -> tuple:
+    """E_j = e^{-r_j T} per basis function at the working precision, one
+    exponential per rate; zeros on an infinite horizon."""
+    if span.T is None:
+        return (mp.mpf(0),) * span.size
+    exps = [mp.exp(-r * span.T) for r in span.rates]
+    return tuple(e for e in exps for _ in range(2 if span.jordan else 1))
+
+
+def _gram_mp(span: ExponentialSpan, E=None) -> mp.matrix:
+    """Hermitian Gram <f_j, f_i> = int f_j conj(f_i), with
+    e^{-(conj(r_i) + r_j) T} = conj(E_i) E_j from the table E (made at the
+    working precision when not given)."""
     basis = span.basis()
+    E = _exp_table(span) if E is None else E
     n = len(basis)
     G = mp.matrix(n, n)
     for i in range(n):
         ri, pi_ = basis[i]
         for j in range(n):
             rj, pj = basis[j]
-            G[i, j] = int_pow_exp(pi_ + pj, mp.conj(ri) + rj, span.T)
+            G[i, j] = int_pow_exp(pi_ + pj, mp.conj(ri) + rj, span.T, mp.conj(E[i]) * E[j])
     return G
 
 
-def _pairing_mp(span: ExponentialSpan) -> mp.matrix:
-    """Bilinear pairing int f_i f_j (no conjugation): the defining system."""
+def _pairing_mp(span: ExponentialSpan, E=None) -> mp.matrix:
+    """Bilinear pairing int f_i f_j (no conjugation): the defining system,
+    with e^{-(r_i + r_j) T} = E_i E_j from the table E (made at the working
+    precision when not given)."""
     basis = span.basis()
+    E = _exp_table(span) if E is None else E
     n = len(basis)
     M = mp.matrix(n, n)
     for i in range(n):
         ri, pi_ = basis[i]
         for j in range(i, n):
             rj, pj = basis[j]
-            v = int_pow_exp(pi_ + pj, ri + rj, span.T)
+            v = int_pow_exp(pi_ + pj, ri + rj, span.T, E[i] * E[j])
             M[i, j] = v
             M[j, i] = v
     return M
@@ -157,18 +179,20 @@ class BiorthogonalFamily:
     ln_norms: np.ndarray
     residual: float             # max |pairing(C) - I|
     degraded: bool
-    dps: int
+    dps: int                    # carried digits: everything below is held at them
     mp_coeffs: mp.matrix        # C: q_k = sum_j C[k, j] basis_j
     mp_dual_gram: mp.matrix     # <q_i, q_j> = (C G C^H)[i, j]; C itself on real spans
     int_rows: list = field(repr=False, compare=False)  # rows of C as precision.int_parts
+    exp_table: tuple = field(repr=False, compare=False)  # E_j = e^{-r_j T}, see _exp_table
 
     @property
     def size(self) -> int:
         return self.span.size
 
 
-def _displacement(span: ExponentialSpan):
-    """J and the generators of J M + M J^T = F(0) F(0)^T - F(T) F(T)^T.
+def _displacement(span: ExponentialSpan, E):
+    """J and the generators of J M + M J^T = F(0) F(0)^T - F(T) F(T)^T,
+    with F(T) read from the exponential table E.
 
     J is given by its diagonal (the rates) and its subdiagonal sub[i] =
     J[i, i-1] (-1 at a Jordan pair's t e^{-r t} row, else 0); F(T) is None
@@ -178,7 +202,7 @@ def _displacement(span: ExponentialSpan):
     sub = [-1 if p else 0 for _, p in basis]
     F0 = [0 if p else 1 for _, p in basis]
     T = span.T
-    FT = None if T is None else [mp.exp(-r * T) * (T if p else 1) for r, p in basis]
+    FT = None if T is None else [e * (T if p else 1) for e, (_, p) in zip(E, basis)]
     return diag, sub, F0, FT
 
 
@@ -226,14 +250,35 @@ def _structured_inverse(diag, sub, F0, FT) -> mp.matrix:
     return mp.matrix(X)
 
 
-def _solve_at(span: ExponentialSpan, dps: int):
+def _norm1(A: mp.matrix):
+    """max column sum of |A_ij|."""
+    return max(mp.fsum(abs(A[i, j]) for i in range(A.rows)) for j in range(A.cols))
+
+
+def _solve_at(span: ExponentialSpan, dps: int) -> BiorthogonalFamily:
+    """The family from a solve at ``dps`` digits, carried at
+    min(dps, ceil(log10 cond) + CARRY_DIGITS) digits."""
+    real = span.real
     with workdps(dps):
-        M = _pairing_mp(span)
-        n = M.rows
+        E = _exp_table(span)
         try:
-            C = _structured_inverse(*_displacement(span))  # rows of C solve M C^T = I
+            C = _structured_inverse(*_displacement(span, E))  # rows of C solve M C^T = I
         except ZeroDivisionError as exc:
             raise IllConditioned(f"pairing matrix singular at {dps} digits") from exc
+        # 1-norm condition estimate of the Gram
+        G = _pairing_mp(span, E) if real else _gram_mp(span, E)
+        kappa = _norm1(G) * _norm1(C)
+        carry = min(dps, int(mp.ceil(mp.log10(kappa))) + CARRY_DIGITS)
+    with workdps(carry):
+        if carry < dps:
+            # C is rounded (unary + rounds to the working precision); the
+            # table is made afresh, so that the closed forms at the carried
+            # digits match those of any caller working there
+            E = _exp_table(span)
+            C = C.apply(lambda x: +x)
+            G = _pairing_mp(span, E) if real else _gram_mp(span, E)
+        M = G if real else _pairing_mp(span, E)
+        n = M.rows
         # max |M C^T - I|, each entry an exact dot of a row of M with a row of C
         c_rows = [int_parts(row) for row in C.tolist()]
         residual = 0.0
@@ -241,52 +286,51 @@ def _solve_at(span: ExponentialSpan, dps: int):
             m_row = int_parts(m_row)
             for j, c_row in enumerate(c_rows):
                 residual = max(residual, float(abs(int_dot(m_row, c_row) - (1 if i == j else 0))))
-        if span.real:
+        if real:
             # the Gram is the pairing, so C G C^H = C M C^T = C
-            G, N = M, C
+            N = C
         else:
-            G = _gram_mp(span)
             g_cols = [int_parts(col) for col in G.T.tolist()]
             cg_rows = [int_parts([int_dot(c_row, g_col) for g_col in g_cols])
                        for c_row in c_rows]
             ch_cols = [r._replace(im=[-x for x in r.im]) for r in c_rows]  # conj(C)^T
             N = mp.matrix([[int_dot(cg_row, ch_col) for ch_col in ch_cols]
                            for cg_row in cg_rows])
-        pos_def = all(N[i, i].real > 0 for i in range(n))
-        if not pos_def:
+        if not all(N[i, i].real > 0 for i in range(n)):
             # force a precision retry: a negative computed norm means the
             # working precision has not resolved the Gram's definiteness
             residual = float("inf")
         ln_norms = np.array([float(mp.log(abs(N[i, i]))) / 2.0 if N[i, i] != 0 else -math.inf
                              for i in range(n)])
-        # 1-norm condition estimate of the Gram
-        gnorm = max(mp.fsum(abs(G[i, j]) for i in range(n)) for j in range(n))
-        ginvnorm = max(mp.fsum(abs(C[i, j]) for i in range(n)) for j in range(n))
-        cond = float(gnorm * ginvnorm)
-    return C, c_rows, N, residual, ln_norms, cond
+    with np.errstate(over="ignore"):
+        norms = np.exp(ln_norms)
+    return BiorthogonalFamily(
+        span=span, cond_estimate=float(kappa),
+        norms=norms, ln_norms=ln_norms, residual=residual,
+        degraded=residual > RESIDUAL_THRESHOLD, dps=carry,
+        mp_coeffs=C, mp_dual_gram=N, int_rows=c_rows, exp_table=E,
+    )
 
 
 def build_biortho(span: ExponentialSpan) -> BiorthogonalFamily:
     """Dual family to the span's basis f_j: int_0^T f_j(t) q_k(t) dt = delta_jk,
-    with f_j running over e^{-lam t} (and t e^{-lam t} on a Jordan span)."""
+    with f_j running over e^{-lam t} (and t e^{-lam t} on a Jordan span).
+
+    The solve runs at the digits ``auto_dps_for_gaps`` takes from the
+    smallest relative rate gap, doubled while the residual misses
+    RESIDUAL_THRESHOLD; the family is carried at the digits its measured
+    conditioning needs (``_solve_at``), which ``family.dps`` reports."""
     dps = auto_dps_for_gaps(span.min_log_rel_gap(), scale=5.0 if span.jordan else 2.6,
                             size=span.size)
     for _ in range(4):
-        C, c_rows, N, residual, ln_norms, cond = _solve_at(span, dps)
-        if residual <= RESIDUAL_THRESHOLD or dps >= MAX_DPS:
+        family = _solve_at(span, dps)
+        if family.residual <= RESIDUAL_THRESHOLD or dps >= MAX_DPS:
             break
         dps = min(MAX_DPS, 2 * dps)
-    if math.isinf(residual):
+    if math.isinf(family.residual):
         raise IllConditioned(
             f"Gram not numerically positive definite at {dps} digits")
-    with np.errstate(over="ignore"):
-        norms = np.exp(ln_norms)
-    return BiorthogonalFamily(
-        span=span, cond_estimate=cond,
-        norms=norms, ln_norms=ln_norms, residual=residual,
-        degraded=residual > RESIDUAL_THRESHOLD, dps=dps,
-        mp_coeffs=C, mp_dual_gram=N, int_rows=c_rows,
-    )
+    return family
 
 
 # Not exported: the only reader is the benchmark's tracer
@@ -299,15 +343,19 @@ def pair_with_exponential_mp(family: BiorthogonalFamily, mu, a: int = 0) -> list
     scalars at the family's working precision.
 
     For mu equal to a span rate and a = 0 this returns the corresponding
-    Kronecker column up to the solve residual.  The closed-form column is
-    converted once and dotted exactly with the family's integer rows of C.
+    Kronecker column up to the solve residual.  The closed-form column
+    takes e^{-(mu + r_j) T} = e^{-mu T} E_j from the family's exponential
+    table, one exponential per call; it is converted once and dotted
+    exactly with the family's integer rows of C.
     """
     if a not in (0, 1):
         raise ValueError("t-power a must be 0 or 1")
     span = family.span
     mu = to_mp(mu)
     with workdps(family.dps):
-        col = int_parts(int_pow_exp(a + p, mu + r, span.T) for (r, p) in span.basis())
+        e_mu = mp.mpf(0) if span.T is None else mp.exp(-mu * span.T)
+        col = int_parts(int_pow_exp(a + p, mu + r, span.T, e_mu * e)
+                        for (r, p), e in zip(span.basis(), family.exp_table))
         return [int_dot(row, col) for row in family.int_rows]
 
 

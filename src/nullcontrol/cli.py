@@ -63,11 +63,15 @@ def _write_dat(path: Path, xs, ys):
 
 
 def _write_json(path: Path, payload):
+    # strict JSON: a non-finite float would be written as NaN or Infinity
+    payload = _json_safe(payload)
     _validate(_DIAGNOSTICS, payload)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _json_safe(x):
+    """x with nan as null, +-inf as "inf"/"-inf", complex as {"re", "im"}
+    and numpy scalars as Python numbers, recursively."""
     if isinstance(x, dict):
         return {str(k): _json_safe(v) for k, v in x.items()}
     if isinstance(x, (list, tuple, np.ndarray)):
@@ -82,7 +86,7 @@ def _json_safe(x):
     if isinstance(x, (np.integer,)):
         return int(x)
     if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
+        return {"re": _json_safe(x.real), "im": _json_safe(x.imag)}
     return x
 
 
@@ -143,8 +147,8 @@ def _run_indices(cfg, out, params, meta):
     _write_dat(out / "indices_cond.dat", cond.ks, cond.values)
     _write_dat(out / "indices_bohr.dat", bohr.ks, bohr.values)
     _write_json(out / "indices.json", meta | {"data": {
-        "condensation_tail": _json_safe(cond.tail_estimate),
-        "bohr_tail": _json_safe(bohr.tail_estimate)}})
+        "condensation_tail": cond.tail_estimate,
+        "bohr_tail": bohr.tail_estimate}})
     return 0
 
 
@@ -175,9 +179,9 @@ def _run_tstar(cfg, out, params, meta):
             prof = est.profiles[name]
             _profile_csv(out, f"tstar_{name}", prof, re[: len(prof)])
     tmin = model.tmin_profile(K, window)
-    data = {"lower": _json_safe(est.lower), "components": _json_safe(est.components)}
+    data = {"lower": est.lower, "components": est.components}
     if tmin is not None:
-        data["tmin_tail"] = _json_safe(tmin.tail_estimate)
+        data["tmin_tail"] = tmin.tail_estimate
         _profile_csv(out, "tmin", tmin, re[: len(tmin)])
     _write_json(out / "tstar.json", meta | {"data": data})
     return 0
@@ -218,9 +222,9 @@ def _run_synthesize(cfg, out, params, meta):
     _write_csv(out / "control.csv", header, np.column_stack(columns).tolist())
     _write_json(out / "residuals.json", meta | {"data": {
         "max_abs_residual": report.max_abs,
-        "tail_bound": _json_safe(report.tail_bound),
-        "total_norm": _json_safe(plan.total_norm),
-        "per_mode_norm": _json_safe(plan.per_mode_norm),
+        "tail_bound": report.tail_bound,
+        "total_norm": plan.total_norm,
+        "per_mode_norm": plan.per_mode_norm,
         "family_residual": plan.family.residual}})
     return 0
 
@@ -230,9 +234,9 @@ def _run_verify(cfg, out, params, meta):
     report = synthesis.verify_moments(plan, N_check=params.get("N_check", plan.N))
     _write_json(out / "verify.json", meta | {"data": {
         "max_abs_residual": report.max_abs,
-        "tail_bound": _json_safe(report.tail_bound),
-        "residuals": _json_safe({f"{k}_{b}": v for (k, b), v in report.residuals.items()}),
-        "leakage": _json_safe({f"{k}_{b}": v for (k, b), v in report.leakage.items()})}})
+        "tail_bound": report.tail_bound,
+        "residuals": {f"{k}_{b}": v for (k, b), v in report.residuals.items()},
+        "leakage": {f"{k}_{b}": v for (k, b), v in report.leakage.items()}}})
     return 0
 
 
@@ -248,7 +252,7 @@ def _run_grushin(cfg, out, params, meta):
                 for n in range(1, n_max + 1)])
     _write_dat(out / "grushin.dat", prof.ks, prof.values)
     _write_json(out / "grushin.json", meta | {"data": {
-        "tail_estimate": _json_safe(prof.tail_estimate),
+        "tail_estimate": prof.tail_estimate,
         "target": prof.extras["target"],
         "unbounded": prof.unbounded}})
     return 0

@@ -54,13 +54,18 @@ def mp_log_abs(x) -> float:
 
 def auto_dps_for_gaps(min_log_gap: float, scale: float = 2.6, size: int = 0) -> int:
     """Decimal digits needed to resolve a relative gap exp(min_log_gap)
-    in a Gram system of ``size`` basis functions.
+    in a Gram system of ``size`` basis functions: the digits the dual
+    solve runs at.
 
     Solving a Gram system whose basis functions coalesce at relative
     distance g requires roughly cond ~ g^-2, hence ~ 2|log10 g| digits
     plus headroom: ``scale`` digits per decade of gap (5 for doubled,
     Jordan bases), two per basis function and 30 more.  Unresolvably
     small gaps saturate at MAX_DPS; none gets fewer than DEFAULT_DPS.
+    The gap only bounds cond from below, so these digits run 15 to 80
+    above what the measured cond needs; the family the solve yields is
+    carried at ceil(log10 cond) + 30 digits instead
+    (``biortho_time._solve_at``).
     """
     if math.isnan(min_log_gap) or min_log_gap == math.inf:
         return DEFAULT_DPS

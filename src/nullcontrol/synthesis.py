@@ -27,9 +27,9 @@ from .biortho_time import (
 from .biortho_space import biorthogonalize_gram
 from .errors import SynthesisUnsupported, UnobservableMode, ZeroMuUnsupported
 from .models import Block2x2, ParabolicModel
-from .observations import combine
+from .observations import Scalar, combine
 from .precision import (
-    DEFAULT_DPS, int_dot_real, int_parts, int_parts_raw, to_complex, to_mp, workdps,
+    DEFAULT_DPS, int_dot, int_dot_real, int_parts, int_parts_raw, to_complex, to_mp, workdps,
 )
 
 _TAIL_MODES = 50
@@ -101,22 +101,37 @@ def _tail_bound(model, T_mp, N: int) -> float:
         return float(total)
 
 
+def _norm_sq(family, terms):
+    """||u||^2 = sum_ij c_i conj(c_j) <q_i, q_j> <d_i, d_j> over the terms.
+
+    On a real span with scalar directions this is the quadratic form
+    w^T C conj(w) (there <q_i, q_j> = C_ij), w_b = sum of coeff * value over
+    the terms of basis row b: one exact dot per row of C."""
+    if family.span.real and all(isinstance(t.direction, Scalar) for t in terms):
+        w = [mp.mpf(0)] * family.size
+        for t in terms:
+            w[t.basis_index] += t.coeff_mp * to_mp(t.direction.value)
+        cw = int_parts(mp.conj(x) for x in w)
+        return int_dot(int_parts(w), int_parts(int_dot(row, cw) for row in family.int_rows))
+    Q = family.mp_dual_gram   # <q_i(T-.), q_j(T-.)> = <q_i, q_j>
+    total_sq = mp.mpf(0)
+    for ti in terms:
+        for tj in terms:
+            d_inner = to_mp(ti.direction.inner(tj.direction))
+            total_sq += ti.coeff_mp * mp.conj(tj.coeff_mp) \
+                * Q[ti.basis_index, tj.basis_index] * d_inner
+    return total_sq
+
+
 def _finalize(model, T_mp, N, family, terms) -> ControlPlan:
     with workdps(family.dps):
-        Q = family.mp_dual_gram   # <q_i(T-.), q_j(T-.)> = <q_i, q_j>
         lns = []
         for t in terms:
             c = abs(t.coeff_mp)
             ln = float("-inf") if c == 0 else float(mp.log(c)) + family.ln_norms[t.basis_index] \
                 + math.log(max(t.direction.norm(), 1e-300))
             lns.append(ln)
-        total_sq = mp.mpf(0)
-        for ti in terms:
-            for tj in terms:
-                d_inner = to_mp(ti.direction.inner(tj.direction))
-                total_sq += ti.coeff_mp * mp.conj(tj.coeff_mp) \
-                    * Q[ti.basis_index, tj.basis_index] * d_inner
-        total = float(mp.sqrt(abs(total_sq)))
+        total = float(mp.sqrt(abs(_norm_sq(family, terms))))
     lns = np.array(lns)
     with np.errstate(over="ignore"):
         pmn = np.exp(lns)

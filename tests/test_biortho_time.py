@@ -20,7 +20,8 @@ from nullcontrol.biortho_time import (
 from nullcontrol.cli import main
 from nullcontrol.errors import IllConditioned
 from nullcontrol.generators import AcademicLfRule, AppendixBRule
-from nullcontrol.precision import DEFAULT_DPS, to_complex, to_mp, workdps
+from nullcontrol.models import PiecewiseConstant, cascade_boundary_q
+from nullcontrol.precision import DEFAULT_DPS, auto_dps_for_gaps, to_complex, to_mp, workdps
 
 PI2 = math.pi**2
 
@@ -224,8 +225,8 @@ class TestStructuredSolve:
     def test_zero_pivot_is_ill_conditioned(self, monkeypatch, tmp_path, capsys):
         # F(0) = F(T) = 0 makes every Schur column, hence the first pivot, zero
         monkeypatch.setattr(biortho_time, "_displacement",
-                            lambda span: (list(span.rates), [0] * span.size, [0] * span.size,
-                                          [0] * span.size))
+                            lambda span, E: (list(span.rates), [0] * span.size,
+                                             [0] * span.size, [0] * span.size))
         with pytest.raises(IllConditioned, match="singular"):
             build_biortho(ExponentialSpan((1.0, 2.0, 3.0), 1.0))
         cfg = tmp_path / "cfg.json"
@@ -252,12 +253,16 @@ class TestCauchyOracle:
 
 
 def _fsum_pairing(fam, mu, a):
-    """The earlier pair_with_exponential_mp, kept as the reference: an
-    mp.fsum of products each rounded to the family's precision.  Returns
-    the pairings and, per row, sum_j |C_kj col_j|."""
+    """The earlier pair_with_exponential_mp, kept as the reference: one
+    mp.exp per entry of the closed-form column, and an mp.fsum of products
+    each rounded to the family's precision.  Returns the pairings and, per
+    row, sum_j |C_kj col_j|."""
     span, n = fam.span, fam.size
     with workdps(fam.dps):
-        col = [int_pow_exp(a + p, to_mp(mu) + r, span.T) for (r, p) in span.basis()]
+        col = []
+        for r, p in span.basis():
+            s = to_mp(mu) + r
+            col.append(int_pow_exp(a + p, s, span.T, mp.exp(-s * span.T)))
         C = fam.mp_coeffs
         return ([mp.fsum(C[k, j] * col[j] for j in range(n)) for k in range(n)],
                 [mp.fsum(abs(C[k, j] * col[j]) for j in range(n)) for k in range(n)])
@@ -354,15 +359,66 @@ class TestGapResolution:
         assert auto_dps_for_gaps(0.0) == 60
 
 
-class TestDpsPolicy:
-    """Working digits chosen from the smallest relative rate gap and the
-    system size; pinned at the values the package has always used."""
+_DPS_SPANS = [
+    ExponentialSpan(tuple(k * k * PI2 for k in range(1, 41)), 0.4),
+    ExponentialSpan(tuple(k * k * PI2 for k in range(1, 17)), 0.5, jordan=True),
+    ExponentialSpan(tuple(AppendixBRule(0.2).mp_entries(20)), 0.5),
+    ExponentialSpan((1.0,), 1.0),
+    ExponentialSpan(tuple(AcademicLfRule(0.2).mp_entries(20)), 0.5),
+]
+_DPS_IDS = ["heat-N40", "heat-jordan-N16", "appendixB-N20", "single", "academic_lf-N20"]
 
-    @pytest.mark.parametrize("span,dps", [
-        (ExponentialSpan(tuple(k * k * PI2 for k in range(1, 41)), 0.4), 115),
-        (ExponentialSpan(tuple(k * k * PI2 for k in range(1, 17)), 0.5, jordan=True), 100),
-        (ExponentialSpan(tuple(AppendixBRule(0.2).mp_entries(20)), 0.5), 99),
-        (ExponentialSpan((1.0,), 1.0), 60),
-    ])
+
+def _solve_dps(span):
+    """The digits build_biortho solves at before any residual retry."""
+    return auto_dps_for_gaps(span.min_log_rel_gap(), scale=5.0 if span.jordan else 2.6,
+                             size=span.size)
+
+
+class TestDpsPolicy:
+    """The solve runs at digits chosen from the smallest relative rate gap
+    and the system size, pinned at the values the package has always
+    used; the family is carried at min(solve digits, ceil(log10 cond) +
+    CARRY_DIGITS)."""
+
+    @pytest.mark.parametrize("span,dps", list(zip(_DPS_SPANS, [115, 100, 99, 60, 301])))
     def test_auto_dps(self, span, dps):
-        assert build_biortho(span).dps == dps
+        assert _solve_dps(span) == dps
+
+    @pytest.mark.parametrize("span,dps", zip(_DPS_SPANS, [72, 67, 70, 30, 222]),
+                             ids=_DPS_IDS)
+    def test_carried_digits(self, span, dps):
+        fam = build_biortho(span)
+        assert fam.dps == dps
+        assert fam.dps == min(_solve_dps(span), math.ceil(math.log10(fam.cond_estimate)) + 30)
+        assert fam.residual <= RESIDUAL_THRESHOLD
+        # every mp number of the family is held at the carried digits
+        with workdps(fam.dps):
+            prec = mp.mp.prec
+        for x in [x for row in fam.mp_coeffs.tolist() for x in row] + list(fam.exp_table):
+            assert x._mpf_[3] <= prec   # the mantissa's bit count
+
+    def test_cascade_jordan_carried_digits(self):
+        model = cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.0),)))
+        span = ExponentialSpan(tuple(m.lam_mp for m in model.modes(16)), 0.5, jordan=True)
+        assert build_biortho(span).dps == 67
+
+    def test_condition_beyond_float_range(self):
+        # log10 cond = 384 is taken from the mp product; the float view overflows
+        span = ExponentialSpan(tuple(AppendixBRule(1.0).mp_entries(40)), 1.0)
+        fam = build_biortho(span)
+        assert fam.cond_estimate == math.inf
+        assert fam.dps == 384 + 30 < _solve_dps(span) == 570
+        assert fam.residual <= RESIDUAL_THRESHOLD
+
+    def test_carried_family_matches_one_kept_at_solve_digits(self, monkeypatch):
+        span = _DPS_SPANS[0]
+        fam = build_biortho(span)
+        monkeypatch.setattr(biortho_time, "CARRY_DIGITS", 10**6)
+        ref = build_biortho(span)
+        assert ref.dps == 115 and fam.dps == 72
+        assert fam.cond_estimate == ref.cond_estimate
+        np.testing.assert_array_equal(fam.ln_norms, ref.ln_norms)
+        with workdps(fam.dps):
+            assert [[+x for x in row] for row in ref.mp_coeffs.tolist()] \
+                == fam.mp_coeffs.tolist()

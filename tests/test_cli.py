@@ -249,6 +249,31 @@ class TestOtherCommands:
         payload = json.loads((out / "biortho.json").read_text())
         assert payload["data"]["residual"] <= 1e-8
 
+    def test_biortho_overflowing_condition_is_strict_json(self, tmp_path):
+        # cond = 1e384 overflows binary64: the diagnostics spell it "inf", and
+        # the family is carried at ceil(log10 cond) + 30 = 414 of the 570
+        # solve digits
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        cfgp = _write_config(tmp_path, {"command": "biortho",
+                                        "sequence": {"rule": "appendixB", "tau": 1.0},
+                                        "params": {"N": 40, "T": 1.0}})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfgp), "--out", str(out)]) == 0
+        data = json.loads((out / "biortho.json").read_text(), parse_constant=refuse)["data"]
+        assert data["cond_estimate"] == "inf"
+        assert data["dps"] == 414
+        assert data["residual"] <= 1e-8
+
+    def test_json_safe_recurses_into_complex_parts(self, tmp_path):
+        path = tmp_path / "d.json"
+        cli._write_json(path, {"command": "verify", "data": {
+            "z": complex(math.inf, math.nan), "v": np.array([1.0, -math.inf]),
+            "k": np.int64(3)}})
+        data = json.loads(path.read_text())["data"]
+        assert data == {"z": {"re": "inf", "im": None}, "v": [1.0, "-inf"], "k": 3}
+
     def test_gramian_command(self, tmp_path):
         cfg = {"command": "gramian2x2",
                "params": {"lam1": 1.0, "lam2": 2.0, "bvec": [1.0, 1.0],

@@ -22,7 +22,7 @@ from nullcontrol import (
     two_diffusion_pointwise,
     verify_moments,
 )
-from nullcontrol import synthesis
+from nullcontrol import biortho_time, synthesis
 from nullcontrol.errors import (
     DegenerateFamily,
     SynthesisUnsupported,
@@ -510,6 +510,100 @@ class TestSamplePlan:
         (ts, _, _), count = _count_exp_calls(lambda: synthesis.sample_plan(plan, 2000))
         steps = len(np.unique(np.diff(ts)))
         assert count <= plan.family.size * (1 + steps)
+
+
+    def test_exponentials_per_span_rate(self):
+        # the closed forms read one table e^{-r_j T} per span: the dual solve,
+        # the plan and its moment check take O(n) exponentials, not O(n^2)
+        def synthesize_and_verify():
+            plan = synthesize(pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k), 0.4, 40)
+            verify_moments(plan)
+            return plan
+
+        plan, count = _count_exp_calls(synthesize_and_verify)
+        assert count <= 6 * plan.family.size
+
+
+def _solve_digit_plan(monkeypatch, model, T, N):
+    """The plan with its dual family kept at the solve's digits, as before
+    the family was carried at ceil(log10 cond) + CARRY_DIGITS."""
+    with monkeypatch.context() as m:
+        m.setattr(biortho_time, "CARRY_DIGITS", 10**6)
+        return synthesize(model, T, N)
+
+
+class TestCarriedDigits:
+    """A family carried at ceil(log10 cond) + 30 digits gives the same
+    samples, scalar control and norm as one kept at the solve's digits."""
+
+    @pytest.mark.parametrize("model,T,N", _SAMPLE_PLANS + [
+        (pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k), 0.4, 12)],
+        ids=_SAMPLE_IDS + ["heat-N12"])
+    def test_samples_and_norm_bit_exact(self, monkeypatch, model, T, N):
+        plan = synthesize(model, T, N)
+        ref = _solve_digit_plan(monkeypatch, model, T, N)
+        assert plan.family.dps < ref.family.dps
+        ts, cols, u = synthesis.sample_plan(plan, 2000)
+        ts_ref, cols_ref, u_ref = synthesis.sample_plan(ref, 2000)
+        assert np.array_equal(ts, ts_ref)
+        assert np.array_equal(cols, cols_ref)
+        assert (u is None and u_ref is None) or np.array_equal(u, u_ref)
+        assert plan.total_norm == ref.total_norm
+        np.testing.assert_array_equal(plan.per_mode_norm, ref.per_mode_norm)
+
+
+def _pairwise_norm(plan):
+    """The plan norm as the double sum over term pairs that _finalize used
+    for every plan, at the family's digits."""
+    Q = plan.family.mp_dual_gram
+    with mp.workdps(plan.family.dps):
+        total_sq = mp.mpf(0)
+        for ti in plan.terms:
+            for tj in plan.terms:
+                total_sq += ti.coeff_mp * mp.conj(tj.coeff_mp) \
+                    * Q[ti.basis_index, tj.basis_index] * to_mp(ti.direction.inner(tj.direction))
+        return float(mp.sqrt(abs(total_sq)))
+
+
+def _quadratic_form_norm(plan, dps):
+    """sqrt(|w^T C conj(w)|), w_b = coeff * value by basis row, at ``dps``."""
+    C = plan.family.mp_coeffs
+    with mp.workdps(dps):
+        w = [mp.mpf(0)] * plan.family.size
+        for t in plan.terms:
+            w[t.basis_index] += t.coeff_mp * to_mp(t.direction.value)
+        n = len(w)
+        total_sq = mp.fsum(w[i] * C[i, j] * mp.conj(w[j]) for i in range(n) for j in range(n))
+        return float(mp.sqrt(abs(total_sq)))
+
+
+class TestPlanNorm:
+    """On real spans with scalar directions the plan norm is one exact
+    quadratic form in C; other plans keep the sum over term pairs."""
+
+    @pytest.mark.parametrize("model,T,N", [
+        (pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k), 0.4, 8),
+        (pointwise_heat(X0, y0_rule=lambda k, i: 1.0), 0.4, 40),
+        (cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.0),)),
+                            y0_rule=lambda k, i: 1.0 / k), 0.5, 16),
+        (two_diffusion_boundary(2.0), 0.5, 24),
+    ], ids=["heat-N8", "heat-N40", "cascade-jordan-N16", "two_diffusion-N24"])
+    def test_quadratic_form(self, model, T, N):
+        plan = synthesize(model, T, N)
+        assert plan.family.span.real
+        assert all(isinstance(t.direction, Scalar) for t in plan.terms)
+        pairwise = _pairwise_norm(plan)
+        assert abs(plan.total_norm - pairwise) <= 4 * math.ulp(pairwise)
+        ref = _quadratic_form_norm(plan, 2 * plan.family.dps)
+        assert abs(plan.total_norm - ref) <= math.ulp(ref)
+
+    @pytest.mark.parametrize("model,T,N", [
+        (academic_lf(0.2, y0_rule=lambda k, i: 1.0), 0.5, 8),
+        (_ComplexPair(), 0.5, 4),
+    ], ids=["academic_series", "complex_span"])
+    def test_pairwise_sum_elsewhere(self, model, T, N):
+        plan = synthesize(model, T, N)
+        assert plan.total_norm == _pairwise_norm(plan)
 
 
 class TestGramian2x2:
