@@ -2,13 +2,11 @@
 diagnostics for parabolic spectral models."""
 
 from . import errors
-from .biortho_space import VectorFamily, biorthogonalize, gram, smallest_eigenvalue
 from .biortho_time import (
     BiorthogonalFamily,
     ExponentialSpan,
     build_biortho,
     cauchy_inverse_oracle,
-    norm_growth_fit,
 )
 from .generators import make_rule
 from .grushin import (
@@ -42,13 +40,11 @@ from .observations import Scalar, SineSeries
 from .report import ProfileReport, make_profile
 from .spectral import (
     SpectralSequence,
-    blaschke_log_wprime,
     blaschke_profile,
     bohr_profile,
     check_hypotheses,
     condensation_profile,
     from_rule,
-    log_E_prime,
     log_eprime_single_family,
     log_eprime_two_family,
 )

@@ -21,8 +21,9 @@ number of rates and with rate coalescence, so the solve always runs in
 mpmath, at digits chosen from the smallest relative rate gap (with
 automatic retry if the biorthogonality residual misses the target).  The
 family is then carried at fewer digits, chosen from the conditioning the
-solve measured: ceil(log10 cond) + CARRY_DIGITS.  C is rounded to them,
-and the residual, the dual Gram, the plan and its checks all run there.
+solve measured: ceil(log10 cond) + CARRY_DIGITS.  C and the Gram formed
+for the estimate are rounded to them, and the residual, the dual Gram, the
+plan and its checks all run there.
 Every closed form takes its exponentials from one table E_j = e^{-r_j T}
 per span, n exponentials instead of one per pair.
 """
@@ -271,12 +272,12 @@ def _solve_at(span: ExponentialSpan, dps: int) -> BiorthogonalFamily:
         carry = min(dps, int(mp.ceil(mp.log10(kappa))) + CARRY_DIGITS)
     with workdps(carry):
         if carry < dps:
-            # C is rounded (unary + rounds to the working precision); the
-            # table is made afresh, so that the closed forms at the carried
-            # digits match those of any caller working there
+            # C and G are rounded (unary + rounds to the working precision);
+            # the table is made afresh, so that the closed forms at the
+            # carried digits match those of any caller working there
             E = _exp_table(span)
             C = C.apply(lambda x: +x)
-            G = _pairing_mp(span, E) if real else _gram_mp(span, E)
+            G = G.apply(lambda x: +x)
         M = G if real else _pairing_mp(span, E)
         n = M.rows
         # max |M C^T - I|, each entry an exact dot of a row of M with a row of C
@@ -386,33 +387,3 @@ def cauchy_inverse_oracle(rates) -> np.ndarray:
                         den *= xs[i] - xs[k]
                 out[i, j] = float(num / den)
     return out
-
-
-@dataclass(frozen=True)
-class NormGrowthReport:
-    slope: float
-    bound: float
-    ok: bool
-    degenerate: bool
-    npoints: int
-
-
-def norm_growth_fit(family: BiorthogonalFamily, re_rates=None, c_est: float = 0.0,
-                    window: int = 10, slack: float = 0.1) -> NormGrowthReport:
-    """LS slope of ln||q_k|| against Re(lam_k) over the tail window,
-    checked against the clustering-index upper bound (4x for Jordan spans).
-    """
-    if re_rates is None:
-        re_rates = [float(r.real) for r in family.span.rates]
-    xs = np.asarray(re_rates, dtype=float)
-    if family.span.jordan:
-        xs = np.repeat(xs, 2)
-    ys = family.ln_norms
-    if len(xs) != len(ys):
-        raise ValueError("rate/norm length mismatch")
-    bound = (4.0 if family.span.jordan else 1.0) * float(c_est)
-    if len(np.unique(xs)) < 2:
-        return NormGrowthReport(float("nan"), bound, False, True, len(xs))
-    w = max(2, min(window, len(xs)))
-    slope = float(np.polyfit(xs[-w:], ys[-w:], 1)[0])
-    return NormGrowthReport(slope, bound, slope <= bound + slack, False, w)

@@ -244,8 +244,8 @@ def _run_grushin(cfg, out, params, meta):
     a, b = params.get("a", 0.3), params.get("b", 0.5)
     n_max = params.get("n_max", 40)
     h = params.get("h", 2e-4)
-    prof = grushin_tstar_profile(a, b, n_max, h, window=params.get("window", 10),
-                                 cap=params.get("cap"))
+    cap = params.get("cap")
+    prof = grushin_tstar_profile(a, b, n_max, h, window=params.get("window", 10))
     integs = [observation_integral(solve_mode(n, h), a, b) for n in range(1, n_max + 1)]
     _write_csv(out / "grushin.csv", ["n", "lambda", "integral", "T_n"],
                [(n, prof.extras["lambda"][n - 1], integs[n - 1], prof.values[n - 1])
@@ -254,7 +254,8 @@ def _run_grushin(cfg, out, params, meta):
     _write_json(out / "grushin.json", meta | {"data": {
         "tail_estimate": prof.tail_estimate,
         "target": prof.extras["target"],
-        "unbounded": prof.unbounded}})
+        "unbounded": bool(cap is not None and np.isfinite(cap)
+                          and prof.running_sup[-1] > cap)}})
     return 0
 
 

@@ -26,6 +26,9 @@ class SequenceRule:
     name = "rule"
     infinite = True
     real = True  # every entry real: the float view is float64, else complex128
+    # spectral.from_rule rounds the stored head of an infinite rule up to a
+    # multiple of this: 2 on the two-branch rules
+    pair_align = 1
 
     def __init__(self):
         self._float_cache = np.zeros(0)
@@ -80,6 +83,7 @@ class AppendixBRule(SequenceRule):
     """Paired sequence {k^2, k^2 + e^{-tau k^2}}, merged in order."""
 
     name = "appendixB"
+    pair_align = 2
 
     def __init__(self, tau=1.0):
         if tau <= 0:
@@ -113,6 +117,7 @@ class TwoDiffusionRule(SequenceRule):
     """Merged families {s k^2} and {s d k^2}, d > 0, d != 1."""
 
     name = "two_diffusion"
+    pair_align = 2
 
     def __init__(self, d, scale=1.0):
         if d <= 0 or abs(d - 1.0) <= 1e-9:
@@ -155,6 +160,7 @@ class AcademicLfRule(SequenceRule):
     """Paired sequence {lam_k - f, lam_k + f}, lam_k = k^2 pi^2, f = e^{-tau lam_k}."""
 
     name = "academic_lf"
+    pair_align = 2
 
     def __init__(self, tau):
         if tau <= 0:

@@ -30,6 +30,10 @@ _GAUSS_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
 _GAUSS_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 LOG_DOMAIN_THRESHOLD = 1e-280
+# the bisection stops once hi - lo <= BRACKET_REL_TOL * hi
+BRACKET_REL_TOL = 1e-10
+# solve_mode accepts a grid while |lambda(h) - lambda(h/2)| <= RICHARDSON_TOL * lambda(h)
+RICHARDSON_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -109,9 +113,9 @@ def _rayleigh(kd, ke, md, me, v):
     return float(v @ kv) / float(v @ _mass_times(md, me, v))
 
 
-def _solve_eig(n, h, rel_tol=1e-10):
+def _solve_eig(n, h):
     """(grid, lo, hi, v, dpttrf calls): K - lo*M is definite, K - hi*M is not,
-    and hi - lo <= rel_tol * hi brackets the smallest pencil eigenvalue."""
+    and hi - lo <= BRACKET_REL_TOL * hi brackets the smallest pencil eigenvalue."""
     grid, kd, ke, md, me = _assemble(n, h)
     calls = 0
 
@@ -127,7 +131,7 @@ def _solve_eig(n, h, rel_tol=1e-10):
     hi = _rayleigh(kd, ke, md, me, v) * (1.0 + 1e-7)
     while (f := factor(hi)) is not None:  # the quotient fell short: widen
         lo, kept, hi = hi, f, 2.0 * hi - lo
-    while hi - lo > rel_tol * hi:
+    while hi - lo > BRACKET_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if (f := factor(mid)) is None:
             hi = mid
@@ -141,11 +145,11 @@ def _solve_mode_cached(n: int, h: float):
     return _solve_eig(n, h)
 
 
-def solve_mode(n: int, h: float = 2e-4, err_tol: float = 1e-4) -> CrossSectionMode:
+def solve_mode(n: int, h: float = 2e-4) -> CrossSectionMode:
     """Ground mode of the cross-section operator at frequency n.
 
     Raises GridTooCoarse when the h vs h/2 Richardson difference exceeds
-    err_tol * lambda_n, and GridTooFine when the certified bracket does not
+    RICHARDSON_TOL * lambda_n, and GridTooFine when the certified bracket does not
     lie above n*pi, which bounds the exact pencil's eigenvalue from below.
     """
     if not 1 <= n <= 60:
@@ -158,8 +162,9 @@ def solve_mode(n: int, h: float = 2e-4, err_tol: float = 1e-4) -> CrossSectionMo
                           "of the pencil exceeds lambda - n*pi on this grid")
     _, _, lam_half, _, calls_half = _solve_mode_cached(n, float(h) / 2.0)
     err_est = abs(lam - lam_half)
-    if err_est > err_tol * lam:
-        raise GridTooCoarse(f"discretization error estimate {err_est:.3e} > {err_tol:g} * lambda")
+    if err_est > RICHARDSON_TOL * lam:
+        raise GridTooCoarse(
+            f"discretization error estimate {err_est:.3e} > {RICHARDSON_TOL:g} * lambda")
     full = np.zeros(len(grid))
     full[1:-1] = v_in
     if full[len(full) // 2] < 0:
@@ -211,13 +216,14 @@ def expected_observation_asymptote(n: int, a: float) -> float:
 
 
 def grushin_tstar_profile(a: float, b: float, n_max: int, h: float = 2e-4,
-                          window: int = DEFAULT_WINDOW, cap: float | None = None,
-                          T_grid=None) -> ProfileReport:
+                          window: int = DEFAULT_WINDOW) -> ProfileReport:
     """Per-frequency marginal horizons T_n = [ln lam_n - ln(2 int_a^b v_n^2)] / (2 lam_n).
 
     The witness is an exact eigenfunction, so only the observation term of
     the quantified test survives; constant-1 convention for the unknown
-    prefactor.  The tail is compared against a^2/2 in the extras.
+    prefactor.  The extras hold lambda_n, ln int_a^b v_n^2 and the target
+    a^2/2 the tail is compared against; the running supremum is what the
+    CLI's ``grushin`` command checks against its optional cap.
     """
     lams = np.empty(n_max)
     log_ints = np.empty(n_max)
@@ -229,10 +235,4 @@ def grushin_tstar_profile(a: float, b: float, n_max: int, h: float = 2e-4,
         log_ints[n - 1] = li
         vals[n - 1] = (math.log(mode.lam) - (math.log(2.0) + li)) / (2.0 * mode.lam)
     extras = {"lambda": lams, "log_integral": log_ints, "target": a * a / 2.0}
-    if T_grid is not None:
-        curves = {}
-        for T in T_grid:
-            # ratio of the quantified test along the witness family
-            curves[float(T)] = np.exp(2.0 * lams * float(T) + math.log(2.0) + log_ints - np.log(lams))
-        extras["ratio_curves"] = curves
-    return make_profile("grushin_tstar", np.arange(1, n_max + 1), vals, window, cap, extras)
+    return make_profile("grushin_tstar", np.arange(1, n_max + 1), vals, window, extras)

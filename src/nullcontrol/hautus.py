@@ -59,8 +59,7 @@ def _clamp(v: float) -> float:
     return v if math.isinf(v) else max(0.0, v)
 
 
-def tstar_observation_profile(model, K: int, window: int = DEFAULT_WINDOW,
-                              cap: float | None = None) -> ProfileReport:
+def tstar_observation_profile(model, K: int, window: int = DEFAULT_WINDOW) -> ProfileReport:
     """Per-mode horizon from the eigenfunction witness:
     v_k = [-ln ||B* phi_k|| + ln(Re lam_k)/2] / Re lam_k."""
     if not model.observation_available:
@@ -78,12 +77,11 @@ def tstar_observation_profile(model, K: int, window: int = DEFAULT_WINDOW,
         if nrm < NEAR_ZERO_WARN:
             warn.append(mode.k)
         vals[i] = _clamp((-math.log(nrm) + 0.5 * math.log(re)) / re)
-    return make_profile("tstar_observation", np.arange(1, K + 1), vals, window, cap,
+    return make_profile("tstar_observation", np.arange(1, K + 1), vals, window,
                         extras={"near_zero_warnings": warn})
 
 
-def tstar_gap_profile(model, K: int, window: int = DEFAULT_WINDOW,
-                      cap: float | None = None) -> ProfileReport:
+def tstar_gap_profile(model, K: int, window: int = DEFAULT_WINDOW) -> ProfileReport:
     """Per-mode horizon from pairwise eigenvalue separation:
     v_k = [-ln inf_j |lam_k - lam_j| + ln(Re lam_k)] / Re lam_k.
 
@@ -96,12 +94,11 @@ def tstar_gap_profile(model, K: int, window: int = DEFAULT_WINDOW,
     bohr = spectral.bohr_profile(seq, K, window=window)
     re = seq.re[:K]
     vals = np.array([_clamp(v + math.log(r) / r) for v, r in zip(bohr.values, re)])
-    return make_profile("tstar_gap", np.arange(1, K + 1), vals, window, cap,
+    return make_profile("tstar_gap", np.arange(1, K + 1), vals, window,
                         extras={"partner": bohr.extras["partner"]})
 
 
-def tstar_jordan_profile(model, K: int, window: int = DEFAULT_WINDOW,
-                         cap: float | None = None) -> ProfileReport:
+def tstar_jordan_profile(model, K: int, window: int = DEFAULT_WINDOW) -> ProfileReport:
     """Per-mode horizon from the Jordan coupling:
     v_k = [-ln |mu_k| + ln(Re lam_k)] / Re lam_k, plus a secondary profile
     [ln(|gamma_k| / |mu_k|) + ln(Re lam_k)] / Re lam_k when gamma is known."""
@@ -124,8 +121,8 @@ def tstar_jordan_profile(model, K: int, window: int = DEFAULT_WINDOW,
         raise NoJordanModes("all Jordan couplings vanish (modes " + str(skipped) + ")")
     extras = {"skipped_zero_mu": skipped}
     if g_ks:
-        extras["gamma_profile"] = make_profile("tstar_jordan_gamma", g_ks, g_vals, window, cap)
-    return make_profile("tstar_jordan", ks, vals, window, cap, extras)
+        extras["gamma_profile"] = make_profile("tstar_jordan_gamma", g_ks, g_vals, window)
+    return make_profile("tstar_jordan", ks, vals, window, extras)
 
 
 @dataclass(frozen=True)

@@ -101,8 +101,7 @@ class ParabolicModel:
         seq = spectral.from_rule(self.rule, K)
         return replace(seq, r=tuple(m.r for m in self.modes(len(seq))))
 
-    def tmin_profile(self, K: int, window: int = DEFAULT_WINDOW,
-                     cap: float | None = None) -> ProfileReport | None:
+    def tmin_profile(self, K: int, window: int = DEFAULT_WINDOW) -> ProfileReport | None:
         return None
 
 
@@ -128,14 +127,14 @@ class PointwiseHeatModel(ParabolicModel):
         return SpectralMode(k, *self._rate(k), "simple", (Scalar(self._obs_value(k)),),
                             (complex(self.y0_rule(k, 1)),))
 
-    def tmin_profile(self, K, window=DEFAULT_WINDOW, cap=None):
+    def tmin_profile(self, K, window=DEFAULT_WINDOW):
         ks = np.arange(1, K + 1)
         lams = self.rule.float_entries(K)
         vals = np.empty(K)
         for i, k in enumerate(ks):
             v = self._obs_value(int(k))
             vals[i] = math.inf if v == 0.0 else -math.log(abs(v)) / lams[i]
-        return make_profile("tmin_pointwise", ks, vals, window, cap)
+        return make_profile("tmin_pointwise", ks, vals, window)
 
 
 def pointwise_heat(x0: float, y0_rule=None) -> PointwiseHeatModel:
@@ -280,7 +279,7 @@ class CascadeInternalModel(ParabolicModel):
         return SpectralMode(k, *self._rate(k), "jordan", (obs1, obs2), y0,
                             r=1, mu=complex(I_k), gamma=None, meta=meta)
 
-    def tmin_profile(self, K, window=DEFAULT_WINDOW, cap=None):
+    def tmin_profile(self, K, window=DEFAULT_WINDOW):
         ks = np.arange(1, K + 1)
         lams = self.rule.float_entries(K)
         vals = np.empty(K)
@@ -288,7 +287,7 @@ class CascadeInternalModel(ParabolicModel):
             I_k, I1_k = self.coupling(int(k))
             cands = [-math.log(abs(v)) for v in (I_k, I1_k) if abs(v) > 0.0]
             vals[i] = min(cands) / lams[i] if cands else math.inf
-        return make_profile("tmin_cascade_internal", ks, vals, window, cap)
+        return make_profile("tmin_cascade_internal", ks, vals, window)
 
 
 def cascade_internal_q(q: PiecewiseConstant, omega, M: int = 200, y0_rule=None) -> CascadeInternalModel:
@@ -332,14 +331,14 @@ class CascadeBoundaryModel(ParabolicModel):
                             (Scalar(obs1_val), Scalar(obs2_val)), y0,
                             r=1, mu=complex(I_k), gamma=complex(gamma), meta=meta)
 
-    def tmin_profile(self, K, window=DEFAULT_WINDOW, cap=None):
+    def tmin_profile(self, K, window=DEFAULT_WINDOW):
         ks = np.arange(1, K + 1)
         lams = self.rule.float_entries(K)
         vals = np.empty(K)
         for i, k in enumerate(ks):
             I_k = self.coupling(int(k))
             vals[i] = math.inf if I_k == 0.0 else -math.log(abs(I_k)) / lams[i]
-        return make_profile("tmin_cascade_boundary", ks, vals, window, cap)
+        return make_profile("tmin_cascade_boundary", ks, vals, window)
 
 
 def cascade_boundary_q(q: PiecewiseConstant, M: int = 200, y0_rule=None) -> CascadeBoundaryModel:
@@ -385,8 +384,8 @@ class TwoDiffusionBoundaryModel(_TwoDiffusionBase):
         lam_k = k * k * _PI2
         return Scalar(_SQRT2 / (self.d - 1.0) if fam == 1 else _SQRT2 * lam_k)
 
-    def tmin_profile(self, K, window=DEFAULT_WINDOW, cap=None):
-        return spectral.condensation_profile(self.spectrum(K), K, window=window, cap=cap)
+    def tmin_profile(self, K, window=DEFAULT_WINDOW):
+        return spectral.condensation_profile(self.spectrum(K), K, window=window)
 
 
 def two_diffusion_boundary(d: float, y0_rule=None) -> TwoDiffusionBoundaryModel:
@@ -409,7 +408,7 @@ class TwoDiffusionPointwiseModel(_TwoDiffusionBase):
         v = s / ((self.d - 1.0) * math.sqrt(lam_k)) if fam == 1 else math.sqrt(lam_k) * s
         return Scalar(0.0 if abs(v) < VANISH_TOL else v)
 
-    def tmin_profile(self, K, window=DEFAULT_WINDOW, cap=None, rel_tail_tol=1e-10):
+    def tmin_profile(self, K, window=DEFAULT_WINDOW):
         seq = self.spectrum(K)
         observed = {}
         for j in range(1, K + 1):
@@ -418,11 +417,10 @@ class TwoDiffusionPointwiseModel(_TwoDiffusionBase):
             if s >= VANISH_TOL:
                 observed[j] = s
         vals = np.full(K, math.inf)  # unobserved modes stay inf
-        log_eprimes = spectral.log_E_primes(seq, list(observed), rel_tail_tol)
+        log_eprimes = spectral.log_E_primes(seq, list(observed))
         for (j, s), log_ep in zip(observed.items(), log_eprimes):
             vals[j - 1] = (-math.log(s) - log_ep) / float(seq.entry(j).real)
-        return make_profile("tmin_two_diffusion_pointwise", np.arange(1, K + 1), vals,
-                            window, cap)
+        return make_profile("tmin_two_diffusion_pointwise", np.arange(1, K + 1), vals, window)
 
 
 def two_diffusion_pointwise(d: float, x0: float, y0_rule=None) -> TwoDiffusionPointwiseModel:
@@ -450,10 +448,10 @@ class AcademicLfModel(ParabolicModel):
         return SpectralMode(j, *self._rate(j), "simple", (obs,), (complex(self.y0_rule(j, 1)),),
                             meta={"underlying_k": k, "branch": "-" if minus_branch else "+"})
 
-    def tmin_profile(self, K, window=DEFAULT_WINDOW, cap=None):
+    def tmin_profile(self, K, window=DEFAULT_WINDOW):
         ks = np.arange(1, K + 1)
         vals = np.full(K, self.tau)  # -ln f(lam_k) / lam_k is exactly tau
-        return make_profile("tmin_academic", ks, vals, window, cap)
+        return make_profile("tmin_academic", ks, vals, window)
 
 
 def academic_lf(tau: float, y0_rule=None) -> AcademicLfModel:

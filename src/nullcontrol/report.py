@@ -3,6 +3,9 @@
 A ProfileReport holds the per-index values of a sequence v_k, its running
 supremum and a tail estimate (sup over the last `window` entries).  The
 limsup itself is never claimed computed; the profile is the deliverable.
+Whether a profile counts as unbounded against a cap is the caller's call:
+the CLI's ``grushin`` command compares the last running supremum with its
+configured cap.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ class ProfileReport:
     running_sup: np.ndarray
     window: int
     tail_estimate: float
-    unbounded: bool = False
     extras: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -33,7 +35,7 @@ class ProfileReport:
         return zip(self.ks.tolist(), self.values.tolist(), self.running_sup.tolist())
 
 
-def make_profile(name, ks, values, window=DEFAULT_WINDOW, cap=None, extras=None) -> ProfileReport:
+def make_profile(name, ks, values, window=DEFAULT_WINDOW, extras=None) -> ProfileReport:
     ks = np.asarray(ks, dtype=int)
     values = np.asarray(values, dtype=float)
     if len(ks) != len(values) or len(ks) == 0:
@@ -41,7 +43,6 @@ def make_profile(name, ks, values, window=DEFAULT_WINDOW, cap=None, extras=None)
     running = np.maximum.accumulate(values)
     w = max(1, min(int(window), len(values)))
     tail = float(np.max(values[-w:]))
-    unbounded = bool(cap is not None and np.isfinite(cap) and running[-1] > cap)
     return ProfileReport(
         name=name,
         ks=ks,
@@ -49,6 +50,5 @@ def make_profile(name, ks, values, window=DEFAULT_WINDOW, cap=None, extras=None)
         running_sup=running,
         window=w,
         tail_estimate=tail,
-        unbounded=unbounded,
         extras=dict(extras or {}),
     )

@@ -95,9 +95,8 @@ def from_rule(rule: SequenceRule, K: int) -> SpectralSequence:
     if K < 1:
         raise TooFewModes("K must be >= 1")
     if rule.infinite:
-        align = 2 if rule.name in ("appendixB", "academic_lf", "two_diffusion") else 1
         n = K + _HEAD_BUFFER
-        n += (-n) % align
+        n += (-n) % rule.pair_align
     else:
         n = len(rule.values)
         if n < K:
@@ -306,26 +305,19 @@ def log_E_primes(seq: SpectralSequence, ks, rel_tail_tol: float = 1e-10) -> np.n
     return np.array(totals) + _far_sums(seq, np.array(lams), n0, np.array(Js, dtype=np.int64), 2)
 
 
-def log_E_prime(seq: SpectralSequence, k: int, rel_tail_tol: float = 1e-10) -> float:
-    """ln|E'(lam_k)|; see ``log_E_primes``."""
-    return float(log_E_primes(seq, [k], rel_tail_tol)[0])
-
-
 def condensation_profile(seq: SpectralSequence, K: int,
                          rel_tail_tol: float = 1e-10,
-                         window: int = DEFAULT_WINDOW,
-                         cap: float | None = None) -> ProfileReport:
+                         window: int = DEFAULT_WINDOW) -> ProfileReport:
     """Windowed surrogate of the condensation index."""
     if K > len(seq):
         raise TooFewModes(f"profile needs K={K} stored entries, have {len(seq)}")
     re = seq.re[:K]
     vs = -log_E_primes(seq, range(1, K + 1), rel_tail_tol) / re
-    return make_profile("condensation", np.arange(1, K + 1), vs, window, cap)
+    return make_profile("condensation", np.arange(1, K + 1), vs, window)
 
 
 def bohr_profile(seq: SpectralSequence, K: int,
-                 window: int = DEFAULT_WINDOW,
-                 cap: float | None = None) -> ProfileReport:
+                 window: int = DEFAULT_WINDOW) -> ProfileReport:
     """Windowed surrogate of the nearest-neighbor (Bohr-type) index."""
     if K < 2:
         raise TooFewModes("pairwise profile needs K >= 2")
@@ -354,7 +346,7 @@ def bohr_profile(seq: SpectralSequence, K: int,
                     best, best_j = gap, int(j) + 1
             vs[k - 1] = -mp_log_abs(best) / float(lam.real)
             partners[k - 1] = best_j
-    return make_profile("bohr", np.arange(1, K + 1), vs, window, cap,
+    return make_profile("bohr", np.arange(1, K + 1), vs, window,
                         extras={"partner": partners})
 
 
@@ -429,21 +421,15 @@ def blaschke_log_wprimes(seq: SpectralSequence, ks, rel_tail_tol: float = 1e-10)
     return np.array(totals) - _far_sums(seq, np.array(lams), n0, np.array(Js, dtype=np.int64), 1)
 
 
-def blaschke_log_wprime(seq: SpectralSequence, k: int, rel_tail_tol: float = 1e-10) -> float:
-    """ln|W'(lam_k)|; see ``blaschke_log_wprimes``."""
-    return float(blaschke_log_wprimes(seq, [k], rel_tail_tol)[0])
-
-
 def blaschke_profile(seq: SpectralSequence, K: int,
                      rel_tail_tol: float = 1e-10,
-                     window: int = DEFAULT_WINDOW,
-                     cap: float | None = None) -> ProfileReport:
+                     window: int = DEFAULT_WINDOW) -> ProfileReport:
     """Condensation surrogate computed through |W'| instead of |E'|."""
     if K > len(seq):
         raise TooFewModes(f"profile needs K={K} stored entries, have {len(seq)}")
     re = seq.re[:K]
     vs = -blaschke_log_wprimes(seq, range(1, K + 1), rel_tail_tol) / re
-    return make_profile("blaschke", np.arange(1, K + 1), vs, window, cap)
+    return make_profile("blaschke", np.arange(1, K + 1), vs, window)
 
 
 # ---------------------------------------------------------------------------

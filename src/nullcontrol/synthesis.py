@@ -24,8 +24,10 @@ from .biortho_time import (
     build_biortho_jordan,  # noqa: F401  read only by perfbench/tracing.py ENTRY_POINTS
     pair_with_exponential_mp,
 )
-from .biortho_space import biorthogonalize_gram
-from .errors import SynthesisUnsupported, UnobservableMode, ZeroMuUnsupported
+from .errors import (
+    DegenerateFamily, NotHermitian, NumericalError, SynthesisUnsupported, UnobservableMode,
+    ZeroMuUnsupported,
+)
 from .models import Block2x2, ParabolicModel
 from .observations import Scalar, combine
 from .precision import (
@@ -33,6 +35,7 @@ from .precision import (
 )
 
 _TAIL_MODES = 50
+SIGMA_SQ_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -157,6 +160,27 @@ def _check_mode(mode):
         raise SynthesisUnsupported(
             f"mode k={mode.k} has non-proportional branch observations; "
             "the two-profile construction needs B* phi_2 = gamma B* phi_1")
+
+
+def smallest_eigenvalue(G: np.ndarray) -> float:
+    """sigma^2: smallest eigenvalue of a hermitian Gram matrix."""
+    G = np.atleast_2d(np.asarray(G, dtype=complex))
+    if G.shape[0] != G.shape[1] or np.max(np.abs(G - G.conj().T)) > 1e-10 * (np.max(np.abs(G)) or 1.0):
+        raise NotHermitian("Gram matrix must be hermitian")
+    return float(np.linalg.eigvalsh(G)[0])
+
+
+def biorthogonalize_gram(G: np.ndarray):
+    """(G^{-1}, sigma) for vectors v_1..v_r known only through their Gram
+    G_ij = <v_i, v_j>: the duals w_i = sum_j (G^{-1})_ij v_j satisfy
+    <v_i, w_j> = delta_ij, ||w_i||^2 = (G^{-1})_ii and ||w_i|| <= sqrt(r)/sigma,
+    sigma^2 the smallest eigenvalue of G."""
+    G = np.atleast_2d(np.asarray(G, dtype=complex))
+    sig_sq = smallest_eigenvalue(G)
+    if sig_sq <= SIGMA_SQ_TOL:
+        raise DegenerateFamily(f"smallest Gram eigenvalue {sig_sq:.3e} <= {SIGMA_SQ_TOL:g}")
+    mix = np.linalg.solve(G, np.eye(G.shape[0], dtype=complex))
+    return mix, float(np.sqrt(sig_sq))
 
 
 def _mode_terms(mode, base: int, T_mp) -> list:
@@ -408,7 +432,9 @@ def gramian_control_2x2(block: Block2x2, y0, T: float, rk4_h: float = 1e-4,
     are evaluated in mpmath: det Q = q11 q22 - q12^2 keeps only about
     ((lam2 - lam1) min(T, 1/(lam1 + lam2)))^2 / 12 of its terms (T^4 / 12
     times (lam2 - lam1)^2 at small T), so those lost digits are carried on
-    top of DEFAULT_DPS."""
+    top of DEFAULT_DPS.  The control itself is sampled in binary64: a
+    NumericalError is raised when its weights, its samples or the RK4
+    state leave that range (below about T = 1e-155 for unit data)."""
     if not T > 0:
         raise ValueError("horizon T must be positive")
     l1, l2 = block.lam1, block.lam2
@@ -434,6 +460,8 @@ def gramian_control_2x2(block: Block2x2, y0, T: float, rk4_h: float = 1e-4,
         # u(T - s) = -e^{-lam1 s} [u0 + b2 w1 expm1(-(lam2 - lam1) s)]: the sum
         # u0 = b1 w0 + b2 w1 cancels most digits of the weights at small T
         u0, b2w1 = float(b1 * w_mp[0] + b2 * w_mp[1]), float(b2 * w_mp[1])
+    if not (math.isfinite(u0) and math.isfinite(b2w1)):
+        raise NumericalError(f"control weights overflow binary64 at T = {T:g}")
 
     def u(t: float) -> float:
         s = T - t
@@ -456,6 +484,8 @@ def gramian_control_2x2(block: Block2x2, y0, T: float, rk4_h: float = 1e-4,
         t += hh
     ts = np.linspace(0.0, T, samples)
     us = np.array([u(float(tt)) for tt in ts])
+    if not (np.all(np.isfinite(us)) and np.all(np.isfinite(y))):
+        raise NumericalError(f"control samples or RK4 state overflow binary64 at T = {T:g}")
     grid_norm_sq = float(np.trapezoid(us * us, ts))
     decay_scale = (l1 + l2) * math.exp(-2 * l1 * T) * float(np.dot(y0, y0))
     return GramianControlResult(

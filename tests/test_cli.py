@@ -304,6 +304,18 @@ class TestOtherCommands:
         assert data["sigma"] > 0
         assert data["sigma_bounds_ok"] is True
 
+    @pytest.mark.parametrize("T", [1e-160, 1e-300])
+    def test_gramian_overflowing_control_exits_3(self, tmp_path, capsys, T):
+        # the weights of the binary64 control overflow below about T = 1e-155
+        cfgp = _write_config(tmp_path, {"command": "gramian2x2",
+                                        "params": {"lam1": 1, "lam2": 2, "T": T}})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfgp), "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        jsonschema.validate(err, ERROR_SCHEMA)
+        assert err["error"] == "NUMERICAL"
+        assert not (out / "control2x2.csv").exists()
+
     def test_verify_command(self, tmp_path):
         cfg = {"command": "verify",
                "model": {"name": "cascade_boundary_q",
@@ -324,6 +336,17 @@ class TestOtherCommands:
         lines = (out / "grushin.csv").read_text().splitlines()
         assert lines[0] == "n,lambda,integral,T_n"
         assert len(lines) == 7
+
+    @pytest.mark.parametrize("cap,unbounded", [(1.0, True), (None, False)])
+    def test_grushin_cap(self, tmp_path, cap, unbounded):
+        # a thin window near the boundary pushes the running sup past 1.0
+        params = {"a": 0.97, "b": 0.99, "n_max": 12}
+        if cap is not None:
+            params["cap"] = cap
+        out = tmp_path / "out"
+        assert run({"command": "grushin", "params": params}, out) == 0
+        data = json.loads((out / "grushin.json").read_text())["data"]
+        assert data["unbounded"] is unbounded
 
 
 def _fmt_per_value(x) -> str:

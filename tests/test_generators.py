@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nullcontrol.generators import make_rule
+from nullcontrol.spectral import from_rule
 
 
 class TestTwoDiffusionMerge:
@@ -85,6 +86,22 @@ class TestPairRules:
         assert len(rule.mp_entries(3)) == 3
         with pytest.raises(IndexError):
             rule.mp_entries(4)
+
+
+class TestPairAlign:
+    @pytest.mark.parametrize("name, params, align", [
+        ("power", {"c": 1.0, "p": 2.0}, 1),
+        ("appendixB", {"tau": 0.25}, 2),
+        ("two_diffusion", {"d": 2.0}, 2),
+        ("academic_lf", {"tau": 0.2}, 2),
+    ])
+    def test_stored_head_length(self, name, params, align):
+        # from_rule stores K + 8 entries, rounded up to the rule's pair_align
+        rule = make_rule(name, **params)
+        assert rule.pair_align == align
+        for K in (1, 2, 7, 12):
+            n = K + 8
+            assert len(from_rule(rule, K)) == n + (n % 2 if align == 2 else 0)
 
 
 class TestFloatView:

@@ -249,8 +249,8 @@ class TestTwoDiffusion:
         assert abs(prof.tail_estimate - cond.tail_estimate) < 0.05
 
     def test_pointwise_tmin_matches_per_mode_loop(self):
-        from nullcontrol import log_E_prime
         from nullcontrol.observations import VANISH_TOL
+        from nullcontrol.spectral import log_E_primes
 
         # x0 = 1/2: every even-k mode of both families vanishes
         model = two_diffusion_pointwise(2.0, 0.5)
@@ -266,13 +266,8 @@ class TestTwoDiffusion:
             if vanished:
                 assert prof.values[j - 1] == math.inf
                 continue
-            want = (-math.log(abs(s)) - log_E_prime(seq, j)) / float(seq.entry(j).real)
+            want = (-math.log(abs(s)) - log_E_primes(seq, [j])[0]) / float(seq.entry(j).real)
             assert abs(prof.values[j - 1] - want) <= 1e-15, j
-
-    def test_pointwise_cap_reports_unbounded(self):
-        model = two_diffusion_pointwise(2.0, 0.5)
-        prof = model.tmin_profile(12, cap=10.0)
-        assert prof.unbounded
 
 
 class TestAcademicLf:

@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from nullcontrol import (
-    blaschke_log_wprime,
     blaschke_profile,
     bohr_profile,
     check_hypotheses,
     condensation_profile,
     from_rule,
-    log_E_prime,
     log_eprime_single_family,
     log_eprime_two_family,
     make_rule,
@@ -233,7 +231,7 @@ class TestLogEPrime:
     def test_single_entry_exact(self):
         # E(z) = 1 - z^2, E'(1) = -2
         seq = _explicit([1.0])
-        assert log_E_prime(seq, 1) == pytest.approx(math.log(2.0), abs=1e-14)
+        assert spectral.log_E_primes(seq, [1])[0] == pytest.approx(math.log(2.0), abs=1e-14)
 
     def test_sine_product_oracle_symbolic(self):
         # independent oracle: differentiate sin(sqrt z) sinh(sqrt z)/z symbolically
@@ -245,13 +243,13 @@ class TestLogEPrime:
         lam3 = 9 * sympy.pi**2
         want = float(sympy.log(sympy.Abs(dE.subs(z, lam3))).evalf(40))
         seq = from_rule(make_rule("power", c=PI2, p=2.0), 400)
-        got = log_E_prime(seq, 3, rel_tail_tol=1e-9)
+        got = spectral.log_E_primes(seq, [3], rel_tail_tol=1e-9)[0]
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_sine_product_closed_form_helper(self):
         seq = from_rule(make_rule("power", c=PI2, p=2.0), 400)
         for k in (1, 2, 5):
-            got = log_E_prime(seq, k, rel_tail_tol=1e-9)
+            got = spectral.log_E_primes(seq, [k], rel_tail_tol=1e-9)[0]
             assert got == pytest.approx(log_eprime_single_family(k, scale=PI2), rel=1e-7)
 
     @pytest.mark.parametrize("d", [2.0, 5.0])
@@ -261,15 +259,15 @@ class TestLogEPrime:
         for k in (1, 2, 7, 20):
             idx = int(np.searchsorted(floats, k * k) + 1)
             assert abs(floats[idx - 1] - k * k) < 1e-9
-            got = log_E_prime(seq, idx, rel_tail_tol=1e-8)
+            got = spectral.log_E_primes(seq, [idx], rel_tail_tol=1e-8)[0]
             want = log_eprime_two_family(k, d, scale=1.0)
             assert got == pytest.approx(want, rel=1e-6)
 
     def test_truncation_doubling_stability(self):
         seq = from_rule(make_rule("power", c=1.0, p=2.0), 64)
         tol = 1e-8
-        a = log_E_prime(seq, 5, rel_tail_tol=tol)
-        b = log_E_prime(seq, 5, rel_tail_tol=tol / 4)
+        a = spectral.log_E_primes(seq, [5], rel_tail_tol=tol)[0]
+        b = spectral.log_E_primes(seq, [5], rel_tail_tol=tol / 4)[0]
         assert abs(a - b) < tol
 
     def test_finite_list_is_exact_product(self):
@@ -278,12 +276,12 @@ class TestLogEPrime:
         lam = 4.0
         want = math.log(2.0 / lam) + sum(
             math.log(abs(1 - lam**2 / v**2)) for v in vals if v != lam)
-        assert log_E_prime(seq, 2) == pytest.approx(want, abs=1e-12)
+        assert spectral.log_E_primes(seq, [2])[0] == pytest.approx(want, abs=1e-12)
 
     def test_tail_unachievable_for_linear_growth(self):
         seq = from_rule(make_rule("power", c=1.0, p=1.0), 64)
         with pytest.raises(TailBoundUnachievable):
-            log_E_prime(seq, 3)
+            spectral.log_E_primes(seq, [3])
 
 
 class TestFarTail:
@@ -349,8 +347,7 @@ class TestFarTail:
         order = np.argsort(ks)
         assert np.array_equal(spectral.log_E_primes(seq, ks[order]), got[order])
         for k, v in zip(ks, got):
-            assert log_E_prime(seq, k) == spectral.log_E_primes(seq, [k])[0]
-            assert abs(v - log_E_prime(seq, k)) <= 1e-13
+            assert abs(v - spectral.log_E_primes(seq, [k])[0]) <= 1e-13
             assert abs(v - _all_mp_log_E_prime(seq, k, 1e-10)) <= 1e-10
 
     def test_small_chunks(self, monkeypatch):
@@ -445,8 +442,7 @@ class TestBlaschkeFarTail:
         order = np.argsort(ks)
         assert np.array_equal(spectral.blaschke_log_wprimes(seq, ks[order], tol), got[order])
         for k, v in zip(ks, got):
-            one = blaschke_log_wprime(seq, k, tol)
-            assert one == spectral.blaschke_log_wprimes(seq, [k], tol)[0]
+            one = spectral.blaschke_log_wprimes(seq, [k], tol)[0]
             assert abs(v - one) <= 1e-12
             want = _all_mp_blaschke_log_wprime(seq, k, tol)
             assert abs(v - want) <= tol * max(1.0, float(mp.re(seq.entry(k))))
@@ -483,11 +479,11 @@ class TestBlaschkeFarTail:
         tol_abs = 3e-5 * float(mp.re(seq.entry(30)))
         lam_abs = abs(to_complex(seq.entry(30)))
         assert spectral._blaschke_tail(seq, lam_abs, len(seq), tol_abs) == (1 << 18, 0.0)
-        got = blaschke_log_wprime(seq, 30, 3e-5)
+        got = spectral.blaschke_log_wprimes(seq, [30], 3e-5)[0]
         assert got == pytest.approx(-86.6603, abs=1e-4)
-        assert abs(got - blaschke_log_wprime(seq, 30, 1e-4)) <= tol_abs
+        assert abs(got - spectral.blaschke_log_wprimes(seq, [30], 1e-4)[0]) <= tol_abs
         with pytest.raises(TailBoundUnachievable, match="J="):
-            blaschke_log_wprime(seq, 30, 1e-6)
+            spectral.blaschke_log_wprimes(seq, [30], 1e-6)
 
 
 class TestHybridHead:
@@ -498,7 +494,7 @@ class TestHybridHead:
         seq = _HYBRID_CASES[case]()
         tol = 1e-10
         for k in range(1, min(len(seq), 30) + 1):
-            got = log_E_prime(seq, k, tol)
+            got = spectral.log_E_primes(seq, [k], tol)[0]
             assert abs(got - _all_mp_log_E_prime(seq, k, tol)) <= tol, (case, k)
 
     @pytest.mark.parametrize("case", sorted(_HYBRID_CASES))
@@ -508,7 +504,7 @@ class TestHybridHead:
         # reach 1e-10 within the entry cap
         tol = 1e-4 if case == "power-complex" else 1e-10
         for k in range(1, min(len(seq), 30) + 1, 1 if not seq.rule.infinite else 3):
-            got = blaschke_log_wprime(seq, k, tol)
+            got = spectral.blaschke_log_wprimes(seq, [k], tol)[0]
             want = _all_mp_blaschke_log_wprime(seq, k, tol)
             assert abs(got - want) <= tol * max(1.0, float(mp.re(seq.entry(k)))), (case, k)
 
@@ -609,7 +605,7 @@ class TestProfiles:
 class TestBlaschke:
     def test_single_entry(self):
         seq = _explicit([1.0])
-        assert blaschke_log_wprime(seq, 1) == pytest.approx(-math.log(2.0), abs=1e-14)
+        assert spectral.blaschke_log_wprimes(seq, [1])[0] == pytest.approx(-math.log(2.0), abs=1e-14)
 
     def test_tail_agrees_with_condensation_limit_direction(self):
         # both profiles converge to the same index from opposite sides
@@ -627,7 +623,7 @@ class TestBlaschke:
         seq = from_rule(make_rule("power", c=PI2, p=2.0), 400)
         k = 2
         lam = k * k * PI2
-        v_b = -blaschke_log_wprime(seq, k, rel_tail_tol=1e-9) / lam
+        v_b = -spectral.blaschke_log_wprimes(seq, [k], rel_tail_tol=1e-9)[0] / lam
         cond = condensation_profile(seq, 4, rel_tail_tol=1e-9)
         gap_model = (2 * math.log(2.0) + 2 * (k * math.pi - math.log(2.0)
                                               - math.log(2 * k * math.pi))) / lam
