@@ -176,6 +176,7 @@ def _pairing_mp(span: ExponentialSpan, E=None) -> mp.matrix:
 class BiorthogonalFamily:
     span: ExponentialSpan
     cond_estimate: float
+    cond_log10: float           # log10 of the same estimate, finite beyond binary64
     norms: np.ndarray           # ||q_k||_{L^2(0,T)}, may overflow to inf
     ln_norms: np.ndarray
     residual: float             # max |pairing(C) - I|
@@ -269,7 +270,8 @@ def _solve_at(span: ExponentialSpan, dps: int) -> BiorthogonalFamily:
         # 1-norm condition estimate of the Gram
         G = _pairing_mp(span, E) if real else _gram_mp(span, E)
         kappa = _norm1(G) * _norm1(C)
-        carry = min(dps, int(mp.ceil(mp.log10(kappa))) + CARRY_DIGITS)
+        log10_kappa = mp.log10(kappa)
+        carry = min(dps, int(mp.ceil(log10_kappa)) + CARRY_DIGITS)
     with workdps(carry):
         if carry < dps:
             # C and G are rounded (unary + rounds to the working precision);
@@ -306,7 +308,7 @@ def _solve_at(span: ExponentialSpan, dps: int) -> BiorthogonalFamily:
     with np.errstate(over="ignore"):
         norms = np.exp(ln_norms)
     return BiorthogonalFamily(
-        span=span, cond_estimate=float(kappa),
+        span=span, cond_estimate=float(kappa), cond_log10=float(log10_kappa),
         norms=norms, ln_norms=ln_norms, residual=residual,
         degraded=residual > RESIDUAL_THRESHOLD, dps=carry,
         mp_coeffs=C, mp_dual_gram=N, int_rows=c_rows, exp_table=E,

@@ -200,6 +200,7 @@ def _run_biortho(cfg, out, params, meta):
     _write_dat(out / "biortho.dat", range(1, N + 1), fam.ln_norms)
     _write_json(out / "biortho.json", meta | {"data": {
         "residual": fam.residual, "cond_estimate": fam.cond_estimate,
+        "cond_log10": fam.cond_log10,
         "degraded": fam.degraded, "dps": fam.dps}})
     return 0
 
@@ -268,7 +269,8 @@ def _run_gramian2x2(cfg, out, params, meta):
                list(zip(res.times, res.samples)))
     _write_dat(out / "control2x2.dat", res.times, res.samples)
     _write_json(out / "gramian.json", meta | {"data": {
-        "det_Q": res.det_Q, "tr_Q": res.tr_Q, "sigma": res.sigma,
+        "det_Q": res.det_Q, "log10_det_Q": res.log10_det_Q,
+        "tr_Q": res.tr_Q, "sigma": res.sigma,
         "sigma_bounds_ok": res.sigma_bounds_ok,
         "control_norm_sq": res.control_norm_sq,
         "terminal_abs": res.diagnostics["terminal_abs"]}})

@@ -9,8 +9,12 @@ succeeds exactly when sigma lies below the smallest eigenvalue.  One
 bisection on that test closes the bracket [n*pi, RQ*(1 + 1e-7)], n*pi by
 domain monotonicity and RQ the Rayleigh quotient of inverse iteration
 through the factor at n*pi; the upper end is reported and the bracket kept
-in ``CrossSectionMode.meta``.  On grids fine enough that binary64 rounding
-of the pencil exceeds lambda - n*pi, ``solve_mode`` raises GridTooFine.
+in ``CrossSectionMode.meta``.  The Richardson partner lambda(h/2) is not
+bisected: it is the Rayleigh quotient of the h/2 pencil after two
+inverse-iteration steps from the h eigenvector prolonged to that grid, so a
+mode costs the h bisection plus one h/2 factor.  The omega-free potential
+integrals are assembled once per grid.  On grids fine enough that binary64
+rounding of the pencil exceeds lambda - n*pi, ``solve_mode`` raises GridTooFine.
 scipy (for dpttrf/dpttrs) is imported by the first factorization, not by
 importing this module.
 """
@@ -46,13 +50,14 @@ class CrossSectionMode:
     meta: dict = field(default_factory=dict)
 
 
-def _assemble(n: int, h: float):
-    """Tridiagonal stiffness+potential and mass matrices on interior nodes."""
+@lru_cache(maxsize=4)
+def _potential(h: float):
+    """The grid and the omega-free per-element potential integrals
+    int x^2 phi_a phi_b over each element, read-only and shared by every mode on it."""
     nel = int(round(2.0 / h))
     if abs(nel * h - 2.0) > 1e-12 * nel:
         raise ValueError("h must divide the interval length 2")
     grid = -1.0 + h * np.arange(nel + 1)
-    omega_sq = (n * math.pi) ** 2
 
     # 3-point Gauss per element integrates x^2 * hat * hat (quartic) exactly
     xl, xr = grid[:-1], grid[1:]
@@ -68,13 +73,19 @@ def _assemble(n: int, h: float):
         pot_ll += w * phi_l * phi_l
         pot_rr += w * phi_r * phi_r
         pot_lr += w * phi_l * phi_r
-    pot_ll *= omega_sq
-    pot_rr *= omega_sq
-    pot_lr *= omega_sq
+    for a in (grid, pot_ll, pot_rr, pot_lr):
+        a.flags.writeable = False
+    return grid, pot_ll, pot_rr, pot_lr
 
-    nin = nel - 1  # interior nodes 1..nel-1
-    kd = 2.0 / h + pot_rr[:-1] + pot_ll[1:]       # node i from elements i-1, i
-    ke = -1.0 / h + pot_lr[1:-1]                  # coupling via shared element
+
+def _assemble(n: int, h: float):
+    """Tridiagonal stiffness+potential and mass matrices on interior nodes."""
+    grid, pot_ll, pot_rr, pot_lr = _potential(h)
+    omega_sq = (n * math.pi) ** 2
+    nin = len(grid) - 2  # interior nodes 1..nel-1
+    # node i from elements i-1, i; off-diagonal via the shared element
+    kd = 2.0 / h + pot_rr[:-1] * omega_sq + pot_ll[1:] * omega_sq
+    ke = -1.0 / h + pot_lr[1:-1] * omega_sq
     md = np.full(nin, 2.0 * h / 3.0)
     me = np.full(nin - 1, h / 6.0)
     return grid, kd, ke, md, me
@@ -85,8 +96,20 @@ def _factor(kd, ke, md, me, sigma: float):
     sigma lies below every pencil eigenvalue; None otherwise."""
     from scipy.linalg.lapack import dpttrf  # scipy loads only when a mode is solved
 
-    d, e, info = dpttrf(kd - sigma * md, ke - sigma * me)
+    # the shifted diagonals are fresh temporaries, so dpttrf may factor them in place
+    d, e, info = dpttrf(kd - sigma * md, ke - sigma * me, overwrite_d=True, overwrite_e=True)
     return (d, e) if info == 0 else None
+
+
+def _factor_below(kd, ke, md, me, sigma: float):
+    """(sigma', factor, dpttrf calls) for the first sigma' of sigma, sigma/2,
+    sigma/4, ... at which K - sigma'*M is definite: binary64 rounding of the
+    pencil on very fine grids can put its smallest eigenvalue below n*pi."""
+    calls = 1
+    while (kept := _factor(kd, ke, md, me, sigma)) is None:
+        sigma *= 0.5
+        calls += 1
+    return sigma, kept, calls
 
 
 def _mass_times(md, me, v):
@@ -117,16 +140,14 @@ def _solve_eig(n, h):
     """(grid, lo, hi, v, dpttrf calls): K - lo*M is definite, K - hi*M is not,
     and hi - lo <= BRACKET_REL_TOL * hi brackets the smallest pencil eigenvalue."""
     grid, kd, ke, md, me = _assemble(n, h)
-    calls = 0
+    # n*pi lies below the true eigenvalue, hence below the pencil's
+    lo, kept, calls = _factor_below(kd, ke, md, me, n * math.pi)
 
     def factor(sigma):
         nonlocal calls
         calls += 1
         return _factor(kd, ke, md, me, sigma)
 
-    lo = n * math.pi  # below the true eigenvalue, hence below the pencil's
-    while (kept := factor(lo)) is None:  # binary64 rounding on very fine grids
-        lo *= 0.5
     v = _inverse_iteration(kept, md, me, np.ones(len(kd)), 2)
     hi = _rayleigh(kd, ke, md, me, v) * (1.0 + 1e-7)
     while (f := factor(hi)) is not None:  # the quotient fell short: widen
@@ -140,13 +161,36 @@ def _solve_eig(n, h):
     return grid, lo, hi, _inverse_iteration(kept, md, me, v, 1), calls
 
 
+def _half_step_rayleigh(n, h, v):
+    """(lambda(h/2), dpttrf calls): the Rayleigh quotient of the h/2 pencil
+    after two inverse-iteration steps from the h eigenvector ``v`` (interior
+    nodes) prolonged to the nested grid, shifted at n*pi as ``_solve_eig`` is."""
+    _, kd, ke, md, me = _assemble(n, h / 2.0)
+    coarse = np.zeros(len(v) + 2)
+    coarse[1:-1] = v
+    fine = np.empty(2 * len(coarse) - 1)
+    fine[::2] = coarse  # the h nodes, then the midpoints by linear interpolation
+    fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
+    _, kept, calls = _factor_below(kd, ke, md, me, n * math.pi)
+    w = _inverse_iteration(kept, md, me, fine[1:-1], 2)
+    return _rayleigh(kd, ke, md, me, w), calls
+
+
 @lru_cache(maxsize=256)
 def _solve_mode_cached(n: int, h: float):
-    return _solve_eig(n, h)
+    grid, lo, hi, v, calls = _solve_eig(n, h)
+    lam_half, calls_half = _half_step_rayleigh(n, h, v)
+    return grid, lo, hi, v, calls + calls_half, lam_half
 
 
 def solve_mode(n: int, h: float = 2e-4) -> CrossSectionMode:
     """Ground mode of the cross-section operator at frequency n.
+
+    ``lam`` is the upper end of the certified bracket at step h.  Its
+    Richardson partner ``meta["lam_half_step"]`` is a Rayleigh quotient of
+    the h/2 pencil, not a certified bracket: it only has to resolve the
+    RICHARDSON_TOL guard.  ``meta["dpttrf_calls"]`` counts the h bisection
+    plus the h/2 factor.
 
     Raises GridTooCoarse when the h vs h/2 Richardson difference exceeds
     RICHARDSON_TOL * lambda_n, and GridTooFine when the certified bracket does not
@@ -156,11 +200,10 @@ def solve_mode(n: int, h: float = 2e-4) -> CrossSectionMode:
         raise ValueError("n must lie in 1..60")
     if h > 1e-3:
         raise ValueError("h must be <= 1e-3")
-    grid, lo, lam, v_in, calls = _solve_mode_cached(n, float(h))
+    grid, lo, lam, v_in, calls, lam_half = _solve_mode_cached(n, float(h))
     if lam <= n * math.pi:
         raise GridTooFine(f"lambda_{n} = {lam!r} <= n*pi at h = {h:g}: binary64 rounding "
                           "of the pencil exceeds lambda - n*pi on this grid")
-    _, _, lam_half, _, calls_half = _solve_mode_cached(n, float(h) / 2.0)
     err_est = abs(lam - lam_half)
     if err_est > RICHARDSON_TOL * lam:
         raise GridTooCoarse(
@@ -174,7 +217,7 @@ def solve_mode(n: int, h: float = 2e-4) -> CrossSectionMode:
     sym = float(np.max(np.abs(full - full[::-1])))
     return CrossSectionMode(n, lam, full, grid, float(h),
                             meta={"lam_lower": lo, "lam_upper": lam,
-                                  "dpttrf_calls": calls + calls_half,
+                                  "dpttrf_calls": calls,
                                   "lam_half_step": lam_half, "richardson_err": err_est,
                                   "symmetry_defect": sym})
 

@@ -411,6 +411,7 @@ class GramianControlResult:
     T: float
     Q: np.ndarray
     det_Q: float
+    log10_det_Q: float          # finite where det_Q underflows binary64 (unit data, T < ~1e-81)
     tr_Q: float
     sigma: float
     sigma_bounds_ok: bool
@@ -457,6 +458,7 @@ def gramian_control_2x2(block: Block2x2, y0, T: float, rk4_h: float = 1e-4,
         norm_sq = float(w_mp[0] * r1 + w_mp[1] * r2)
         Q = np.array([[float(q11), float(q12)], [float(q12), float(q22)]])
         det_q, tr_q, sigma = float(det_mp), float(tr_mp), float(sigma_mp)
+        log10_det_q = float(mp.log10(det_mp))
         # u(T - s) = -e^{-lam1 s} [u0 + b2 w1 expm1(-(lam2 - lam1) s)]: the sum
         # u0 = b1 w0 + b2 w1 cancels most digits of the weights at small T
         u0, b2w1 = float(b1 * w_mp[0] + b2 * w_mp[1]), float(b2 * w_mp[1])
@@ -489,7 +491,8 @@ def gramian_control_2x2(block: Block2x2, y0, T: float, rk4_h: float = 1e-4,
     grid_norm_sq = float(np.trapezoid(us * us, ts))
     decay_scale = (l1 + l2) * math.exp(-2 * l1 * T) * float(np.dot(y0, y0))
     return GramianControlResult(
-        block=block, T=float(T), Q=Q, det_Q=det_q, tr_Q=tr_q, sigma=sigma,
+        block=block, T=float(T), Q=Q, det_Q=det_q, log10_det_Q=log10_det_q,
+        tr_Q=tr_q, sigma=sigma,
         sigma_bounds_ok=bool(bounds_ok), control_norm_sq=norm_sq,
         times=ts, samples=us, terminal_state=y,
         diagnostics={

@@ -413,8 +413,15 @@ class TestDpsPolicy:
         span = ExponentialSpan(tuple(AppendixBRule(1.0).mp_entries(40)), 1.0)
         fam = build_biortho(span)
         assert fam.cond_estimate == math.inf
+        assert 383 < fam.cond_log10 < 384
+        assert fam.dps == math.ceil(fam.cond_log10) + biortho_time.CARRY_DIGITS
         assert fam.dps == 384 + 30 < _solve_dps(span) == 570
         assert fam.residual <= RESIDUAL_THRESHOLD
+
+    def test_condition_log10_matches_float_view(self):
+        fam = build_biortho(ExponentialSpan(tuple(k * k * PI2 for k in range(1, 13)), 0.5))
+        assert math.isfinite(fam.cond_estimate)
+        assert 10**fam.cond_log10 == pytest.approx(fam.cond_estimate, rel=1e-12)
 
     @pytest.mark.parametrize("span", _DPS_SPANS[:3], ids=_DPS_IDS[:3])
     def test_pairing_formed_once_per_solve(self, span, monkeypatch):

@@ -250,9 +250,9 @@ class TestOtherCommands:
         assert payload["data"]["residual"] <= 1e-8
 
     def test_biortho_overflowing_condition_is_strict_json(self, tmp_path):
-        # cond = 1e384 overflows binary64: the diagnostics spell it "inf", and
-        # the family is carried at ceil(log10 cond) + 30 = 414 of the 570
-        # solve digits
+        # cond = 1e383.3 overflows binary64: the diagnostics spell it "inf" and
+        # give its log10, and the family is carried at ceil(log10 cond) + 30 =
+        # 414 of the 570 solve digits
         def refuse(name):
             raise ValueError(f"non-JSON constant {name}")
 
@@ -263,7 +263,8 @@ class TestOtherCommands:
         assert main(["--config", str(cfgp), "--out", str(out)]) == 0
         data = json.loads((out / "biortho.json").read_text(), parse_constant=refuse)["data"]
         assert data["cond_estimate"] == "inf"
-        assert data["dps"] == 414
+        assert data["cond_log10"] == pytest.approx(383.255, abs=1e-3)
+        assert data["dps"] == 414 == math.ceil(data["cond_log10"]) + 30
         assert data["residual"] <= 1e-8
 
     def test_json_safe_recurses_into_complex_parts(self, tmp_path):

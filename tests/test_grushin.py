@@ -121,7 +121,20 @@ class TestCertifiedBracket:
     def test_profile_factorization_budget(self):
         grushin_tstar_profile(0.3, 0.5, 40, H)
         total = sum(solve_mode(n, H).meta["dpttrf_calls"] for n in range(1, 41))
-        assert total <= 1300
+        assert total <= 700
+
+
+class TestRichardsonPartner:
+    """lambda(h/2) is a Rayleigh quotient from the prolonged h eigenvector;
+    the certified h/2 bisection it replaces is the oracle."""
+
+    @pytest.mark.parametrize("h", [H, H / 2])
+    def test_partner_matches_certified_half_step(self, h):
+        for n in range(1, 41):
+            mode = solve_mode(n, h)
+            ref = _solve_eig(n, h / 2)[2]
+            assert abs(mode.meta["lam_half_step"] - ref) <= 5e-8 * ref
+            assert abs(mode.meta["richardson_err"] - abs(mode.lam - ref)) <= 5e-8 * ref
 
 
 class TestObservationIntegral:

@@ -635,6 +635,19 @@ class TestGramian2x2:
         assert res.det_Q == pytest.approx(1e-160 / 12, rel=1e-6)
         assert 0 < res.sigma and res.sigma_bounds_ok
 
+    def test_log10_determinant_below_binary64(self):
+        # det Q ~ T^4 / 12 = 1e-401 / 1.2 underflows binary64; its log10 does not
+        res = gramian_control_2x2(block_2x2(1.0, 2.0, (1.0, 1.0)), (1.0, 1.0), 1e-100)
+        assert res.det_Q == 0.0
+        assert math.isfinite(res.log10_det_Q)
+        # det/tr <= sigma <= 2 det/tr, up to the rounding of the logs
+        ratio = res.log10_det_Q - math.log10(res.tr_Q)
+        assert ratio - 1e-12 <= math.log10(res.sigma) <= math.log10(2.0) + ratio
+
+    def test_log10_determinant_matches_float_view(self):
+        res = gramian_control_2x2(block_2x2(1.0, 2.0, (1.0, 1.0)), (1.0, 1.0), 1.0)
+        assert 10**res.log10_det_Q == pytest.approx(res.det_Q, rel=1e-12)
+
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError, match="positive"):
             gramian_control_2x2(block_2x2(1.0, 2.0, (1.0, 1.0)), (1.0, 1.0), 0.0)
