@@ -38,7 +38,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .errors import IllConditioned
+from .errors import IllConditioned, NumericalError
 from .precision import (
     MAX_DPS, auto_dps_for_gaps, int_dot, int_parts, to_mp, workdps,
 )
@@ -131,10 +131,14 @@ def int_pow_exp(a: int, s, T, E):
 
 def _exp_table(span: ExponentialSpan) -> tuple:
     """E_j = e^{-r_j T} per basis function at the working precision, one
-    exponential per rate; zeros on an infinite horizon."""
+    exponential per rate; zeros on an infinite horizon.  A rate beyond
+    mpmath's exponent range raises NumericalError."""
     if span.T is None:
         return (mp.mpf(0),) * span.size
-    exps = [mp.exp(-r * span.T) for r in span.rates]
+    try:
+        exps = [mp.exp(-r * span.T) for r in span.rates]
+    except OverflowError as exc:
+        raise NumericalError(f"e^(-r T) is out of range at T = {float(span.T):g}") from exc
     return tuple(e for e in exps for _ in range(2 if span.jordan else 1))
 
 

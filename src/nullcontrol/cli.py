@@ -23,7 +23,8 @@ from jsonschema.validators import validator_for
 from . import hautus, spectral, synthesis
 from .errors import NullControlError, ValidationError
 from .generators import make_rule
-from .grushin import grushin_tstar_profile, observation_integral, solve_mode
+from .grushin import grushin_tstar_profile
+from .grushin import solve_mode  # noqa: F401  read only by perfbench/tracing.py ENTRY_POINTS
 from .models import (
     PiecewiseConstant,
     academic_lf,
@@ -214,7 +215,7 @@ def _run_synthesize(cfg, out, params, meta):
     plan = _synthesize_plan(cfg, params)
     report = synthesis.verify_moments(plan)
     ts, cols, u = synthesis.sample_plan(plan, params.get("samples", 2000))
-    header = ["t"] + [f"term_{k}_{j}" for (k, j) in plan.meta["labels"]]
+    header = ["t"] + ["term_{}_{}".format(*t.label) for t in plan.terms]
     columns = [ts, cols.T]
     if u is not None:
         header.append("u")
@@ -247,10 +248,8 @@ def _run_grushin(cfg, out, params, meta):
     h = params.get("h", 2e-4)
     cap = params.get("cap")
     prof = grushin_tstar_profile(a, b, n_max, h, window=params.get("window", 10))
-    integs = [observation_integral(solve_mode(n, h), a, b) for n in range(1, n_max + 1)]
     _write_csv(out / "grushin.csv", ["n", "lambda", "integral", "T_n"],
-               [(n, prof.extras["lambda"][n - 1], integs[n - 1], prof.values[n - 1])
-                for n in range(1, n_max + 1)])
+               zip(prof.ks, prof.extras["lambda"], prof.extras["integral"], prof.values))
     _write_dat(out / "grushin.dat", prof.ks, prof.values)
     _write_json(out / "grushin.json", meta | {"data": {
         "tail_estimate": prof.tail_estimate,

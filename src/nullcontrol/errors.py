@@ -64,10 +64,6 @@ class SupportOverlap(ValidationError):
     code = "SUPPORT_OVERLAP"
 
 
-class UnobservableJordanBranch(ValidationError):
-    code = "UNOBSERVABLE_JORDAN_BRANCH"
-
-
 class SynthesisUnsupported(ValidationError):
     code = "SYNTHESIS_UNSUPPORTED"
 

@@ -15,9 +15,24 @@ import mpmath as mp
 import numpy as np
 from mpmath import libmp
 
+from .errors import NumericalError
 from .precision import to_complex, to_mp, workdps
 
 _PI2 = math.pi**2
+# most digits a paired rule's head may take.  The largest head in use,
+# appendixB tau = 1 at K = 250 (7277 digits), takes 26 s for `indices`; an
+# academic_lf K = 12 head takes 3.9 s at 12,900 digits and 30 s at 43,000,
+# and the cost grows faster than linearly in the digits
+MAX_HEAD_DPS = 20_000
+
+
+def _pair_dps(tau_lam: float) -> int:
+    """Digits that resolve the pair gap e^{-tau lam} next to lam, at most MAX_HEAD_DPS."""
+    digits = tau_lam / math.log(10)
+    if digits >= MAX_HEAD_DPS - 49:  # int(digits) + 50 > MAX_HEAD_DPS, also for inf
+        raise NumericalError(f"a pair gap e^(-{tau_lam:.6g}) needs {digits + 50:.6g} digits, "
+                             f"more than {MAX_HEAD_DPS}")
+    return int(digits) + 50
 
 
 class SequenceRule:
@@ -93,7 +108,7 @@ class AppendixBRule(SequenceRule):
 
     def head_dps(self, n):
         kmax = (n + 1) // 2
-        return int(self.tau * kmax * kmax / math.log(10)) + 50
+        return _pair_dps(self.tau * kmax * kmax)
 
     def mp_entries(self, n):
         with workdps(self.head_dps(n)):
@@ -172,7 +187,7 @@ class AcademicLfRule(SequenceRule):
         return self._dps((n + 1) // 2)
 
     def _dps(self, k):
-        return int(self.tau * _PI2 * k * k / math.log(10)) + 50
+        return _pair_dps(self.tau * _PI2 * k * k)
 
     def _pair(self, k):
         """(lam_k - f, lam_k + f) at the digits pair k needs, so an entry

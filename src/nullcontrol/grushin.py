@@ -16,7 +16,8 @@ mode costs the h bisection plus one h/2 factor.  The omega-free potential
 integrals are assembled once per grid.  On grids fine enough that binary64
 rounding of the pencil exceeds lambda - n*pi, ``solve_mode`` raises GridTooFine.
 scipy (for dpttrf/dpttrs) is imported by the first factorization, not by
-importing this module.
+importing this module.  ``grushin_tstar_profile`` solves each mode once and
+takes T_n from one trapezoid integral over the window's grid nodes.
 """
 
 from __future__ import annotations
@@ -33,11 +34,15 @@ from .report import DEFAULT_WINDOW, ProfileReport, make_profile
 _GAUSS_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
 _GAUSS_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
-LOG_DOMAIN_THRESHOLD = 1e-280
 # the bisection stops once hi - lo <= BRACKET_REL_TOL * hi
 BRACKET_REL_TOL = 1e-10
 # solve_mode accepts a grid while |lambda(h) - lambda(h/2)| <= RICHARDSON_TOL * lambda(h)
 RICHARDSON_TOL = 1e-4
+# largest frequency solve_mode and grushin_tstar_profile accept
+N_MAX = 60
+# finest step solve_mode accepts: a mode there takes 1.5-3 s and 660 MB, and
+# binary64 rounding of the pencil already fails GridTooFine at h = 1e-5, n = 20
+H_MIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -176,13 +181,6 @@ def _half_step_rayleigh(n, h, v):
     return _rayleigh(kd, ke, md, me, w), calls
 
 
-@lru_cache(maxsize=256)
-def _solve_mode_cached(n: int, h: float):
-    grid, lo, hi, v, calls = _solve_eig(n, h)
-    lam_half, calls_half = _half_step_rayleigh(n, h, v)
-    return grid, lo, hi, v, calls + calls_half, lam_half
-
-
 def solve_mode(n: int, h: float = 2e-4) -> CrossSectionMode:
     """Ground mode of the cross-section operator at frequency n.
 
@@ -196,11 +194,13 @@ def solve_mode(n: int, h: float = 2e-4) -> CrossSectionMode:
     RICHARDSON_TOL * lambda_n, and GridTooFine when the certified bracket does not
     lie above n*pi, which bounds the exact pencil's eigenvalue from below.
     """
-    if not 1 <= n <= 60:
-        raise ValueError("n must lie in 1..60")
-    if h > 1e-3:
-        raise ValueError("h must be <= 1e-3")
-    grid, lo, lam, v_in, calls, lam_half = _solve_mode_cached(n, float(h))
+    if not 1 <= n <= N_MAX:
+        raise ValueError(f"n must lie in 1..{N_MAX}")
+    if not H_MIN <= h <= 1e-3:
+        raise ValueError(f"h must lie in [{H_MIN:g}, 1e-3]")
+    h = float(h)
+    grid, lo, lam, v_in, calls = _solve_eig(n, h)
+    lam_half, calls_half = _half_step_rayleigh(n, h, v_in)
     if lam <= n * math.pi:
         raise GridTooFine(f"lambda_{n} = {lam!r} <= n*pi at h = {h:g}: binary64 rounding "
                           "of the pencil exceeds lambda - n*pi on this grid")
@@ -215,42 +215,27 @@ def solve_mode(n: int, h: float = 2e-4) -> CrossSectionMode:
     nrm = math.sqrt(np.trapezoid(full * full, grid))
     full = full / nrm
     sym = float(np.max(np.abs(full - full[::-1])))
-    return CrossSectionMode(n, lam, full, grid, float(h),
+    return CrossSectionMode(n, lam, full, grid, h,
                             meta={"lam_lower": lo, "lam_upper": lam,
-                                  "dpttrf_calls": calls,
+                                  "dpttrf_calls": calls + calls_half,
                                   "lam_half_step": lam_half, "richardson_err": err_est,
                                   "symmetry_defect": sym})
 
 
-def _log_trapezoid(logs: np.ndarray, h: float) -> float:
-    """ln of trapezoid(exp(logs)) with max shifting; logs may contain -inf."""
-    w = np.full(len(logs), h)
-    w[0] = w[-1] = h / 2.0
-    m = np.max(logs)
-    if not np.isfinite(m):
-        return float("-inf")
-    return float(m + math.log(np.sum(w * np.exp(logs - m))))
+def observation_integral(mode: CrossSectionMode, a: float, b: float) -> float:
+    """int_a^b v_n^2 by the trapezoid rule over the grid nodes in [a, b].
 
-
-def observation_log_integral(mode: CrossSectionMode, a: float, b: float) -> float:
-    """ln of int_a^b v_n^2, always evaluated in the log domain."""
+    Raises ValueError unless 0 <= a < b <= 1 and [a, b] holds at least two
+    grid nodes: a narrower window has no trapezoid.  The integral stays far
+    inside the binary64 range: at h = 2e-4 its smallest value over n <= 60
+    is 7.2e-69, on [1 - h, 1] at n = 50."""
     if not 0.0 <= a < b <= 1.0:
         raise ValueError("need 0 <= a < b <= 1")
     mask = (mode.grid >= a - 1e-15) & (mode.grid <= b + 1e-15)
-    v = mode.vec[mask]
-    with np.errstate(divide="ignore"):
-        logs = np.where(v == 0.0, -np.inf, 2.0 * np.log(np.abs(v)))
-    return _log_trapezoid(logs, mode.h)
-
-
-def observation_integral(mode: CrossSectionMode, a: float, b: float) -> float:
-    """int_a^b v_n^2 by trapezoid; switches to the log-domain accumulation
-    when the direct value drops below 1e-280."""
-    mask = (mode.grid >= a - 1e-15) & (mode.grid <= b + 1e-15)
-    direct = float(np.trapezoid(mode.vec[mask] ** 2, mode.grid[mask]))
-    if direct >= LOG_DOMAIN_THRESHOLD:
-        return direct
-    return math.exp(observation_log_integral(mode, a, b))
+    if np.count_nonzero(mask) < 2:
+        raise ValueError(f"window [{a:g}, {b:g}] holds fewer than two grid nodes "
+                         f"at h = {mode.h:g}")
+    return float(np.trapezoid(mode.vec[mask] ** 2, mode.grid[mask]))
 
 
 def expected_observation_asymptote(n: int, a: float) -> float:
@@ -264,18 +249,27 @@ def grushin_tstar_profile(a: float, b: float, n_max: int, h: float = 2e-4,
 
     The witness is an exact eigenfunction, so only the observation term of
     the quantified test survives; constant-1 convention for the unknown
-    prefactor.  The extras hold lambda_n, ln int_a^b v_n^2 and the target
-    a^2/2 the tail is compared against; the running supremum is what the
-    CLI's ``grushin`` command checks against its optional cap.
+    prefactor.  Each mode is solved once and integrated once
+    (``observation_integral``).  The extras hold lambda_n, the integral
+    int_a^b v_n^2, its log and the target a^2/2 the tail is compared
+    against; the running supremum is what the CLI's ``grushin`` command
+    checks against its optional cap.  Raises ValueError unless
+    1 <= n_max <= N_MAX, before any work.
     """
+    if not 1 <= n_max <= N_MAX:
+        raise ValueError(f"n_max must lie in 1..{N_MAX}")
     lams = np.empty(n_max)
+    integrals = np.empty(n_max)
     log_ints = np.empty(n_max)
     vals = np.empty(n_max)
     for n in range(1, n_max + 1):
         mode = solve_mode(n, h)
-        li = observation_log_integral(mode, a, b)
+        integral = observation_integral(mode, a, b)
+        li = math.log(integral)
         lams[n - 1] = mode.lam
+        integrals[n - 1] = integral
         log_ints[n - 1] = li
         vals[n - 1] = (math.log(mode.lam) - (math.log(2.0) + li)) / (2.0 * mode.lam)
-    extras = {"lambda": lams, "log_integral": log_ints, "target": a * a / 2.0}
+    extras = {"lambda": lams, "integral": integrals, "log_integral": log_ints,
+              "target": a * a / 2.0}
     return make_profile("grushin_tstar", np.arange(1, n_max + 1), vals, window, extras)

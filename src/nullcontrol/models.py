@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import mpmath as mp
 import numpy as np
 
-from .errors import DegenerateB, RationalRootWarning, SupportOverlap, UnobservableJordanBranch
+from .errors import DegenerateB, RationalRootWarning, SupportOverlap
 from .generators import AcademicLfRule, PowerRule, SequenceRule, TwoDiffusionRule
 from .observations import VANISH_TOL, Scalar, SineSeries
 from .precision import to_complex
@@ -265,7 +265,9 @@ class CascadeInternalModel(ParabolicModel):
         ms, cs, solv, tail = _psi_coefficients(self.q, k, self.M)
         obs1 = SineSeries.single(k, 1.0, self.omega)
         obs2 = SineSeries(ms, cs, self.omega)
-        tau_k = (obs2.inner(obs1) / obs1.inner(obs1)).real
+        n1 = obs1.inner(obs1)
+        # a window too thin for binary64 leaves obs1 = 0, with nothing to project out
+        tau_k = (obs2.inner(obs1) / n1).real if n1 else 0.0
         xi = obs2.plus(obs1.scaled(-tau_k))
         meta = {
             "I_k": I_k, "I1_k": I1_k, "tau_k": tau_k,
@@ -312,8 +314,6 @@ class CascadeBoundaryModel(ParabolicModel):
     def _mode(self, k):
         I_k = self.coupling(k)
         obs1_val = _SQRT2 * k * _PI
-        if abs(obs1_val) < VANISH_TOL:
-            raise UnobservableJordanBranch(f"B* phi_{k},1 vanished")
         ms, cs, solv, _ = _psi_coefficients(self.q, k, self.M)
         obs2_val = float(np.sum(cs * (_SQRT2 * ms * _PI)))
         V = self.q.total_variation()

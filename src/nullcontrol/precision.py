@@ -16,8 +16,15 @@ from typing import NamedTuple
 import mpmath as mp
 from mpmath import libmp
 
+from .errors import NumericalError
+
 DEFAULT_DPS = 60
 MAX_DPS = 6000
+# widest exponent spread, in bits, that int_parts aligns: its integers, and
+# the cost of every exact sum over them, grow with the spread (heat N = 8 at
+# T = 1e5 spreads about 9e7 bits and would take 35 s and 193 MB; the
+# widest vector of the benchmark's jobs spreads 9110 bits)
+MAX_SPREAD_BITS = 1 << 24
 
 
 @contextmanager
@@ -87,7 +94,8 @@ class IntVector(NamedTuple):
 
 def int_parts(values) -> IntVector:
     """The exact integer form of a sequence of finite mp scalars, for
-    ``int_dot``; an inf or nan raises ValueError."""
+    ``int_dot``; an inf or nan raises ValueError, and an exponent spread
+    above MAX_SPREAD_BITS raises NumericalError."""
     values = list(values)
     cplx = mp.mpc in map(type, values)
     if cplx:
@@ -108,6 +116,10 @@ def int_parts_raw(flat, cplx: bool) -> IntVector:
     if len(exps) < len(flat) and any(x[3] for x in flat if not x[1]):
         raise ValueError("exact integer form of a non-finite value")
     exp = min(exps, default=0)
+    spread = max(exps, default=0) - exp
+    if spread > MAX_SPREAD_BITS:
+        raise NumericalError(f"exact sum over values spread across {spread} bits, "
+                             f"more than {MAX_SPREAD_BITS}")
     ints = [0 if not man else -(man << (e - exp)) if sign else man << (e - exp)
             for sign, man, e, _ in flat]
     if cplx:

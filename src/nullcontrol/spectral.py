@@ -152,9 +152,11 @@ def _tail_start(seq: SpectralSequence, lam_abs: float, tol: float) -> int:
     if p <= 1.0:
         raise TailBoundUnachievable(f"fitted growth exponent p={p:.3f} <= 1")
     # need c J^p >= sqrt(2) lam_abs so |w| <= 1/2, then
-    # sum_{j>J} 2 |w_j| <= 2 lam^2 / (c^2 (2p-1) J^(2p-1))
-    j_sep = (math.sqrt(2.0) * lam_abs / c) ** (1.0 / p) * 1.2
-    j_tail = (2.0 * lam_abs**2 / (c * c * (2 * p - 1) * tol)) ** (1.0 / (2 * p - 1))
+    # sum_{j>J} 2 |w_j| <= 2 lam^2 / (c^2 (2p-1) J^(2p-1)); both in the
+    # ratio lam/c, so that a large scale c does not overflow lam^2
+    ratio = lam_abs / c
+    j_sep = (math.sqrt(2.0) * ratio) ** (1.0 / p) * 1.2
+    j_tail = (2.0 * ratio**2 / ((2 * p - 1) * tol)) ** (1.0 / (2 * p - 1))
     J = int(math.ceil(max(j_sep, j_tail, n0)))
     if J > _J_MAX:
         raise TailBoundUnachievable(f"truncation J={J} exceeds cap {_J_MAX} for tol {tol:g}")
@@ -378,12 +380,14 @@ def _blaschke_tail(seq, lam_abs: float, n0: int, tol_abs: float) -> tuple[int, f
         if p <= 1.0:
             raise TailBoundUnachievable(f"fitted growth exponent p={p:.3f} <= 1")
         if seq.rule.real:
-            # remainder of sum 2 artanh(lam/l): first-order + cubic term
-            lead = (2.0 * lam_abs / c) * (J ** (1 - p) / (p - 1) + 0.5 * J ** (-p))
-            cubic = (2.0 * lam_abs**3 / (3.0 * c**3)) * J ** (1 - 3 * p) / (3 * p - 1)
+            # remainder of sum 2 artanh(lam/l): first-order + cubic term, in
+            # the ratio lam/c so that a large scale c does not overflow
+            ratio = lam_abs / c
+            lead = 2.0 * ratio * (J ** (1 - p) / (p - 1) + 0.5 * J ** (-p))
+            cubic = (2.0 * ratio**3 / 3.0) * J ** (1 - 3 * p) / (3 * p - 1)
             rem = lead + cubic
             err = rem * fit_resid * (2.0 + math.log(J)) \
-                + (2.0 * lam_abs / c) * p * J ** (-p - 1) * 5.0
+                + 2.0 * ratio * p * J ** (-p - 1) * 5.0
         else:
             rem, err = 0.0, 4.0 * lam_abs / (0.8 * c * (p - 1)) * J ** (1 - p)
         if err < tol_abs:

@@ -11,7 +11,7 @@ quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -26,7 +26,7 @@ from .biortho_time import (
 )
 from .errors import (
     DegenerateFamily, NotHermitian, NumericalError, SynthesisUnsupported, UnobservableMode,
-    ZeroMuUnsupported,
+    ValidationError, ZeroMuUnsupported,
 )
 from .models import Block2x2, ParabolicModel
 from .observations import Scalar, combine
@@ -36,6 +36,9 @@ from .precision import (
 
 _TAIL_MODES = 50
 SIGMA_SQ_TOL = 1e-12
+# most RK4 steps gramian_control_2x2 takes: each is a few Python-level array
+# operations, about 13 us on a 2-core x86-64 box, so 10^6 steps take about 13 s
+RK4_MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,6 @@ class ControlPlan:
     ln_per_mode_norm: np.ndarray
     total_norm: float
     tail_bound: float
-    meta: dict = field(default_factory=dict)
 
     @property
     def horizon(self) -> float:
@@ -142,7 +144,6 @@ def _finalize(model, T_mp, N, family, terms) -> ControlPlan:
         model=model, T=T_mp, N=N, family=family, terms=tuple(terms),
         per_mode_norm=pmn, ln_per_mode_norm=lns, total_norm=total,
         tail_bound=_tail_bound(model, T_mp, N),
-        meta={"labels": [t.label for t in terms]},
     )
 
 
@@ -435,9 +436,15 @@ def gramian_control_2x2(block: Block2x2, y0, T: float, rk4_h: float = 1e-4,
     times (lam2 - lam1)^2 at small T), so those lost digits are carried on
     top of DEFAULT_DPS.  The control itself is sampled in binary64: a
     NumericalError is raised when its weights, its samples or the RK4
-    state leave that range (below about T = 1e-155 for unit data)."""
+    state leave that range (below about T = 1e-155 for unit data), or when
+    the RK4 stage times, which overrun T by a few ulps, take the control's
+    exponentials out of range.  A ValidationError is raised before any work
+    when the RK4 check would take more than RK4_MAX_STEPS steps."""
     if not T > 0:
         raise ValueError("horizon T must be positive")
+    if T / rk4_h > RK4_MAX_STEPS:
+        raise ValidationError(f"the RK4 check would take T / rk4_h = {T / rk4_h:.3g} steps, "
+                              f"more than {RK4_MAX_STEPS}")
     l1, l2 = block.lam1, block.lam2
     b1, b2 = block.b
     y0 = np.asarray(y0, dtype=float)
@@ -477,19 +484,22 @@ def gramian_control_2x2(block: Block2x2, y0, T: float, rk4_h: float = 1e-4,
     hh = T / nsteps
     y = y0.copy()
     t = 0.0
-    for _ in range(nsteps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + hh / 2, y + hh / 2 * k1)
-        k3 = rhs(t + hh / 2, y + hh / 2 * k2)
-        k4 = rhs(t + hh, y + hh * k3)
-        y = y + hh / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += hh
-    ts = np.linspace(0.0, T, samples)
-    us = np.array([u(float(tt)) for tt in ts])
+    try:  # a non-finite state or sample is caught by the check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(nsteps):
+                k1 = rhs(t, y)
+                k2 = rhs(t + hh / 2, y + hh / 2 * k1)
+                k3 = rhs(t + hh / 2, y + hh / 2 * k2)
+                k4 = rhs(t + hh, y + hh * k3)
+                y = y + hh / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                t += hh
+            ts = np.linspace(0.0, T, samples)
+            us = np.array([u(float(tt)) for tt in ts])
+    except OverflowError as exc:
+        raise NumericalError(f"control exponentials overflow binary64 at T = {T:g}") from exc
     if not (np.all(np.isfinite(us)) and np.all(np.isfinite(y))):
         raise NumericalError(f"control samples or RK4 state overflow binary64 at T = {T:g}")
     grid_norm_sq = float(np.trapezoid(us * us, ts))
-    decay_scale = (l1 + l2) * math.exp(-2 * l1 * T) * float(np.dot(y0, y0))
     return GramianControlResult(
         block=block, T=float(T), Q=Q, det_Q=det_q, log10_det_Q=log10_det_q,
         tr_Q=tr_q, sigma=sigma,
@@ -498,7 +508,5 @@ def gramian_control_2x2(block: Block2x2, y0, T: float, rk4_h: float = 1e-4,
         diagnostics={
             "terminal_abs": float(np.linalg.norm(y)),
             "grid_norm_sq": grid_norm_sq,
-            "norm_bound_scale": decay_scale,
-            "norm_over_scale": norm_sq / decay_scale if decay_scale > 0 else math.inf,
         },
     )

@@ -17,7 +17,7 @@ from nullcontrol.biortho_time import (
     RESIDUAL_THRESHOLD, _gram_mp, _pairing_mp, int_pow_exp, pair_with_exponential_mp,
 )
 from nullcontrol.cli import main
-from nullcontrol.errors import IllConditioned
+from nullcontrol.errors import IllConditioned, NumericalError
 from nullcontrol.generators import AcademicLfRule, AppendixBRule
 from nullcontrol.models import PiecewiseConstant, cascade_boundary_q
 from nullcontrol.precision import DEFAULT_DPS, auto_dps_for_gaps, to_complex, to_mp, workdps
@@ -105,6 +105,12 @@ class TestBuildBiortho:
         fam, fam_s = build_biortho(span), build_biortho(span_s)
         np.testing.assert_allclose(_float_gram(span_s).real, s * _float_gram(span).real, rtol=1e-12)
         np.testing.assert_allclose(fam_s.norms, fam.norms / math.sqrt(s), rtol=1e-12)
+
+    def test_rate_beyond_mpmath_exponent_range_is_numerical(self):
+        # e^{-r T} with r = 2^(10^20) cannot be formed, not even as an underflow
+        span = ExponentialSpan((mp.mpf(1), mp.ldexp(1, 10**20)), 1.0)
+        with pytest.raises(NumericalError, match="out of range"):
+            build_biortho(span)
 
 
 class TestJordanFamily:

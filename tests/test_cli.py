@@ -1,18 +1,23 @@
 """CLI: schema validation, output formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
-from nullcontrol import cli
+from nullcontrol import cli, grushin_tstar_profile, observation_integral, solve_mode
 from nullcontrol.cli import main, run
 from nullcontrol.schemas import CONFIG_SCHEMA, DIAGNOSTICS_SCHEMA, ERROR_SCHEMA
 
@@ -338,6 +343,28 @@ class TestOtherCommands:
         assert lines[0] == "n,lambda,integral,T_n"
         assert len(lines) == 7
 
+    @pytest.mark.parametrize("a,b", [(0.29999, 0.30001), (0.30001, 0.30002)])
+    def test_grushin_window_below_two_nodes_exits_2(self, tmp_path, capsys, a, b):
+        # one grid node (0.3) and none at h = 2e-4: the window has no trapezoid
+        cfgp = _write_config(tmp_path, {"command": "grushin", "params": {
+            "a": a, "b": b, "n_max": 2, "h": 2e-4}})
+        assert main(["--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "VALIDATION"
+        assert "fewer than two grid nodes" in err["message"]
+        assert not (tmp_path / "o" / "grushin.csv").exists()
+
+    def test_grushin_csv_columns_from_the_profile(self, tmp_path):
+        out = tmp_path / "out"
+        assert run({"command": "grushin",
+                    "params": {"a": 0.3, "b": 0.5, "n_max": 3, "h": 1e-3}}, out) == 0
+        rows = [line.split(",") for line in (out / "grushin.csv").read_text().splitlines()[1:]]
+        prof = grushin_tstar_profile(0.3, 0.5, 3, 1e-3)
+        for n, row in enumerate(rows, start=1):
+            mode = solve_mode(n, 1e-3)
+            assert [int(row[0])] + [float(x) for x in row[1:]] == [
+                n, mode.lam, observation_integral(mode, 0.3, 0.5), prof.values[n - 1]]
+
     @pytest.mark.parametrize("cap,unbounded", [(1.0, True), (None, False)])
     def test_grushin_cap(self, tmp_path, cap, unbounded):
         # a thin window near the boundary pushes the running sup past 1.0
@@ -384,3 +411,115 @@ class TestWriters:
             f"{_fmt_per_value(x)} {_fmt_per_value(y)}\n" for x, y in zip(xs, ys))
         cli._write_dat(path, range(1, 3), [0.5, math.nan])
         assert path.read_text() == "1 0.5\n2 nan\n"
+
+
+# Schema fuzz: every schema-valid config ends with exit 0, 2 or 3, and exits
+# 2 and 3 print one JSON object on stderr.  Sizes stay small (the 150
+# examples take about 10 s); values range over the whole binary64 exponent
+# range, zero and negatives included, so that the solvers' own checks reject them.
+_WIDE = st.integers(-300, 300).map(lambda e: 10.0**e)
+_NUM = st.one_of(_WIDE, st.sampled_from([0.0, -1.0, 0.3, 0.5, 1.0, 2.0, math.pi**2]))
+_UNIT = st.one_of(st.floats(0.0, 1.0), _NUM)
+_Y0 = st.sampled_from(["one", "reciprocal", "reciprocal_sq"])
+
+
+def _keys(required, **optional):
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+_SEQUENCES = st.one_of(
+    _keys({"rule": st.just("power")}, c=_NUM, p=st.one_of(st.floats(0.5, 4.0), _NUM)),
+    _keys({"rule": st.just("appendixB")}, tau=_NUM),
+    _keys({"rule": st.just("two_diffusion"), "d": _NUM}, scale=_NUM),
+    _keys({"rule": st.just("academic_lf"), "tau": _NUM}),
+    _keys({"rule": st.just("explicit"), "values": st.lists(_NUM, max_size=6)}),
+)
+_MODELS = st.one_of(
+    _keys({"name": st.just("pointwise_heat"), "x0": _UNIT}, y0=_Y0),
+    _keys({"name": st.just("cascade_internal_q"),
+           "omega": st.lists(_UNIT, min_size=2, max_size=2)},
+          truncation=st.integers(8, 40), y0=_Y0),
+    _keys({"name": st.just("cascade_boundary_q")}, truncation=st.integers(8, 40), y0=_Y0),
+    _keys({"name": st.just("two_diffusion_boundary"), "d": _NUM}, y0=_Y0),
+    _keys({"name": st.just("two_diffusion_pointwise"), "d": _NUM, "x0": _UNIT}, y0=_Y0),
+    _keys({"name": st.just("academic_lf"), "tau": _NUM}, y0=_Y0),
+    _keys({"name": st.just("harmonic_oscillator")}),
+)
+# per command: (size keys, always drawn; other keys, drawn or left to their defaults)
+_PARAMS = {
+    "indices": ({"K": st.integers(1, 12)},
+                {"rel_tail_tol": _WIDE, "window": st.integers(1, 12)}),
+    "hypotheses": ({"K": st.integers(1, 12)}, {}),
+    "tstar": ({"K": st.integers(1, 12)}, {"window": st.integers(1, 12)}),
+    "biortho": ({"N": st.integers(1, 5)}, {"T": _WIDE}),
+    "synthesize": ({"N": st.integers(1, 5), "samples": st.integers(2, 30)}, {"T": _WIDE}),
+    "verify": ({"N": st.integers(1, 5)}, {"N_check": st.integers(1, 5), "T": _WIDE}),
+    "grushin": ({"n_max": st.integers(1, 3)},
+                {"a": _UNIT, "b": _UNIT, "h": st.sampled_from([1e-3, 5e-4]),
+                 "window": st.integers(1, 3), "cap": _NUM}),
+    "gramian2x2": ({"samples": st.integers(2, 30)},
+                   {"T": _WIDE, "rk4_h": _WIDE, "bvec": st.lists(_NUM, min_size=2, max_size=2),
+                    "y0vec": st.lists(_NUM, min_size=2, max_size=2)}),
+}
+
+
+@st.composite
+def _couplings(draw):
+    """q on breakpoints in [0, 1], mostly with one value per interval."""
+    bps = sorted(draw(st.lists(_UNIT, min_size=1, max_size=4)))
+    m = len(bps) - 1 if draw(st.integers(0, 4)) else draw(st.integers(0, 3))
+    return {"q_breakpoints": bps, "q_values": draw(st.lists(_NUM, min_size=m, max_size=m))}
+
+
+@st.composite
+def _configs(draw):
+    command = draw(st.sampled_from(sorted(_PARAMS)))
+    sizes, others = _PARAMS[command]
+    cfg = {"command": command, "params": draw(_keys(sizes, **others))}
+    if command in ("indices", "biortho") or (command == "hypotheses" and draw(st.booleans())):
+        cfg["sequence"] = draw(_SEQUENCES)
+    elif command not in ("grushin", "gramian2x2"):
+        cfg["model"] = draw(_MODELS)
+        if cfg["model"]["name"].startswith("cascade"):
+            cfg["model"] |= draw(_couplings())
+    if command == "gramian2x2":
+        lam1 = draw(_NUM)
+        cfg["params"] |= {"lam1": lam1,
+                          "lam2": draw(st.one_of(_NUM, _WIDE.map(lambda f: lam1 + f)))}
+    return cfg
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_configs())
+# pinned: configs that ended in a traceback or never ended, and a window
+# too narrow for a trapezoid
+@example({"command": "grushin", "params": {"a": 0.29999, "b": 0.30001, "n_max": 1, "h": 2e-4}})
+@example({"command": "grushin", "params": {"a": 0.30001, "b": 0.30002, "n_max": 1, "h": 2e-4}})
+@example({"command": "grushin", "params": {"n_max": 10**12}})
+@example({"command": "grushin", "params": {"n_max": 1, "h": 1e-12}})
+@example({"command": "indices", "sequence": {"rule": "power", "c": 1e200, "p": 2},
+          "params": {"K": 5}})
+@example({"command": "gramian2x2", "params": {"lam1": 1, "lam2": 2, "T": 1e300}})
+@example({"command": "gramian2x2", "params": {"lam1": 1e-300, "lam2": 1e300, "T": 3,
+                                              "samples": 30}})
+@example({"command": "verify", "model": {"name": "pointwise_heat", "x0": 0.3},
+          "params": {"T": 1e20, "N": 5}})
+@example({"command": "indices", "sequence": {"rule": "academic_lf", "tau": 1e134},
+          "params": {"K": 12}})
+@example({"command": "biortho", "sequence": {"rule": "power", "c": 1e150, "p": 1e150},
+          "params": {"N": 5}})
+@example({"command": "verify", "model": {"name": "cascade_internal_q", "omega": [0.0, 1e-79],
+                                         "q_breakpoints": [1e-79], "q_values": []},
+          "params": {"N": 1}})
+def test_schema_valid_configs_exit_0_2_or_3(cfg):
+    jsonschema.validate(cfg, CONFIG_SCHEMA)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgp = Path(tmp) / "cfg.json"
+        cfgp.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["--config", str(cfgp), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 2, 3), cfg
+    if code:
+        jsonschema.validate(json.loads(err.getvalue()), ERROR_SCHEMA)

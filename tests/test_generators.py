@@ -6,7 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nullcontrol.generators import make_rule
+from nullcontrol.errors import NumericalError
+from nullcontrol.generators import MAX_HEAD_DPS, make_rule
 from nullcontrol.spectral import from_rule
 
 
@@ -69,6 +70,17 @@ class TestPairRules:
         vals = rule.mp_entries(12)
         with mp.workdps(rule.head_dps(12) + 10):
             assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("name", ["appendixB", "academic_lf"])
+    def test_pair_digits_capped(self, name):
+        # the gap e^{-tau lam} takes tau lam / ln 10 + 50 digits; past
+        # MAX_HEAD_DPS the head is refused before any mp work
+        lam1 = 1.0 if name == "appendixB" else math.pi**2
+        tau = (MAX_HEAD_DPS - 50) * math.log(10) / lam1 * 0.999
+        assert make_rule(name, tau=tau).head_dps(2) <= MAX_HEAD_DPS
+        for big in (tau * 1.01, 1e134, 1e300):
+            with pytest.raises(NumericalError, match="digits"):
+                make_rule(name, tau=big).mp_entries(2)
 
     def test_float_view_collapses_harmlessly(self):
         rule = make_rule("appendixB", tau=1.0)

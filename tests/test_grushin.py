@@ -13,7 +13,6 @@ from nullcontrol.grushin import (
     _factor,
     _solve_eig,
     expected_observation_asymptote,
-    observation_log_integral,
 )
 
 H = 2e-4
@@ -63,6 +62,9 @@ class TestSolveMode:
             solve_mode(61, H)
         with pytest.raises(ValueError):
             solve_mode(1, 2e-3)
+        for h in (1e-7, 1e-12, 1e-300):  # checked before a grid of 2/h nodes is built
+            with pytest.raises(ValueError, match="h must lie in"):
+                solve_mode(1, h)
 
 
 class TestPencilBisection:
@@ -119,7 +121,6 @@ class TestCertifiedBracket:
         assert hi - lo <= 1e-10 * hi
 
     def test_profile_factorization_budget(self):
-        grushin_tstar_profile(0.3, 0.5, 40, H)
         total = sum(solve_mode(n, H).meta["dpttrf_calls"] for n in range(1, 41))
         assert total <= 700
 
@@ -152,11 +153,26 @@ class TestObservationIntegral:
         vals = [observation_integral(solve_mode(n, H), 0.4, 0.6) for n in range(5, 30, 5)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_log_domain_agrees_with_direct(self):
-        mode = solve_mode(25, H)
-        direct = observation_integral(mode, 0.3, 0.5)
-        assert math.exp(observation_log_integral(mode, 0.3, 0.5)) == pytest.approx(
-            direct, rel=1e-8)
+    @pytest.mark.parametrize("a,b", [(0.29999, 0.30001), (0.30001, 0.30002)])
+    def test_window_below_two_nodes_rejected(self, a, b):
+        # one node (0.3) and no node of the h = 2e-4 grid: no trapezoid
+        with pytest.raises(ValueError, match="fewer than two grid nodes"):
+            observation_integral(solve_mode(1, H), a, b)
+
+    def test_two_node_window_is_one_trapezoid(self):
+        mode = solve_mode(1, H)
+        i = np.searchsorted(mode.grid, 0.3 - 1e-9)
+        want = H / 2 * (mode.vec[i] ** 2 + mode.vec[i + 1] ** 2)
+        assert observation_integral(mode, mode.grid[i], mode.grid[i + 1]) == pytest.approx(
+            want, rel=1e-15)
+
+    @pytest.mark.parametrize("h", [1e-3, H])
+    def test_smallest_integral_far_inside_binary64(self, h):
+        # the last two nodes before x = 1 carry the least mass; a direct
+        # trapezoid needs no log-domain fallback for any accepted n
+        smallest = min(observation_integral(solve_mode(n, h), 1.0 - h, 1.0)
+                       for n in range(1, 61))
+        assert smallest > 1e-100
 
 
 class TestTstarProfile:
@@ -174,6 +190,32 @@ class TestTstarProfile:
         integ = observation_integral(mode, 0.3, 0.5)
         want = (math.log(mode.lam) - math.log(2 * integ)) / (2 * mode.lam)
         assert prof.values[29] == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("a,b", [(0.3, 0.5), (0.7, 0.72)])
+    def test_horizons_match_log_domain_trapezoid(self, a, b):
+        # oracle: the log-domain trapezoid the profile used to take its
+        # ln int_a^b v_n^2 from
+        def log_trapezoid(logs, h):
+            w = np.full(len(logs), h)
+            w[0] = w[-1] = h / 2.0
+            m = np.max(logs)
+            return float(m + math.log(np.sum(w * np.exp(logs - m))))
+
+        prof = grushin_tstar_profile(a, b, 40, H)
+        for n in range(1, 41):
+            mode = solve_mode(n, H)
+            mask = (mode.grid >= a - 1e-15) & (mode.grid <= b + 1e-15)
+            li = log_trapezoid(2.0 * np.log(np.abs(mode.vec[mask])), H)
+            want = (math.log(mode.lam) - (math.log(2.0) + li)) / (2.0 * mode.lam)
+            assert prof.values[n - 1] == pytest.approx(want, rel=1e-14, abs=0)
+            assert prof.extras["integral"][n - 1] == observation_integral(mode, a, b)
+            assert prof.extras["log_integral"][n - 1] == math.log(prof.extras["integral"][n - 1])
+
+    @pytest.mark.parametrize("n_max", [0, 61, 10**12])
+    def test_n_max_checked_before_any_work(self, n_max, monkeypatch):
+        monkeypatch.setattr(grushin, "solve_mode", None)  # reaching it would fail
+        with pytest.raises(ValueError, match="n_max must lie in 1..60"):
+            grushin_tstar_profile(0.3, 0.5, n_max, H)
 
     def test_degenerate_window_unbounded(self):
         # shrinking the window drives the per-mode horizon up, past the

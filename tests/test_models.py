@@ -17,10 +17,11 @@ from nullcontrol import (
     check_hypotheses,
     harmonic_oscillator,
     pointwise_heat,
+    synthesize,
     two_diffusion_boundary,
     two_diffusion_pointwise,
 )
-from nullcontrol.errors import DegenerateB, RationalRootWarning, SupportOverlap
+from nullcontrol.errors import DegenerateB, RationalRootWarning, SupportOverlap, UnobservableMode
 from nullcontrol.models import _psi_coefficients
 from nullcontrol.precision import to_complex
 
@@ -112,6 +113,16 @@ class TestCascadeInternal:
             denom = abs(m.meta["I_k"]) + abs(m.meta["I1_k"])
             ratios.append(m.meta["xi_norm"] / denom)
         assert max(ratios) < 10 * np.median(ratios)
+
+    def test_window_below_binary64_is_unobservable(self):
+        # int_omega sin^2 underflows to 0 on omega = (0, 1e-79): the mode is
+        # built with tau_k = 0 and synthesis refuses it as unobservable
+        q = PiecewiseConstant(((0.0, 1e-79, 0.0),))
+        model = cascade_internal_q(q, (0.0, 1e-79))
+        mode = model.modes(1)[0]
+        assert mode.meta["tau_k"] == 0.0
+        with pytest.raises(UnobservableMode):
+            synthesize(model, 0.5, 1)
 
     def test_psi_tail_bound_reported(self):
         q = PiecewiseConstant(((0.0, 0.2, 1.0),))

@@ -13,7 +13,10 @@ from mpmath import libmp
 
 from nullcontrol.biortho_time import ExponentialSpan, _pairing_mp, build_biortho
 from nullcontrol.models import PiecewiseConstant, cascade_boundary_q
-from nullcontrol.precision import IntVector, int_dot, int_dot_real, int_parts, workdps
+from nullcontrol.errors import NumericalError
+from nullcontrol.precision import (
+    MAX_SPREAD_BITS, IntVector, int_dot, int_dot_real, int_parts, workdps,
+)
 
 PI2 = math.pi**2
 
@@ -185,6 +188,19 @@ def _edge_cases(prec):
         # underflow to zero
         (1, -1100),
     ]
+
+
+class TestSpreadBudget:
+    def test_spread_up_to_the_budget_is_exact(self):
+        a = int_parts([mp.mpf(1), mp.ldexp(1, -MAX_SPREAD_BITS)])
+        assert a.exp == -MAX_SPREAD_BITS and a.re == [1 << MAX_SPREAD_BITS, 1]
+
+    @pytest.mark.parametrize("spread", [MAX_SPREAD_BITS + 1, 10**22])
+    def test_wider_spread_refused(self, spread):
+        # the aligned integer would take spread bits (at 1e22, more than
+        # CPython can shift to)
+        with pytest.raises(NumericalError, match="spread"):
+            int_parts([mp.mpf(3), mp.ldexp(1, -spread)])
 
 
 class TestIntDotReal:

@@ -252,6 +252,22 @@ class TestLogEPrime:
             got = spectral.log_E_primes(seq, [k], rel_tail_tol=1e-9)[0]
             assert got == pytest.approx(log_eprime_single_family(k, scale=PI2), rel=1e-7)
 
+    def test_large_scale_closed_form(self):
+        # the tail bounds work in lam/c: c^2 lam^2 would overflow at c = 1e200
+        seq = from_rule(make_rule("power", c=1e200, p=2.0), 12)
+        got = spectral.log_E_primes(seq, [1, 2, 5])
+        want = [log_eprime_single_family(k, scale=1e200) for k in (1, 2, 5)]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_blaschke_scale_covariance(self):
+        # P_k is scale free, so ln|W'(lam_k)| moves by -ln c; c^3 lam^3 of
+        # the tail's cubic term would overflow at c = 1e200
+        one = spectral.blaschke_log_wprimes(from_rule(make_rule("power", c=1.0, p=2.0), 12),
+                                            [1, 2, 5])
+        big = spectral.blaschke_log_wprimes(from_rule(make_rule("power", c=1e200, p=2.0), 12),
+                                            [1, 2, 5])
+        np.testing.assert_allclose(big + math.log(1e200), one, rtol=1e-12)
+
     @pytest.mark.parametrize("d", [2.0, 5.0])
     def test_two_family_closed_form(self, d):
         seq = from_rule(make_rule("two_diffusion", d=d, scale=1.0), 4000)

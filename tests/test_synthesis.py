@@ -25,8 +25,10 @@ from nullcontrol import (
 from nullcontrol import biortho_time, synthesis
 from nullcontrol.errors import (
     DegenerateFamily,
+    NumericalError,
     SynthesisUnsupported,
     UnobservableMode,
+    ValidationError,
     ZeroMuUnsupported,
 )
 from nullcontrol.models import ParabolicModel, PointwiseHeatModel, SpectralMode
@@ -647,6 +649,18 @@ class TestGramian2x2:
     def test_log10_determinant_matches_float_view(self):
         res = gramian_control_2x2(block_2x2(1.0, 2.0, (1.0, 1.0)), (1.0, 1.0), 1.0)
         assert 10**res.log10_det_Q == pytest.approx(res.det_Q, rel=1e-12)
+
+    @pytest.mark.parametrize("T,rk4_h", [(300.0, 1e-4), (1e300, 1e-4), (1.0, 1e-300)])
+    def test_rk4_step_budget_checked_first(self, T, rk4_h, monkeypatch):
+        monkeypatch.setattr(synthesis, "_eta", None)  # reaching the Gramian would fail
+        with pytest.raises(ValidationError, match="RK4"):
+            gramian_control_2x2(block_2x2(1.0, 2.0, (1.0, 1.0)), (1.0, 1.0), T, rk4_h=rk4_h)
+
+    def test_stage_time_overrun_overflow_is_numerical(self):
+        # the RK4 stage times overrun T by ~1e-12, and expm1(-(lam2 - lam1) s)
+        # at s < 0 then overflows
+        with pytest.raises(NumericalError, match="overflow"):
+            gramian_control_2x2(block_2x2(1e-300, 1e300, (1.0, 1.0)), (1.0, 1.0), 3.0)
 
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError, match="positive"):
