@@ -142,37 +142,26 @@ def _exp_table(span: ExponentialSpan) -> tuple:
     return tuple(e for e in exps for _ in range(2 if span.jordan else 1))
 
 
-def _gram_mp(span: ExponentialSpan, E=None) -> mp.matrix:
-    """Hermitian Gram <f_j, f_i> = int f_j conj(f_i), with
-    e^{-(conj(r_i) + r_j) T} = conj(E_i) E_j from the table E (made at the
+def _pairing_mp(span: ExponentialSpan, E=None, hermitian=False) -> mp.matrix:
+    """Bilinear pairing int f_i f_j (no conjugation), the defining system,
+    or with ``hermitian`` the Gram <f_j, f_i> = int f_j conj(f_i): the left
+    factor conjugated and the lower triangle mirrored as conjugates.
+    e^{-(r_i + r_j) T} = E_i E_j comes from the table E (made at the
     working precision when not given)."""
-    basis = span.basis()
-    E = _exp_table(span) if E is None else E
-    n = len(basis)
-    G = mp.matrix(n, n)
-    for i in range(n):
-        ri, pi_ = basis[i]
-        for j in range(n):
-            rj, pj = basis[j]
-            G[i, j] = int_pow_exp(pi_ + pj, mp.conj(ri) + rj, span.T, mp.conj(E[i]) * E[j])
-    return G
-
-
-def _pairing_mp(span: ExponentialSpan, E=None) -> mp.matrix:
-    """Bilinear pairing int f_i f_j (no conjugation): the defining system,
-    with e^{-(r_i + r_j) T} = E_i E_j from the table E (made at the working
-    precision when not given)."""
     basis = span.basis()
     E = _exp_table(span) if E is None else E
     n = len(basis)
     M = mp.matrix(n, n)
     for i in range(n):
         ri, pi_ = basis[i]
+        ei = E[i]
+        if hermitian:
+            ri, ei = mp.conj(ri), mp.conj(ei)
         for j in range(i, n):
             rj, pj = basis[j]
-            v = int_pow_exp(pi_ + pj, ri + rj, span.T, E[i] * E[j])
-            M[i, j] = v
-            M[j, i] = v
+            v = int_pow_exp(pi_ + pj, ri + rj, span.T, ei * E[j])
+            M[j, i] = mp.conj(v) if hermitian else v
+            M[i, j] = v  # last, so the diagonal keeps v itself
     return M
 
 
@@ -272,7 +261,7 @@ def _solve_at(span: ExponentialSpan, dps: int) -> BiorthogonalFamily:
         except ZeroDivisionError as exc:
             raise IllConditioned(f"pairing matrix singular at {dps} digits") from exc
         # 1-norm condition estimate of the Gram
-        G = _pairing_mp(span, E) if real else _gram_mp(span, E)
+        G = _pairing_mp(span, E, not real)
         kappa = _norm1(G) * _norm1(C)
         log10_kappa = mp.log10(kappa)
         carry = min(dps, int(mp.ceil(log10_kappa)) + CARRY_DIGITS)

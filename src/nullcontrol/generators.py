@@ -4,7 +4,8 @@ Rules generate normally ordered spectra lazily: a high-precision head (the
 window actually profiled) plus a cheap float view of the far tail used by
 truncated-product evaluations.  Pair perturbations like k^2 + e^{-tau k^2}
 collapse in binary64 long before they stop mattering, so the head is kept
-in mpmath at a precision chosen from the rule parameters.
+in mpmath.  Both paired rules, appendixB and academic_lf, compute each pair
+at the digits its own gap needs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from mpmath import libmp
 from .errors import NumericalError
 from .precision import to_complex, to_mp, workdps
 
-_PI2 = math.pi**2
 # most digits a paired rule's head may take.  The largest head in use,
 # appendixB tau = 1 at K = 250 (7277 digits), takes 26 s for `indices`; an
 # academic_lf K = 12 head takes 3.9 s at 12,900 digits and 30 s at 43,000,
@@ -91,41 +91,61 @@ class PowerRule(SequenceRule):
             return to_mp(self.c) * mp.mpf(j) ** self.p
 
     def _float_block_impl(self, n):
-        return self.c * np.arange(1, n + 1, dtype=float) ** self.p
+        c = self.c.real if self.real else self.c  # a real rule's block stays real
+        with np.errstate(over="ignore"):  # entries past binary64 become inf
+            return c * np.arange(1, n + 1, dtype=float) ** self.p
 
 
-class AppendixBRule(SequenceRule):
-    """Paired sequence {k^2, k^2 + e^{-tau k^2}}, merged in order."""
+class _PairedRule(SequenceRule):
+    """Paired sequence {b_k - a f_k, b_k + f_k}, b_k = s k^2, f_k = e^{-tau b_k},
+    merged in order.  Each pair is computed at the digits its own gap needs,
+    so an entry does not depend on how many entries are asked for."""
 
-    name = "appendixB"
     pair_align = 2
+    pi_power = 0  # s = pi^pi_power, formed at the working digits in mpmath
+    lower = 0     # a: 0 keeps b_k itself, 1 splits the pair symmetrically
 
-    def __init__(self, tau=1.0):
+    def __init__(self, tau):
         if tau <= 0:
             raise ValueError("tau must be positive")
         super().__init__()
         self.tau = float(tau)
 
     def head_dps(self, n):
-        kmax = (n + 1) // 2
-        return _pair_dps(self.tau * kmax * kmax)
+        return self._dps((n + 1) // 2)
+
+    def _dps(self, k):
+        return _pair_dps(self.tau * math.pi**self.pi_power * k * k)
+
+    def _pair(self, k):
+        """(b_k - a f_k, b_k + f_k) at the digits pair k needs."""
+        with workdps(self._dps(k)):
+            lam = mp.mpf(k) ** 2 * mp.pi**self.pi_power
+            f = mp.e ** (-mp.mpf(self.tau) * lam)
+            return lam - self.lower * f, lam + f
 
     def mp_entries(self, n):
-        with workdps(self.head_dps(n)):
-            tau = mp.mpf(self.tau)
-            out = []
-            for k in range(1, (n + 3) // 2 + 1):
-                lam = mp.mpf(k) ** 2
-                out.append(lam)
-                out.append(lam + mp.e ** (-tau * lam))
-            return out[:n]
+        return [x for k in range(1, (n + 1) // 2 + 1) for x in self._pair(k)][:n]
+
+    def mp_entry(self, j):
+        return self._pair((j + 1) // 2)[(j + 1) % 2]
 
     def _float_block_impl(self, n):
-        ks = (np.arange(n) // 2) + 1
-        base = ks.astype(float) ** 2
+        lam = math.pi**self.pi_power * (np.arange(n) // 2 + 1.0) ** 2
         with np.errstate(under="ignore"):
-            pert = np.where(np.arange(n) % 2 == 1, np.exp(-self.tau * base), 0.0)
-        return base + pert
+            f = np.exp(-self.tau * lam)
+        f[::2] *= -self.lower  # in place: a block can hold millions of entries
+        lam += f
+        return lam
+
+
+class AppendixBRule(_PairedRule):
+    """Paired sequence {k^2, k^2 + e^{-tau k^2}}."""
+
+    name = "appendixB"
+
+    def __init__(self, tau=1.0):
+        super().__init__(tau)
 
 
 class TwoDiffusionRule(SequenceRule):
@@ -171,44 +191,12 @@ class TwoDiffusionRule(SequenceRule):
         return vals[:n]
 
 
-class AcademicLfRule(SequenceRule):
+class AcademicLfRule(_PairedRule):
     """Paired sequence {lam_k - f, lam_k + f}, lam_k = k^2 pi^2, f = e^{-tau lam_k}."""
 
     name = "academic_lf"
-    pair_align = 2
-
-    def __init__(self, tau):
-        if tau <= 0:
-            raise ValueError("tau must be positive")
-        super().__init__()
-        self.tau = float(tau)
-
-    def head_dps(self, n):
-        return self._dps((n + 1) // 2)
-
-    def _dps(self, k):
-        return _pair_dps(self.tau * _PI2 * k * k)
-
-    def _pair(self, k):
-        """(lam_k - f, lam_k + f) at the digits pair k needs, so an entry
-        does not depend on how many entries are asked for."""
-        with workdps(self._dps(k)):
-            lam = mp.mpf(k) ** 2 * mp.pi**2
-            f = mp.e ** (-mp.mpf(self.tau) * lam)
-            return lam - f, lam + f
-
-    def mp_entries(self, n):
-        return [x for k in range(1, (n + 1) // 2 + 1) for x in self._pair(k)][:n]
-
-    def mp_entry(self, j):
-        return self._pair((j + 1) // 2)[(j + 1) % 2]
-
-    def _float_block_impl(self, n):
-        ks = (np.arange(n) // 2) + 1
-        lam = _PI2 * ks.astype(float) ** 2
-        with np.errstate(under="ignore"):
-            f = np.exp(-self.tau * lam)
-        return lam + np.where(np.arange(n) % 2 == 1, f, -f)
+    pi_power = 2
+    lower = 1
 
 
 class ExplicitRule(SequenceRule):

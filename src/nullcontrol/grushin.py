@@ -117,11 +117,12 @@ def _factor_below(kd, ke, md, me, sigma: float):
     return sigma, kept, calls
 
 
-def _mass_times(md, me, v):
-    mv = md * v
-    mv[:-1] += me * v[1:]
-    mv[1:] += me * v[:-1]
-    return mv
+def _tridiag_times(d, e, v):
+    """A v for the symmetric tridiagonal A with diagonal d and off-diagonal e."""
+    av = d * v
+    av[:-1] += e * v[1:]
+    av[1:] += e * v[:-1]
+    return av
 
 
 def _inverse_iteration(factor, md, me, v, iterations):
@@ -129,16 +130,13 @@ def _inverse_iteration(factor, md, me, v, iterations):
     from scipy.linalg.lapack import dpttrs
 
     for _ in range(iterations):
-        v = dpttrs(*factor, _mass_times(md, me, v))[0]
+        v = dpttrs(*factor, _tridiag_times(md, me, v))[0]
         v /= np.linalg.norm(v)
     return v
 
 
 def _rayleigh(kd, ke, md, me, v):
-    kv = kd * v
-    kv[:-1] += ke * v[1:]
-    kv[1:] += ke * v[:-1]
-    return float(v @ kv) / float(v @ _mass_times(md, me, v))
+    return float(v @ _tridiag_times(kd, ke, v)) / float(v @ _tridiag_times(md, me, v))
 
 
 def _solve_eig(n, h):

@@ -104,6 +104,13 @@ class ParabolicModel:
     def tmin_profile(self, K: int, window: int = DEFAULT_WINDOW) -> ProfileReport | None:
         return None
 
+    def _decay_profile(self, name: str, xs, window: int) -> ProfileReport:
+        """The profile of -ln|x_k| / lam_k over k = 1..len(xs), inf where x_k = 0."""
+        lams = self.rule.float_entries(len(xs))
+        vals = np.array([math.inf if x == 0.0 else -math.log(abs(x)) / lam
+                         for x, lam in zip(xs, lams)])
+        return make_profile(name, np.arange(1, len(xs) + 1), vals, window)
+
 
 # ---------------------------------------------------------------------------
 # pointwise-control heat equation
@@ -128,13 +135,8 @@ class PointwiseHeatModel(ParabolicModel):
                             (complex(self.y0_rule(k, 1)),))
 
     def tmin_profile(self, K, window=DEFAULT_WINDOW):
-        ks = np.arange(1, K + 1)
-        lams = self.rule.float_entries(K)
-        vals = np.empty(K)
-        for i, k in enumerate(ks):
-            v = self._obs_value(int(k))
-            vals[i] = math.inf if v == 0.0 else -math.log(abs(v)) / lams[i]
-        return make_profile("tmin_pointwise", ks, vals, window)
+        xs = [self._obs_value(k) for k in range(1, K + 1)]
+        return self._decay_profile("tmin_pointwise", xs, window)
 
 
 def pointwise_heat(x0: float, y0_rule=None) -> PointwiseHeatModel:
@@ -282,14 +284,8 @@ class CascadeInternalModel(ParabolicModel):
                             r=1, mu=complex(I_k), gamma=None, meta=meta)
 
     def tmin_profile(self, K, window=DEFAULT_WINDOW):
-        ks = np.arange(1, K + 1)
-        lams = self.rule.float_entries(K)
-        vals = np.empty(K)
-        for i, k in enumerate(ks):
-            I_k, I1_k = self.coupling(int(k))
-            cands = [-math.log(abs(v)) for v in (I_k, I1_k) if abs(v) > 0.0]
-            vals[i] = min(cands) / lams[i] if cands else math.inf
-        return make_profile("tmin_cascade_internal", ks, vals, window)
+        xs = [max(abs(I_k), abs(I1_k)) for I_k, I1_k in map(self.coupling, range(1, K + 1))]
+        return self._decay_profile("tmin_cascade_internal", xs, window)
 
 
 def cascade_internal_q(q: PiecewiseConstant, omega, M: int = 200, y0_rule=None) -> CascadeInternalModel:
@@ -332,13 +328,8 @@ class CascadeBoundaryModel(ParabolicModel):
                             r=1, mu=complex(I_k), gamma=complex(gamma), meta=meta)
 
     def tmin_profile(self, K, window=DEFAULT_WINDOW):
-        ks = np.arange(1, K + 1)
-        lams = self.rule.float_entries(K)
-        vals = np.empty(K)
-        for i, k in enumerate(ks):
-            I_k = self.coupling(int(k))
-            vals[i] = math.inf if I_k == 0.0 else -math.log(abs(I_k)) / lams[i]
-        return make_profile("tmin_cascade_boundary", ks, vals, window)
+        xs = [self.coupling(k) for k in range(1, K + 1)]
+        return self._decay_profile("tmin_cascade_boundary", xs, window)
 
 
 def cascade_boundary_q(q: PiecewiseConstant, M: int = 200, y0_rule=None) -> CascadeBoundaryModel:

@@ -218,9 +218,9 @@ def _far_sums(seq, lams: np.ndarray, n0: int, Js: np.ndarray, step: int) -> np.n
         return out
 
     q = np.arange(1, math.ceil(2 * math.log(_EPS) / (step * math.log(_RHO))) + 1)
-    # pass m sums P_{m+1} over [J0, ends[m])
+    # pass m sums P_{m+1} over [J0, ends[m]); Python floats take a bound past binary64 to inf
     ends = [J_max] + [bisect.bisect_left(vals, s * _EPS ** (-1.0 / (step * m)), J0, J_max, key=abs)
-                      for m in q[:-1]]
+                      for m in range(1, len(q))]
     edges = np.sort(np.concatenate(([J0], Js[Js > J0], np.arange(J0, J_max, _CHUNK))))
     edges = edges[np.diff(edges, prepend=J0 - 1) > 0]  # np.unique would import numpy.ma
     sums = np.zeros((len(q), len(edges)), dtype=lams.dtype)  # column i: [edges[i], edges[i+1])
@@ -307,15 +307,21 @@ def log_E_primes(seq: SpectralSequence, ks, rel_tail_tol: float = 1e-10) -> np.n
     return np.array(totals) + _far_sums(seq, np.array(lams), n0, np.array(Js, dtype=np.int64), 2)
 
 
+def _log_derivative_profile(name: str, log_derivatives, seq: SpectralSequence, K: int,
+                            rel_tail_tol: float, window: int) -> ProfileReport:
+    """The profile of -ln|D(lam_k)| / Re(lam_k), k = 1..K, ln|D| from ``log_derivatives``."""
+    if K > len(seq):
+        raise TooFewModes(f"profile needs K={K} stored entries, have {len(seq)}")
+    re = seq.re[:K]
+    vs = -log_derivatives(seq, range(1, K + 1), rel_tail_tol) / re
+    return make_profile(name, np.arange(1, K + 1), vs, window)
+
+
 def condensation_profile(seq: SpectralSequence, K: int,
                          rel_tail_tol: float = 1e-10,
                          window: int = DEFAULT_WINDOW) -> ProfileReport:
     """Windowed surrogate of the condensation index."""
-    if K > len(seq):
-        raise TooFewModes(f"profile needs K={K} stored entries, have {len(seq)}")
-    re = seq.re[:K]
-    vs = -log_E_primes(seq, range(1, K + 1), rel_tail_tol) / re
-    return make_profile("condensation", np.arange(1, K + 1), vs, window)
+    return _log_derivative_profile("condensation", log_E_primes, seq, K, rel_tail_tol, window)
 
 
 def bohr_profile(seq: SpectralSequence, K: int,
@@ -429,11 +435,7 @@ def blaschke_profile(seq: SpectralSequence, K: int,
                      rel_tail_tol: float = 1e-10,
                      window: int = DEFAULT_WINDOW) -> ProfileReport:
     """Condensation surrogate computed through |W'| instead of |E'|."""
-    if K > len(seq):
-        raise TooFewModes(f"profile needs K={K} stored entries, have {len(seq)}")
-    re = seq.re[:K]
-    vs = -blaschke_log_wprimes(seq, range(1, K + 1), rel_tail_tol) / re
-    return make_profile("blaschke", np.arange(1, K + 1), vs, window)
+    return _log_derivative_profile("blaschke", blaschke_log_wprimes, seq, K, rel_tail_tol, window)
 
 
 # ---------------------------------------------------------------------------

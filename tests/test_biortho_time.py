@@ -14,7 +14,7 @@ from nullcontrol import (
 )
 from nullcontrol import biortho_time
 from nullcontrol.biortho_time import (
-    RESIDUAL_THRESHOLD, _gram_mp, _pairing_mp, int_pow_exp, pair_with_exponential_mp,
+    RESIDUAL_THRESHOLD, _pairing_mp, int_pow_exp, pair_with_exponential_mp,
 )
 from nullcontrol.cli import main
 from nullcontrol.errors import IllConditioned, NumericalError
@@ -28,7 +28,7 @@ PI2 = math.pi**2
 def _float_gram(span):
     """The span's Gram matrix at the default working digits, as complex128."""
     with workdps(DEFAULT_DPS):
-        return np.array(_gram_mp(span).tolist(), dtype=complex)
+        return np.array(_pairing_mp(span, None, True).tolist(), dtype=complex)
 
 
 def _float_pairing(family, mu, a=0):
@@ -52,6 +52,21 @@ class TestExpGram:
         assert G[0, 1].real == pytest.approx(want_12, abs=1e-15)
         assert G[0, 1].real == pytest.approx(0.1485, abs=5e-5)
         assert G[1, 0].real == pytest.approx(want_12, abs=1e-15)
+
+    @pytest.mark.parametrize("span", [
+        ExponentialSpan((1.0 + 1.0j, 2.0 - 0.5j, 3.0), 1.0),
+        ExponentialSpan((1.0 + 2.0j, 0.5 + 0.1j), 0.7, jordan=True),
+        ExponentialSpan((1.0 + 2.0j, 3.0 - 1.0j, 0.5), None),
+    ], ids=["complex", "complex-jordan", "complex-infinite"])
+    def test_hermitian_mirror_is_the_conjugated_closed_form(self, span):
+        # the lower triangle is mirrored as conjugates: every entry still
+        # equals the closed form with the left factor conjugated, to the bit
+        with workdps(60):
+            G, E = _pairing_mp(span, None, True), biortho_time._exp_table(span)
+            for i, (ri, pi_) in enumerate(span.basis()):
+                for j, (rj, pj) in enumerate(span.basis()):
+                    assert G[i, j] == int_pow_exp(pi_ + pj, mp.conj(ri) + rj, span.T,
+                                                  mp.conj(E[i]) * E[j]), (i, j)
 
     def test_rejects_duplicate_rates(self):
         with pytest.raises(ValueError):
@@ -146,7 +161,7 @@ class TestDualGram:
     def _product(fam):
         C = fam.mp_coeffs
         with workdps(_solve_dps(fam.span)):
-            G = _gram_mp(fam.span)
+            G = _pairing_mp(fam.span, None, True)
         with workdps(fam.dps):
             return C * G.apply(lambda x: +x) * C.transpose_conj()
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -227,6 +228,19 @@ class TestSynthesize:
         assert err["error"] == "UNOBSERVABLE_MODE"
 
 
+def test_power_rule_past_binary64_runs_without_warnings(tmp_path, capsys):
+    # c = 1e300 takes the float view past binary64 from k = 13,417 on, and
+    # the far-sum bounds past it already at k = 1: both are inf without a
+    # numpy warning
+    cfgp = _write_config(tmp_path, {"command": "indices",
+                                    "sequence": {"rule": "power", "c": 1e300, "p": 2},
+                                    "params": {"K": 5}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", str(cfgp), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 class TestOtherCommands:
     def test_hypotheses_harmonic_oscillator(self, tmp_path):
         cfg = {"command": "hypotheses", "model": {"name": "harmonic_oscillator"},
@@ -253,6 +267,10 @@ class TestOtherCommands:
         assert run(cfg, out) == 0
         payload = json.loads((out / "biortho.json").read_text())
         assert payload["data"]["residual"] <= 1e-8
+
+    def test_biortho_appendix_default_tau(self, tmp_path):
+        cfgp = _write_config(tmp_path, {"command": "biortho", "sequence": {"rule": "appendixB"}})
+        assert main(["--config", str(cfgp), "--out", str(tmp_path / "out")]) == 0
 
     def test_biortho_overflowing_condition_is_strict_json(self, tmp_path):
         # cond = 1e383.3 overflows binary64: the diagnostics spell it "inf" and

@@ -18,7 +18,7 @@ from nullcontrol import (
     synthesize,
     verify_moments,
 )
-from nullcontrol.biortho_time import _gram_mp
+from nullcontrol.biortho_time import _pairing_mp
 from nullcontrol.cli import main as cli_main
 from nullcontrol.errors import SynthesisUnsupported
 from nullcontrol.models import ParabolicModel, SpectralMode
@@ -36,7 +36,7 @@ class TestComplexRates:
 
     def test_complex_gram_hermitian(self):
         with workdps(DEFAULT_DPS):
-            G = _gram_mp(ExponentialSpan((1.0 + 1.0j, 2.0), 1.0))
+            G = _pairing_mp(ExponentialSpan((1.0 + 1.0j, 2.0), 1.0), None, True)
         G = np.array(G.tolist(), dtype=complex)
         np.testing.assert_allclose(G, G.conj().T, atol=1e-15)
 

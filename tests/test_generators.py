@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nullcontrol.errors import NumericalError
-from nullcontrol.generators import MAX_HEAD_DPS, make_rule
+from nullcontrol.generators import MAX_HEAD_DPS, AppendixBRule, make_rule
 from nullcontrol.spectral import from_rule
 
 
@@ -44,6 +44,15 @@ class TestEntryAlone:
             for head in heads:
                 if j <= len(head):
                     assert got == head[j - 1] and repr(got) == repr(head[j - 1]), j
+
+    @pytest.mark.parametrize("tau", [0.25, 1.0])
+    def test_appendix_entry_independent_of_head_length(self, tau):
+        # each pair is computed at its own digits, so a short head, a long
+        # head and the entry alone agree to the last bit
+        rule = AppendixBRule(tau)
+        short, long_ = rule.mp_entries(12), rule.mp_entries(108)
+        for j in range(12):
+            assert short[j]._mpf_ == long_[j]._mpf_ == rule.mp_entry(j + 1)._mpf_, j
 
     def test_appendix_entry_defaults_to_its_head(self):
         rule = make_rule("appendixB", tau=0.5)
