@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import IllConditioned, NumericalError
 from .precision import (
-    MAX_DPS, auto_dps_for_gaps, int_dot, int_parts, to_mp, workdps,
+    MAX_DPS, auto_dps_for_gaps, int_dot, int_parts, mp_log_abs, to_mp, workdps,
 )
 
 RESIDUAL_THRESHOLD = 1e-8
@@ -112,7 +112,7 @@ class ExponentialSpan:
                         / (1 + abs(self.rates[i]) + abs(self.rates[j]))
                     if best is None or g < best:
                         best = g
-            return float(mp.log(best))
+            return mp_log_abs(best)
 
 
 def int_pow_exp(a: int, s, T, E):
@@ -296,8 +296,7 @@ def _solve_at(span: ExponentialSpan, dps: int) -> BiorthogonalFamily:
             # force a precision retry: a negative computed norm means the
             # working precision has not resolved the Gram's definiteness
             residual = float("inf")
-        ln_norms = np.array([float(mp.log(abs(N[i, i]))) / 2.0 if N[i, i] != 0 else -math.inf
-                             for i in range(n)])
+        ln_norms = np.array([mp_log_abs(N[i, i]) / 2.0 for i in range(n)])
     with np.errstate(over="ignore"):
         norms = np.exp(ln_norms)
     return BiorthogonalFamily(

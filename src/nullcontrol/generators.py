@@ -20,9 +20,10 @@ from .errors import NumericalError
 from .precision import to_complex, to_mp, workdps
 
 # most digits a paired rule's head may take.  The largest head in use,
-# appendixB tau = 1 at K = 250 (7277 digits), takes 26 s for `indices`; an
-# academic_lf K = 12 head takes 3.9 s at 12,900 digits and 30 s at 43,000,
-# and the cost grows faster than linearly in the digits
+# appendixB tau = 1 at K = 250 (7277 digits), takes 0.6 s for `indices`; an
+# academic_lf K = 12 head takes 0.9 s at 12,900 digits, 0.56 s of it forming
+# the pairs, which takes 1.0 s at 19,300 digits: the cost grows faster than
+# linearly in the digits (fresh process, 2-core x86-64 box)
 MAX_HEAD_DPS = 20_000
 
 
@@ -91,9 +92,13 @@ class PowerRule(SequenceRule):
             return to_mp(self.c) * mp.mpf(j) ** self.p
 
     def _float_block_impl(self, n):
-        c = self.c.real if self.real else self.c  # a real rule's block stays real
+        ks = np.arange(1, n + 1, dtype=float)
         with np.errstate(over="ignore"):  # entries past binary64 become inf
-            return c * np.arange(1, n + 1, dtype=float) ** self.p
+            if not self.real:
+                return self.c * ks ** self.p
+            ks **= self.p  # in place: a real rule's block stays real
+            ks *= self.c.real
+        return ks
 
 
 class _PairedRule(SequenceRule):
@@ -120,7 +125,9 @@ class _PairedRule(SequenceRule):
     def _pair(self, k):
         """(b_k - a f_k, b_k + f_k) at the digits pair k needs."""
         with workdps(self._dps(k)):
-            lam = mp.mpf(k) ** 2 * mp.pi**self.pi_power
+            lam = mp.mpf(k) ** 2
+            if self.pi_power:
+                lam *= mp.pi**self.pi_power
             f = mp.e ** (-mp.mpf(self.tau) * lam)
             return lam - self.lower * f, lam + f
 
@@ -131,11 +138,16 @@ class _PairedRule(SequenceRule):
         return self._pair((j + 1) // 2)[(j + 1) % 2]
 
     def _float_block_impl(self, n):
-        lam = math.pi**self.pi_power * (np.arange(n) // 2 + 1.0) ** 2
+        lam = np.arange(n) // 2 + 1.0
+        lam **= 2
+        lam *= math.pi**self.pi_power
+        # in place, and only where e^{-tau lam} is not 0.0 in binary64
+        # (tau lam <= 746): a block can hold millions of entries
+        m = int(np.searchsorted(lam, 746.0 / self.tau, side="right"))
         with np.errstate(under="ignore"):
-            f = np.exp(-self.tau * lam)
-        f[::2] *= -self.lower  # in place: a block can hold millions of entries
-        lam += f
+            f = np.exp(-self.tau * lam[:m])
+        f[::2] *= -self.lower
+        lam[:m] += f
         return lam
 
 
@@ -184,11 +196,19 @@ class TwoDiffusionRule(SequenceRule):
             return self._value(*self.tag(j))
 
     def _float_block_impl(self, n):
-        m = n + 4
-        ks = np.arange(1, m + 1, dtype=float) ** 2
-        vals = np.concatenate([self.scale * ks, self.scale * self.d * ks])
-        vals.sort(kind="stable")  # timsort merges the two sorted runs
-        return vals[:n]
+        # the members each family can have among the first n entries, with
+        # a margin for the floors and for rounding
+        rd = math.sqrt(self.d)
+        m1 = min(n, int(n * rd / (1.0 + rd)) + 4)
+        m2 = min(n, n - m1 + 8)
+        ks = np.arange(1, max(m1, m2) + 1, dtype=float)
+        ks **= 2
+        vals = np.empty(m1 + m2)
+        np.multiply(self.scale, ks[:m1], out=vals[:m1])
+        np.multiply(self.scale * self.d, ks[:m2], out=vals[m1:])
+        del ks  # freed before the sort's merge buffer and the copy
+        vals.sort(kind="stable")  # timsort merges the two sorted runs, family 1 first on a tie
+        return vals[:n].copy()  # not a view: the cache would pin the whole array
 
 
 class AcademicLfRule(_PairedRule):

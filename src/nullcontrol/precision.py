@@ -53,10 +53,20 @@ def to_complex(x) -> complex:
 
 
 def mp_log_abs(x) -> float:
-    """ln|x| of an mp scalar as a float; -inf for exact zero."""
+    """ln|x| of an mp scalar as a float; -inf for exact zero.
+
+    |x| is taken at the caller's precision, its log at 128 bits, and that
+    is rounded once to float.  mpmath's log reads the whole mantissa and
+    widens its working bits by the cancellation near 1, so the 128-bit log
+    is good to about 128 bits however many digits x carries: the float
+    differs from a full-precision log's only when the exact value lies
+    within about 2^-75 (relative) of a binary64 rounding midpoint.
+    """
     if x == 0:
         return float("-inf")
-    return float(mp.log(abs(x)))
+    a = abs(x)
+    with mp.workprec(128):
+        return float(mp.log(a))
 
 
 def auto_dps_for_gaps(min_log_gap: float, scale: float = 2.6, size: int = 0) -> int:

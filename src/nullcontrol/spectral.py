@@ -10,9 +10,10 @@ limsup-type indices of a normally ordered sequence (lam_k):
 All products are evaluated as sums of ln|.| with an adaptively truncated
 far tail.  Head factors are summed in binary64 from the float view unless
 their float error bound is too large (``_head_split``); those
-near-coincident entries are subtracted in mpmath, so pair gaps far below
-binary64 resolution still contribute their exact logarithm.  The far tails
-of E' and W' are summed for every k of a profile at once by one kernel:
+near-coincident factors are formed in mpmath at the head's digits and
+logged at 128 bits (``mp_log_abs``), so pair gaps far below binary64
+resolution still contribute their logarithm, correct to the float.  The far
+tails of E' and W' are summed for every k of a profile at once by one kernel:
 factors with |lam_k/lam_j| above 2^-4 directly through log1p, the rest from
 power sums of (s/lam_j)^2 (E') or s/lam_j (W') shared by all k
 (s = max_k |lam_k|), whose series truncation stays below

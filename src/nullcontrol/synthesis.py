@@ -31,7 +31,8 @@ from .errors import (
 from .models import Block2x2, ParabolicModel
 from .observations import Scalar, combine
 from .precision import (
-    DEFAULT_DPS, int_dot, int_dot_real, int_parts, int_parts_raw, to_complex, to_mp, workdps,
+    DEFAULT_DPS, int_dot, int_dot_real, int_parts, int_parts_raw, mp_log_abs, to_complex, to_mp,
+    workdps,
 )
 
 _TAIL_MODES = 50
@@ -132,10 +133,8 @@ def _finalize(model, T_mp, N, family, terms) -> ControlPlan:
     with workdps(family.dps):
         lns = []
         for t in terms:
-            c = abs(t.coeff_mp)
-            ln = float("-inf") if c == 0 else float(mp.log(c)) + family.ln_norms[t.basis_index] \
-                + math.log(max(t.direction.norm(), 1e-300))
-            lns.append(ln)
+            lns.append(mp_log_abs(t.coeff_mp) + family.ln_norms[t.basis_index]
+                       + math.log(max(t.direction.norm(), 1e-300)))
         total = float(mp.sqrt(abs(_norm_sq(family, terms))))
     lns = np.array(lns)
     with np.errstate(over="ignore"):

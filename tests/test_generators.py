@@ -1,14 +1,19 @@
 """Sequence rules: merge correctness, precision heads, float views."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from nullcontrol.errors import NumericalError
-from nullcontrol.generators import MAX_HEAD_DPS, AppendixBRule, make_rule
-from nullcontrol.spectral import from_rule
+from nullcontrol.generators import (
+    MAX_HEAD_DPS, AcademicLfRule, AppendixBRule, PowerRule, TwoDiffusionRule, make_rule,
+)
+from nullcontrol.spectral import condensation_profile, from_rule
+
+PI2 = math.pi**2
 
 
 class TestTwoDiffusionMerge:
@@ -142,3 +147,88 @@ class TestFloatView:
         # real rules keep a contiguous float64 view, complex ones complex128
         v = make_rule(name, **params).float_entries(2)
         assert v.dtype == dtype and v.flags.c_contiguous
+
+
+# the float block formulas the in-place ones replace, kept as references
+
+def _ref_two_diffusion_block(rule, n):
+    m = n + 4
+    ks = np.arange(1, m + 1, dtype=float) ** 2
+    vals = np.concatenate([rule.scale * ks, rule.scale * rule.d * ks])
+    vals.sort(kind="stable")
+    return vals[:n]
+
+
+def _ref_paired_block(rule, n):
+    lam = math.pi**rule.pi_power * (np.arange(n) // 2 + 1.0) ** 2
+    with np.errstate(under="ignore"):
+        f = np.exp(-rule.tau * lam)
+    f[::2] *= -rule.lower
+    lam += f
+    return lam
+
+
+def _ref_power_block(rule, n):
+    c = rule.c.real if rule.real else rule.c
+    with np.errstate(over="ignore"):
+        return c * np.arange(1, n + 1, dtype=float) ** rule.p
+
+
+_LENGTHS = (1, 2, 3, 7, 8, 9, 1023, 4097, 100_001)
+
+
+class TestFloatBlocks:
+    """Each rule's float block against the reference formula, bit for bit."""
+
+    @staticmethod
+    def _same(got, want):
+        return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [2.0, 0.5, 4.0001, 1.5, 100.0, 0.01])
+    def test_two_diffusion(self, d):
+        for scale in (1.0, PI2):
+            rule = TwoDiffusionRule(d, scale)
+            for n in _LENGTHS + (1_109_823,):
+                assert self._same(rule._float_block_impl(n), _ref_two_diffusion_block(rule, n)), \
+                    (scale, n)
+
+    @pytest.mark.parametrize("cls", [AppendixBRule, AcademicLfRule])
+    @pytest.mark.parametrize("tau", [0.25, 1.0, 1e-4, 1e134])
+    def test_paired(self, cls, tau):
+        rule = cls(tau)
+        for n in _LENGTHS + (2_174_154,):
+            assert self._same(rule._float_block_impl(n), _ref_paired_block(rule, n)), n
+
+    @pytest.mark.parametrize("c", [1.0, PI2, 1e300, 1e-300, 3.0, 2.0, 1 + 0.5j])
+    @pytest.mark.parametrize("p", [2.0, 1.5, 1.01, 3.0])
+    def test_power(self, c, p):
+        rule = PowerRule(c, p)
+        for n in _LENGTHS:
+            assert self._same(rule._float_block_impl(n), _ref_power_block(rule, n)), n
+
+    def test_paired_entries_unchanged(self):
+        # appendixB forms no power of pi; its entries are those of k^2 pi^0
+        rule = AppendixBRule(0.25)
+        for k in (1, 2, 17, 50):
+            with mp.workdps(rule._dps(k)):
+                lam = mp.mpf(k) ** 2 * mp.pi**0
+                f = mp.e ** (-mp.mpf(rule.tau) * lam)
+                assert rule._pair(k) == (lam, lam + f)
+
+    def test_two_diffusion_cache_is_not_a_view(self):
+        # the cached float view of the spectra two_diffusion K = 100 job
+        # holds its own entries, not the first half of a doubled block
+        rule = make_rule("two_diffusion", d=2.0, scale=PI2)
+        K = 100
+        condensation_profile(from_rule(rule, K), K)
+        assert len(rule._float_cache) > 1_000_000
+        assert rule._float_cache.base is None
+
+    def test_two_diffusion_block_peak(self):
+        tracemalloc.start()
+        try:
+            TwoDiffusionRule(2.0, PI2).float_entries(1_109_823)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6

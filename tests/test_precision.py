@@ -11,11 +11,13 @@ import mpmath as mp
 import pytest
 from mpmath import libmp
 
+from nullcontrol import spectral
 from nullcontrol.biortho_time import ExponentialSpan, _pairing_mp, build_biortho
+from nullcontrol.generators import make_rule
 from nullcontrol.models import PiecewiseConstant, cascade_boundary_q
 from nullcontrol.errors import NumericalError
 from nullcontrol.precision import (
-    MAX_SPREAD_BITS, IntVector, int_dot, int_dot_real, int_parts, workdps,
+    MAX_SPREAD_BITS, IntVector, int_dot, int_dot_real, int_parts, mp_log_abs, workdps,
 )
 
 PI2 = math.pi**2
@@ -276,3 +278,80 @@ class TestResidual:
     def test_matches_matrix_product(self, make):
         fam = build_biortho(make())
         assert fam.residual == self._matrix_product_residual(fam)
+
+
+class TestLogAbs:
+    """mp_log_abs takes |x| at the caller's precision and the log at 128
+    bits; its float is that of the log taken at x's own precision."""
+
+    @staticmethod
+    def _full(x):
+        """float(ln|x|) with the log at the working precision."""
+        return float(mp.log(abs(x)))
+
+    @pytest.mark.parametrize("tau", [0.25, 1.0])
+    def test_spectral_factors_and_gaps(self, tau, monkeypatch):
+        # every mp head factor of E' and W' and every nearest gap of the
+        # appendixB K = 100 profiles, each at the precision it is logged at
+        seen = []
+        real = spectral.mp_log_abs
+
+        def recording(x):
+            seen.append((x, mp.mp.prec))
+            return real(x)
+
+        monkeypatch.setattr(spectral, "mp_log_abs", recording)
+        K = 100
+        seq = spectral.from_rule(make_rule("appendixB", tau=tau), K)
+        spectral.condensation_profile(seq, K)
+        spectral.blaschke_profile(seq, K)
+        spectral.bohr_profile(seq, K)
+        assert len(seen) > 2 * K
+        for x, prec in seen:
+            with mp.workprec(prec):
+                assert real(x) == self._full(x)
+
+    @pytest.mark.parametrize("scale", [-1000, -3000])
+    def test_near_one(self, scale):
+        # mpmath's log widens its working bits by the cancellation near 1,
+        # so the 128-bit log keeps its relative accuracy
+        with workdps(1200):
+            t = mp.mpf(2) ** scale
+            cases = [1 + t / 3, 1 - t / 7, mp.mpc(1 - t / 5, t / 3), mp.mpc(t / 9, 1 + t / 11)]
+            for x in cases:
+                a = abs(x)
+                assert mp_log_abs(x) == self._full(x)
+                with mp.workprec(128):
+                    got = mp.log(a)
+                want = mp.log(a)
+                assert want != 0 and abs(got - want) <= mp.mpf(2) ** -120 * abs(want)
+
+    def test_far_exponents(self):
+        with workdps(1200):
+            cases = [mp.mpf(3) / 7 * mp.mpf(2) ** 20000, mp.mpf(5) / 3 * mp.mpf(2) ** -20000,
+                     mp.mpc(2, -3) ** 9000, -mp.mpf(10) ** -4000]
+            assert all(abs(mp.mag(x)) > 10000 for x in cases)
+            for x in cases:
+                assert mp_log_abs(x) == self._full(x)
+
+    def test_zero(self):
+        assert mp_log_abs(mp.mpf(0)) == -math.inf
+        assert mp_log_abs(mp.mpc(0)) == -math.inf
+
+    def test_spectral_logs_run_at_128_bits(self, monkeypatch):
+        # the appendixB tau = 1, K = 100 head carries 1316 digits; its
+        # factor and gap logs run at 128 bits
+        K = 100
+        seq = spectral.from_rule(make_rule("appendixB", tau=1.0), K)
+        precs = []
+        real_log = mp.log
+
+        def recording(*args, **kwargs):
+            precs.append(mp.mp.prec)
+            return real_log(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "log", recording)
+        spectral.condensation_profile(seq, K)
+        spectral.bohr_profile(seq, K)
+        assert len(precs) > K
+        assert max(precs) <= 128

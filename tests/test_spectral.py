@@ -23,9 +23,15 @@ from nullcontrol.errors import (
     TailBoundUnachievable,
     TooFewModes,
 )
-from nullcontrol.precision import mp_log_abs, to_complex, workdps
+from nullcontrol.precision import to_complex, workdps
 
 PI2 = math.pi**2
+
+
+def _log_abs(x):
+    """ln|x| as a float, the log taken at the working precision: the
+    references do not share ``mp_log_abs`` with the code they check."""
+    return float(mp.log(abs(x)))
 
 
 def _all_mp_log_E_prime(seq, k, rel_tail_tol):
@@ -36,7 +42,7 @@ def _all_mp_log_E_prime(seq, k, rel_tail_tol):
     with workdps(seq.dps + 20):
         for j, other in enumerate(seq.values, start=1):
             if j != k:
-                total += mp_log_abs(other - lam) + mp_log_abs(other + lam) - 2 * mp_log_abs(other)
+                total += _log_abs(other - lam) + _log_abs(other + lam) - 2 * _log_abs(other)
     J = spectral._tail_start(seq, float(abs(lam)), rel_tail_tol)
     if J > len(seq):
         w = to_complex(lam) / seq.float_values(J)[len(seq):]
@@ -102,7 +108,7 @@ def _all_mp_blaschke_log_wprime(seq, k, rel_tail_tol):
     with workdps(seq.dps + 20):
         for j, other in enumerate(seq.values, start=1):
             if j != k:
-                ln_pk += mp_log_abs(mp.conj(other) + lam) - mp_log_abs(other - lam)
+                ln_pk += _log_abs(mp.conj(other) + lam) - _log_abs(other - lam)
     lam_c = to_complex(lam)
     tol_abs = rel_tail_tol * max(1.0, lam_c.real)
     J, rem = spectral._blaschke_tail(seq, abs(lam_c), len(seq), tol_abs)
@@ -120,7 +126,7 @@ def _all_pairs_bohr(seq, K):
             for j, other in enumerate(seq.values, start=1):
                 if j != k and (best is None or abs(other - lam) < best):
                     best, best_j = abs(other - lam), j
-            vs.append(-mp_log_abs(best) / float(lam.real))
+            vs.append(-_log_abs(best) / float(lam.real))
             partners.append(best_j)
     return np.array(vs), np.array(partners)
 
