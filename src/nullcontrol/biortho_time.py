@@ -1,31 +1,33 @@
-"""Biorthogonal families to exponentials e^{-lam t} (and t e^{-lam t}) on (0,T).
+"""Biorthogonal families to exponentials e^{-lam t} on (0,T), close pairs
+and Jordan chains included.
 
-The dual functions q_k are representable in the span of the basis itself,
-so every downstream integral has a closed form; no quadrature enters
-anywhere.  Their coefficients C are the inverse of the pairing
-M_ij = int_0^T f_i f_j.  The basis obeys f' = -J f, with J = diag(rates)
-plus -1 just below the diagonal at each Jordan pair's (r, 1) row, so M
-satisfies the rank-2 displacement equation
+The span's basis holds e^{-r t} per rate, except that two adjacent close
+rates r, r' = r + d hold e^{-r t} and the divided difference g(t) =
+(e^{-r t} - e^{-r' t}) / d, which is t e^{-r t} on a Jordan chain (d = 0;
+Benabdallah, Boyer and Morancey, Ann. Henri Lebesgue 3, 2020): the Gram
+of a close exponential pair has condition near d^-2, that of the pair's
+basis does not.  The duals are representable in the span of the basis
+itself, so every downstream integral has a closed form; no quadrature
+enters anywhere.  The basis obeys f' = -J f, with J the rates on the
+diagonal (r' on a pair's second row) and -1 below it on each pair's
+second row, so the pairing M_ij = int_0^T f_i f_j satisfies the rank-2
+displacement equation
 
     J M + M J^T = F(0) F(0)^T - F(T) F(T)^T.
 
 Schur elimination on these two generators (Gohberg-Kailath-Olshevsky)
-factors M = L D L^T in O(n^2) operations, and C = M^{-1} follows from
+factors M = L D L^T in O(n^2) operations, and M^{-1} follows from
 X J + J^T X = u u^T - v v^T with u = M^{-1} F(0), v = M^{-1} F(T), also
-in O(n^2).  The biorthogonality residual max|M C^T - I| is still checked
-in full, in O(n^3), as exact integer dot products rounded once
+in O(n^2).  The biorthogonality residual max|M M^{-1} - I| is still
+checked in full, in O(n^3), as exact integer dot products rounded once
 (``precision.int_dot``); so are the closed-form moment pairings.
 
-These systems are Cauchy-like and their conditioning explodes with the
-number of rates and with rate coalescence, so the solve always runs in
-mpmath, at digits chosen from the smallest relative rate gap (with
-automatic retry if the biorthogonality residual misses the target).  The
-family is then carried at fewer digits, chosen from the conditioning the
-solve measured: ceil(log10 cond) + CARRY_DIGITS.  C and the Gram formed
-for the estimate are rounded to them, and the residual, the dual Gram, the
-plan and its checks all run there.
-Every closed form takes its exponentials from one table E_j = e^{-r_j T}
-per span, n exponentials instead of one per pair.
+These systems are Cauchy-like, so the solve always runs in mpmath, under
+one precision policy: solve at DEFAULT_DPS, and carry the family at
+ceil(log10 cond) + CARRY_DIGITS digits, solving again at those digits
+first when they are more.  The residual, the dual Gram, the plan and its
+checks all run at the carried digits.  Every closed form takes its
+exponentials from one table E_j = e^{-r_j T} per span.
 """
 
 from __future__ import annotations
@@ -37,28 +39,38 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 from .errors import IllConditioned, NumericalError
-from .precision import (
-    MAX_DPS, auto_dps_for_gaps, int_dot, int_parts, mp_log_abs, to_mp, workdps,
-)
+from .precision import DEFAULT_DPS, MAX_DPS, int_dot, int_parts, mp_log_abs, to_mp, workdps
 
 RESIDUAL_THRESHOLD = 1e-8
 # digits the family carries beyond log10 of its Gram's condition estimate
 CARRY_DIGITS = 30
+# Two adjacent real rates whose relative gap is below this form one
+# divided-difference pair.  Left as exponentials, a pair at relative gap g
+# adds about 2 log10(1/g) digits to the Gram's condition, so every pair
+# below 1e-3 would cost 6 digits or more; the spectra without
+# condensation (heat, power, the cascades, two_diffusion d = 2 below 70
+# entries) have no adjacent gap this small, so their spans stay
+# exponential.
+PAIR_REL_GAP = 1e-3
 
 
 @dataclass(frozen=True)
 class ExponentialSpan:
-    """Distinct decay rates with Re > 0 on a horizon T (None = infinite).
+    """Decay rates with Re > 0 on a horizon T (None = infinite).
 
-    With ``jordan=True`` the span holds both e^{-lam t} and t e^{-lam t}
-    per rate, interleaved: ``basis()`` runs (r_1, 0), (r_1, 1), (r_2, 0), ...
+    Two adjacent rates r, r' pair when r' == r (a Jordan chain, d = 0) or,
+    on a real span, |r' - r| < PAIR_REL_GAP |r|; the pair's second row
+    holds e^{-r t} phi_d(t), d = r' - r, instead of e^{-r' t}, which is
+    t e^{-r t} on a Jordan chain.  Pairs form left to right, so a rate
+    listed twice never pairs with a neighbour.
     """
 
     rates: tuple
     T: object  # mpf or None
-    jordan: bool = False
+    _basis: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rates = tuple(to_mp(r) for r in self.rates)
@@ -74,72 +86,113 @@ class ExponentialSpan:
             if not (T > 0):
                 raise ValueError("horizon T must be positive")
             object.__setattr__(self, "T", T)
-        for i in range(len(rates)):
-            for j in range(i + 1, len(rates)):
-                if rates[i] == rates[j]:
-                    raise ValueError(f"duplicated rate {rates[i]}")
+        real = self.real
+        # d is the exact difference of the stored rates (mpf_sub at
+        # precision 0 does not round), 0 on a Jordan chain
+        basis, i = [], 0
+        while i < len(rates):
+            r, s = rates[i], rates[i + 1:i + 2]
+            basis.append((r, None))
+            if s and (s[0] == r or (real and abs(s[0] - r) < PAIR_REL_GAP * abs(r))):
+                basis.append((r, mp.make_mpf(libmp.mpf_sub(s[0].real._mpf_, r.real._mpf_, 0))))
+                i += 1
+            i += 1
+        if len(set(rates)) + sum(d == 0 for _, d in basis) != len(rates):
+            raise ValueError("duplicated rate")
+        object.__setattr__(self, "_basis", tuple(basis))
 
     @property
     def size(self) -> int:
-        return (2 if self.jordan else 1) * len(self.rates)
+        return len(self.rates)
 
     @property
     def real(self) -> bool:
         return all(mp.im(r) == 0 for r in self.rates)
 
     def basis(self):
-        """(rate, t-power) per basis function."""
-        if not self.jordan:
-            return tuple((r, 0) for r in self.rates)
-        out = []
-        for r in self.rates:
-            out += [(r, 0), (r, 1)]
-        return tuple(out)
+        """(r, d) per basis function: (r, None) for e^{-r t}, and (r, d)
+        for a pair's second row e^{-r t} phi_d(t), r the pair's first rate."""
+        return self._basis
 
-    def min_log_rel_gap(self) -> float:
-        """ln of the smallest relative pairwise rate gap.
-
-        Distinct rates can differ by e^{-900} and beyond, but an mpf
-        difference is exact before it is rounded, so every gap of the
-        (distinct) rates is nonzero at any working precision."""
-        if len(self.rates) == 1:
-            return 0.0
-        with workdps(max(mp.mp.dps, 50)):
-            best = None
-            for i in range(len(self.rates)):
-                for j in range(i + 1, len(self.rates)):
-                    g = abs(self.rates[i] - self.rates[j]) \
-                        / (1 + abs(self.rates[i]) + abs(self.rates[j]))
-                    if best is None or g < best:
-                        best = g
-            return mp_log_abs(best)
+    @classmethod
+    def distinct(cls, rates, T) -> "ExponentialSpan":
+        """The span of rates meant to be distinct, where a repeat would
+        read as a Jordan chain: any two equal rates raise ValueError."""
+        span = cls(rates, T)
+        for r, d in span.basis():
+            if d == 0:
+                raise ValueError(f"duplicated rate {r}")
+        return span
 
 
-def int_pow_exp(a: int, s, T, E):
-    """Closed form of int_0^T t^a e^{-s t} dt for a in {0, 1, 2}, given
-    E = e^{-s T} (unread on an infinite horizon, T = None)."""
+def _transpose_paired(basis, x) -> list:
+    """P^T x, P the map from exponential duals to the basis's duals:
+    (P w)_k = (w_i - w_k) / d on the second row k of a pair (i, k) with
+    d > 0, w_k elsewhere.  So x_i + x_k / d on that pair's first row i,
+    -x_k / d on its second row k, x elsewhere."""
+    y = list(x)
+    for k, (_, d) in enumerate(basis):
+        if d:
+            y[k - 1] = x[k - 1] + x[k] / d
+            y[k] = -x[k] / d
+    return y
+
+
+def _phi_T(d, T):
+    """phi_d(T) = (1 - e^{-d T}) / d, and T at d = 0."""
+    return T if not d else -mp.expm1(-d * T) / d
+
+
+def int_phi_exp(x, deltas: tuple, T, E):
+    """Closed form of int_0^T e^{-x t} prod_{d in deltas} phi_d(t) dt, for
+    at most two factors phi_d(t) = (1 - e^{-d t}) / d (phi_0(t) = t), given
+    E = e^{-x T} (unread on an infinite horizon, T = None).
+
+    These are the divided differences of h(x) = int_0^T e^{-x t} dt, with
+    signs: -h[x, x + d] for one factor, and for two the mixed difference
+    (h(x) - h(x + a) - h(x + b) + h(x + a + b)) / (a b).  With every d
+    zero they are the t-moments int t^m e^{-x t}, in their usual forms.
+    Otherwise they are rearranged so that no d divides: d enters only
+    through phi_d(T) = -expm1(-d T) / d, which keeps its relative
+    precision at any d > 0, so no digits cancel however close the pair.
+    The forms lose, as the t-moments do, about log10(1/(x T)) digits when
+    x T is small.
+    """
+    m = len(deltas)
+    if not any(deltas):
+        if T is None:
+            return mp.factorial(m) / x ** (m + 1)
+        if m == 0:
+            return (1 - E) / x
+        if m == 1:
+            return (1 - (1 + x * T) * E) / x**2
+        return (2 - (2 + 2 * x * T + (x * T) ** 2) * E) / x**3
     if T is None:
-        return mp.factorial(a) / s ** (a + 1)
-    if a == 0:
-        return (1 - E) / s
-    if a == 1:
-        return (1 - (1 + s * T) * E) / s**2
-    if a == 2:
-        return (2 - (2 + 2 * s * T + (s * T) ** 2) * E) / s**3
-    raise ValueError(f"t-power {a} not supported")
+        E, phis = 0, (0,) * m
+    else:
+        phis = tuple(_phi_T(d, T) for d in deltas)
+    if m == 1:
+        return (1 - E - x * E * phis[0]) / (x * (x + deltas[0]))
+    (a, b), (pa, pb) = deltas, phis
+    n1 = 1 - E - x * E * pa
+    return ((n1 * (2 * x + a + b) - x * (x + a) * E * (pb - pa + (x + b) * pa * pb))
+            / (x * (x + a) * (x + b) * (x + a + b)))
 
 
 def _exp_table(span: ExponentialSpan) -> tuple:
-    """E_j = e^{-r_j T} per basis function at the working precision, one
-    exponential per rate; zeros on an infinite horizon.  A rate beyond
-    mpmath's exponent range raises NumericalError."""
+    """E_j = e^{-r_j T} per basis function at the working precision, r_j
+    its (first) rate, one exponential per row that opens a pair or stands
+    alone; zeros on an infinite horizon.  A rate beyond mpmath's exponent
+    range raises NumericalError."""
     if span.T is None:
         return (mp.mpf(0),) * span.size
+    table = []
     try:
-        exps = [mp.exp(-r * span.T) for r in span.rates]
+        for r, d in span.basis():
+            table.append(mp.exp(-r * span.T) if d is None else table[-1])
     except OverflowError as exc:
         raise NumericalError(f"e^(-r T) is out of range at T = {float(span.T):g}") from exc
-    return tuple(e for e in exps for _ in range(2 if span.jordan else 1))
+    return tuple(table)
 
 
 def _pairing_mp(span: ExponentialSpan, E=None, hermitian=False) -> mp.matrix:
@@ -153,13 +206,14 @@ def _pairing_mp(span: ExponentialSpan, E=None, hermitian=False) -> mp.matrix:
     n = len(basis)
     M = mp.matrix(n, n)
     for i in range(n):
-        ri, pi_ = basis[i]
+        ri, di = basis[i]
         ei = E[i]
         if hermitian:
             ri, ei = mp.conj(ri), mp.conj(ei)
         for j in range(i, n):
-            rj, pj = basis[j]
-            v = int_pow_exp(pi_ + pj, ri + rj, span.T, ei * E[j])
+            rj, dj = basis[j]
+            v = int_phi_exp(ri + rj, tuple(d for d in (di, dj) if d is not None), span.T,
+                            ei * E[j])
             M[j, i] = mp.conj(v) if hermitian else v
             M[i, j] = v  # last, so the diagonal keeps v itself
     return M
@@ -167,16 +221,19 @@ def _pairing_mp(span: ExponentialSpan, E=None, hermitian=False) -> mp.matrix:
 
 @dataclass(frozen=True)
 class BiorthogonalFamily:
+    """The duals q_k of the span's exponentials: int_0^T e^{-r_j t} q_k = delta_jk
+    (on a Jordan chain, the duals of e^{-r t} and t e^{-r t}), one per rate."""
+
     span: ExponentialSpan
-    cond_estimate: float
+    cond_estimate: float        # 1-norm condition estimate of the basis's Gram
     cond_log10: float           # log10 of the same estimate, finite beyond binary64
     norms: np.ndarray           # ||q_k||_{L^2(0,T)}, may overflow to inf
     ln_norms: np.ndarray
-    residual: float             # max |pairing(C) - I|
+    residual: float             # max |M M^{-1} - I| of the basis's pairing M
     degraded: bool
     dps: int                    # carried digits: everything below is held at them
-    mp_coeffs: mp.matrix        # C: q_k = sum_j C[k, j] basis_j
-    mp_dual_gram: mp.matrix     # <q_i, q_j> = (C G C^H)[i, j]; C itself on real spans
+    mp_coeffs: mp.matrix        # q_k = sum_j C[k, j] basis_j
+    mp_dual_gram: mp.matrix     # <q_i, q_j>; equal to C on real spans without a close pair
     int_rows: list = field(repr=False, compare=False)  # rows of C as precision.int_parts
     exp_table: tuple = field(repr=False, compare=False)  # E_j = e^{-r_j T}, see _exp_table
 
@@ -189,16 +246,17 @@ def _displacement(span: ExponentialSpan, E):
     """J and the generators of J M + M J^T = F(0) F(0)^T - F(T) F(T)^T,
     with F(T) read from the exponential table E.
 
-    J is given by its diagonal (the rates) and its subdiagonal sub[i] =
-    J[i, i-1] (-1 at a Jordan pair's t e^{-r t} row, else 0); F(T) is None
-    on an infinite horizon."""
+    J is given by its diagonal (the rates, r' on a pair's second row) and
+    its subdiagonal sub[i] = J[i, i-1] (-1 on a pair's second row, else
+    0): g' = -r' g + e^{-r t}.  g(0) = 0 and g(T) = e^{-r T} phi_d(T);
+    F(T) is None on an infinite horizon."""
     basis = span.basis()
-    diag = [r for r, _ in basis]
-    sub = [-1 if p else 0 for _, p in basis]
-    F0 = [0 if p else 1 for _, p in basis]
+    sub = [0 if d is None else -1 for _, d in basis]
+    F0 = [1 if d is None else 0 for _, d in basis]
     T = span.T
-    FT = None if T is None else [e * (T if p else 1) for e, (_, p) in zip(E, basis)]
-    return diag, sub, F0, FT
+    FT = None if T is None else [e if d is None else e * _phi_T(d, T)
+                                 for e, (_, d) in zip(E, basis)]
+    return list(span.rates), sub, F0, FT
 
 
 def _structured_inverse(diag, sub, F0, FT) -> mp.matrix:
@@ -250,21 +308,24 @@ def _norm1(A: mp.matrix):
     return max(mp.fsum(abs(A[i, j]) for i in range(A.rows)) for j in range(A.cols))
 
 
-def _solve_at(span: ExponentialSpan, dps: int) -> BiorthogonalFamily:
-    """The family from a solve at ``dps`` digits, carried at
-    min(dps, ceil(log10 cond) + CARRY_DIGITS) digits."""
-    real = span.real
+def _solve(span: ExponentialSpan, dps: int):
+    """(M^{-1}, the Gram G, the table E, cond, log10 cond) from the
+    structured solve at ``dps`` digits; cond = ||G||_1 ||M^{-1}||_1."""
     with workdps(dps):
         E = _exp_table(span)
         try:
-            C = _structured_inverse(*_displacement(span, E))  # rows of C solve M C^T = I
+            C = _structured_inverse(*_displacement(span, E))
         except ZeroDivisionError as exc:
             raise IllConditioned(f"pairing matrix singular at {dps} digits") from exc
-        # 1-norm condition estimate of the Gram
-        G = _pairing_mp(span, E, not real)
+        G = _pairing_mp(span, E, not span.real)
         kappa = _norm1(G) * _norm1(C)
-        log10_kappa = mp.log10(kappa)
-        carry = min(dps, int(mp.ceil(log10_kappa)) + CARRY_DIGITS)
+        return C, G, E, kappa, mp.log10(kappa)
+
+
+def _carried(span, dps, carry, C, G, E, kappa, log10_kappa) -> BiorthogonalFamily:
+    """The family of a solve at ``dps`` digits, carried at ``carry`` <= dps."""
+    real = span.real
+    basis = span.basis()
     with workdps(carry):
         if carry < dps:
             # C and G are rounded (unary + rounds to the working precision);
@@ -283,8 +344,12 @@ def _solve_at(span: ExponentialSpan, dps: int) -> BiorthogonalFamily:
             for j, c_row in enumerate(c_rows):
                 residual = max(residual, float(abs(int_dot(m_row, c_row) - (1 if i == j else 0))))
         if real:
-            # the Gram is the pairing, so C G C^H = C M C^T = C
-            N = C
+            # the exponential duals are the rows of A = P^T C, their Gram
+            # A P = P^T C P (C symmetric); P is the identity without a close pair
+            A = [list(col) for col in zip(*(_transpose_paired(basis, row) for row in C.tolist()))]
+            N = mp.matrix([_transpose_paired(basis, row) for row in A])
+            if any(d for _, d in basis):   # else A equals C: keep C and its rows
+                C, c_rows = mp.matrix(A), [int_parts(row) for row in A]
         else:
             g_cols = [int_parts(col) for col in G.T.tolist()]
             cg_rows = [int_parts([int_dot(c_row, g_col) for g_col in g_cols])
@@ -308,20 +373,27 @@ def _solve_at(span: ExponentialSpan, dps: int) -> BiorthogonalFamily:
 
 
 def build_biortho(span: ExponentialSpan) -> BiorthogonalFamily:
-    """Dual family to the span's basis f_j: int_0^T f_j(t) q_k(t) dt = delta_jk,
-    with f_j running over e^{-lam t} (and t e^{-lam t} on a Jordan span).
+    """Duals q_k of the span's exponentials: int_0^T e^{-r_j t} q_k(t) dt =
+    delta_jk, with the duals of e^{-r t} and t e^{-r t} on a Jordan chain,
+    each a combination of the span's basis functions.
 
-    The solve runs at the digits ``auto_dps_for_gaps`` takes from the
-    smallest relative rate gap, doubled while the residual misses
-    RESIDUAL_THRESHOLD; the family is carried at the digits its measured
-    conditioning needs (``_solve_at``), which ``family.dps`` reports."""
-    dps = auto_dps_for_gaps(span.min_log_rel_gap(), scale=5.0 if span.jordan else 2.6,
-                            size=span.size)
-    for _ in range(4):
-        family = _solve_at(span, dps)
-        if family.residual <= RESIDUAL_THRESHOLD or dps >= MAX_DPS:
+    One precision policy: the solve runs at DEFAULT_DPS, and the family is
+    carried at ceil(log10 cond) + CARRY_DIGITS digits, cond the condition
+    estimate of the basis's Gram; when those exceed the digits solved at,
+    the solve runs again at them first.  A residual above
+    RESIDUAL_THRESHOLD doubles the solve digits, at most three times.
+    ``family.dps`` reports the carried digits."""
+    dps, retries = DEFAULT_DPS, 0
+    while True:
+        solved = _solve(span, dps)
+        carry = int(mp.ceil(solved[-1])) + CARRY_DIGITS
+        if carry > dps and dps < MAX_DPS:
+            dps = min(MAX_DPS, carry)
+            continue
+        family = _carried(span, dps, min(carry, dps), *solved)
+        if family.residual <= RESIDUAL_THRESHOLD or dps >= MAX_DPS or retries == 3:
             break
-        dps = min(MAX_DPS, 2 * dps)
+        dps, retries = min(MAX_DPS, 2 * dps), retries + 1
     if math.isinf(family.residual):
         raise IllConditioned(
             f"Gram not numerically positive definite at {dps} digits")
@@ -329,7 +401,7 @@ def build_biortho(span: ExponentialSpan) -> BiorthogonalFamily:
 
 
 # Not exported: the only reader is the benchmark's tracer
-# (perfbench/tracing.py ENTRY_POINTS).  The span carries the Jordan flag.
+# (perfbench/tracing.py ENTRY_POINTS).  Jordan chains are rates listed twice.
 build_biortho_jordan = build_biortho
 
 
@@ -339,9 +411,10 @@ def pair_with_exponential_mp(family: BiorthogonalFamily, mu, a: int = 0) -> list
 
     For mu equal to a span rate and a = 0 this returns the corresponding
     Kronecker column up to the solve residual.  The closed-form column
-    takes e^{-(mu + r_j) T} = e^{-mu T} E_j from the family's exponential
-    table, one exponential per call; it is converted once and dotted
-    exactly with the family's integer rows of C.
+    (``int_phi_exp``, t^a being phi_0^a) takes e^{-(mu + r_j) T} =
+    e^{-mu T} E_j from the family's exponential table, one exponential per
+    call; it is converted once and dotted exactly with the family's
+    integer rows of C.
     """
     if a not in (0, 1):
         raise ValueError("t-power a must be 0 or 1")
@@ -349,8 +422,9 @@ def pair_with_exponential_mp(family: BiorthogonalFamily, mu, a: int = 0) -> list
     mu = to_mp(mu)
     with workdps(family.dps):
         e_mu = mp.mpf(0) if span.T is None else mp.exp(-mu * span.T)
-        col = int_parts(int_pow_exp(a + p, mu + r, span.T, e_mu * e)
-                        for (r, p), e in zip(span.basis(), family.exp_table))
+        col = int_parts(int_phi_exp(mu + r, (0,) * a + (() if d is None else (d,)), span.T,
+                                    e_mu * e)
+                        for (r, d), e in zip(span.basis(), family.exp_table))
         return [int_dot(row, col) for row in family.int_rows]
 
 

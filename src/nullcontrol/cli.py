@@ -193,7 +193,7 @@ def _run_biortho(cfg, out, params, meta):
 
     N = params.get("N", 8)
     seq = build_sequence(cfg["sequence"], N)
-    span = ExponentialSpan(tuple(seq.values[:N]), params.get("T", 1.0))
+    span = ExponentialSpan.distinct(tuple(seq.values[:N]), params.get("T", 1.0))
     fam = build_biortho(span)
     _write_csv(out / "biortho.csv", ["k", "rate", "norm", "ln_norm"],
                [(k + 1, float(span.rates[k].real), fam.norms[k], fam.ln_norms[k])

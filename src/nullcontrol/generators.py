@@ -128,7 +128,7 @@ class _PairedRule(SequenceRule):
             lam = mp.mpf(k) ** 2
             if self.pi_power:
                 lam *= mp.pi**self.pi_power
-            f = mp.e ** (-mp.mpf(self.tau) * lam)
+            f = mp.exp(-mp.mpf(self.tau) * lam)
             return lam - self.lower * f, lam + f
 
     def mp_entries(self, n):

@@ -2,8 +2,10 @@
 
 Gram matrices of near-coincident exponentials have condition numbers far
 beyond binary64 (and beyond double-double for the academic two-branch
-model), so the solvers run in mpmath arbitrary precision.  Everything
-user-facing is reported back as ordinary floats.
+model), so the solvers run in mpmath arbitrary precision.  The dual solve
+takes its digits from one policy (``biortho_time.build_biortho``):
+DEFAULT_DPS, then ceil(log10 cond) + 30 when that is more, at most MAX_DPS.
+Everything user-facing is reported back as ordinary floats.
 """
 
 from __future__ import annotations
@@ -67,29 +69,6 @@ def mp_log_abs(x) -> float:
     a = abs(x)
     with mp.workprec(128):
         return float(mp.log(a))
-
-
-def auto_dps_for_gaps(min_log_gap: float, scale: float = 2.6, size: int = 0) -> int:
-    """Decimal digits needed to resolve a relative gap exp(min_log_gap)
-    in a Gram system of ``size`` basis functions: the digits the dual
-    solve runs at.
-
-    Solving a Gram system whose basis functions coalesce at relative
-    distance g requires roughly cond ~ g^-2, hence ~ 2|log10 g| digits
-    plus headroom: ``scale`` digits per decade of gap (5 for doubled,
-    Jordan bases), two per basis function and 30 more.  Unresolvably
-    small gaps saturate at MAX_DPS; none gets fewer than DEFAULT_DPS.
-    The gap only bounds cond from below, so these digits run 15 to 80
-    above what the measured cond needs; the family the solve yields is
-    carried at ceil(log10 cond) + 30 digits instead
-    (``biortho_time._solve_at``).
-    """
-    if math.isnan(min_log_gap) or min_log_gap == math.inf:
-        return DEFAULT_DPS
-    if min_log_gap == -math.inf:
-        return MAX_DPS
-    digits = scale * max(0.0, -min_log_gap) / math.log(10.0)
-    return max(DEFAULT_DPS, min(MAX_DPS, int(math.ceil(digits)) + 2 * size + 30))
 
 
 class IntVector(NamedTuple):

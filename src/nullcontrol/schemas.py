@@ -41,10 +41,10 @@ MODEL_SCHEMA = {
         "name": {"enum": ["pointwise_heat", "cascade_internal_q", "cascade_boundary_q",
                           "two_diffusion_boundary", "two_diffusion_pointwise",
                           "academic_lf", "harmonic_oscillator"]},
-        "x0": {"type": "number"},
+        "x0": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "d": {"type": "number"},
         "tau": {"type": "number"},
-        "omega": {"type": "array", "items": {"type": "number"},
+        "omega": {"type": "array", "items": {"type": "number", "minimum": 0, "maximum": 1},
                   "minItems": 2, "maxItems": 2},
         "q_breakpoints": {"type": "array", "items": {"type": "number"}},
         "q_values": {"type": "array", "items": {"type": "number"}},
@@ -73,8 +73,8 @@ PARAMS_SCHEMA = {
         "window": {"type": "integer", "minimum": 1},
         "rel_tail_tol": {"type": "number", "exclusiveMinimum": 0},
         "cap": {"type": "number"},
-        "a": {"type": "number"},
-        "b": {"type": "number"},
+        "a": {"type": "number", "minimum": 0, "maximum": 1},
+        "b": {"type": "number", "minimum": 0, "maximum": 1},
         "n_max": {"type": "integer", "minimum": 1},
         "h": {"type": "number", "exclusiveMinimum": 0},
         "lam1": {"type": "number"},

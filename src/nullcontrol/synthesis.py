@@ -111,15 +111,15 @@ def _norm_sq(family, terms):
     """||u||^2 = sum_ij c_i conj(c_j) <q_i, q_j> <d_i, d_j> over the terms.
 
     On a real span with scalar directions this is the quadratic form
-    w^T C conj(w) (there <q_i, q_j> = C_ij), w_b = sum of coeff * value over
-    the terms of basis row b: one exact dot per row of C."""
+    w^T Q conj(w), Q the dual Gram, w_b = sum of coeff * value over the
+    terms of basis row b: one exact dot per row of Q."""
+    Q = family.mp_dual_gram   # <q_i(T-.), q_j(T-.)> = <q_i, q_j>
     if family.span.real and all(isinstance(t.direction, Scalar) for t in terms):
         w = [mp.mpf(0)] * family.size
         for t in terms:
             w[t.basis_index] += t.coeff_mp * to_mp(t.direction.value)
         cw = int_parts(mp.conj(x) for x in w)
-        return int_dot(int_parts(w), int_parts(int_dot(row, cw) for row in family.int_rows))
-    Q = family.mp_dual_gram   # <q_i(T-.), q_j(T-.)> = <q_i, q_j>
+        return int_dot(int_parts(w), int_parts(int_dot(int_parts(row), cw) for row in Q.tolist()))
     total_sq = mp.mpf(0)
     for ti in terms:
         for tj in terms:
@@ -228,10 +228,12 @@ def synthesize(model: ParabolicModel, T, N: int) -> ControlPlan:
     modes = model.modes(N)
     for mode in modes:
         _check_mode(mode)
-    jordan = any(mode.kind == "jordan" for mode in modes)
-    span = ExponentialSpan(tuple(m.lam_mp for m in modes), to_mp(T), jordan=jordan)
+    # a doubled span lists every rate twice and holds q_{k,1}, q_{k,2} per
+    # mode; otherwise a repeated rate is refused, not read as a Jordan chain
+    step = 2 if any(mode.kind == "jordan" for mode in modes) else 1
+    rates = tuple(m.lam_mp for m in modes for _ in range(step))
+    span = (ExponentialSpan if step == 2 else ExponentialSpan.distinct)(rates, to_mp(T))
     family = build_biortho(span)
-    step = 2 if jordan else 1   # a doubled span holds q_{k,1}, q_{k,2} per mode
     terms = []
     with workdps(family.dps):
         for i, mode in enumerate(modes):
@@ -303,38 +305,49 @@ def verify_moments(plan: ControlPlan, N_check: int | None = None) -> MomentResid
 
 
 def _basis_samples(basis, T: float, ts, prec: int):
-    """Yield the basis values s^p e^{-r s} at each s_i = T - t_i, in the
-    exact integer form of ``precision.int_parts``.
+    """Yield the basis values e^{-r s} and e^{-r s} phi_d(s) at each
+    s_i = T - t_i, in the exact integer form of ``precision.int_parts``.
 
     e^{-r s} is evaluated once, at s_0, and then follows the recurrence
     e^{-r s_i} = e^{-r s_(i-1)} e^{r d_i} over the exact grid steps
     d_i = s_(i-1) - s_i, with one cached e^{r d} per rate and distinct
-    step (np.linspace has a dozen or two).  It is carried with
+    step (np.linspace has a dozen or two).  A pair's phi_d(s) =
+    (1 - e^{-d s}) / d follows phi <- e^{d d_i} phi - expm1(d d_i) / d,
+    with one cached pair of factors per d > 0 and distinct step; at d = 0
+    (a Jordan chain) phi is s itself.  Both are carried with
     len(ts).bit_length() + 1 guard bits, so that the drift after len(ts)
-    steps stays below one unit in the last place at ``prec`` bits.
+    steps stays below one unit in the last place at ``prec`` bits, of the
+    value for e^{-r s} and of the pair's scale T for phi.
 
-    Per sample the recurrence costs two exact subtractions (s and d) and
-    one product per rate and per p = 1 basis function, rounded to nearest
-    at the carried precision, all on raw mpf tuples (mpc pairs for a
-    complex rate) through ``libmp``: no mp scalar and no precision context
-    is built per sample.  A span holds p = 0 and p = 1 only, and s is
-    exact (T and t are doubles of nearby magnitude, so s has far fewer
-    bits than are carried), so s e^{-r s} is the rounded s^p e^{-r s}.
+    Per sample the recurrence costs two exact subtractions (s and d), one
+    product per rate and per paired row, and a product and a difference
+    per distinct d > 0, rounded to nearest at the carried precision, all
+    on raw mpf tuples (mpc pairs for a complex rate) through ``libmp``: no
+    mp scalar and no precision context is built per sample.  s is exact
+    (T and t are doubles of nearby magnitude, so s has far fewer bits than
+    are carried), so s e^{-r s} is the rounded s e^{-r s}.  A d > 0 pairs
+    real rates only.
     """
     rates = list(dict.fromkeys(r for r, _ in basis))
-    slots = [(rates.index(r), p) for r, p in basis]
+    deltas = list(dict.fromkeys(d for _, d in basis if d))
+    # per row: its rate, and None (e^{-r s}), -1 (s e^{-r s}) or its d's index
+    slots = [(rates.index(r), None if d is None else deltas.index(d) if d else -1)
+             for r, d in basis]
     cplx = [type(r) is mp.mpc for r in rates]
     mul = [libmp.mpc_mul if c else libmp.mpf_mul for c in cplx]
     smul = [libmp.mpc_mul_mpf if c else libmp.mpf_mul for c in cplx]   # s is real
     flat_c = any(cplx)
     wp = prec + len(ts).bit_length() + 1
 
-    def exps(x):
-        """e^{r x} per rate as raw tuples, for a raw mpf x."""
+    def factors(x):
+        """e^{r x} per rate, and (e^{d x}, expm1(d x) / d) per d > 0, as raw
+        tuples, for a raw mpf x."""
         with mp.workprec(wp):
             x = mp.make_mpf(x)
             vals = [mp.exp(r * x) for r in rates]
-        return [v._mpc_ if c else v._mpf_ for v, c in zip(vals, cplx)]
+            em1 = [mp.expm1(d * x) for d in deltas]
+            pairs = [((m + 1)._mpf_, (m / d)._mpf_) for m, d in zip(em1, deltas)]
+        return [v._mpc_ if c else v._mpf_ for v, c in zip(vals, cplx)], pairs
 
     T_raw = libmp.from_float(float(T))
     steps = {}
@@ -342,15 +355,19 @@ def _basis_samples(basis, T: float, ts, prec: int):
     for t in ts:
         s = libmp.mpf_sub(T_raw, libmp.from_float(float(t)))   # exact
         if prev is None:
-            e = exps(libmp.mpf_neg(s))
+            e, phi = factors(libmp.mpf_neg(s))
+            phi = [libmp.mpf_neg(c) for _, c in phi]   # phi_d(s) = -expm1(-d s) / d
         else:
             d = libmp.mpf_sub(prev, s)   # exact
             step = steps.get(d)
             if step is None:
-                step = steps[d] = exps(d)
-            e = [m(a, b, wp, "n") for m, a, b in zip(mul, e, step)]
+                step = steps[d] = factors(d)
+            e = [m(a, b, wp, "n") for m, a, b in zip(mul, e, step[0])]
+            phi = [libmp.mpf_sub(libmp.mpf_mul(f, p, wp, "n"), c, wp, "n")
+                   for p, (f, c) in zip(phi, step[1])]
         prev = s
-        values = [smul[k](e[k], s, wp, "n") if p else e[k] for k, p in slots]
+        values = [e[k] if j is None else smul[k](e[k], s, wp, "n") if j < 0
+                  else libmp.mpf_mul(e[k], phi[j], wp, "n") for k, j in slots]
         if flat_c:
             # an (re, im) pair has length 2, an mpf tuple 4: a value of a
             # real rate takes a zero imaginary part
@@ -366,17 +383,18 @@ def sample_plan(plan: ControlPlan, n: int = 2000):
     observation, else None.
 
     Each term's coefficient is folded into its dual row once at the
-    family's working precision; the basis values come from the
-    exponential recurrence of ``_basis_samples``.  Each sample is an exact
+    family's working precision; the basis values, e^{-r s} and on a
+    pair's second row e^{-r s} phi_d(s), come from the recurrences of
+    ``_basis_samples``.  Each sample is an exact
     integer dot product of a folded row with the basis values, both in the
     shared form ``precision.int_parts``, rounded once to the family's
     precision and then to float (``precision.int_dot_real``).  The sum
     stays exact at any exponent spread (the basis values fall by hundreds
     of bits between s = 0 and s = T), where mp.fdot may drop terms.
 
-    Cost: basis * (1 + distinct grid steps) mp exponentials; per sample,
-    two exact tuple subtractions and about basis libmp products at the
-    carried precision; then n * terms integer dot products of length
+    Cost: (rates + distinct pair gaps) * (1 + distinct grid steps) mp
+    exponentials; per sample, two exact tuple subtractions and about basis
+    libmp products at the carried precision; then n * terms integer dot products of length
     basis, each with one integer rounding and one int -> float
     conversion.  No mp scalar is built per sample.
     """

@@ -122,12 +122,13 @@ def criterion_05():
     """Doubled-basis residual (N=8, T=0.5) and Jordan norm-growth bound."""
     t0 = time.perf_counter()
     rates = tuple(k * k * PI2 for k in range(1, 9))
-    fam = build_biortho(ExponentialSpan(rates, 0.5, jordan=True))
+    # a Jordan span lists every rate twice
+    fam = build_biortho(ExponentialSpan(tuple(r for r in rates for _ in range(2)), 0.5))
     tau = 0.25
     pair_rates = tuple(AppendixBRule(tau).mp_entries(12))
-    fam_pairs = build_biortho(ExponentialSpan(pair_rates, 1.0, jordan=True))
+    fam_pairs = build_biortho(ExponentialSpan(tuple(r for r in pair_rates for _ in range(2)), 1.0))
     # LS slope of ln||q|| against Re(lam) over the last 12 duals (2 per rate)
-    xs = np.repeat([float(r.real) for r in fam_pairs.span.rates], 2)
+    xs = np.array([float(r.real) for r in fam_pairs.span.rates])
     slope = float(np.polyfit(xs[-12:], fam_pairs.ln_norms[-12:], 1)[0])
     dt = time.perf_counter() - t0
     ok = fam.residual <= 1e-6 and slope <= 4 * tau + 0.1 and dt < 2.0

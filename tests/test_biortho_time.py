@@ -14,15 +14,24 @@ from nullcontrol import (
 )
 from nullcontrol import biortho_time
 from nullcontrol.biortho_time import (
-    RESIDUAL_THRESHOLD, _pairing_mp, int_pow_exp, pair_with_exponential_mp,
+    RESIDUAL_THRESHOLD, _pairing_mp, int_phi_exp, pair_with_exponential_mp,
 )
 from nullcontrol.cli import main
 from nullcontrol.errors import IllConditioned, NumericalError
 from nullcontrol.generators import AcademicLfRule, AppendixBRule
 from nullcontrol.models import PiecewiseConstant, cascade_boundary_q
-from nullcontrol.precision import DEFAULT_DPS, auto_dps_for_gaps, to_complex, to_mp, workdps
+from nullcontrol.precision import DEFAULT_DPS, to_complex, to_mp, workdps
+from tests.exponential_reference import (
+    auto_dps_for_gaps, exponential_span, int_pow_exp, min_log_rel_gap, reference_family,
+    solve_dps,
+)
 
 PI2 = math.pi**2
+
+
+def _twice(rates):
+    """Every rate listed twice: the span of a Jordan chain per rate."""
+    return tuple(r for r in rates for _ in range(2))
 
 
 def _float_gram(span):
@@ -47,7 +56,7 @@ class TestExpGram:
         assert G[0, 0].real == pytest.approx(0.4323323583, abs=1e-9)
 
     def test_jordan_block_entries(self):
-        G = _float_gram(ExponentialSpan((1.0,), 1.0, jordan=True))
+        G = _float_gram(ExponentialSpan((1.0, 1.0), 1.0))
         want_12 = (1 - 3 * math.exp(-2)) / 4  # int_0^1 t e^{-2t} dt
         assert G[0, 1].real == pytest.approx(want_12, abs=1e-15)
         assert G[0, 1].real == pytest.approx(0.1485, abs=5e-5)
@@ -55,7 +64,7 @@ class TestExpGram:
 
     @pytest.mark.parametrize("span", [
         ExponentialSpan((1.0 + 1.0j, 2.0 - 0.5j, 3.0), 1.0),
-        ExponentialSpan((1.0 + 2.0j, 0.5 + 0.1j), 0.7, jordan=True),
+        ExponentialSpan(_twice((1.0 + 2.0j, 0.5 + 0.1j)), 0.7),
         ExponentialSpan((1.0 + 2.0j, 3.0 - 1.0j, 0.5), None),
     ], ids=["complex", "complex-jordan", "complex-infinite"])
     def test_hermitian_mirror_is_the_conjugated_closed_form(self, span):
@@ -63,14 +72,24 @@ class TestExpGram:
         # equals the closed form with the left factor conjugated, to the bit
         with workdps(60):
             G, E = _pairing_mp(span, None, True), biortho_time._exp_table(span)
-            for i, (ri, pi_) in enumerate(span.basis()):
-                for j, (rj, pj) in enumerate(span.basis()):
-                    assert G[i, j] == int_pow_exp(pi_ + pj, mp.conj(ri) + rj, span.T,
-                                                  mp.conj(E[i]) * E[j]), (i, j)
+            # every row is e^{-r t} or, on a Jordan span, t e^{-r t} (d = 0)
+            powers = [0 if d is None else 1 for _, d in span.basis()]
+            for i, (ri, _) in enumerate(span.basis()):
+                for j, (rj, _) in enumerate(span.basis()):
+                    assert G[i, j] == int_pow_exp(powers[i] + powers[j], mp.conj(ri) + rj,
+                                                  span.T, mp.conj(E[i]) * E[j]), (i, j)
 
     def test_rejects_duplicate_rates(self):
+        # a rate listed twice in a row is a Jordan chain; a third listing,
+        # or a second one elsewhere, is a duplicate
         with pytest.raises(ValueError):
-            ExponentialSpan((1.0, 1.0), 1.0)
+            ExponentialSpan((1.0, 2.0, 1.0), 1.0)
+        with pytest.raises(ValueError):
+            ExponentialSpan((1.0, 1.0, 1.0), 1.0)
+        # a span of rates meant to be distinct refuses any repeat
+        with pytest.raises(ValueError, match="duplicated rate"):
+            ExponentialSpan.distinct((1.0, 1.0, 2.0), 1.0)
+        assert ExponentialSpan.distinct((1.0, 1.0 + 1e-12, 2.0), 1.0).basis()[1][1] > 0
 
     def test_rejects_nonpositive_rate_or_horizon(self):
         with pytest.raises(ValueError):
@@ -130,7 +149,7 @@ class TestBuildBiortho:
 
 class TestJordanFamily:
     def test_single_rate_exact_inverse(self):
-        span = ExponentialSpan((1.0,), None, jordan=True)
+        span = ExponentialSpan((1.0, 1.0), None)
         fam = build_biortho(span)
         np.testing.assert_allclose(_float_gram(span).real, [[0.5, 0.25], [0.25, 0.25]], rtol=1e-14)
         # inverse of [[1/2, 1/4], [1/4, 1/4]] (det 1/16) is [[4, -4], [-4, 8]]
@@ -141,40 +160,46 @@ class TestJordanFamily:
 
     def test_heat_rates_doubled_basis_residual(self):
         rates = tuple(k * k * PI2 for k in range(1, 9))
-        fam = build_biortho(ExponentialSpan(rates, 0.5, jordan=True))
+        fam = build_biortho(ExponentialSpan(_twice(rates), 0.5))
         assert fam.residual <= 1e-6
 
     def test_labels_interleave(self):
-        fam = build_biortho(ExponentialSpan((1.0, 2.0), 1.0, jordan=True))
-        assert fam.span.basis() == ((1, 0), (1, 1), (2, 0), (2, 1))
+        fam = build_biortho(ExponentialSpan((1.0, 1.0, 2.0, 2.0), 1.0))
+        assert fam.span.basis() == ((1, None), (1, 0), (2, None), (2, 0))
 
 
 class TestDualGram:
     """mp_dual_gram is <q_i, q_j> = C G C^H at the family's digits, formed
     once by build_biortho and read by the plan's norm; G is the Gram formed
     at the solve digits, rounded to the family's.  On real spans G is the
-    pairing M, so build_biortho keeps C itself (C M C^T = C): it matches
-    the recomputed product up to the solve residual.  Complex spans keep
-    the product."""
+    pairing M, so build_biortho keeps C P (C M C^T = C; P the identity
+    but on a pair's second row, so C P equals C when no pair of rates is
+    close): it matches the recomputed product up to the solve residual.
+    Complex spans keep the product."""
 
     @staticmethod
     def _product(fam):
         C = fam.mp_coeffs
-        with workdps(_solve_dps(fam.span)):
+        with workdps(_solve_digits(fam)):
             G = _pairing_mp(fam.span, None, True)
         with workdps(fam.dps):
             return C * G.apply(lambda x: +x) * C.transpose_conj()
 
     @pytest.mark.parametrize("span", [
         ExponentialSpan(tuple(k * k * PI2 for k in range(1, 9)), 0.5),
-        ExponentialSpan((1.0, 2.0, 4.0), 1.0, jordan=True),
+        ExponentialSpan(_twice((1.0, 2.0, 4.0)), 1.0),
         ExponentialSpan(tuple(AcademicLfRule(0.2).mp_entries(20)), 0.5),
-        ExponentialSpan(tuple(AppendixBRule(0.25).mp_entries(12)), 1.0, jordan=True),
+        ExponentialSpan(_twice(AppendixBRule(0.25).mp_entries(12)), 1.0),
     ], ids=["plain", "jordan", "academic_lf-N20", "appendixB-jordan"])
     def test_real_span_is_coeffs(self, span):
         fam = build_biortho(span)
         Q, want = fam.mp_dual_gram, self._product(fam)
-        assert Q is fam.mp_coeffs
+        # the exponential duals' Gram P^T M^{-1} P, with C = P^T M^{-1}
+        with workdps(fam.dps):
+            assert Q.tolist() == [biortho_time._transpose_paired(span.basis(), row)
+                                  for row in fam.mp_coeffs.tolist()]
+        if not any(d for _, d in span.basis()):
+            assert Q.tolist() == fam.mp_coeffs.tolist()
         with workdps(fam.dps):
             worst = max(abs(want[i, j] - Q[i, j]) / mp.sqrt(abs(Q[i, i] * Q[j, j]))
                         for i in range(fam.size) for j in range(fam.size))
@@ -182,7 +207,8 @@ class TestDualGram:
 
     @pytest.mark.parametrize("jordan", [False, True], ids=["plain", "jordan"])
     def test_complex_span_is_product(self, jordan):
-        fam = build_biortho(ExponentialSpan((1 + 1j, 2 - 0.5j, 3), 1.0, jordan=jordan))
+        rates = (1 + 1j, 2 - 0.5j, 3)
+        fam = build_biortho(ExponentialSpan(_twice(rates) if jordan else rates, 1.0))
         Q, want = fam.mp_dual_gram, self._product(fam)
         assert (Q.rows, Q.cols) == (fam.size, fam.size)
         for i in range(fam.size):
@@ -197,8 +223,8 @@ class TestStructuredSolve:
 
     @pytest.mark.parametrize("span", [
         ExponentialSpan(tuple(k * k * PI2 for k in range(1, 13)), 0.5),
-        ExponentialSpan(tuple(k * k * PI2 for k in range(1, 9)), 0.5, jordan=True),
-        ExponentialSpan(tuple(AppendixBRule(0.25).mp_entries(12)), 1.0, jordan=True),
+        ExponentialSpan(_twice(k * k * PI2 for k in range(1, 9)), 0.5),
+        ExponentialSpan(_twice(AppendixBRule(0.25).mp_entries(12)), 1.0),
         ExponentialSpan((1 + 1j, 2 - 0.5j, 3), 1.0),
         ExponentialSpan(tuple(float(k * k) for k in range(1, 9)), None),
     ], ids=["heat-N12", "heat-jordan-N8", "appendixB-jordan", "complex", "squares-inf"])
@@ -219,7 +245,7 @@ class TestStructuredSolve:
         monkeypatch.setattr(mp, "inverse", refuse)
         monkeypatch.setattr(mp.mp, "inverse", refuse)
         for span in (ExponentialSpan(tuple(k * k * PI2 for k in range(1, 9)), 0.5),
-                     ExponentialSpan((1.0, 2.0), 1.0, jordan=True),
+                     ExponentialSpan((1.0, 1.0, 2.0, 2.0), 1.0),
                      ExponentialSpan((1 + 1j, 2.0), None)):
             assert build_biortho(span).residual <= RESIDUAL_THRESHOLD
 
@@ -230,7 +256,7 @@ class TestStructuredSolve:
 
         monkeypatch.setattr(mp.matrix, "__mul__", refuse)
         for span in (ExponentialSpan(tuple(k * k * PI2 for k in range(1, 9)), 0.5),
-                     ExponentialSpan((1.0, 2.0), 1.0, jordan=True)):
+                     ExponentialSpan((1.0, 1.0, 2.0, 2.0), 1.0)):
             assert build_biortho(span).residual <= RESIDUAL_THRESHOLD
 
     def test_pairing_never_calls_fsum(self, monkeypatch):
@@ -283,9 +309,10 @@ def _fsum_pairing(fam, mu, a):
     span, n = fam.span, fam.size
     with workdps(fam.dps):
         col = []
-        for r, p in span.basis():
+        for r, d in span.basis():
             s = to_mp(mu) + r
-            col.append(int_pow_exp(a + p, s, span.T, mp.exp(-s * span.T)))
+            factors = (0,) * a + (() if d is None else (d,))
+            col.append(int_phi_exp(s, factors, span.T, mp.exp(-s * span.T)))
         C = fam.mp_coeffs
         return ([mp.fsum(C[k, j] * col[j] for j in range(n)) for k in range(n)],
                 [mp.fsum(abs(C[k, j] * col[j]) for j in range(n)) for k in range(n)])
@@ -295,7 +322,7 @@ class TestPairings:
     @pytest.mark.parametrize("span", [
         ExponentialSpan(tuple(k * k * PI2 for k in range(1, 41)), 0.4),
         ExponentialSpan(tuple(AcademicLfRule(0.2).mp_entries(20)), 0.5),
-        ExponentialSpan((1 + 1j, 2 - 0.5j, 3), 1.0, jordan=True),
+        ExponentialSpan(_twice((1 + 1j, 2 - 0.5j, 3)), 1.0),
     ], ids=["heat-N40", "academic_lf-N20", "complex-jordan"])
     def test_exact_dot_matches_rounded_products(self, span):
         # the exact dot rounds once; the reference rounds each of n products
@@ -327,10 +354,8 @@ class TestPairings:
 
 def _tail_slope(family, window=10):
     """LS slope of ln||q_k|| against Re(lam_k) over the last ``window``
-    family members (each rate counted twice on a Jordan span)."""
+    family members (a Jordan span lists each rate twice)."""
     xs = np.array([float(r.real) for r in family.span.rates])
-    if family.span.jordan:
-        xs = np.repeat(xs, 2)
     return float(np.polyfit(xs[-window:], family.ln_norms[-window:], 1)[0])
 
 
@@ -355,17 +380,19 @@ class TestNormGrowth:
         tau = 0.25
         rule = AppendixBRule(tau)
         rates = tuple(rule.mp_entries(12))
-        fam = build_biortho(ExponentialSpan(rates, 1.0, jordan=True))
+        fam = build_biortho(ExponentialSpan(_twice(rates), 1.0))
         assert _tail_slope(fam, window=12) <= 4 * tau + 0.1
 
 
 class TestGapResolution:
+    """The gap digits of the exponential-basis reference
+    (tests/exponential_reference.py)."""
+
     def test_min_log_rel_gap_escalates_precision(self):
         # pair gap e^{-900} sits far below any fixed working precision
         rule = AppendixBRule(1.0)
         rates = tuple(rule.mp_entries(60))
-        span = ExponentialSpan(rates, 1.0)
-        lg = span.min_log_rel_gap()
+        lg = min_log_rel_gap(ExponentialSpan(rates, 1.0).rates)
         # relative gap e^{-900} / (1 + 2*900)
         assert lg == pytest.approx(-900.0 - math.log(1 + 2 * 900.0), rel=1e-3)
 
@@ -374,49 +401,63 @@ class TestGapResolution:
         # before it is rounded
         with workdps(3100):
             rates = (mp.mpf(2), mp.mpf(2) + mp.mpf("1e-3000"))
-        lg = ExponentialSpan(rates, 1.0).min_log_rel_gap()
+        lg = min_log_rel_gap(ExponentialSpan(rates, 1.0).rates)
         assert lg == pytest.approx(-3000 * math.log(10) - math.log(5), rel=1e-12)
 
     def test_auto_dps_saturates_for_unresolvable_gaps(self):
-        from nullcontrol.precision import auto_dps_for_gaps
-
         assert auto_dps_for_gaps(float("-inf")) == 6000
         assert auto_dps_for_gaps(float("nan")) == 60
         assert auto_dps_for_gaps(0.0) == 60
 
 
-_DPS_SPANS = [
-    ExponentialSpan(tuple(k * k * PI2 for k in range(1, 41)), 0.4),
-    ExponentialSpan(tuple(k * k * PI2 for k in range(1, 17)), 0.5, jordan=True),
-    ExponentialSpan(tuple(AppendixBRule(0.2).mp_entries(20)), 0.5),
-    ExponentialSpan((1.0,), 1.0),
-    ExponentialSpan(tuple(AcademicLfRule(0.2).mp_entries(20)), 0.5),
+# (rates, T, jordan): a Jordan span lists every rate twice
+_DPS_CASES = [
+    (tuple(k * k * PI2 for k in range(1, 41)), 0.4, False),
+    (tuple(k * k * PI2 for k in range(1, 17)), 0.5, True),
+    (tuple(AppendixBRule(0.2).mp_entries(20)), 0.5, False),
+    ((1.0,), 1.0, False),
+    (tuple(AcademicLfRule(0.2).mp_entries(20)), 0.5, False),
 ]
 _DPS_IDS = ["heat-N40", "heat-jordan-N16", "appendixB-N20", "single", "academic_lf-N20"]
 
 
-def _solve_dps(span):
-    """The digits build_biortho solves at before any residual retry."""
-    return auto_dps_for_gaps(span.min_log_rel_gap(), scale=5.0 if span.jordan else 2.6,
-                             size=span.size)
+def _span(rates, T, jordan):
+    return ExponentialSpan(_twice(rates) if jordan else rates, T)
+
+
+def _solve_digits(fam):
+    """The digits build_biortho last solved at, without a residual retry:
+    DEFAULT_DPS, or the carried digits when they are more."""
+    return max(DEFAULT_DPS, fam.dps)
 
 
 class TestDpsPolicy:
-    """The solve runs at digits chosen from the smallest relative rate gap
-    and the system size, pinned at the values the package has always
-    used; the family is carried at min(solve digits, ceil(log10 cond) +
-    CARRY_DIGITS)."""
+    """The family is carried at ceil(log10 cond) + CARRY_DIGITS digits, cond
+    that of the basis's Gram, from one solve at DEFAULT_DPS and, when
+    those digits are more, one more at them.  The exponential-basis
+    reference ran at digits chosen from the smallest relative rate gap and
+    the system size, pinned at the values the package used, and carried
+    min(solve digits, ceil(log10 cond) + CARRY_DIGITS); spans without a
+    close pair keep its carried digits."""
 
-    @pytest.mark.parametrize("span,dps", list(zip(_DPS_SPANS, [115, 100, 99, 60, 301])))
+    @pytest.mark.parametrize("span,dps", list(zip(_DPS_CASES, [115, 100, 99, 60, 301])))
     def test_auto_dps(self, span, dps):
-        assert _solve_dps(span) == dps
+        rates, _, jordan = span
+        assert solve_dps(rates, jordan) == dps
 
-    @pytest.mark.parametrize("span,dps", zip(_DPS_SPANS, [72, 67, 70, 30, 222]),
+    @pytest.mark.parametrize("case,dps,carried", zip(_DPS_CASES, [72, 67, 70, 30, 222],
+                                                      [72, 67, 58, 30, 55]),
                              ids=_DPS_IDS)
-    def test_carried_digits(self, span, dps):
-        fam = build_biortho(span)
-        assert fam.dps == dps
-        assert fam.dps == min(_solve_dps(span), math.ceil(math.log10(fam.cond_estimate)) + 30)
+    def test_carried_digits(self, case, dps, carried):
+        rates, T, jordan = case
+        ref = reference_family(rates, T, jordan)
+        assert ref.dps == dps
+        assert ref.dps == min(solve_dps(rates, jordan),
+                              math.ceil(math.log10(ref.cond_estimate)) + 30)
+        fam = build_biortho(_span(*case))
+        assert fam.dps == carried == math.ceil(fam.cond_log10) + biortho_time.CARRY_DIGITS
+        if not any(d for _, d in fam.span.basis()):
+            assert fam.dps == ref.dps
         assert fam.residual <= RESIDUAL_THRESHOLD
         # every mp number of the family is held at the carried digits
         with workdps(fam.dps):
@@ -426,17 +467,23 @@ class TestDpsPolicy:
 
     def test_cascade_jordan_carried_digits(self):
         model = cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.0),)))
-        span = ExponentialSpan(tuple(m.lam_mp for m in model.modes(16)), 0.5, jordan=True)
+        span = ExponentialSpan(_twice(m.lam_mp for m in model.modes(16)), 0.5)
         assert build_biortho(span).dps == 67
 
     def test_condition_beyond_float_range(self):
-        # log10 cond = 384 is taken from the mp product; the float view overflows
-        span = ExponentialSpan(tuple(AppendixBRule(1.0).mp_entries(40)), 1.0)
-        fam = build_biortho(span)
-        assert fam.cond_estimate == math.inf
-        assert 383 < fam.cond_log10 < 384
-        assert fam.dps == math.ceil(fam.cond_log10) + biortho_time.CARRY_DIGITS
-        assert fam.dps == 384 + 30 < _solve_dps(span) == 570
+        # the exponential basis: log10 cond = 384 is taken from the mp
+        # product; the float view overflows
+        rates = tuple(AppendixBRule(1.0).mp_entries(40))
+        ref = reference_family(rates, 1.0)
+        assert ref.cond_estimate == math.inf
+        assert 383 < ref.cond_log10 < 384
+        assert ref.dps == math.ceil(ref.cond_log10) + biortho_time.CARRY_DIGITS
+        assert ref.dps == 384 + 30 < solve_dps(rates) == 570
+        assert ref.residual <= RESIDUAL_THRESHOLD
+        # the pairs' divided differences bring it back into binary64
+        fam = build_biortho(ExponentialSpan(rates, 1.0))
+        assert math.isfinite(fam.cond_estimate)
+        assert fam.dps == math.ceil(fam.cond_log10) + biortho_time.CARRY_DIGITS <= 90
         assert fam.residual <= RESIDUAL_THRESHOLD
 
     def test_condition_log10_matches_float_view(self):
@@ -444,28 +491,129 @@ class TestDpsPolicy:
         assert math.isfinite(fam.cond_estimate)
         assert 10**fam.cond_log10 == pytest.approx(fam.cond_estimate, rel=1e-12)
 
-    @pytest.mark.parametrize("span", _DPS_SPANS[:3], ids=_DPS_IDS[:3])
-    def test_pairing_formed_once_per_solve(self, span, monkeypatch):
+    @pytest.mark.parametrize("case,digits", zip(_DPS_CASES[:3], [[60, 72], [60, 67], [60]]),
+                             ids=_DPS_IDS[:3])
+    def test_pairing_formed_once_per_solve(self, case, digits, monkeypatch):
         # the Gram of the condition estimate is rounded to the carried
-        # digits, not formed again there
+        # digits, not formed again there; a solve at DEFAULT_DPS is
+        # followed by one more only when the carried digits are more
         pairings, solves = [], []
-        pairing, solve_at = biortho_time._pairing_mp, biortho_time._solve_at
+        pairing, solve = biortho_time._pairing_mp, biortho_time._solve
         monkeypatch.setattr(biortho_time, "_pairing_mp",
                             lambda *args: pairings.append(1) or pairing(*args))
-        monkeypatch.setattr(biortho_time, "_solve_at",
-                            lambda *args: solves.append(1) or solve_at(*args))
-        fam = build_biortho(span)
-        assert fam.dps < _solve_dps(span)
-        assert len(pairings) == len(solves) == 1
+        monkeypatch.setattr(biortho_time, "_solve",
+                            lambda span, dps: solves.append(dps) or solve(span, dps))
+        fam = build_biortho(_span(*case))
+        assert fam.dps < solve_dps(case[0], case[2])
+        assert solves == digits and len(pairings) == len(solves)
+        assert solves[0] == DEFAULT_DPS and fam.dps <= solves[-1]
 
     def test_carried_family_matches_one_kept_at_solve_digits(self, monkeypatch):
-        span = _DPS_SPANS[0]
+        # heat N=12 is carried below the digits it was solved at; with the
+        # carry raised to exactly those digits the same solve is kept whole,
+        # and the family is that solve rounded
+        span = ExponentialSpan(tuple(k * k * PI2 for k in range(1, 13)), 0.5)
         fam = build_biortho(span)
-        monkeypatch.setattr(biortho_time, "CARRY_DIGITS", 10**6)
+        monkeypatch.setattr(biortho_time, "CARRY_DIGITS",
+                            DEFAULT_DPS - math.ceil(fam.cond_log10))
         ref = build_biortho(span)
-        assert ref.dps == 115 and fam.dps == 72
+        assert ref.dps == DEFAULT_DPS and fam.dps == 43
         assert fam.cond_estimate == ref.cond_estimate
         np.testing.assert_array_equal(fam.ln_norms, ref.ln_norms)
         with workdps(fam.dps):
             assert [[+x for x in row] for row in ref.mp_coeffs.tolist()] \
                 == fam.mp_coeffs.tolist()
+
+    def test_unpaired_family_matches_the_gap_digit_solve(self):
+        # heat N=40 has no close pair: solved at its 72 carried digits, its
+        # condition estimate and norms are those of the exponential-basis
+        # solve at 115 digits
+        rates, T, _ = _DPS_CASES[0]
+        fam = build_biortho(ExponentialSpan(rates, T))
+        ref = reference_family(rates, T, carry=False)
+        assert ref.dps == 115 and fam.dps == 72
+        assert fam.cond_estimate == ref.cond_estimate
+        np.testing.assert_array_equal(fam.ln_norms, ref.ln_norms)
+
+
+def _direct_difference(x, deltas, T):
+    """int_0^T e^{-x t} prod phi_d(t) dt as the divided difference of
+    h(x) = (1 - e^{-x T}) / x (1/x for T = None), formed directly at the
+    working precision; d = 0 is taken as 1e-700."""
+    h = (lambda y: 1 / y) if T is None else (lambda y: -mp.expm1(-y * T) / y)
+    ds = [d or mp.mpf("1e-700") for d in deltas]
+    if len(ds) == 1:
+        return (h(x) - h(x + ds[0])) / ds[0]
+    a, b = ds
+    return (h(x) - h(x + a) - h(x + b) + h(x + a + b)) / (a * b)
+
+
+class TestDividedDifferences:
+    """int_phi_exp against direct differences at 1500 digits, on pairs
+    from far closer than any working precision to far apart."""
+
+    @pytest.mark.parametrize("T", [mp.mpf("0.5"), None], ids=["T0.5", "inf"])
+    @pytest.mark.parametrize("deltas", [
+        ("1e-300",), ("1e-40",), ("1e-8",), ("1e-3",), ("0.5",), ("30",),
+        ("1e-300", "1e-200"), ("1e-30", "1e-30"), ("1e-3", "40"), ("0.3", "2.5"),
+        (0, "1e-20"), (0, "3"),
+    ])
+    def test_matches_direct_difference(self, T, deltas):
+        deltas = tuple(mp.mpf(d) for d in deltas)
+        for x in (mp.mpf("1.3"), mp.mpf("40.7")):
+            with workdps(1500):
+                want = _direct_difference(x, deltas, T)
+            with workdps(60):
+                E = None if T is None else mp.exp(-x * T)
+                got = int_phi_exp(x, deltas, T, E)
+                assert abs(got - want) <= mp.mpf("1e-55") * abs(want), (x, deltas)
+
+    @pytest.mark.parametrize("dps", [60, 150])
+    @pytest.mark.parametrize("span", [
+        ExponentialSpan(_twice(k * k * PI2 for k in range(1, 5)), 0.5),
+        ExponentialSpan(_twice((1.0 + 2.0j, 0.5 + 0.1j, 3.0)), 0.7),
+        ExponentialSpan(_twice((1.0, 2.5, 4.0)), None),
+    ], ids=["real", "complex", "infinite"])
+    def test_jordan_rows_are_t_moments(self, span, dps):
+        # a pair with d = 0 pairs as t e^{-r t}, to the bit
+        powers = [0 if d is None else 1 for _, d in span.basis()]
+        with workdps(dps):
+            M, E = _pairing_mp(span), biortho_time._exp_table(span)
+            e_mu = 0 if span.T is None else mp.exp(-3 * span.T)
+            for i, (ri, di) in enumerate(span.basis()):
+                for j, (rj, _) in enumerate(span.basis()):
+                    assert M[i, j] == int_pow_exp(powers[i] + powers[j], ri + rj, span.T,
+                                                  E[i] * E[j]), (i, j)
+                # the a = 1 moment column of pair_with_exponential_mp
+                factors = (0,) if di is None else (0, di)
+                assert int_phi_exp(3 + ri, factors, span.T, e_mu * E[i]) \
+                    == int_pow_exp(1 + powers[i], 3 + ri, span.T, e_mu * E[i])
+
+
+class TestPairedFamily:
+    """The exponential duals of a paired span, C P = P^T M^{-1} P, against
+    the exponential basis's own inverse at 1500 digits."""
+
+    @pytest.mark.parametrize("rates,T", [
+        (tuple(AcademicLfRule(0.2).mp_entries(20)), 0.5),
+        (tuple(AcademicLfRule(0.2).mp_entries(40)), 0.5),
+        (tuple(AppendixBRule(1.0).mp_entries(40)), 0.5),
+    ], ids=["academic_lf-N20", "academic_lf-N40", "appendixB-tau1-N40"])
+    def test_matches_exponential_inverse(self, rates, T):
+        fam = build_biortho(ExponentialSpan(rates, T))
+        assert any(d for _, d in fam.span.basis())
+        span = exponential_span(rates, T)
+        with workdps(1500):
+            ref = biortho_time._structured_inverse(
+                *biortho_time._displacement(span, biortho_time._exp_table(span)))
+        Q, n = fam.mp_dual_gram, fam.size
+        with workdps(fam.dps):
+            worst = max(abs(Q[i, j] - ref[i, j]) / abs(ref[i, j])
+                        for i in range(n) for j in range(n))
+        assert float(worst) <= 1e-50
+
+    def test_ln_norms_match_the_exponential_family(self):
+        rates = tuple(AcademicLfRule(0.2).mp_entries(20))
+        fam, ref = build_biortho(ExponentialSpan(rates, 0.5)), reference_family(rates, 0.5)
+        assert fam.dps <= 60 < 222 == ref.dps
+        np.testing.assert_array_equal(fam.ln_norms, ref.ln_norms)

@@ -12,6 +12,7 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -20,6 +21,7 @@ from jsonschema.validators import validator_for
 
 from nullcontrol import cli, grushin_tstar_profile, observation_integral, solve_mode
 from nullcontrol.cli import main, run
+from nullcontrol.errors import RationalRootWarning
 from nullcontrol.schemas import CONFIG_SCHEMA, DIAGNOSTICS_SCHEMA, ERROR_SCHEMA
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -36,6 +38,21 @@ class TestValidation:
         cfg = {"command": "indices", "sequence": {"rule": "power"}, "bogus": 1}
         cfgp = _write_config(tmp_path, cfg)
         assert main(["--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("cfg", [
+        {"command": "verify", "model": {"name": "pointwise_heat", "x0": 1.5}},
+        {"command": "verify", "model": {"name": "two_diffusion_pointwise", "d": 2.0, "x0": 0.0}},
+        {"command": "verify", "model": {"name": "cascade_internal_q", "omega": [-0.1, 0.5],
+                                        "q_breakpoints": [0.6, 0.9], "q_values": [1.0]}},
+        {"command": "grushin", "params": {"a": -0.5, "b": 0.5}},
+        {"command": "grushin", "params": {"a": 0.3, "b": 1.5}},
+    ], ids=["x0-above", "x0-zero", "omega-below", "grushin-a", "grushin-b"])
+    def test_ranges_rejected_by_the_schema(self, tmp_path, capsys, cfg):
+        # the ranges the models enforce are stated in the schema: these
+        # exit 2 before any model or profile is built
+        cfgp = _write_config(tmp_path, cfg)
+        assert main(["--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err)["message"].startswith("config rejected")
 
     @pytest.mark.parametrize("key,value", [("precision", "extended"), ("dps", 80)],
                              ids=["precision", "dps"])
@@ -272,23 +289,69 @@ class TestOtherCommands:
         cfgp = _write_config(tmp_path, {"command": "biortho", "sequence": {"rule": "appendixB"}})
         assert main(["--config", str(cfgp), "--out", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("command", ["synthesize", "verify"])
+    def test_simple_modes_sharing_a_rate_exit_2(self, tmp_path, capsys, command):
+        # d = 4: mode 2 of the first family and mode 1 of the second share
+        # the rate 4 pi^2, and no moment control separates two simple
+        # modes of one rate; the repeat is refused, not read as a Jordan chain
+        cfgp = _write_config(tmp_path, {
+            "command": command, "params": {"N": 3},
+            "model": {"name": "two_diffusion_pointwise", "d": 4.0, "x0": 0.3}})
+        with pytest.warns(RationalRootWarning):
+            assert main(["--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert "duplicated rate" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_biortho_repeated_rate_exits_2(self, tmp_path, capsys):
+        # a sequence with two equal rates has no biorthogonal family: the
+        # sequence refuses it before any span is built
+        cfgp = _write_config(tmp_path, {
+            "command": "biortho", "params": {"N": 3},
+            "sequence": {"rule": "explicit", "values": [1.0, 1.0, 2.0]}})
+        assert main(["--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "DUPLICATE_ENTRY"
+
     def test_biortho_overflowing_condition_is_strict_json(self, tmp_path):
-        # cond = 1e383.3 overflows binary64: the diagnostics spell it "inf" and
-        # give its log10, and the family is carried at ceil(log10 cond) + 30 =
-        # 414 of the 570 solve digits
+        # eleven adjacent doubles above 1 pair into five divided differences
+        # and one rate that still coalesce: cond = 1e330.2 overflows
+        # binary64, the diagnostics spell it "inf" and give its log10, and
+        # the family is carried at ceil(log10 cond) + 30 = 361 digits
         def refuse(name):
             raise ValueError(f"non-JSON constant {name}")
 
+        values = [1 + k * 2.0**-52 for k in range(11)]
         cfgp = _write_config(tmp_path, {"command": "biortho",
-                                        "sequence": {"rule": "appendixB", "tau": 1.0},
-                                        "params": {"N": 40, "T": 1.0}})
+                                        "sequence": {"rule": "explicit", "values": values},
+                                        "params": {"N": 11, "T": 1.0}})
         out = tmp_path / "out"
         assert main(["--config", str(cfgp), "--out", str(out)]) == 0
         data = json.loads((out / "biortho.json").read_text(), parse_constant=refuse)["data"]
         assert data["cond_estimate"] == "inf"
-        assert data["cond_log10"] == pytest.approx(383.255, abs=1e-3)
-        assert data["dps"] == 414 == math.ceil(data["cond_log10"]) + 30
+        assert data["cond_log10"] == pytest.approx(330.240, abs=1e-3)
+        assert data["dps"] == 361 == math.ceil(data["cond_log10"]) + 30
         assert data["residual"] <= 1e-8
+
+    @pytest.mark.parametrize("cfg", [
+        {"command": "verify", "model": {"name": "academic_lf", "tau": 0.2},
+         "params": {"N": 20, "T": 0.5}},
+        {"command": "biortho", "sequence": {"rule": "appendixB", "tau": 1.0},
+         "params": {"N": 40, "T": 1.0}},
+    ], ids=["academic_lf-verify-N20", "appendixB-biortho-N40"])
+    def test_condensed_spans_solve_at_few_digits(self, tmp_path, monkeypatch, cfg):
+        # close pairs are divided-difference rows, so these spans solve at
+        # no more than 90 digits (301 and 570 digits in the exponential
+        # basis), and appendixB's condition estimate stays in binary64
+        from nullcontrol import biortho_time
+
+        digits = []
+        solve = biortho_time._structured_inverse
+        monkeypatch.setattr(biortho_time, "_structured_inverse",
+                            lambda *args: digits.append(mp.mp.dps) or solve(*args))
+        out = tmp_path / "out"
+        assert main(["--config", str(_write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        assert digits and max(digits) <= 90
+        if cfg["command"] == "biortho":
+            data = json.loads((out / "biortho.json").read_text())["data"]
+            assert math.isfinite(data["cond_estimate"])
 
     def test_json_safe_recurses_into_complex_parts(self, tmp_path):
         path = tmp_path / "d.json"
@@ -438,6 +501,9 @@ class TestWriters:
 _WIDE = st.integers(-300, 300).map(lambda e: 10.0**e)
 _NUM = st.one_of(_WIDE, st.sampled_from([0.0, -1.0, 0.3, 0.5, 1.0, 2.0, math.pi**2]))
 _UNIT = st.one_of(st.floats(0.0, 1.0), _NUM)
+# the ranges the schema states: x0 in (0, 1), omega and the grushin window in [0, 1]
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_CLOSED_UNIT = st.floats(0.0, 1.0)
 _Y0 = st.sampled_from(["one", "reciprocal", "reciprocal_sq"])
 
 
@@ -453,13 +519,13 @@ _SEQUENCES = st.one_of(
     _keys({"rule": st.just("explicit"), "values": st.lists(_NUM, max_size=6)}),
 )
 _MODELS = st.one_of(
-    _keys({"name": st.just("pointwise_heat"), "x0": _UNIT}, y0=_Y0),
+    _keys({"name": st.just("pointwise_heat"), "x0": _OPEN_UNIT}, y0=_Y0),
     _keys({"name": st.just("cascade_internal_q"),
-           "omega": st.lists(_UNIT, min_size=2, max_size=2)},
+           "omega": st.lists(_CLOSED_UNIT, min_size=2, max_size=2)},
           truncation=st.integers(8, 40), y0=_Y0),
     _keys({"name": st.just("cascade_boundary_q")}, truncation=st.integers(8, 40), y0=_Y0),
     _keys({"name": st.just("two_diffusion_boundary"), "d": _NUM}, y0=_Y0),
-    _keys({"name": st.just("two_diffusion_pointwise"), "d": _NUM, "x0": _UNIT}, y0=_Y0),
+    _keys({"name": st.just("two_diffusion_pointwise"), "d": _NUM, "x0": _OPEN_UNIT}, y0=_Y0),
     _keys({"name": st.just("academic_lf"), "tau": _NUM}, y0=_Y0),
     _keys({"name": st.just("harmonic_oscillator")}),
 )
@@ -473,7 +539,7 @@ _PARAMS = {
     "synthesize": ({"N": st.integers(1, 5), "samples": st.integers(2, 30)}, {"T": _WIDE}),
     "verify": ({"N": st.integers(1, 5)}, {"N_check": st.integers(1, 5), "T": _WIDE}),
     "grushin": ({"n_max": st.integers(1, 3)},
-                {"a": _UNIT, "b": _UNIT, "h": st.sampled_from([1e-3, 5e-4]),
+                {"a": _CLOSED_UNIT, "b": _CLOSED_UNIT, "h": st.sampled_from([1e-3, 5e-4]),
                  "window": st.integers(1, 3), "cap": _NUM}),
     "gramian2x2": ({"samples": st.integers(2, 30)},
                    {"T": _WIDE, "rk4_h": _WIDE, "bvec": st.lists(_NUM, min_size=2, max_size=2),
@@ -530,6 +596,8 @@ def _configs(draw):
 @example({"command": "verify", "model": {"name": "cascade_internal_q", "omega": [0.0, 1e-79],
                                          "q_breakpoints": [1e-79], "q_values": []},
           "params": {"N": 1}})
+@example({"command": "synthesize", "model": {"name": "two_diffusion_pointwise", "d": 4.0,
+                                             "x0": 0.3}, "params": {"N": 3}})
 def test_schema_valid_configs_exit_0_2_or_3(cfg):
     jsonschema.validate(cfg, CONFIG_SCHEMA)
     with tempfile.TemporaryDirectory() as tmp:

@@ -215,6 +215,23 @@ class TestFloatBlocks:
                 f = mp.e ** (-mp.mpf(rule.tau) * lam)
                 assert rule._pair(k) == (lam, lam + f)
 
+    @pytest.mark.parametrize("rule,ks", [
+        (AppendixBRule(0.25), range(1, 130)),
+        (AppendixBRule(1.0), (1, 2, 3, 17, 50, 125)),
+        (AcademicLfRule(0.2), range(1, 21)),
+    ], ids=["appendixB-0.25", "appendixB-1", "academic_lf-0.2"])
+    def test_pair_within_one_ulp_of_power_of_e(self, rule, ks):
+        # f_k = exp(-tau lam) against the earlier e ** (-tau lam), kept here
+        # as the reference: each entry within one unit in the last place
+        for k in ks:
+            with mp.workdps(rule._dps(k)):
+                lam = mp.mpf(k) ** 2
+                if rule.pi_power:
+                    lam *= mp.pi**rule.pi_power
+                f = mp.e ** (-mp.mpf(rule.tau) * lam)
+                for got, want in zip(rule._pair(k), (lam - rule.lower * f, lam + f)):
+                    assert abs(got - want) <= mp.ldexp(abs(want), 1 - mp.mp.prec), k
+
     def test_two_diffusion_cache_is_not_a_view(self):
         # the cached float view of the spectra two_diffusion K = 100 job
         # holds its own entries, not the first half of a doubled block

@@ -254,7 +254,7 @@ def _cascade_jordan_span(N=16, T=0.5):
     model = cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.3),)))
     modes = model.modes(N)
     assert any(m.kind == "jordan" for m in modes)
-    return ExponentialSpan(tuple(m.lam_mp for m in modes), T, jordan=True)
+    return ExponentialSpan(tuple(m.lam_mp for m in modes for _ in range(2)), T)
 
 
 class TestResidual:
@@ -273,7 +273,7 @@ class TestResidual:
         lambda: ExponentialSpan(tuple(k * k * PI2 for k in range(1, 41)), 0.4),
         _cascade_jordan_span,
         lambda: ExponentialSpan((1 + 1j, 2 - 0.5j, 3), 1.0),
-        lambda: ExponentialSpan((1 + 1j, 2 - 0.5j, 3), 1.0, jordan=True),
+        lambda: ExponentialSpan((1 + 1j, 1 + 1j, 2 - 0.5j, 2 - 0.5j, 3, 3), 1.0),
     ], ids=["heat-N40", "cascade-jordan-N16", "complex", "complex-jordan"])
     def test_matches_matrix_product(self, make):
         fam = build_biortho(make())

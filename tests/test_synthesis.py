@@ -22,7 +22,7 @@ from nullcontrol import (
     two_diffusion_pointwise,
     verify_moments,
 )
-from nullcontrol import biortho_time, synthesis
+from nullcontrol import synthesis
 from nullcontrol.errors import (
     DegenerateFamily,
     NumericalError,
@@ -34,6 +34,7 @@ from nullcontrol.errors import (
 from nullcontrol.models import ParabolicModel, PointwiseHeatModel, SpectralMode
 from nullcontrol.observations import Scalar
 from nullcontrol.precision import to_complex, to_mp
+from tests.exponential_reference import reference_family
 
 PI2 = math.pi**2
 X0 = math.sqrt(2.0) - 1.0
@@ -252,22 +253,28 @@ class TestSynthesizeDispatch:
     def _layout(plan):
         return [(t.basis_index, t.label) for t in plan.terms]
 
+    @staticmethod
+    def _plain(span):
+        """Whether every basis row is an exponential."""
+        return all(d is None for _, d in span.basis())
+
     def test_simple_modes_keep_the_plain_span(self):
         plan = synthesize(pointwise_heat(X0), 0.4, 4)
-        assert not plan.family.span.jordan
+        assert self._plain(plan.family.span)
         assert self._layout(plan) == [(i, (i + 1, 1)) for i in range(4)]
 
     def test_jordan_modes_double_the_span(self):
         model = cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.0),)))
         plan = synthesize(model, 0.5, 3)
-        assert plan.family.span.jordan
+        # every rate listed twice: a Jordan pair (d = 0) per mode
+        assert [d for _, d in plan.family.span.basis()] == [None, 0] * 3
         assert self._layout(plan) == [(2 * i + j - 1, (i + 1, j))
                                       for i in range(3) for j in (1, 2)]
 
     def test_multiple_modes_take_the_decoupled_term(self):
         q, omega = _null_coupling_q()
         plan = synthesize(cascade_internal_q(q, omega), 0.5, 3)
-        assert not plan.family.span.jordan
+        assert self._plain(plan.family.span)
         assert self._layout(plan) == [(i, (i + 1, 0)) for i in range(3)]
 
     @pytest.mark.parametrize("model,error", [
@@ -346,6 +353,13 @@ class TestAcademicDichotomy:
         assert report.max_abs <= 1e-8
 
 
+def _basis_value(rate, d, s, exp=mp.exp):
+    """The basis function (rate, d) at s: e^{-r s}, s e^{-r s} (d = 0) or
+    e^{-r s} (1 - e^{-d s}) / d."""
+    e = exp(-rate * s)
+    return e if d is None else s * e if not d else -mp.expm1(-d * s) / d * e
+
+
 def _sample_per_term(plan, n):
     """Reference for sample_plan: a per-term loop that re-evaluates every
     basis exponential for every term and applies the coefficient after
@@ -361,8 +375,8 @@ def _sample_per_term(plan, n):
             row = family.mp_coeffs[term.basis_index, :]
             for i, s in enumerate(s_grid):
                 acc = mp.mpf(0)
-                for j, (rate, power) in enumerate(basis):
-                    acc += row[j] * s**power * mp.e ** (-rate * s)
+                for j, (rate, d) in enumerate(basis):
+                    acc += row[j] * _basis_value(rate, d, s, lambda x: mp.e ** x)
                 cols[col, i] = float((term.coeff_mp * acc).real)
     return ts, cols
 
@@ -381,7 +395,7 @@ def _sample_folded(plan, n):
                 for term in plan.terms]
         for i, t in enumerate(ts):
             s = mp.mpf(T) - mp.mpf(float(t))
-            funcs = [s**p * mp.exp(-r * s) for r, p in basis]
+            funcs = [_basis_value(r, d, s) for r, d in basis]
             for col, row in enumerate(rows):
                 cols[col, i] = float(mp.fdot(row, funcs).real)
     return ts, cols
@@ -503,8 +517,8 @@ class TestSamplePlan:
                 # real spans: the integer form holds re_j 2^exp exactly
                 assert not f.im
                 values = [mp.ldexp(re, f.exp) for re in f.re]
-                for v, (r, p) in zip(values, basis):
-                    exact = s**p * mp.exp(-r * s)
+                for v, (r, d) in zip(values, basis):
+                    exact = _basis_value(r, d, s)
                     assert abs(v - exact) <= tol * abs(exact)
 
     def test_exponentials_per_distinct_step(self):
@@ -527,16 +541,25 @@ class TestSamplePlan:
 
 
 def _solve_digit_plan(monkeypatch, model, T, N):
-    """The plan with its dual family kept at the solve's digits, as before
-    the family was carried at ceil(log10 cond) + CARRY_DIGITS."""
+    """The plan with its dual family solved in the exponential basis at
+    the gap digits and kept there (tests/exponential_reference.py), as
+    before close pairs became divided-difference rows and the family was
+    carried at ceil(log10 cond) + CARRY_DIGITS."""
+    def exponential_family(span):
+        jordan = any(d == 0 for _, d in span.basis())
+        return reference_family(span.rates[::2] if jordan else span.rates, span.T, jordan,
+                                carry=False)
+
     with monkeypatch.context() as m:
-        m.setattr(biortho_time, "CARRY_DIGITS", 10**6)
+        m.setattr(synthesis, "build_biortho", exponential_family)
         return synthesize(model, T, N)
 
 
 class TestCarriedDigits:
-    """A family carried at ceil(log10 cond) + 30 digits gives the same
-    samples, scalar control and norm as one kept at the solve's digits."""
+    """A family carried at ceil(log10 cond) + 30 digits of its basis's
+    Gram, close pairs as divided differences, gives the same samples,
+    scalar control and norm as the exponential-basis one kept at the gap
+    digits."""
 
     @pytest.mark.parametrize("model,T,N", _SAMPLE_PLANS + [
         (pointwise_heat(X0, y0_rule=lambda k, i: 1.0 / k), 0.4, 12)],
@@ -550,6 +573,16 @@ class TestCarriedDigits:
         assert np.array_equal(ts, ts_ref)
         assert np.array_equal(cols, cols_ref)
         assert (u is None and u_ref is None) or np.array_equal(u, u_ref)
+        assert plan.total_norm == ref.total_norm
+        np.testing.assert_array_equal(plan.per_mode_norm, ref.per_mode_norm)
+
+    @pytest.mark.parametrize("N", [8, 20])
+    @pytest.mark.parametrize("y0", [lambda k, i: 1.0, lambda k, i: 1.0 / k],
+                             ids=["one", "reciprocal"])
+    def test_academic_norms_match_exponential_family(self, monkeypatch, N, y0):
+        model = academic_lf(0.2, y0_rule=y0)
+        plan, ref = synthesize(model, 0.5, N), _solve_digit_plan(monkeypatch, model, 0.5, N)
+        assert plan.family.dps < ref.family.dps
         assert plan.total_norm == ref.total_norm
         np.testing.assert_array_equal(plan.per_mode_norm, ref.per_mode_norm)
 
