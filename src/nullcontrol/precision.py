@@ -3,8 +3,10 @@
 Gram matrices of near-coincident exponentials have condition numbers far
 beyond binary64 (and beyond double-double for the academic two-branch
 model), so the solvers run in mpmath arbitrary precision.  The dual solve
-takes its digits from one policy (``biortho_time.build_biortho``):
-DEFAULT_DPS, then ceil(log10 cond) + 30 when that is more, at most MAX_DPS.
+takes its digits from one policy (``biortho_time.build_biortho``): the
+family is carried at ceil(log10 cond) + 30 digits; the solve runs at the
+digits predicted for that carry, at least DEFAULT_DPS and at most MAX_DPS,
+and again at the carried digits only on a miss, when they are more.
 Everything user-facing is reported back as ordinary floats.
 """
 

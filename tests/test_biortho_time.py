@@ -18,9 +18,12 @@ from nullcontrol.biortho_time import (
 )
 from nullcontrol.cli import main
 from nullcontrol.errors import IllConditioned, NumericalError
-from nullcontrol.generators import AcademicLfRule, AppendixBRule
-from nullcontrol.models import PiecewiseConstant, cascade_boundary_q
+from nullcontrol.generators import AcademicLfRule, AppendixBRule, make_rule
+from nullcontrol.models import (
+    PiecewiseConstant, academic_lf, cascade_boundary_q, two_diffusion_boundary,
+)
 from nullcontrol.precision import DEFAULT_DPS, to_complex, to_mp, workdps
+from nullcontrol.spectral import from_rule
 from tests.exponential_reference import (
     auto_dps_for_gaps, exponential_span, int_pow_exp, min_log_rel_gap, reference_family,
     solve_dps,
@@ -43,6 +46,15 @@ def _float_gram(span):
 def _float_pairing(family, mu, a=0):
     """pair_with_exponential_mp as complex128."""
     return np.array([to_complex(v) for v in pair_with_exponential_mp(family, mu, a)])
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The digits of every dual solve, in call order."""
+    seen, solve = [], biortho_time._solve
+    monkeypatch.setattr(biortho_time, "_solve",
+                        lambda span, dps: seen.append(dps) or solve(span, dps))
+    return seen
 
 
 class TestExpGram:
@@ -178,9 +190,10 @@ class TestDualGram:
     Complex spans keep the product."""
 
     @staticmethod
-    def _product(fam):
+    def _product(fam, solved):
+        """C G C^H, G formed at the ``solved`` digits of the family's solve."""
         C = fam.mp_coeffs
-        with workdps(_solve_digits(fam)):
+        with workdps(solved):
             G = _pairing_mp(fam.span, None, True)
         with workdps(fam.dps):
             return C * G.apply(lambda x: +x) * C.transpose_conj()
@@ -191,9 +204,9 @@ class TestDualGram:
         ExponentialSpan(tuple(AcademicLfRule(0.2).mp_entries(20)), 0.5),
         ExponentialSpan(_twice(AppendixBRule(0.25).mp_entries(12)), 1.0),
     ], ids=["plain", "jordan", "academic_lf-N20", "appendixB-jordan"])
-    def test_real_span_is_coeffs(self, span):
+    def test_real_span_is_coeffs(self, span, solves):
         fam = build_biortho(span)
-        Q, want = fam.mp_dual_gram, self._product(fam)
+        Q, want = fam.mp_dual_gram, self._product(fam, solves[-1])
         # the exponential duals' Gram P^T M^{-1} P, with C = P^T M^{-1}
         with workdps(fam.dps):
             assert Q.tolist() == [biortho_time._transpose_paired(span.basis(), row)
@@ -206,10 +219,10 @@ class TestDualGram:
         assert float(worst) <= 10 * fam.residual
 
     @pytest.mark.parametrize("jordan", [False, True], ids=["plain", "jordan"])
-    def test_complex_span_is_product(self, jordan):
+    def test_complex_span_is_product(self, jordan, solves):
         rates = (1 + 1j, 2 - 0.5j, 3)
         fam = build_biortho(ExponentialSpan(_twice(rates) if jordan else rates, 1.0))
-        Q, want = fam.mp_dual_gram, self._product(fam)
+        Q, want = fam.mp_dual_gram, self._product(fam, solves[-1])
         assert (Q.rows, Q.cols) == (fam.size, fam.size)
         for i in range(fam.size):
             for j in range(fam.size):
@@ -299,6 +312,13 @@ class TestCauchyOracle:
         oracle = cauchy_inverse_oracle(rates)
         fam = build_biortho(ExponentialSpan(tuple(rates), None))
         np.testing.assert_allclose(np.array(fam.mp_coeffs.tolist(), dtype=float), oracle, rtol=1e-10)
+
+    def test_is_the_digit_predictors_diagonal(self):
+        # the log-form product the solve digits are predicted from
+        rates = [float(k * k) for k in range(1, 9)]
+        ln_diag, _ = biortho_time._cauchy_log_diag(ExponentialSpan(tuple(rates), None))
+        np.testing.assert_allclose(ln_diag, np.log(np.diag(cauchy_inverse_oracle(rates))),
+                                   rtol=1e-12)
 
 
 def _fsum_pairing(fam, mu, a):
@@ -425,16 +445,11 @@ def _span(rates, T, jordan):
     return ExponentialSpan(_twice(rates) if jordan else rates, T)
 
 
-def _solve_digits(fam):
-    """The digits build_biortho last solved at, without a residual retry:
-    DEFAULT_DPS, or the carried digits when they are more."""
-    return max(DEFAULT_DPS, fam.dps)
-
-
 class TestDpsPolicy:
     """The family is carried at ceil(log10 cond) + CARRY_DIGITS digits, cond
-    that of the basis's Gram, from one solve at DEFAULT_DPS and, when
-    those digits are more, one more at them.  The exponential-basis
+    that of the basis's Gram, from one solve at the digits predicted for
+    that carry; only on a miss, when the carried digits are more, is it
+    solved again at them.  The exponential-basis
     reference ran at digits chosen from the smallest relative rate gap and
     the system size, pinned at the values the package used, and carried
     min(solve digits, ceil(log10 cond) + CARRY_DIGITS); spans without a
@@ -491,32 +506,32 @@ class TestDpsPolicy:
         assert math.isfinite(fam.cond_estimate)
         assert 10**fam.cond_log10 == pytest.approx(fam.cond_estimate, rel=1e-12)
 
-    @pytest.mark.parametrize("case,digits", zip(_DPS_CASES[:3], [[60, 72], [60, 67], [60]]),
-                             ids=_DPS_IDS[:3])
-    def test_pairing_formed_once_per_solve(self, case, digits, monkeypatch):
+    @pytest.mark.parametrize("case,digits", zip(_DPS_CASES[:3], [74, 69, 60]), ids=_DPS_IDS[:3])
+    def test_pairing_formed_once_per_solve(self, case, digits, monkeypatch, solves):
         # the Gram of the condition estimate is rounded to the carried
-        # digits, not formed again there; a solve at DEFAULT_DPS is
-        # followed by one more only when the carried digits are more
-        pairings, solves = [], []
-        pairing, solve = biortho_time._pairing_mp, biortho_time._solve
+        # digits, not formed again there; the one solve runs at the digits
+        # predicted for the carry
+        pairings, pairing = [], biortho_time._pairing_mp
         monkeypatch.setattr(biortho_time, "_pairing_mp",
                             lambda *args: pairings.append(1) or pairing(*args))
-        monkeypatch.setattr(biortho_time, "_solve",
-                            lambda span, dps: solves.append(dps) or solve(span, dps))
-        fam = build_biortho(_span(*case))
+        span = _span(*case)
+        fam = build_biortho(span)
         assert fam.dps < solve_dps(case[0], case[2])
-        assert solves == digits and len(pairings) == len(solves)
-        assert solves[0] == DEFAULT_DPS and fam.dps <= solves[-1]
+        assert solves == [digits] == [biortho_time._predicted_dps(span)]
+        assert len(pairings) == len(solves) and fam.dps <= digits
 
-    def test_carried_family_matches_one_kept_at_solve_digits(self, monkeypatch):
+    def test_carried_family_matches_one_kept_at_solve_digits(self, monkeypatch, solves):
         # heat N=12 is carried below the digits it was solved at; with the
-        # carry raised to exactly those digits the same solve is kept whole,
-        # and the family is that solve rounded
+        # carry raised to exactly those digits (and the prediction's margin
+        # dropped, so that the solve stays at them) the same solve is kept
+        # whole, and the family is that solve rounded
         span = ExponentialSpan(tuple(k * k * PI2 for k in range(1, 13)), 0.5)
         fam = build_biortho(span)
         monkeypatch.setattr(biortho_time, "CARRY_DIGITS",
                             DEFAULT_DPS - math.ceil(fam.cond_log10))
+        monkeypatch.setattr(biortho_time, "PREDICT_MARGIN", 0)
         ref = build_biortho(span)
+        assert solves == [DEFAULT_DPS, DEFAULT_DPS]
         assert ref.dps == DEFAULT_DPS and fam.dps == 43
         assert fam.cond_estimate == ref.cond_estimate
         np.testing.assert_array_equal(fam.ln_norms, ref.ln_norms)
@@ -617,3 +632,118 @@ class TestPairedFamily:
         fam, ref = build_biortho(ExponentialSpan(rates, 0.5)), reference_family(rates, 0.5)
         assert fam.dps <= 60 < 222 == ref.dps
         np.testing.assert_array_equal(fam.ln_norms, ref.ln_norms)
+
+
+def _model_span(model, N, T):
+    """The span synthesize builds for the first N modes: every rate twice
+    once a mode is a Jordan chain."""
+    modes = model.modes(N)
+    step = 2 if any(m.kind == "jordan" for m in modes) else 1
+    return ExponentialSpan(tuple(m.lam_mp for m in modes for _ in range(step)), T)
+
+
+def _heat_span(N, T=0.4):
+    return ExponentialSpan(tuple(k * k * PI2 for k in range(1, N + 1)), T)
+
+
+def _power_span(p, N=30, T=0.5):
+    return ExponentialSpan(tuple(from_rule(make_rule("power", c=PI2, p=p), N).values[:N]), T)
+
+
+def _cascade_span(q, N, T=0.5):
+    return _model_span(cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, q),))), N, T)
+
+
+class TestPredictedDigits:
+    """The solve digits are predicted from the infinite-horizon Gram's
+    closed-form inverse before any solve: within PREDICT_MARGIN of the
+    measured log10 cond, so each of these spans is solved once."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: _heat_span(8), lambda: _heat_span(12), lambda: _heat_span(40),
+        lambda: _heat_span(60), lambda: _power_span(1.5), lambda: _power_span(2.0),
+        lambda: ExponentialSpan(tuple(AppendixBRule(0.25).mp_entries(40)), 1.0),
+        lambda: ExponentialSpan(tuple(AppendixBRule(1.0).mp_entries(40)), 1.0),
+        lambda: ExponentialSpan(tuple(AcademicLfRule(0.2).mp_entries(20)), 0.5),
+        lambda: ExponentialSpan(tuple(AcademicLfRule(0.2).mp_entries(40)), 0.5),
+        lambda: _cascade_span(0.5, 6), lambda: _cascade_span(2.0, 6),
+        lambda: _cascade_span(0.5, 16), lambda: _cascade_span(2.0, 16),
+    ], ids=["heat-N8", "heat-N12", "heat-N40", "heat-N60", "power-p1.5-N30",
+            "power-p2-N30", "appendixB-0.25-N40", "appendixB-1-N40", "academic-N20",
+            "academic-N40", "cascade-0.5-N6", "cascade-2-N6", "cascade-0.5-N16",
+            "cascade-2-N16"])
+    def test_within_margin_of_the_measured_condition(self, make, solves):
+        span = make()
+        fam = build_biortho(span)
+        predicted = biortho_time._predicted_log10_cond(span)
+        assert abs(predicted - fam.cond_log10) < biortho_time.PREDICT_MARGIN
+        assert solves == [biortho_time._predicted_dps(span)]
+        assert fam.dps == math.ceil(fam.cond_log10) + biortho_time.CARRY_DIGITS <= solves[0]
+
+    def test_infinite_horizon_predicts_as_finite(self, solves):
+        # the prediction reads no horizon; heat N=40 solves once at T = inf
+        assert biortho_time._predicted_dps(_heat_span(40, None)) \
+            == biortho_time._predicted_dps(_heat_span(40)) == 74
+        assert build_biortho(_heat_span(40, None)).dps == 72 and solves == [74]
+
+    @pytest.mark.parametrize("rate", [mp.ldexp(1, 10**20), mp.ldexp(1, -10**20)],
+                             ids=["above", "below"])
+    def test_rate_beyond_binary64_falls_back(self, rate):
+        span = ExponentialSpan((mp.mpf(1), rate), 1.0)
+        assert math.isnan(biortho_time._predicted_log10_cond(span))
+        assert biortho_time._predicted_dps(span) == DEFAULT_DPS
+
+    @pytest.mark.parametrize("make", [
+        lambda g: (mp.mpc(1, 1), mp.mpc(1, 1) + g, mp.mpf(3)),
+        lambda g: (mp.mpf(2), 2 + g, 2 + 2 * g, mp.mpf(5)),
+    ], ids=["complex-unpaired", "real-after-pair"])
+    def test_unresolved_float_gaps_use_mp(self, make):
+        # rates 1e-20 apart share their binary64 view: on a complex span
+        # they do not pair, and on a real one the third is left after the
+        # first two pair.  Their rows of the diagonal match the inverse of
+        # the infinite-horizon Gram at 200 digits; a pair's first row,
+        # whose partner factor is dropped, is not compared.
+        with workdps(60):
+            span = ExponentialSpan(make(mp.mpf("1e-20")), None)
+        assert len(set(map(to_complex, span.rates))) < span.size
+        ln_diag, _ = biortho_time._cauchy_log_diag(span)
+        with workdps(200):
+            C = mp.inverse(_pairing_mp(span, None, not span.real))
+            ref = [float(mp.log(abs(C[i, i]))) for i in range(span.size)]
+        firsts = {i - 1 for i, (_, d) in enumerate(span.basis()) if d is not None}
+        rows = [i for i in range(span.size) if i not in firsts]
+        np.testing.assert_allclose(np.array(ln_diag)[rows], np.array(ref)[rows], rtol=1e-12)
+
+
+class TestOneSolvePerSpan:
+    """The spans of the benchmark's nine `moments` jobs (the cascade's
+    coupling q, drawn in [0.5, 2], moves neither digit count): each is
+    solved once; the six solved once at DEFAULT_DPS before the prediction
+    still are, and every family is carried at the digits it was before."""
+
+    @pytest.mark.parametrize("make,solved,carried", [
+        (lambda: _heat_span(12), 60, 43),
+        (lambda: _model_span(academic_lf(0.2), 8, 0.5), 60, 41),
+        (lambda: _cascade_span(0.5, 6), 60, 45),
+        (lambda: _heat_span(8), 60, 39),
+        (lambda: _heat_span(40), 74, 72),
+        (lambda: _model_span(academic_lf(0.2), 20, 0.5), 60, 55),
+        (lambda: _cascade_span(2.0, 16), 69, 67),
+        (lambda: _model_span(two_diffusion_boundary(2.0), 24, 0.5), 60, 57),
+        (lambda: _power_span(2.0), 63, 62),
+    ], ids=["heat-N12", "academic-N8", "cascade-N6", "heat-N8", "heat-N40", "academic-N20",
+            "cascade-N16", "two_diffusion-N24", "power-N30"])
+    def test_moments_span(self, make, solved, carried, solves):
+        fam = build_biortho(make())
+        assert solves == [solved]
+        assert fam.dps == carried == math.ceil(fam.cond_log10) + biortho_time.CARRY_DIGITS
+
+    def test_short_horizon_miss_solves_again(self, solves):
+        # heat N=20 at T = 0.001: the horizon-free prediction (log10 cond
+        # 20.2) misses the measured 63.8, so the carried digits are solved
+        # at once more, as before the prediction
+        span = _heat_span(20, 0.001)
+        fam = build_biortho(span)
+        assert solves[0] == biortho_time._predicted_dps(span) == DEFAULT_DPS
+        assert fam.dps == math.ceil(fam.cond_log10) + biortho_time.CARRY_DIGITS == 94
+        assert len(solves) == 2 and fam.dps <= solves[-1]
