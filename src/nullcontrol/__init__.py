@@ -45,8 +45,6 @@ from .spectral import (
     check_hypotheses,
     condensation_profile,
     from_rule,
-    log_eprime_single_family,
-    log_eprime_two_family,
 )
 from .synthesis import (
     ControlPlan,

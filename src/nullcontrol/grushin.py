@@ -15,14 +15,20 @@ inverse-iteration steps from the h eigenvector prolonged to that grid, so a
 mode costs the h bisection plus one h/2 factor.  The omega-free potential
 integrals are assembled once per grid.  On grids fine enough that binary64
 rounding of the pencil exceeds lambda - n*pi, ``solve_mode`` raises GridTooFine.
-scipy (for dpttrf/dpttrs) is imported by the first factorization, not by
-importing this module.  ``grushin_tstar_profile`` solves each mode once and
-takes T_n from one trapezoid integral over the window's grid nodes.
+dpttrf/dpttrs come from scipy's ``_flapack`` extension alone, loaded by the
+first factorization, not by importing this module, and without
+``scipy.linalg``.  Every norm and Rayleigh quotient is a numpy pairwise sum,
+not a BLAS dot, so no output depends on the BLAS thread count.
+``grushin_tstar_profile`` solves each mode once and takes T_n from one
+trapezoid integral over the window's grid nodes.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -96,13 +102,38 @@ def _assemble(n: int, h: float):
     return grid, kd, ke, md, me
 
 
+@lru_cache(maxsize=1)
+def _flapack():
+    """scipy's LAPACK extension module, loaded by itself: importing
+    ``scipy.linalg`` would also load numpy.f2py, numpy.testing and numpy.ma,
+    and take longer than the whole 40-mode solve.  Importing
+    top-level ``scipy`` first keeps its shared-library setup."""
+    import scipy
+
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    found = importlib.machinery.PathFinder.find_spec("_flapack", [where])
+    if found is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {where}")
+    name = "scipy.linalg._flapack"
+    loader = importlib.machinery.ExtensionFileLoader(name, found.origin)
+    spec = importlib.util.spec_from_file_location(name, found.origin, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module
+
+
+def _dot(a, b) -> float:
+    """sum(a * b) by numpy's pairwise sum: single-threaded, so unlike a BLAS
+    dot its rounding does not depend on the thread count."""
+    return float(np.add.reduce(a * b))
+
+
 def _factor(kd, ke, md, me, sigma: float):
     """LDL^T factor (d, e) of K - sigma*M when it is positive definite, i.e.
     sigma lies below every pencil eigenvalue; None otherwise."""
-    from scipy.linalg.lapack import dpttrf  # scipy loads only when a mode is solved
-
     # the shifted diagonals are fresh temporaries, so dpttrf may factor them in place
-    d, e, info = dpttrf(kd - sigma * md, ke - sigma * me, overwrite_d=True, overwrite_e=True)
+    d, e, info = _flapack().dpttrf(kd - sigma * md, ke - sigma * me,
+                                   overwrite_d=True, overwrite_e=True)
     return (d, e) if info == 0 else None
 
 
@@ -127,16 +158,15 @@ def _tridiag_times(d, e, v):
 
 def _inverse_iteration(factor, md, me, v, iterations):
     """Steps v <- (K - sigma M)^{-1} M v through the kept factor of K - sigma M."""
-    from scipy.linalg.lapack import dpttrs
-
+    dpttrs = _flapack().dpttrs
     for _ in range(iterations):
         v = dpttrs(*factor, _tridiag_times(md, me, v))[0]
-        v /= np.linalg.norm(v)
+        v /= math.sqrt(_dot(v, v))
     return v
 
 
 def _rayleigh(kd, ke, md, me, v):
-    return float(v @ _tridiag_times(kd, ke, v)) / float(v @ _tridiag_times(md, me, v))
+    return _dot(v, _tridiag_times(kd, ke, v)) / _dot(v, _tridiag_times(md, me, v))
 
 
 def _solve_eig(n, h):

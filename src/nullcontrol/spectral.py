@@ -438,29 +438,3 @@ def blaschke_profile(seq: SpectralSequence, K: int,
     """Condensation surrogate computed through |W'| instead of |E'|."""
     return _log_derivative_profile("blaschke", blaschke_log_wprimes, seq, K, rel_tail_tol, window)
 
-
-# ---------------------------------------------------------------------------
-# closed-form cross-checks (sine/sinh canonical products)
-
-def ln_sinh(x: float) -> float:
-    """ln(sinh x) for x > 0 without overflow."""
-    if x > 30.0:
-        return x - math.log(2.0) + math.log1p(-math.exp(-2.0 * x))
-    return math.log(math.sinh(x))
-
-
-def log_eprime_single_family(k: int, scale: float = 1.0) -> float:
-    """ln|E'(lam_k)| for lam_j = scale*j^2: |E'| = sinh(k pi)/(2 pi k^3 scale)."""
-    return ln_sinh(k * math.pi) - math.log(2.0 * math.pi * k**3 * scale)
-
-
-def log_eprime_two_family(k: int, d: float, scale: float = 1.0) -> float:
-    """ln|E'(lam_k)| at lam_k = scale*k^2 for the merged family
-    {scale*j^2, scale*d*j^2}:
-
-    |E'| = d sinh(k pi) sinh(k pi/sqrt d) |sin(k pi/sqrt d)| / (2 pi^3 k^5 scale).
-    """
-    rd = math.sqrt(d)
-    return (math.log(d) + ln_sinh(k * math.pi) + ln_sinh(k * math.pi / rd)
-            + math.log(abs(math.sin(k * math.pi / rd)))
-            - math.log(2.0 * math.pi**3 * k**5 * scale))

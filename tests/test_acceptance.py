@@ -46,6 +46,7 @@ from nullcontrol.grushin import expected_observation_asymptote, observation_inte
 from nullcontrol.models import PiecewiseConstant
 from nullcontrol.synthesis import biorthogonalize_gram
 from nullcontrol.cli import main as cli_main
+from tests.closed_forms import log_eprime_two_family
 
 PI2 = math.pi**2
 X0 = math.sqrt(2.0) - 1.0
@@ -65,7 +66,7 @@ def criterion_01():
         for k in range(1, 21):
             idx = int(np.searchsorted(fl, k * k * (1 - 1e-12)) + 1)
             got = nc.spectral.log_E_primes(seq, [idx], rel_tail_tol=1e-7)[0]
-            want = nc.log_eprime_two_family(k, d, scale=1.0)
+            want = log_eprime_two_family(k, d, scale=1.0)
             worst = max(worst, abs(got - want) / abs(want))
     dt = time.perf_counter() - t0
     return worst <= 1e-6 and dt < 1.0, f"max rel err {worst:.2e}, {dt:.2f}s"

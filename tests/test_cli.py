@@ -172,6 +172,42 @@ def test_cold_start_loads_neither_scipy_nor_numpy_ma(tmp_path):
     assert json.loads(proc.stdout) == [0, False, False]
 
 
+def test_cold_start_grushin_loads_no_scipy_linalg(tmp_path):
+    # the cross-section solve loads scipy's _flapack extension by itself
+    cfgp = _write_config(tmp_path, {"command": "grushin",
+                                    "params": {"a": 0.3, "b": 0.5, "n_max": 2, "h": 1e-3}})
+    unloaded = ("scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma")
+    script = (
+        "import json, sys\n"
+        "import nullcontrol.cli as cli\n"
+        f"rc = cli.main(['--config', {str(cfgp)!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+        f"print(json.dumps([rc] + [m in sys.modules for m in {unloaded!r}]))\n"
+    )
+    env = dict(os.environ, MPMATH_NOGMPY="1", PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, False, False, False, False]
+
+
+def test_grushin_csv_independent_of_blas_threads(tmp_path):
+    # at h = 1e-4 the h/2 grid's vectors exceed OpenBLAS's threading
+    # threshold; the solve's reductions must not round by thread count
+    cfgp = _write_config(tmp_path, {"command": "grushin",
+                                    "params": {"a": 0.3, "b": 0.5, "n_max": 3, "h": 1e-4}})
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"o{threads}"
+        env = dict(os.environ, MPMATH_NOGMPY="1", PYTHONPATH=str(SRC),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "nullcontrol.cli", "--config", str(cfgp),
+                               "--out", str(out)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        csvs.append((out / "grushin.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 class TestIndices:
     def test_two_diffusion_csv_columns(self, tmp_path):
         cfg = {"command": "indices",

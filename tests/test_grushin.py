@@ -1,5 +1,6 @@
 """Cross-section eigenproblem: bounds, symmetry, observation decay."""
 
+import importlib.machinery
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from nullcontrol.grushin import (
     _solve_eig,
     expected_observation_asymptote,
 )
+from tests.grushin_reference import blas_reductions
 
 H = 2e-4
 
@@ -97,6 +99,36 @@ class TestPencilBisection:
         assert np.max(np.abs(v - vec0)) <= 1e-8
 
 
+class TestFlapackLoader:
+    """dpttrf/dpttrs from the _flapack extension loaded by itself are
+    scipy.linalg.lapack's, bit for bit, on both sides of the switch."""
+
+    @pytest.mark.parametrize("side", [1 - 1e-8, 1 + 1e-8], ids=["below", "above"])
+    @pytest.mark.parametrize("n", [1, 5, 20, 40])
+    def test_factor_and_solve_bitwise_equal(self, n, side):
+        _, kd, ke, md, me = _assemble(n, 0.02)
+        lam0, _ = TestPencilBisection._dense_smallest(kd, ke, md, me)
+        sigma = lam0 * side
+        flapack = grushin._flapack()
+        got = flapack.dpttrf(kd - sigma * md, ke - sigma * me)
+        want = scipy.linalg.lapack.dpttrf(kd - sigma * md, ke - sigma * me)
+        assert got[2] == want[2] and (got[2] == 0) == (side < 1)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        if got[2] == 0:
+            rhs = np.linspace(-1.0, 2.0, len(kd))
+            x, info = flapack.dpttrs(got[0], got[1], rhs)
+            x_want, info_want = scipy.linalg.lapack.dpttrs(want[0], want[1], rhs)
+            assert info == info_want == 0
+            assert x.tobytes() == x_want.tobytes()
+
+    def test_missing_extension_names_the_path(self, monkeypatch):
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            classmethod(lambda cls, name, path=None, target=None: None))
+        with pytest.raises(ImportError, match=r"_flapack not found in .*linalg"):
+            grushin._flapack.__wrapped__()
+
+
 class TestCertifiedBracket:
     """Every reported lambda is the upper end of an LDL^T-inertia bracket."""
 
@@ -136,6 +168,21 @@ class TestRichardsonPartner:
             ref = _solve_eig(n, h / 2)[2]
             assert abs(mode.meta["lam_half_step"] - ref) <= 5e-8 * ref
             assert abs(mode.meta["richardson_err"] - abs(mode.lam - ref)) <= 5e-8 * ref
+
+
+class TestBlasReference:
+    """The numpy-sum reductions against the BLAS dots they replace
+    (tests/grushin_reference.py): the outputs move only by rounding."""
+
+    @pytest.mark.parametrize("a", [0.25, 0.3, 0.398582, 0.45])
+    def test_profile_matches_blas_reductions(self, a):
+        new = grushin_tstar_profile(a, a + 0.2, 40, H)
+        with blas_reductions():
+            ref = grushin_tstar_profile(a, a + 0.2, 40, H)
+        for got, want, rtol in ((new.extras["lambda"], ref.extras["lambda"], 1e-11),
+                                (new.values, ref.values, 1e-11),
+                                (new.extras["integral"], ref.extras["integral"], 1e-14)):
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
 
 
 class TestObservationIntegral:

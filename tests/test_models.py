@@ -228,7 +228,7 @@ class TestTwoDiffusion:
             assert np.all(np.diff(mods) > 0)
 
     def test_condensation_tail_matches_closed_form_profile(self):
-        from nullcontrol import log_eprime_two_family
+        from tests.closed_forms import log_eprime_two_family
 
         model = two_diffusion_boundary(2.0)
         prof = model.tmin_profile(30)

@@ -12,8 +12,6 @@ from nullcontrol import (
     check_hypotheses,
     condensation_profile,
     from_rule,
-    log_eprime_single_family,
-    log_eprime_two_family,
     make_rule,
 )
 from nullcontrol import spectral
@@ -24,6 +22,7 @@ from nullcontrol.errors import (
     TooFewModes,
 )
 from nullcontrol.precision import to_complex, workdps
+from tests.closed_forms import log_eprime_single_family, log_eprime_two_family
 
 PI2 = math.pi**2
 
