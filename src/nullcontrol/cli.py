@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import islice
 from pathlib import Path
 
 import jsonschema
@@ -51,16 +52,33 @@ def _validate(validator, instance):
         raise error
 
 
+# rows formatted and written at a time, so that no file is built whole in memory
+_WRITE_ROWS = 256
+
+
+def _write_rows(path: Path, head: str, line: str, rows):
+    """head, then line % row for each row: a 2-D array's rows as lists of
+    floats, or the items of any iterable of sequences."""
+    with path.open("w") as f:
+        f.write(head)
+        if isinstance(rows, np.ndarray):
+            blocks = (rows[i:i + _WRITE_ROWS].tolist() for i in range(0, len(rows), _WRITE_ROWS))
+        else:
+            rows = iter(rows)
+            blocks = iter(lambda: list(islice(rows, _WRITE_ROWS)), [])
+        for block in blocks:
+            f.write("".join([line % tuple(row) for row in block]))
+
+
 def _write_csv(path: Path, header, rows):
     # %.17g round-trips every binary64 value, spells +-inf as inf/-inf and
     # prints the integer columns exactly (indices, far below 2^53)
-    line = ",".join(["%.17g"] * len(header))
-    path.write_text("\n".join([",".join(header)] + [line % tuple(row) for row in rows]) + "\n")
+    _write_rows(path, ",".join(header) + "\n", ",".join(["%.17g"] * len(header)) + "\n", rows)
 
 
 def _write_dat(path: Path, xs, ys):
-    pairs = zip(np.asarray(xs).tolist(), np.asarray(ys).tolist())
-    path.write_text("\n".join(["%.17g %.17g" % xy for xy in pairs]) + "\n")
+    _write_rows(path, "", "%.17g %.17g\n",
+                zip(np.asarray(xs).tolist(), np.asarray(ys).tolist()))
 
 
 def _write_json(path: Path, payload):
@@ -221,7 +239,7 @@ def _run_synthesize(cfg, out, params, meta):
         header.append("u")
         columns.append(u)
         _write_dat(out / "control.dat", ts, u)
-    _write_csv(out / "control.csv", header, np.column_stack(columns).tolist())
+    _write_csv(out / "control.csv", header, np.column_stack(columns))
     _write_json(out / "residuals.json", meta | {"data": {
         "max_abs_residual": report.max_abs,
         "tail_bound": report.tail_bound,

@@ -97,6 +97,14 @@ def int_parts(values) -> IntVector:
     return int_parts_raw(flat, cplx)
 
 
+def check_spread(spread: int):
+    """Raise NumericalError when an exact sum would align values whose
+    exponents spread over more than MAX_SPREAD_BITS bits."""
+    if spread > MAX_SPREAD_BITS:
+        raise NumericalError(f"exact sum over values spread across {spread} bits, "
+                             f"more than {MAX_SPREAD_BITS}")
+
+
 def int_parts_raw(flat, cplx: bool) -> IntVector:
     """``int_parts`` of raw mpf tuples: one per value, or (re, im) pairs
     laid out flat when ``cplx``."""
@@ -107,10 +115,7 @@ def int_parts_raw(flat, cplx: bool) -> IntVector:
     if len(exps) < len(flat) and any(x[3] for x in flat if not x[1]):
         raise ValueError("exact integer form of a non-finite value")
     exp = min(exps, default=0)
-    spread = max(exps, default=0) - exp
-    if spread > MAX_SPREAD_BITS:
-        raise NumericalError(f"exact sum over values spread across {spread} bits, "
-                             f"more than {MAX_SPREAD_BITS}")
+    check_spread(max(exps, default=0) - exp)
     ints = [0 if not man else -(man << (e - exp)) if sign else man << (e - exp)
             for sign, man, e, _ in flat]
     if cplx:
@@ -143,22 +148,28 @@ def int_dot(a: IntVector, b: IntVector):
     return mp.make_mpc((re, im))
 
 
-def _round_half_even(man: int, bits: int):
-    """(m, shift) with m 2^shift the integer ``man`` rounded half to even
-    to ``bits`` significant bits."""
+def round_half_even(man: int, exp: int, bits: int):
+    """man 2^exp rounded half to even to ``bits`` significant bits, as
+    (mantissa, exponent); unchanged when man has at most ``bits`` bits."""
     shift = man.bit_length() - bits
     if shift <= 0:
-        return man, 0
-    m, rem = divmod(man, 1 << shift)   # floor, so 0 <= rem < 2^shift
-    half = 1 << (shift - 1)
-    if rem > half or (rem == half and m & 1):
-        m += 1
-    return m, shift
+        return man, exp
+    # floor(man / 2^(shift - 1)): its last bit is the half bit, the bits
+    # below it are nonzero off a tie, and the bit above is the parity
+    m = man >> (shift - 1)
+    if m & 1 and (m & 2 or man & ((1 << (shift - 1)) - 1)):
+        return (m >> 1) + 1, exp + shift
+    return m >> 1, exp + shift
 
 
 def int_dot_real(a: IntVector, b: IntVector, prec: int) -> float:
-    """Re(sum_j a_j b_j) summed exactly, rounded half to even to ``prec``
-    bits and then to float, in integer arithmetic: the double rounding of
+    """Re(sum_j a_j b_j) summed exactly and rounded by ``round_to_float``."""
+    return round_to_float(_re_man(a, b), a.exp + b.exp, prec)
+
+
+def round_to_float(man: int, exp: int, prec: int) -> float:
+    """man 2^exp rounded half to even to ``prec`` bits and then to float,
+    in integer arithmetic: the double rounding of
     ``libmp.to_float(libmp.from_man_exp(man, exp, prec, "n"))``.
 
     CPython converts an int to float correctly rounded, half to even, and
@@ -168,11 +179,10 @@ def int_dot_real(a: IntVector, b: IntVector, prec: int) -> float:
     below 2^1024, so past 1000 bits of ``prec`` the mantissa is rounded to
     53 bits in integers first.
     """
-    man, shift = _round_half_even(_re_man(a, b), prec)
+    man, exp = round_half_even(man, exp, prec)
     if prec > 1000:
-        man, extra = _round_half_even(man, 53)
-        shift += extra
+        man, exp = round_half_even(man, exp, 53)
     try:
-        return math.ldexp(float(man), a.exp + b.exp + shift)
+        return math.ldexp(float(man), exp)
     except OverflowError:
         return -math.inf if man < 0 else math.inf

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import mpmath as mp
 import numpy as np
@@ -31,8 +32,8 @@ from .errors import (
 from .models import Block2x2, ParabolicModel
 from .observations import Scalar, combine
 from .precision import (
-    DEFAULT_DPS, int_dot, int_dot_real, int_parts, int_parts_raw, mp_log_abs, to_complex, to_mp,
-    workdps,
+    DEFAULT_DPS, MAX_SPREAD_BITS, IntVector, check_spread, int_dot, int_parts,
+    mp_log_abs, round_half_even, round_to_float, to_complex, to_mp, workdps,
 )
 
 _TAIL_MODES = 50
@@ -304,6 +305,22 @@ def verify_moments(plan: ControlPlan, N_check: int | None = None) -> MomentResid
     return MomentResidualReport(residuals, max_abs, plan.tail_bound, leakage)
 
 
+def _signed(x):
+    """(signed mantissa, exponent) of a raw mpf tuple; an inf or nan raises
+    ValueError, as in ``precision.int_parts``."""
+    sign, man, exp, bc = x
+    if bc and not man:   # an inf or nan has a zero mantissa and a nonzero bit count
+        raise ValueError("exact integer form of a non-finite value")
+    return (-man if sign else man), exp
+
+
+def _exact_sum(a, ea, b, eb):
+    """a 2^ea + b 2^eb as (mantissa, exponent), exactly."""
+    if ea <= eb:
+        return a + (b << (eb - ea)), ea
+    return (a << (ea - eb)) + b, eb
+
+
 def _basis_samples(basis, T: float, ts, prec: int):
     """Yield the basis values e^{-r s} and e^{-r s} phi_d(s) at each
     s_i = T - t_i, in the exact integer form of ``precision.int_parts``.
@@ -314,19 +331,25 @@ def _basis_samples(basis, T: float, ts, prec: int):
     step (np.linspace has a dozen or two).  A pair's phi_d(s) =
     (1 - e^{-d s}) / d follows phi <- e^{d d_i} phi - expm1(d d_i) / d,
     with one cached pair of factors per d > 0 and distinct step; at d = 0
-    (a Jordan chain) phi is s itself.  Both are carried with
-    len(ts).bit_length() + 1 guard bits, so that the drift after len(ts)
-    steps stays below one unit in the last place at ``prec`` bits, of the
-    value for e^{-r s} and of the pair's scale T for phi.
+    (a Jordan chain) phi is s itself.  Both are carried at
+    wp = prec + len(ts).bit_length() + 1 bits, so that the drift after
+    len(ts) steps stays below one unit in the last place at ``prec`` bits,
+    of the value for e^{-r s} and of the pair's scale T for phi.
 
-    Per sample the recurrence costs two exact subtractions (s and d), one
-    product per rate and per paired row, and a product and a difference
-    per distinct d > 0, rounded to nearest at the carried precision, all
-    on raw mpf tuples (mpc pairs for a complex rate) through ``libmp``: no
-    mp scalar and no precision context is built per sample.  s is exact
-    (T and t are doubles of nearby magnitude, so s has far fewer bits than
-    are carried), so s e^{-r s} is the rounded s e^{-r s}.  A d > 0 pairs
-    real rates only.
+    Every value is a signed integer mantissa and an exponent.  T and the
+    t_i are doubles, so s_i and d_i are exact integers over the grid's
+    smallest exponent.  A step takes the exact integer product (for a
+    complex rate, the exact aligned re and im of the product; for phi, the
+    exact aligned difference after its rounded product) and rounds it half
+    to even to wp bits: the value ``libmp.mpf_mul``, ``mpf_sub`` and
+    ``mpc_mul`` return at wp bits, rounding to nearest, with no libmp call
+    and no mp scalar per sample.  s e^{-r s} is the rounded product with
+    the exact s.  A d > 0 pairs real rates only.
+
+    Each sample's values are aligned to their smallest exponent; their
+    spread is checked against ``precision.MAX_SPREAD_BITS``.  Only the
+    cached factors come from mpmath, and the check for an inf or nan is
+    made on them: integer mantissas hold neither.
     """
     rates = list(dict.fromkeys(r for r, _ in basis))
     deltas = list(dict.fromkeys(d for _, d in basis if d))
@@ -334,45 +357,86 @@ def _basis_samples(basis, T: float, ts, prec: int):
     slots = [(rates.index(r), None if d is None else deltas.index(d) if d else -1)
              for r, d in basis]
     cplx = [type(r) is mp.mpc for r in rates]
-    mul = [libmp.mpc_mul if c else libmp.mpf_mul for c in cplx]
-    smul = [libmp.mpc_mul_mpf if c else libmp.mpf_mul for c in cplx]   # s is real
     flat_c = any(cplx)
+    size = len(basis)
     wp = prec + len(ts).bit_length() + 1
 
+    # T and every t_i as integers over one exponent e0, their smallest
+    ts = [float(t) for t in ts]
+    scale = max(x.as_integer_ratio()[1] for x in ts + [float(T)])   # a power of two
+    e0 = 1 - scale.bit_length()
+
+    def fixed(x):
+        """x / 2^e0, exactly, for a double x."""
+        num, den = x.as_integer_ratio()
+        return num * (scale // den)
+
+    T_int = fixed(float(T))
+
     def factors(x):
-        """e^{r x} per rate, and (e^{d x}, expm1(d x) / d) per d > 0, as raw
-        tuples, for a raw mpf x."""
+        """e^{r x} per rate, and (e^{d x}, -expm1(d x) / d) per d > 0, as
+        signed (mantissa, exponent) pairs (re and im pairs for a complex
+        rate), for x 2^e0."""
         with mp.workprec(wp):
-            x = mp.make_mpf(x)
+            x = mp.make_mpf(libmp.from_man_exp(x, e0))
             vals = [mp.exp(r * x) for r in rates]
             em1 = [mp.expm1(d * x) for d in deltas]
-            pairs = [((m + 1)._mpf_, (m / d)._mpf_) for m, d in zip(em1, deltas)]
-        return [v._mpc_ if c else v._mpf_ for v, c in zip(vals, cplx)], pairs
+            pairs = [(_signed((m + 1)._mpf_), _signed((-m / d)._mpf_))
+                     for m, d in zip(em1, deltas)]
+        return [tuple(map(_signed, v._mpc_)) if c else _signed(v._mpf_)
+                for v, c in zip(vals, cplx)], pairs
 
-    T_raw = libmp.from_float(float(T))
+    def scaled(z, w, c):
+        """z w rounded, for a real w and z complex when c, else real."""
+        m, x = w
+        if c:
+            return tuple([round_half_even(a * m, b + x, wp) for a, b in z])
+        return round_half_even(z[0] * m, z[1] + x, wp)
+
+    def ctimes(z, w):
+        """z w rounded, re and im each from the exact products, for complex z and w."""
+        (a, ea), (b, eb) = z
+        (c, ec), (d, ed) = w
+        return (round_half_even(*_exact_sum(a * c, ea + ec, -(b * d), eb + ed), wp),
+                round_half_even(*_exact_sum(a * d, ea + ed, b * c, eb + ec), wp))
+
+    zero = (0, 0)
     steps = {}
-    prev = None
+    s_prev = None
     for t in ts:
-        s = libmp.mpf_sub(T_raw, libmp.from_float(float(t)))   # exact
-        if prev is None:
-            e, phi = factors(libmp.mpf_neg(s))
-            phi = [libmp.mpf_neg(c) for _, c in phi]   # phi_d(s) = -expm1(-d s) / d
+        s = T_int - fixed(t)   # exact, s 2^e0
+        if s_prev is None:
+            e, phi = factors(-s)
+            phi = [c for _, c in phi]   # phi_d(s) = -expm1(-d s) / d
         else:
-            d = libmp.mpf_sub(prev, s)   # exact
-            step = steps.get(d)
+            step = steps.get(s_prev - s)
             if step is None:
-                step = steps[d] = factors(d)
-            e = [m(a, b, wp, "n") for m, a, b in zip(mul, e, step[0])]
-            phi = [libmp.mpf_sub(libmp.mpf_mul(f, p, wp, "n"), c, wp, "n")
-                   for p, (f, c) in zip(phi, step[1])]
-        prev = s
-        values = [e[k] if j is None else smul[k](e[k], s, wp, "n") if j < 0
-                  else libmp.mpf_mul(e[k], phi[j], wp, "n") for k, j in slots]
+                step = steps[s_prev - s] = factors(s_prev - s)
+            e = [ctimes(a, f) if c else round_half_even(a[0] * f[0], a[1] + f[1], wp)
+                 for a, f, c in zip(e, step[0], cplx)]
+            phi = [round_half_even(*_exact_sum(*round_half_even(p * f, x + y, wp), *c), wp)
+                   for (p, x), ((f, y), c) in zip(phi, step[1])]
+        s_prev = s
+        values = [e[k] if j is None else scaled(e[k], (s, e0) if j < 0 else phi[j], cplx[k])
+                  for k, j in slots]
         if flat_c:
-            # an (re, im) pair has length 2, an mpf tuple 4: a value of a
-            # real rate takes a zero imaginary part
-            values = [x for v in values for x in (v if len(v) == 2 else (v, libmp.fzero))]
-        yield int_parts_raw(values, flat_c)
+            # re parts, then im parts; a value of a real rate takes a zero im
+            values = [v[0] if cplx[k] else v for v, (k, _) in zip(values, slots)] \
+                + [v[1] if cplx[k] else zero for v, (k, _) in zip(values, slots)]
+        exps = [x for m, x in values if m]
+        lo, hi = min(exps, default=0), max(exps, default=0)
+        # a value has at most wp + 1 bits, so its lowest set bit lies at
+        # most wp above its exponent: only a coarse spread that close to
+        # the limit needs the exact one
+        if hi - lo + wp > MAX_SPREAD_BITS:
+            exact = [x + (m & -m).bit_length() - 1 for m, x in values if m]
+            check_spread(max(exact) - min(exact))
+        ints = [m << (x - lo) if m else 0 for m, x in values]
+        yield IntVector(ints[:size], ints[size:], lo)
+
+
+# samples per exact object-matrix product in sample_plan
+_SAMPLE_BLOCK = 64
 
 
 def sample_plan(plan: ControlPlan, n: int = 2000):
@@ -384,19 +448,23 @@ def sample_plan(plan: ControlPlan, n: int = 2000):
 
     Each term's coefficient is folded into its dual row once at the
     family's working precision; the basis values, e^{-r s} and on a
-    pair's second row e^{-r s} phi_d(s), come from the recurrences of
-    ``_basis_samples``.  Each sample is an exact
-    integer dot product of a folded row with the basis values, both in the
-    shared form ``precision.int_parts``, rounded once to the family's
-    precision and then to float (``precision.int_dot_real``).  The sum
-    stays exact at any exponent spread (the basis values fall by hundreds
-    of bits between s = 0 and s = T), where mp.fdot may drop terms.
+    pair's second row e^{-r s} phi_d(s), come from the integer recurrences
+    of ``_basis_samples``.  Each sample is the exact integer dot product
+    of a folded row with the basis values, both in the shared form
+    ``precision.int_parts``, rounded once to the family's precision and
+    then to float (``precision.round_to_float``, the rounding of
+    ``precision.int_dot_real``).  The sum stays exact at any exponent
+    spread (the basis values fall by hundreds of bits between s = 0 and
+    s = T), where mp.fdot may drop terms.
 
     Cost: (rates + distinct pair gaps) * (1 + distinct grid steps) mp
-    exponentials; per sample, two exact tuple subtractions and about basis
-    libmp products at the carried precision; then n * terms integer dot products of length
-    basis, each with one integer rounding and one int -> float
-    conversion.  No mp scalar is built per sample.
+    exponentials; per sample, about one integer product and one
+    half-even rounding per basis value at the carried precision, with no
+    libmp call and no mp scalar; per block of samples, one object-dtype
+    matrix product of the folded rows with the samples' integers (two for
+    a complex span), which numpy runs as Python int products and sums
+    without an interpreter loop; then n * terms integer roundings and int
+    -> float conversions.
     """
     T = float(plan.T)
     ts = np.linspace(0.0, T, n)
@@ -405,9 +473,20 @@ def sample_plan(plan: ControlPlan, n: int = 2000):
         prec = mp.mp.prec
         rows = [int_parts([term.coeff_mp * c for c in family.mp_coeffs[term.basis_index, :]])
                 for term in plan.terms]
-    samples = [[int_dot_real(a, f, prec) for a in rows]
-               for f in _basis_samples(family.span.basis(), T, ts, prec)]
-    cols = np.array(samples, dtype=float).reshape(n, len(rows)).T.copy()
+    rows_re = np.array([a.re for a in rows], dtype=object)
+    # Re(a b) = a.re b.re - a.im b.im; a real row has no imaginary part
+    rows_im = (np.array([a.im or [0] * len(a.re) for a in rows], dtype=object)
+               if any(a.im for a in rows) else None)
+    cols = np.empty((len(rows), n))
+    samples = _basis_samples(family.span.basis(), T, ts, prec)
+    for start in range(0, n, _SAMPLE_BLOCK):
+        block = list(islice(samples, _SAMPLE_BLOCK))
+        mans = rows_re @ np.array([f.re for f in block], dtype=object).T
+        if rows_im is not None and block[0].im:
+            mans -= rows_im @ np.array([f.im for f in block], dtype=object).T
+        for col, a, row in zip(cols, rows, mans.tolist()):
+            col[start:start + len(block)] = [round_to_float(m, a.exp + f.exp, prec)
+                                             for m, f in zip(row, block)]
     scalars = [getattr(t.direction, "value", None) for t in plan.terms]
     u = None
     if all(v is not None and np.imag(v) == 0 for v in scalars):

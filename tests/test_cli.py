@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -270,6 +271,18 @@ class TestSynthesize:
         header = (out / "control.csv").read_text().splitlines()[0].split(",")
         assert header[0] == "t" and header[-1] == "u"
 
+    def test_exponent_spread_refused(self, tmp_path, capsys):
+        # at T = 1e5 the plan's values spread over e^{-lam T}, about 9e7
+        # bits: the exact sums refuse them instead of aligning them
+        cfg = {"command": "synthesize",
+               "model": {"name": "pointwise_heat", "x0": math.sqrt(2.0) - 1.0, "y0": "one"},
+               "params": {"T": 1e5, "N": 8}}
+        cfgp = _write_config(tmp_path, cfg)
+        assert main(["--config", str(cfgp), "--out", str(tmp_path / "o")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NUMERICAL"
+        assert "spread across 89704627 bits" in err["message"]
+
     def test_unobservable_exit_code(self, tmp_path, capsys):
         cfg = {"command": "synthesize",
                "model": {"name": "pointwise_heat", "x0": 0.5},
@@ -528,6 +541,33 @@ class TestWriters:
             f"{_fmt_per_value(x)} {_fmt_per_value(y)}\n" for x, y in zip(xs, ys))
         cli._write_dat(path, range(1, 3), [0.5, math.nan])
         assert path.read_text() == "1 0.5\n2 nan\n"
+
+    def test_blocks_of_rows(self, tmp_path):
+        # a row count that is not a multiple of the block, from an array
+        # and from an iterator, gives the bytes of one joined string
+        n = 2 * cli._WRITE_ROWS + 3
+        table = np.arange(3.0 * n).reshape(n, 3) / 7
+        path = tmp_path / "t.csv"
+        want = "x,y,z\n" + "".join("%.17g,%.17g,%.17g\n" % tuple(r) for r in table.tolist())
+        cli._write_csv(path, ["x", "y", "z"], table)
+        assert path.read_text() == want
+        cli._write_csv(path, ["x", "y", "z"], iter(table.tolist()))
+        assert path.read_text() == want
+
+    def test_control_csv_write_peak(self, tmp_path):
+        # a 2000-row control.csv of 14 columns is written a block of rows
+        # at a time: joined whole, its lines and text take about 2.4 MB
+        rng = np.random.default_rng(0)
+        table = rng.standard_normal((2000, 14)) * 10.0 ** rng.integers(-300, 300, (2000, 14))
+        header = ["t"] + [f"term_{k}_1" for k in range(12)] + ["u"]
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "control.csv", header, table)
+            cli._write_dat(tmp_path / "control.dat", table[:, 0], table[:, -1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8e6
 
 
 # Schema fuzz: every schema-valid config ends with exit 0, 2 or 3, and exits

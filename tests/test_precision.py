@@ -17,7 +17,8 @@ from nullcontrol.generators import make_rule
 from nullcontrol.models import PiecewiseConstant, cascade_boundary_q
 from nullcontrol.errors import NumericalError
 from nullcontrol.precision import (
-    MAX_SPREAD_BITS, IntVector, int_dot, int_dot_real, int_parts, mp_log_abs, workdps,
+    MAX_SPREAD_BITS, IntVector, int_dot, int_dot_real, int_parts, mp_log_abs, round_half_even,
+    workdps,
 )
 
 PI2 = math.pi**2
@@ -203,6 +204,28 @@ class TestSpreadBudget:
         # CPython can shift to)
         with pytest.raises(NumericalError, match="spread"):
             int_parts([mp.mpf(3), mp.ldexp(1, -spread)])
+
+
+class TestRoundHalfEven:
+    """round_half_even, the step of the sampling recurrence, against
+    libmp's rounding to nearest, bit for bit."""
+
+    @pytest.mark.parametrize("bits", [53, 150, 1037])
+    def test_matches_libmp(self, bits):
+        rng = random.Random(bits)
+        cases = _edge_cases(bits)
+        cases += [(rng.getrandbits(rng.randint(1, 3 * bits)), rng.randint(-3000, 3000))
+                  for _ in range(300)]
+        for _ in range(100):
+            # halfway between two bits-bit neighbours, m even or odd
+            m, k = rng.getrandbits(bits) | 1 << (bits - 1), rng.randint(1, 80)
+            cases.append(((m << k) | 1 << (k - 1), rng.randint(-3000, 3000)))
+        for man, exp in cases:
+            for sign in (1, -1):
+                m, e = round_half_even(sign * man, exp, bits)
+                assert abs(m).bit_length() <= bits + 1
+                want = libmp.from_man_exp(sign * man, exp, bits, "n")
+                assert libmp.from_man_exp(m, e) == want, (sign * man, exp)
 
 
 class TestIntDotReal:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import sys
 
 import mpmath as mp
@@ -22,7 +23,7 @@ from nullcontrol import (
     two_diffusion_pointwise,
     verify_moments,
 )
-from nullcontrol import synthesis
+from nullcontrol import biortho_time, synthesis
 from nullcontrol.errors import (
     DegenerateFamily,
     NumericalError,
@@ -33,7 +34,8 @@ from nullcontrol.errors import (
 )
 from nullcontrol.models import ParabolicModel, PointwiseHeatModel, SpectralMode
 from nullcontrol.observations import Scalar
-from nullcontrol.precision import to_complex, to_mp
+from nullcontrol.precision import MAX_SPREAD_BITS, to_complex, to_mp
+from tests import sampling_reference
 from tests.exponential_reference import reference_family
 
 PI2 = math.pi**2
@@ -502,8 +504,9 @@ class TestSamplePlan:
 
     @pytest.mark.parametrize("model,T,N", _SAMPLE_PLANS[:2], ids=_SAMPLE_IDS[:2])
     def test_recurrence_drift_below_one_ulp(self, model, T, N):
-        # every basis value stays within 2^-prec relative of s^p e^{-r s},
-        # below one unit in the last place at the family's precision
+        # every basis value of the integer recurrence stays within 2^-prec
+        # relative of s^p e^{-r s}, below one unit in the last place at the
+        # family's precision
         plan = synthesize(model, T, N)
         with mp.workdps(plan.family.dps):
             prec = mp.mp.prec
@@ -538,6 +541,125 @@ class TestSamplePlan:
 
         plan, count = _count_exp_calls(synthesize_and_verify)
         assert count <= 6 * plan.family.size
+
+
+_Y0 = {"one": lambda k, i: 1.0, "reciprocal": lambda k, i: 1.0 / k,
+       "reciprocal_sq": lambda k, i: 1.0 / k**2}
+
+
+def _moments_synthesize_plans(seed):
+    """The four synthesize jobs of the benchmark's moments workload, with
+    x0, q and y0 drawn from ``seed`` over the ranges the benchmark draws."""
+    rng = random.Random(seed)
+
+    def x0(n):
+        # observations sin(k pi x0), k <= n, all away from zero
+        while True:
+            x = rng.uniform(0.2, 0.45)
+            if min(abs(math.sin(k * math.pi * x)) for k in range(1, n + 1)) >= 0.05:
+                return x
+
+    y0 = _Y0[rng.choice(sorted(_Y0))]
+    return [
+        (pointwise_heat(x0(12), y0_rule=y0), 0.4, 12),
+        (academic_lf(0.2, y0_rule=y0), 0.5, 8),
+        (cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, rng.uniform(0.5, 2.0)),)),
+                            y0_rule=y0), 0.5, 6),
+        (pointwise_heat(x0(8), y0_rule=y0), 0.4, 8),
+    ]
+
+
+def _assert_samples_match_reference(plan, n):
+    ts, cols, u = synthesis.sample_plan(plan, n)
+    ts_ref, cols_ref, u_ref = sampling_reference.sample_plan(plan, n)
+    assert np.array_equal(ts, ts_ref)
+    assert cols.shape == cols_ref.shape == (len(plan.terms), n)
+    assert np.array_equal(cols, cols_ref)
+    assert (u is None and u_ref is None) or np.array_equal(u, u_ref)
+
+
+def _same_values(f, g):
+    """Whether two samples' integer forms hold the same exact values."""
+    e = min(f.exp, g.exp)
+    return ([m << (f.exp - e) for m in f.re + f.im]
+            == [m << (g.exp - e) for m in g.re + g.im])
+
+
+class TestSamplingKernel:
+    """The integer recurrence and the blocked object-matrix products of
+    sample_plan against the libmp path they replaced
+    (tests/sampling_reference.py), bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("job", range(4), ids=["heat-N12", "academic-N8", "cascade-N6",
+                                                  "heat-N8"])
+    def test_moments_synthesize_jobs(self, seed, job):
+        model, T, N = _moments_synthesize_plans(seed)[job]
+        _assert_samples_match_reference(synthesize(model, T, N), 2000)
+
+    @pytest.mark.parametrize("n", [2, 9, 101, 2000])
+    def test_complex_pair(self, n):
+        plan = synthesize(_ComplexPair(), 0.5, 4)
+        assert not plan.family.span.real
+        _assert_samples_match_reference(plan, n)
+
+    @pytest.mark.parametrize("n", [2, 9, 2000])
+    def test_jordan_span(self, n):
+        model = cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.3),)),
+                                   y0_rule=lambda k, i: 1.0 / k)
+        plan = synthesize(model, 0.5, 4)
+        assert any(d == 0 for _, d in plan.family.span.basis())
+        _assert_samples_match_reference(plan, n)
+
+    @pytest.mark.parametrize("n", [2, 9, 2000])
+    def test_paired_span_above_1000_bits(self, monkeypatch, n):
+        # carried 300 digits above its condition number, the academic
+        # family with three close pairs takes 1036 bits: the final rounding
+        # goes through 53 bits in integers before the int -> float step
+        monkeypatch.setattr(biortho_time, "CARRY_DIGITS", 300)
+        plan = synthesize(academic_lf(0.2, y0_rule=lambda k, i: 1.0), 0.5, 8)
+        with mp.workdps(plan.family.dps):
+            assert mp.mp.prec > 1000
+        assert sum(1 for _, d in plan.family.span.basis() if d) == 3
+        _assert_samples_match_reference(plan, n)
+
+    @pytest.mark.parametrize("ts", [[0.0, 0.5, 1.0], [0.5, 0.0]], ids=["forward", "backward"])
+    def test_spread_check_at_the_limit(self, ts):
+        # two rates whose values at s = 1 spread about MAX_SPREAD_BITS +
+        # offset bits, at the first sample (values from mpmath) or after a
+        # step (rounded products, whose lowest set bit can lie above their
+        # exponent): the kernel refuses exactly when the libmp path did,
+        # with the same count, and otherwise yields the same values
+        def run(samples):
+            try:
+                return list(samples)
+            except NumericalError as exc:
+                return str(exc)
+
+        ts = np.array(ts)
+        refused = set()
+        for offset in range(-4, 5):
+            for r1 in (3, 11):
+                basis = [(mp.mpf(r1), None), (r1 + (MAX_SPREAD_BITS + offset) * mp.ln(2), None)]
+                got = run(synthesis._basis_samples(basis, 1.0, ts, 200))
+                want = run(sampling_reference.basis_samples(basis, 1.0, ts, 200))
+                refused.add(isinstance(want, str))
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    assert len(got) == len(want) and all(map(_same_values, got, want))
+        assert refused == {True, False}
+
+    def test_non_finite_factor_refused(self):
+        # e^{inf d} is the first step's factor: both paths raise before
+        # yielding a second sample
+        basis = [(mp.mpf(1), None), (mp.inf, None)]
+        ts = np.linspace(0.0, 1.0, 3)
+        for samples in (synthesis._basis_samples(basis, 1.0, ts, 200),
+                        sampling_reference.basis_samples(basis, 1.0, ts, 200)):
+            next(samples)
+            with pytest.raises(ValueError, match="non-finite"):
+                next(samples)
 
 
 def _solve_digit_plan(monkeypatch, model, T, N):
