@@ -19,8 +19,9 @@ Schur elimination on these two generators (Gohberg-Kailath-Olshevsky)
 factors M = L D L^T in O(n^2) operations, and M^{-1} follows from
 X J + J^T X = u u^T - v v^T with u = M^{-1} F(0), v = M^{-1} F(T), also
 in O(n^2).  The biorthogonality residual max|M M^{-1} - I| is still
-checked in full, in O(n^3), as exact integer dot products rounded once
-(``precision.int_dot``); so are the closed-form moment pairings.
+checked in full, in O(n^3), one row of M at a time, as exact integer
+matrix products rounded once (``precision.exact_matmul``); so are the
+complex dual Gram and the closed-form moment pairings.
 
 These systems are Cauchy-like, so the solve always runs in mpmath, under
 one precision policy: carry the family at ceil(log10 cond) + CARRY_DIGITS
@@ -45,7 +46,7 @@ from mpmath import libmp
 
 from .errors import IllConditioned, NumericalError
 from .precision import (
-    DEFAULT_DPS, MAX_DPS, int_dot, int_parts, mp_log_abs, to_complex, to_mp, workdps,
+    DEFAULT_DPS, MAX_DPS, exact_matmul, int_parts, mp_log_abs, to_complex, to_mp, workdps,
 )
 
 RESIDUAL_THRESHOLD = 1e-8
@@ -426,13 +427,10 @@ def _carried(span, dps, carry, C, G, E, kappa, log10_kappa) -> BiorthogonalFamil
                         A[i, j] = +A[i, j]
         M = G if real else _pairing_mp(span, E)
         n = M.rows
-        # max |M C^T - I|, each entry an exact dot of a row of M with a row of C
+        # max |M C^T - I|, formed exactly one row of M at a time
         c_rows = [int_parts(row) for row in C.tolist()]
-        residual = 0.0
-        for i, m_row in enumerate(M.tolist()):
-            m_row = int_parts(m_row)
-            for j, c_row in enumerate(c_rows):
-                residual = max(residual, float(abs(int_dot(m_row, c_row) - (1 if i == j else 0))))
+        residual = max(float(abs(x - (1 if i == j else 0))) for i, m_row in enumerate(M.tolist())
+                       for j, x in enumerate(exact_matmul([int_parts(m_row)], c_rows)[0]))
         if real:
             # the exponential duals are the rows of A = P^T C, their Gram
             # A P = P^T C P (C symmetric); P is the identity without a close pair
@@ -442,11 +440,9 @@ def _carried(span, dps, carry, C, G, E, kappa, log10_kappa) -> BiorthogonalFamil
                 C, c_rows = mp.matrix(A), [int_parts(row) for row in A]
         else:
             g_cols = [int_parts(col) for col in G.T.tolist()]
-            cg_rows = [int_parts([int_dot(c_row, g_col) for g_col in g_cols])
-                       for c_row in c_rows]
+            cg_rows = [int_parts(exact_matmul([c_row], g_cols)[0]) for c_row in c_rows]
             ch_cols = [r._replace(im=[-x for x in r.im]) for r in c_rows]  # conj(C)^T
-            N = mp.matrix([[int_dot(cg_row, ch_col) for ch_col in ch_cols]
-                           for cg_row in cg_rows])
+            N = mp.matrix(exact_matmul(cg_rows, ch_cols))
         if not all(N[i, i].real > 0 for i in range(n)):
             # force a precision retry: a negative computed norm means the
             # working precision has not resolved the Gram's definiteness
@@ -504,8 +500,8 @@ def pair_with_exponential_mp(family: BiorthogonalFamily, mu, a: int = 0) -> list
     Kronecker column up to the solve residual.  The closed-form column
     (``int_phi_exp``, t^a being phi_0^a) takes e^{-(mu + r_j) T} =
     e^{-mu T} E_j from the family's exponential table, one exponential per
-    call; it is converted once and dotted exactly with the family's
-    integer rows of C.
+    call; it is converted once, and one ``precision.exact_matmul`` dots it
+    exactly with the family's integer rows of C.
     """
     if a not in (0, 1):
         raise ValueError("t-power a must be 0 or 1")
@@ -516,7 +512,7 @@ def pair_with_exponential_mp(family: BiorthogonalFamily, mu, a: int = 0) -> list
         col = int_parts(int_phi_exp(mu + r, (0,) * a + (() if d is None else (d,)), span.T,
                                     e_mu * e)
                         for (r, d), e in zip(span.basis(), family.exp_table))
-        return [int_dot(row, col) for row in family.int_rows]
+        return [row[0] for row in exact_matmul(family.int_rows, [col])]
 
 
 def cauchy_inverse_oracle(rates) -> np.ndarray:

@@ -8,16 +8,18 @@ family is carried at ceil(log10 cond) + 30 digits; the solve runs at the
 digits predicted for that carry, at least DEFAULT_DPS and at most MAX_DPS,
 and again at the carried digits only on a miss, when they are more.
 Everything user-facing is reported back as ordinary floats.
+Every exact sum is one ``int_matmul`` of ``int_parts`` rows, each entry
+rounded once (``exact_matmul``, ``round_to_float``).
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from operator import mul
 from typing import NamedTuple
 
 import mpmath as mp
+import numpy as np
 from mpmath import libmp
 
 from .errors import NumericalError
@@ -85,7 +87,7 @@ class IntVector(NamedTuple):
 
 def int_parts(values) -> IntVector:
     """The exact integer form of a sequence of finite mp scalars, for
-    ``int_dot``; an inf or nan raises ValueError, and an exponent spread
+    ``int_matmul``; an inf or nan raises ValueError, and an exponent spread
     above MAX_SPREAD_BITS raises NumericalError."""
     values = list(values)
     cplx = mp.mpc in map(type, values)
@@ -94,20 +96,6 @@ def int_parts(values) -> IntVector:
                 for x in (v._mpc_ if type(v) is mp.mpc else (v._mpf_, libmp.fzero))]
     else:
         flat = [v._mpf_ for v in values]
-    return int_parts_raw(flat, cplx)
-
-
-def check_spread(spread: int):
-    """Raise NumericalError when an exact sum would align values whose
-    exponents spread over more than MAX_SPREAD_BITS bits."""
-    if spread > MAX_SPREAD_BITS:
-        raise NumericalError(f"exact sum over values spread across {spread} bits, "
-                             f"more than {MAX_SPREAD_BITS}")
-
-
-def int_parts_raw(flat, cplx: bool) -> IntVector:
-    """``int_parts`` of raw mpf tuples: one per value, or (re, im) pairs
-    laid out flat when ``cplx``."""
     # mpf tuples are normalized (odd mantissa), so the exponent of a
     # nonzero part is the position of its least significant bit
     exps = [x[2] for x in flat if x[1]]
@@ -123,29 +111,51 @@ def int_parts_raw(flat, cplx: bool) -> IntVector:
     return IntVector(ints, [], exp)
 
 
-def _re_man(a: IntVector, b: IntVector) -> int:
-    """Re(sum_j a_j b_j) / 2^(a.exp + b.exp), exactly."""
-    man = sum(map(mul, a.re, b.re))
-    if a.im and b.im:
-        man -= sum(map(mul, a.im, b.im))
-    return man
+def check_spread(spread: int):
+    """Raise NumericalError when an exact sum would align values whose
+    exponents spread over more than MAX_SPREAD_BITS bits."""
+    if spread > MAX_SPREAD_BITS:
+        raise NumericalError(f"exact sum over values spread across {spread} bits, "
+                             f"more than {MAX_SPREAD_BITS}")
 
 
-def int_dot(a: IntVector, b: IntVector):
-    """sum_j a_j b_j, summed exactly and rounded once to the working precision.
+def int_matmul(A, B, imag: bool = True):
+    """The exact mantissas of A B^T, for lists A and B of IntVector rows of
+    one length: object arrays (re, im) of Python ints, entry (i, j) at
+    exponent A[i].exp + B[j].exp; im is None when both sides are real or
+    ``imag`` is false.  numpy runs the object-dtype products as Python int
+    products and sums, without an interpreter loop."""
+    def parts(rows):
+        """(re, im) arrays; im is None when no row is complex, and a real row's im is 0."""
+        re = np.array([r.re for r in rows], dtype=object)
+        if not any(r.im for r in rows):
+            return re, None
+        return re, np.array([r.im or [0] * len(r.re) for r in rows], dtype=object)
 
-    This is what mp.fdot computes, except that mp.fdot drops a partial sum
-    or a term lying more than 2 prec bits below the other; the exact sum
-    keeps it.
-    """
+    (a_re, a_im), (b_re, b_im) = parts(A), parts(B)
+    re = a_re @ b_re.T
+    if a_im is not None and b_im is not None:
+        re -= a_im @ b_im.T
+    if not imag or (a_im is None and b_im is None):
+        return re, None
+    return re, (0 if b_im is None else a_re @ b_im.T) + (0 if a_im is None else a_im @ b_re.T)
+
+
+def exact_matmul(A, B) -> list:
+    """A B^T as rows of mp scalars, each entry of ``int_matmul`` rounded
+    once to the working precision; an entry is an mpc when its row of A or
+    of B is complex.  This is what mp.fdot computes per entry, except that
+    mp.fdot drops a partial sum or a term lying more than 2 prec bits below
+    the other; the exact sum keeps it."""
     prec = mp.mp.prec
-    e = a.exp + b.exp
-    re = libmp.from_man_exp(_re_man(a, b), e, prec, "n")
-    if not (a.im or b.im):
-        return mp.make_mpf(re)
-    im = libmp.from_man_exp(sum(map(mul, a.re, b.im)) + sum(map(mul, a.im, b.re)),
-                            e, prec, "n")
-    return mp.make_mpc((re, im))
+    re, im = int_matmul(A, B)
+    im = [[0] * len(B)] * len(A) if im is None else im.tolist()
+
+    def entry(x, y, e, cplx):
+        x = libmp.from_man_exp(x, e, prec, "n")
+        return mp.make_mpc((x, libmp.from_man_exp(y, e, prec, "n"))) if cplx else mp.make_mpf(x)
+    return [[entry(x, y, a.exp + b.exp, a.im or b.im) for b, x, y in zip(B, xs, ys)]
+            for a, xs, ys in zip(A, re.tolist(), im)]
 
 
 def round_half_even(man: int, exp: int, bits: int):
@@ -160,11 +170,6 @@ def round_half_even(man: int, exp: int, bits: int):
     if m & 1 and (m & 2 or man & ((1 << (shift - 1)) - 1)):
         return (m >> 1) + 1, exp + shift
     return m >> 1, exp + shift
-
-
-def int_dot_real(a: IntVector, b: IntVector, prec: int) -> float:
-    """Re(sum_j a_j b_j) summed exactly and rounded by ``round_to_float``."""
-    return round_to_float(_re_man(a, b), a.exp + b.exp, prec)
 
 
 def round_to_float(man: int, exp: int, prec: int) -> float:

@@ -32,8 +32,8 @@ from .errors import (
 from .models import Block2x2, ParabolicModel
 from .observations import Scalar, combine
 from .precision import (
-    DEFAULT_DPS, MAX_SPREAD_BITS, IntVector, check_spread, int_dot, int_parts,
-    mp_log_abs, round_half_even, round_to_float, to_complex, to_mp, workdps,
+    DEFAULT_DPS, MAX_SPREAD_BITS, IntVector, check_spread, exact_matmul, int_matmul,
+    int_parts, mp_log_abs, round_half_even, round_to_float, to_complex, to_mp, workdps,
 )
 
 _TAIL_MODES = 50
@@ -113,14 +113,16 @@ def _norm_sq(family, terms):
 
     On a real span with scalar directions this is the quadratic form
     w^T Q conj(w), Q the dual Gram, w_b = sum of coeff * value over the
-    terms of basis row b: one exact dot per row of Q."""
+    terms of basis row b: one exact dot per row of Q, one row at a time,
+    and one of w with the result, each a ``precision.exact_matmul``."""
     Q = family.mp_dual_gram   # <q_i(T-.), q_j(T-.)> = <q_i, q_j>
     if family.span.real and all(isinstance(t.direction, Scalar) for t in terms):
         w = [mp.mpf(0)] * family.size
         for t in terms:
             w[t.basis_index] += t.coeff_mp * to_mp(t.direction.value)
         cw = int_parts(mp.conj(x) for x in w)
-        return int_dot(int_parts(w), int_parts(int_dot(int_parts(row), cw) for row in Q.tolist()))
+        Qw = [exact_matmul([int_parts(row)], [cw])[0][0] for row in Q.tolist()]
+        return exact_matmul([int_parts(w)], [int_parts(Qw)])[0][0]
     total_sq = mp.mpf(0)
     for ti in terms:
         for tj in terms:
@@ -451,20 +453,19 @@ def sample_plan(plan: ControlPlan, n: int = 2000):
     pair's second row e^{-r s} phi_d(s), come from the integer recurrences
     of ``_basis_samples``.  Each sample is the exact integer dot product
     of a folded row with the basis values, both in the shared form
-    ``precision.int_parts``, rounded once to the family's precision and
-    then to float (``precision.round_to_float``, the rounding of
-    ``precision.int_dot_real``).  The sum stays exact at any exponent
-    spread (the basis values fall by hundreds of bits between s = 0 and
-    s = T), where mp.fdot may drop terms.
+    ``precision.int_parts``, taken for a block of samples by one
+    ``precision.int_matmul`` (real parts only), and rounded once to the
+    family's precision and then to float (``precision.round_to_float``).
+    The sum stays exact at any exponent spread (the basis values fall by
+    hundreds of bits between s = 0 and s = T), where mp.fdot may drop
+    terms.
 
     Cost: (rates + distinct pair gaps) * (1 + distinct grid steps) mp
     exponentials; per sample, about one integer product and one
     half-even rounding per basis value at the carried precision, with no
-    libmp call and no mp scalar; per block of samples, one object-dtype
-    matrix product of the folded rows with the samples' integers (two for
-    a complex span), which numpy runs as Python int products and sums
-    without an interpreter loop; then n * terms integer roundings and int
-    -> float conversions.
+    libmp call and no mp scalar; per block of samples, one ``int_matmul``
+    of the folded rows with the samples' integers; then n * terms integer
+    roundings and int -> float conversions.
     """
     T = float(plan.T)
     ts = np.linspace(0.0, T, n)
@@ -473,17 +474,11 @@ def sample_plan(plan: ControlPlan, n: int = 2000):
         prec = mp.mp.prec
         rows = [int_parts([term.coeff_mp * c for c in family.mp_coeffs[term.basis_index, :]])
                 for term in plan.terms]
-    rows_re = np.array([a.re for a in rows], dtype=object)
-    # Re(a b) = a.re b.re - a.im b.im; a real row has no imaginary part
-    rows_im = (np.array([a.im or [0] * len(a.re) for a in rows], dtype=object)
-               if any(a.im for a in rows) else None)
     cols = np.empty((len(rows), n))
     samples = _basis_samples(family.span.basis(), T, ts, prec)
     for start in range(0, n, _SAMPLE_BLOCK):
         block = list(islice(samples, _SAMPLE_BLOCK))
-        mans = rows_re @ np.array([f.re for f in block], dtype=object).T
-        if rows_im is not None and block[0].im:
-            mans -= rows_im @ np.array([f.im for f in block], dtype=object).T
+        mans, _ = int_matmul(rows, block, imag=False)
         for col, a, row in zip(cols, rows, mans.tolist()):
             col[start:start + len(block)] = [round_to_float(m, a.exp + f.exp, prec)
                                              for m, f in zip(row, block)]

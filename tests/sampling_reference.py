@@ -4,16 +4,38 @@ integer kernel of ``synthesis.sample_plan`` is checked against.
 Before the basis recurrence ran on signed integer mantissas, every sample
 stepped the basis values with ``libmp.mpf_mul``, ``mpf_sub`` and
 ``mpc_mul`` rounded to nearest at the carried precision, converted them
-with ``precision.int_parts_raw`` and took one ``precision.int_dot_real``
-per term.  Both paths round the same exact values the same way, so the
-kernel must reproduce these samples bit for bit.
+to aligned integers and took one exact dot product per term and sample,
+rounded by libmp.  Both paths round the same exact values the same way,
+so the kernel must reproduce these samples bit for bit.  The conversion
+and the dot are written out here, not imported from ``precision``.
 """
 
 import mpmath as mp
 import numpy as np
 from mpmath import libmp
 
-from nullcontrol.precision import int_dot_real, int_parts, int_parts_raw, workdps
+from nullcontrol.precision import IntVector, check_spread, int_parts, workdps
+
+
+def _int_parts_raw(flat, cplx: bool) -> IntVector:
+    """``precision.int_parts`` of raw mpf tuples: one per value, or (re, im)
+    pairs laid out flat when ``cplx``."""
+    exps = [x[2] for x in flat if x[1]]
+    if len(exps) < len(flat) and any(x[3] for x in flat if not x[1]):
+        raise ValueError("exact integer form of a non-finite value")
+    exp = min(exps, default=0)
+    check_spread(max(exps, default=0) - exp)
+    ints = [0 if not man else -(man << (e - exp)) if sign else man << (e - exp)
+            for sign, man, e, _ in flat]
+    if cplx:
+        return IntVector(ints[0::2], ints[1::2], exp)
+    return IntVector(ints, [], exp)
+
+
+def _dot_real(a: IntVector, b: IntVector, prec: int) -> float:
+    """Re(sum_j a_j b_j), summed exactly, rounded to ``prec`` bits and then to float."""
+    man = sum(x * y for x, y in zip(a.re, b.re)) - sum(x * y for x, y in zip(a.im, b.im))
+    return libmp.to_float(libmp.from_man_exp(man, a.exp + b.exp, prec, "n"), rnd="n")
 
 
 def basis_samples(basis, T: float, ts, prec: int):
@@ -84,12 +106,12 @@ def basis_samples(basis, T: float, ts, prec: int):
             # an (re, im) pair has length 2, an mpf tuple 4: a value of a
             # real rate takes a zero imaginary part
             values = [x for v in values for x in (v if len(v) == 2 else (v, libmp.fzero))]
-        yield int_parts_raw(values, flat_c)
+        yield _int_parts_raw(values, flat_c)
 
 
 def sample_plan(plan, n: int = 2000):
     """(t, term_matrix, u) as ``synthesis.sample_plan`` returns them: one
-    ``int_dot_real`` per term and sample against ``basis_samples``."""
+    ``_dot_real`` per term and sample against ``basis_samples``."""
     T = float(plan.T)
     ts = np.linspace(0.0, T, n)
     family = plan.family
@@ -97,7 +119,7 @@ def sample_plan(plan, n: int = 2000):
         prec = mp.mp.prec
         rows = [int_parts([term.coeff_mp * c for c in family.mp_coeffs[term.basis_index, :]])
                 for term in plan.terms]
-    samples = [[int_dot_real(a, f, prec) for a in rows]
+    samples = [[_dot_real(a, f, prec) for a in rows]
                for f in basis_samples(family.span.basis(), T, ts, prec)]
     cols = np.array(samples, dtype=float).reshape(n, len(rows)).T.copy()
     scalars = [getattr(t.direction, "value", None) for t in plan.terms]

@@ -1,10 +1,11 @@
-"""The exact-integer dot product kernel against mp.fdot, and the dual
-solve's residual against the matrix product it replaces."""
+"""The exact-integer matrix product against mp.fdot, and the dual solve's
+residual against the matrix product it replaces."""
 
 import math
 import random
 import struct
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -17,8 +18,8 @@ from nullcontrol.generators import make_rule
 from nullcontrol.models import PiecewiseConstant, cascade_boundary_q
 from nullcontrol.errors import NumericalError
 from nullcontrol.precision import (
-    MAX_SPREAD_BITS, IntVector, int_dot, int_dot_real, int_parts, mp_log_abs, round_half_even,
-    workdps,
+    MAX_SPREAD_BITS, exact_matmul, int_matmul, int_parts, mp_log_abs, round_half_even,
+    round_to_float, workdps,
 )
 
 PI2 = math.pi**2
@@ -54,6 +55,21 @@ def _vector(rng, prec, n, spread, kind, short=0.2):
     return out
 
 
+def _shifted(row, k):
+    """The values x 2^k, exactly, of the same types."""
+    return [mp.mpc(mp.ldexp(x.real, k), mp.ldexp(x.imag, k)) if isinstance(x, mp.mpc)
+            else mp.ldexp(x, k) for x in row]
+
+
+def _rows(rng, prec, n, spread, kinds, short=0.2, shift=None):
+    """One ``_vector`` per kind, each scaled by its own power of two drawn
+    from [-shift, shift] (default spread + 50), so that the rows' exponents
+    differ; a dot's terms all move alike."""
+    shift = spread + 50 if shift is None else shift
+    return [_shifted(_vector(rng, prec, n, spread, kind, short), rng.randint(-shift, shift))
+            for kind in kinds]
+
+
 def _fraction(x):
     sign, man, exp, _ = x
     return Fraction((-1) ** sign * man) * Fraction(2) ** exp
@@ -77,7 +93,14 @@ def _exact(a, b):
     return mp.make_mpf(rnd[0])
 
 
+def _product(A, B):
+    return exact_matmul([int_parts(a) for a in A], [int_parts(b) for b in B])
+
+
 class TestIntDot:
+    """exact_matmul over several rows of different exponents, each entry
+    against the exact sum rounded once, and against mp.fdot."""
+
     @pytest.mark.parametrize("dps", [60, 115, 301])
     @pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
     @pytest.mark.parametrize("spread", [0, 64, 400, 900])
@@ -86,10 +109,11 @@ class TestIntDot:
         with workdps(dps):
             prec = mp.mp.prec
             for n in range(1, 41):
-                a = _vector(rng, prec, n, spread, kind)
-                b = _vector(rng, prec, n, spread, rng.choice(("real", kind)))
-                got = int_dot(int_parts(a), int_parts(b))
-                assert _bits(got) == _bits(_exact(a, b)), (n, a, b)
+                A = _rows(rng, prec, n, spread, (kind, "real"))
+                B = _rows(rng, prec, n, spread, [rng.choice(("real", kind)) for _ in range(3)])
+                for a, got_row in zip(A, _product(A, B)):
+                    for b, got in zip(B, got_row):
+                        assert _bits(got) == _bits(_exact(a, b)), (n, a, b)
 
     # full mantissas whose magnitudes spread over at most prec bits: the
     # least significant bits of all products then lie within 2 prec bits
@@ -105,10 +129,12 @@ class TestIntDot:
             prec = mp.mp.prec
             assert spread <= prec
             for n in range(1, 41):
-                a = _vector(rng, prec, n, spread, kind, short=0)
-                b = _vector(rng, prec, n, spread, rng.choice(("real", kind)), short=0)
-                got = int_dot(int_parts(a), int_parts(b))
-                assert _bits(got) == _bits(mp.fdot(a, b)), (n, a, b)
+                A = _rows(rng, prec, n, spread, (kind, "real"), short=0, shift=prec)
+                B = _rows(rng, prec, n, spread, [rng.choice(("real", kind)) for _ in range(3)],
+                          short=0, shift=prec)
+                for a, got_row in zip(A, _product(A, B)):
+                    for b, got in zip(B, got_row):
+                        assert _bits(got) == _bits(mp.fdot(a, b)), (n, a, b)
 
     def test_keeps_terms_fdot_drops(self):
         # 1 + 2^-300 - 1 loses everything when rounded term by term at 60
@@ -116,13 +142,12 @@ class TestIntDot:
         with workdps(60):
             a = [mp.mpf(1), mp.ldexp(1, -300), mp.mpf(-1)]
             ones = [mp.mpf(1)] * 3
-            assert int_dot(int_parts(a), int_parts(ones)) == mp.ldexp(1, -300)
             assert (a[0] + a[1]) + a[2] == 0
             # 2^500 + 1 - 2^500: mp.fdot drops the 1, which lies more than
             # 2 prec bits below the partial sum
-            a = [mp.ldexp(1, 500), mp.mpf(1), -mp.ldexp(1, 500)]
-            assert int_dot(int_parts(a), int_parts(ones)) == 1
-            assert mp.fdot(a, ones) == 0
+            b = [mp.ldexp(1, 500), mp.mpf(1), -mp.ldexp(1, 500)]
+            assert mp.fdot(b, ones) == 0
+            assert _product([a, b], [ones]) == [[mp.ldexp(1, -300)], [1]]
 
     @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan, mp.mpc(1, mp.inf)])
     def test_non_finite_values_raise(self, bad):
@@ -143,7 +168,10 @@ class TestIntDot:
             prec = mp.mp.prec
             a = [mp.mpc(1, 2) / 3, mp.mpf(-5) / 7, mp.ldexp(1, -400)]
             b = [mp.mpc(-2, 1) / 9, mp.mpf(11), mp.mpf(1)]
-            assert int_dot_real(int_parts(a), int_parts(b), prec) == float(mp.re(_exact(a, b)))
+            pa, pb = int_parts(a), int_parts(b)
+            re, im = int_matmul([pa], [pb], imag=False)
+            assert im is None
+            assert round_to_float(re[0, 0], pa.exp + pb.exp, prec) == float(mp.re(_exact(a, b)))
 
 
 def _float_bits(x):
@@ -229,7 +257,8 @@ class TestRoundHalfEven:
 
 
 class TestIntDotReal:
-    """int_dot_real against the mpmath rounding it replaces, bit for bit."""
+    """round_to_float, which rounds the real parts of int_matmul for the
+    sampler, against the mpmath rounding it replaces, bit for bit."""
 
     @staticmethod
     def _reference(man, exp, prec):
@@ -239,7 +268,7 @@ class TestIntDotReal:
     def test_double_rounding_ties(self, prec):
         for man, exp in _tie_cases(prec):
             for sign in (1, -1):
-                got = int_dot_real(IntVector([sign * man], [], exp), IntVector([1], [], 0), prec)
+                got = round_to_float(sign * man, exp, prec)
                 want = self._reference(sign * man, exp, prec)
                 assert _float_bits(got) == _float_bits(want)
                 # rounding the exact sum once would give the other neighbour
@@ -250,8 +279,7 @@ class TestIntDotReal:
         kinds = set()
         for man, exp in _edge_cases(prec):
             for sign in (1, -1):
-                a = IntVector([sign * man], [], exp)
-                got = int_dot_real(a, IntVector([1], [], 0), prec)
+                got = round_to_float(sign * man, exp, prec)
                 want = self._reference(sign * man, exp, prec)
                 assert _float_bits(got) == _float_bits(want), (sign * man, exp)
                 kinds.add("inf" if math.isinf(got) else "zero" if got == 0
@@ -265,12 +293,18 @@ class TestIntDotReal:
         with workdps(dps):
             prec = mp.mp.prec
             for n in range(1, 41):
-                a = int_parts(_vector(rng, prec, n, 900, kind))
-                b = int_parts(_vector(rng, prec, n, 900, rng.choice(("real", kind))))
-                re = sum(x * y for x, y in zip(a.re, b.re)) \
-                    - sum(x * y for x, y in zip(a.im, b.im))
-                want = self._reference(re, a.exp + b.exp, prec)
-                assert _float_bits(int_dot_real(a, b, prec)) == _float_bits(want)
+                A = [int_parts(a) for a in _rows(rng, prec, n, 900, (kind, "real"))]
+                B = [int_parts(b) for b in _rows(
+                    rng, prec, n, 900, [rng.choice(("real", kind)) for _ in range(3)])]
+                mans, _ = int_matmul(A, B, imag=False)
+                for a, row in zip(A, mans.tolist()):
+                    for b, man in zip(B, row):
+                        re = sum(x * y for x, y in zip(a.re, b.re)) \
+                            - sum(x * y for x, y in zip(a.im, b.im))
+                        assert man == re
+                        want = self._reference(re, a.exp + b.exp, prec)
+                        got = round_to_float(man, a.exp + b.exp, prec)
+                        assert _float_bits(got) == _float_bits(want)
 
 
 def _cascade_jordan_span(N=16, T=0.5):
@@ -311,6 +345,21 @@ class TestResidual:
                             lambda span, dps: solves.append(dps) or solve(span, dps))
         fam = build_biortho(make())
         assert fam.residual == self._matrix_product_residual(fam, solves[-1])
+
+    def test_streamed_memory(self):
+        # the residual is formed one row of M at a time: no n^2 rounded
+        # entries are alive at once (1.17 MB here; 1.58 MB with the whole
+        # M C^T formed first)
+        make = lambda: ExponentialSpan(tuple(k * k * PI2 for k in range(1, 41)), 0.4)  # noqa: E731
+        build_biortho(make())   # mpmath's constant caches
+        span = make()
+        tracemalloc.start()
+        try:
+            build_biortho(span)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * 2**20
 
 
 class TestLogAbs:
