@@ -192,7 +192,7 @@ def _mode_terms(mode, base: int, T_mp) -> list:
         # two dual profiles, both along B* phi_{k,1}; the coefficients
         # solve the triangular 2x2 moment system
         obs1 = mode.obs[0]
-        nsq = obs1.norm() ** 2
+        nsq = obs1.inner(obs1).real   # as verify_moments pairs it, not norm() ** 2
         mu = to_mp(mode.mu)
         # <B*phi_1, B*phi_2> = conj(gamma) ||B*phi_1||^2 in the moment pairing
         gamma_c = mp.conj(to_mp(mode.gamma))
@@ -213,7 +213,7 @@ def _mode_terms(mode, base: int, T_mp) -> list:
                    for j in range(r)]
         return [PlanTerm(base, (mode.k, 0), mp.mpf(1),
                          combine(obs, [to_complex(w) for w in weights]))]
-    nsq = mode.obs[0].norm() ** 2
+    nsq = mode.obs[0].inner(mode.obs[0]).real
     return [PlanTerm(base, (mode.k, 1), _moment_rhs_mp(mode, T_mp, 1) / nsq, mode.obs[0])]
 
 

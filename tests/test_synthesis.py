@@ -90,6 +90,20 @@ class TestSynthesizeSimple:
         want = -math.exp(-PI2 * 0.5) / obs.norm() ** 2
         assert plan.terms[0].coeff.real == pytest.approx(want, rel=1e-12)
 
+    def test_divides_by_the_paired_norm_squared(self):
+        # the benchmark's seed-4 heat N=40 verify job: b_3 = -1.1887000399839316
+        # squares to 1.4130077850578004 under pow (norm() ** 2) and to
+        # 1.4130077850578007 as the product Scalar.inner takes, the pairing
+        # verify_moments uses; dividing by norm() ** 2 left the one-ulp gap
+        # as a -5.8e-32 mode-3 residual
+        model = pointwise_heat(0.4392536293781675, y0_rule=lambda k, i: 1.0)
+        obs = model.modes(3)[-1].obs[0]
+        assert obs.value == -1.1887000399839316
+        assert obs.norm() ** 2 != obs.inner(obs).real
+        report = verify_moments(synthesize(model, 0.4, 40))
+        assert abs(report.residuals[(3, 1)]) < 1e-50
+        assert report.max_abs < 1e-50
+
     def test_unobservable_mode_rejected(self):
         with pytest.raises(UnobservableMode):
             synthesize(pointwise_heat(0.5), 0.4, 4)
