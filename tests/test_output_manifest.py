@@ -1,31 +1,14 @@
-"""The ``moments`` benchmark outputs of seeds 1 and 4 against the committed
-manifest (``tests/output_manifest.py`` regenerates it): every file by
-sha256, and ``residuals.json`` and ``biortho.csv`` value by value, exact
-except the entries that pass through numpy ``exp``."""
+"""The benchmark outputs of seeds 1 and 4 and the configs of the commands
+the benchmark skips, against the committed manifest
+(``tests/output_manifest.py`` regenerates it and names its tolerance
+classes): every file by sha256, and the files whose entries may differ
+between hosts value by value, each entry at its class's tolerance."""
 
 import json
-import math
 
 import pytest
 
-from tests.output_manifest import MANIFEST, REL_TOL, VALUE_FILES, run_jobs
-
-
-def _close(got, want, tol, where):
-    """Assert got == want, floats (also nested in lists and dicts) within
-    relative ``tol``."""
-    if isinstance(want, dict):
-        assert sorted(got) == sorted(want), where
-        for key in want:
-            _close(got[key], want[key], tol, f"{where}.{key}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), where
-        for i, (g, w) in enumerate(zip(got, want)):
-            _close(g, w, tol, f"{where}[{i}]")
-    elif tol and isinstance(want, float) and math.isfinite(want):
-        assert isinstance(got, float) and abs(got - want) <= tol * abs(want), (where, got, want)
-    else:
-        assert got == want and type(got) is type(want), (where, got, want)
+from tests.output_manifest import MANIFEST, run_jobs, values_match
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +37,4 @@ def test_values(outputs, manifest):
         got = outputs[name]["values"]
         assert sorted(got) == sorted(want["values"]), name
         for file, values in want["values"].items():
-            for key, value in values.items():
-                tol = REL_TOL if key in VALUE_FILES[file] else 0.0
-                _close(got[file][key], value, tol, f"{name}/{file}/{key}")
+            assert values_match(file, got[file], values), f"{name}/{file}"
