@@ -209,16 +209,16 @@ def _exp_table(span: ExponentialSpan) -> tuple:
     return tuple(table)
 
 
-def _pairing_mp(span: ExponentialSpan, E=None, hermitian=False) -> mp.matrix:
+def _pairing_mp(span: ExponentialSpan, E=None, hermitian=False) -> np.ndarray:
     """Bilinear pairing int f_i f_j (no conjugation), the defining system,
     or with ``hermitian`` the Gram <f_j, f_i> = int f_j conj(f_i): the left
     factor conjugated and the lower triangle mirrored as conjugates.
     e^{-(r_i + r_j) T} = E_i E_j comes from the table E (made at the
-    working precision when not given)."""
+    working precision when not given).  An object array of mp scalars."""
     basis = span.basis()
     E = _exp_table(span) if E is None else E
     n = len(basis)
-    M = mp.matrix(n, n)
+    M = np.empty((n, n), dtype=object)
     for i in range(n):
         ri, di = basis[i]
         ei = E[i]
@@ -246,8 +246,8 @@ class BiorthogonalFamily:
     residual: float             # max |M M^{-1} - I| of the basis's pairing M
     degraded: bool
     dps: int                    # carried digits: everything below is held at them
-    mp_coeffs: mp.matrix        # q_k = sum_j C[k, j] basis_j
-    mp_dual_gram: mp.matrix     # <q_i, q_j>; equal to C on real spans without a close pair
+    mp_coeffs: np.ndarray       # q_k = sum_j C[k, j] basis_j; both read-only mp object arrays
+    mp_dual_gram: np.ndarray    # <q_i, q_j>; mp_coeffs itself on real spans without a close pair
     int_rows: list = field(repr=False, compare=False)  # rows of C as precision.int_parts
     exp_table: tuple = field(repr=False, compare=False)  # E_j = e^{-r_j T}, see _exp_table
 
@@ -273,9 +273,10 @@ def _displacement(span: ExponentialSpan, E):
     return list(span.rates), sub, F0, FT
 
 
-def _structured_inverse(diag, sub, F0, FT) -> mp.matrix:
+def _structured_inverse(diag, sub, F0, FT) -> np.ndarray:
     """M^{-1} for the symmetric M with J M + M J^T = F0 F0^T - FT FT^T, J
-    lower bidiagonal, in O(n^2); a zero pivot raises ZeroDivisionError."""
+    lower bidiagonal, in O(n^2), as an object array of mp scalars; a zero
+    pivot raises ZeroDivisionError."""
     n = len(diag)
     a, b = list(F0), None if FT is None else list(FT)
     L, d = [], []
@@ -314,12 +315,12 @@ def _structured_inverse(diag, sub, F0, FT) -> mp.matrix:
             if i + 1 < n and sub[i + 1]:
                 rhs -= sub[i + 1] * X[i + 1][j]
             X[i][j] = X[j][i] = rhs / (diag[i] + diag[j])
-    return mp.matrix(X)
+    return np.array(X, dtype=object)
 
 
-def _norm1(A: mp.matrix):
+def _norm1(A: np.ndarray):
     """max column sum of |A_ij|."""
-    return max(mp.fsum(abs(A[i, j]) for i in range(A.rows)) for j in range(A.cols))
+    return max(mp.fsum(abs(x) for x in col) for col in A.T)
 
 
 def _cauchy_log_diag(span: ExponentialSpan) -> tuple:
@@ -416,38 +417,37 @@ def _carried(span, dps, carry, C, G, E, kappa, log10_kappa) -> BiorthogonalFamil
     basis = span.basis()
     with workdps(carry):
         if carry < dps:
-            # C and G are rounded in place (unary + rounds to the working
-            # precision), so no unrounded copy outlives its entry; the table
-            # is made afresh, so that the closed forms at the carried digits
-            # match those of any caller working there
+            # C and G are rounded in place row by row (unary + rounds to the
+            # working precision), so no unrounded copy outlives its row; the
+            # table is made afresh, so that the closed forms at the carried
+            # digits match those of any caller working there
             E = _exp_table(span)
-            for A in (C, G):
-                for i in range(A.rows):
-                    for j in range(A.cols):
-                        A[i, j] = +A[i, j]
+            for row in (*C, *G):
+                row[:] = [+x for x in row]
         M = G if real else _pairing_mp(span, E)
-        n = M.rows
         # max |M C^T - I|, formed exactly one row of M at a time
-        c_rows = [int_parts(row) for row in C.tolist()]
-        residual = max(float(abs(x - (1 if i == j else 0))) for i, m_row in enumerate(M.tolist())
+        c_rows = [int_parts(row) for row in C]
+        residual = max(float(abs(x - (1 if i == j else 0))) for i, m_row in enumerate(M)
                        for j, x in enumerate(exact_matmul([int_parts(m_row)], c_rows)[0]))
-        if real:
-            # the exponential duals are the rows of A = P^T C, their Gram
-            # A P = P^T C P (C symmetric); P is the identity without a close pair
-            A = [list(col) for col in zip(*(_transpose_paired(basis, row) for row in C.tolist()))]
-            N = mp.matrix([_transpose_paired(basis, row) for row in A])
-            if any(d for _, d in basis):   # else A equals C: keep C and its rows
-                C, c_rows = mp.matrix(A), [int_parts(row) for row in A]
-        else:
-            g_cols = [int_parts(col) for col in G.T.tolist()]
+        N = C   # real without a close pair: P is the identity, and the Gram P^T C P is C
+        if not real:
+            g_cols = [int_parts(col) for col in G.T]
             cg_rows = [int_parts(exact_matmul([c_row], g_cols)[0]) for c_row in c_rows]
             ch_cols = [r._replace(im=[-x for x in r.im]) for r in c_rows]  # conj(C)^T
-            N = mp.matrix(exact_matmul(cg_rows, ch_cols))
-        if not all(N[i, i].real > 0 for i in range(n)):
+            N = np.array(exact_matmul(cg_rows, ch_cols), dtype=object)
+        elif any(d for _, d in basis):
+            # the exponential duals are the rows of A = P^T C, their Gram
+            # A P = P^T C P (C symmetric)
+            A = [list(col) for col in zip(*(_transpose_paired(basis, row) for row in C))]
+            N = np.array([_transpose_paired(basis, row) for row in A], dtype=object)
+            C, c_rows = np.array(A, dtype=object), [int_parts(row) for row in A]
+        diag = N.diagonal()
+        if not all(x.real > 0 for x in diag):
             # force a precision retry: a negative computed norm means the
             # working precision has not resolved the Gram's definiteness
             residual = float("inf")
-        ln_norms = np.array([mp_log_abs(N[i, i]) / 2.0 for i in range(n)])
+        ln_norms = np.array([mp_log_abs(x) / 2.0 for x in diag])
+    C.flags.writeable = N.flags.writeable = False
     with np.errstate(over="ignore"):
         norms = np.exp(ln_norms)
     return BiorthogonalFamily(

@@ -17,7 +17,7 @@ import numpy as np
 from mpmath import libmp
 
 from .errors import NumericalError
-from .precision import to_complex, to_mp, workdps
+from .precision import DEFAULT_DPS, to_complex, to_mp, workdps
 
 # most digits a paired rule's head may take.  The largest head in use,
 # appendixB tau = 1 at K = 250 (7277 digits), takes 0.6 s for `indices`; an
@@ -51,7 +51,7 @@ class SequenceRule:
         self.fit_cache: dict = {}
 
     def head_dps(self, n: int) -> int:
-        return 60
+        return DEFAULT_DPS
 
     def mp_entries(self, n: int):
         """First n entries as mpf/mpc, normally ordered."""
@@ -234,10 +234,10 @@ class ExplicitRule(SequenceRule):
 
     def head_dps(self, n):
         """The digits of the longest mantissa among the first n entries,
-        at least 60: entries a caller built at more digits stay distinct."""
+        at least DEFAULT_DPS: entries a caller built at more digits stay distinct."""
         bits = max((x[3] for v in self.values[:n]
                     for x in (v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_,))), default=0)
-        return max(60, libmp.prec_to_dps(bits))
+        return max(DEFAULT_DPS, libmp.prec_to_dps(bits))
 
     def mp_entries(self, n):
         if n > len(self.values):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DuplicateEntry, NonPositiveRealPart, TailBoundUnachievable, TooFewModes
 from .generators import SequenceRule
-from .precision import mp_log_abs, to_complex, workdps
+from .precision import DEFAULT_DPS, mp_log_abs, to_complex, workdps
 from .report import DEFAULT_WINDOW, ProfileReport, make_profile
 
 _HEAD_BUFFER = 8
@@ -53,7 +53,7 @@ class SpectralSequence:
     values: tuple
     r: tuple
     rule: SequenceRule
-    dps: int = 60
+    dps: int = DEFAULT_DPS
 
     def __len__(self) -> int:
         return len(self.values)
@@ -103,7 +103,7 @@ def from_rule(rule: SequenceRule, K: int) -> SpectralSequence:
         if n < K:
             raise TooFewModes(f"rule {rule.name!r} has {n} entries, fewer than K={K}")
     vals = rule.mp_entries(n)
-    dps = max(rule.head_dps(n), 60)
+    dps = max(rule.head_dps(n), DEFAULT_DPS)
     _validate(vals, dps + 10)
     return SpectralSequence(tuple(vals), (1,) * len(vals), rule, dps)
 

@@ -121,7 +121,7 @@ def _norm_sq(family, terms):
         for t in terms:
             w[t.basis_index] += t.coeff_mp * to_mp(t.direction.value)
         cw = int_parts(mp.conj(x) for x in w)
-        Qw = [exact_matmul([int_parts(row)], [cw])[0][0] for row in Q.tolist()]
+        Qw = [exact_matmul([int_parts(row)], [cw])[0][0] for row in Q]
         return exact_matmul([int_parts(w)], [int_parts(Qw)])[0][0]
     total_sq = mp.mpf(0)
     for ti in terms:
@@ -270,19 +270,18 @@ def verify_moments(plan: ControlPlan, N_check: int | None = None) -> MomentResid
     residuals: dict = {}
     leakage: dict = {}
     max_abs = 0.0
+
+    def lhs_against(obs, pair):
+        # <u(t), B*phi>_U pairs each term direction (first slot) with obs
+        total = mp.mpf(0)
+        for t in plan.terms:
+            total += t.coeff_mp * pair[t.basis_index] * to_mp(t.direction.inner(obs))
+        return total
+
     with workdps(family.dps):
         for mode in modes:
             lam = mode.lam_mp
             pair0 = pair_with_exponential_mp(family, lam, 0)
-            lhs_per_obs = {}
-
-            def lhs_against(obs, pair):
-                # <u(t), B*phi>_U pairs each term direction (first slot) with obs
-                total = mp.mpf(0)
-                for t in plan.terms:
-                    total += t.coeff_mp * pair[t.basis_index] * to_mp(t.direction.inner(obs))
-                return total
-
             if mode.kind == "jordan":
                 pair1 = pair_with_exponential_mp(family, lam, 1)
                 r1 = lhs_against(mode.obs[0], pair0) - _moment_rhs_mp(mode, T_mp, 1)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -191,10 +192,11 @@ class TestDualGram:
 
     @staticmethod
     def _product(fam, solved):
-        """C G C^H, G formed at the ``solved`` digits of the family's solve."""
-        C = fam.mp_coeffs
+        """C G C^H, G formed at the ``solved`` digits of the family's solve,
+        as mp matrix products."""
+        C = mp.matrix(fam.mp_coeffs.tolist())
         with workdps(solved):
-            G = _pairing_mp(fam.span, None, True)
+            G = mp.matrix(_pairing_mp(fam.span, None, True).tolist())
         with workdps(fam.dps):
             return C * G.apply(lambda x: +x) * C.transpose_conj()
 
@@ -223,10 +225,51 @@ class TestDualGram:
         rates = (1 + 1j, 2 - 0.5j, 3)
         fam = build_biortho(ExponentialSpan(_twice(rates) if jordan else rates, 1.0))
         Q, want = fam.mp_dual_gram, self._product(fam, solves[-1])
-        assert (Q.rows, Q.cols) == (fam.size, fam.size)
+        assert Q.shape == (fam.size, fam.size)
         for i in range(fam.size):
             for j in range(fam.size):
                 assert Q[i, j] == want[i, j]
+
+
+class TestFamilyArrays:
+    """The family holds C and its dual Gram as read-only object arrays of
+    mp scalars, one array when the two are equal."""
+
+    @staticmethod
+    def _heat():
+        return ExponentialSpan(tuple(k * k * PI2 for k in range(1, 41)), 0.4)
+
+    def test_unpaired_real_gram_is_coeffs(self):
+        fam = build_biortho(self._heat())
+        assert fam.mp_dual_gram is fam.mp_coeffs
+        paired = build_biortho(ExponentialSpan(tuple(AcademicLfRule(0.2).mp_entries(20)), 0.5))
+        assert any(d for _, d in paired.span.basis())
+        assert paired.mp_dual_gram is not paired.mp_coeffs
+
+    @pytest.mark.parametrize("rates", [(1.0, 2.0, 4.0), (1 + 1j, 2 - 0.5j, 3)],
+                             ids=["real", "complex"])
+    def test_read_only(self, rates):
+        fam = build_biortho(ExponentialSpan(rates, 1.0))
+        for A in (fam.mp_coeffs, fam.mp_dual_gram):
+            assert A.dtype == object and A.shape == (3, 3)
+            with pytest.raises(ValueError, match="read-only"):
+                A[0, 0] = A[1, 1]
+            with pytest.raises(ValueError, match="read-only"):
+                A[1] = A[2]
+
+    def test_retained_memory(self):
+        # what the family keeps alive: 0.50 MB here, 0.78 MB with C held in
+        # an mp.matrix (a dict keyed by index pairs) and its Gram a copy
+        build_biortho(self._heat())   # mpmath's constant caches
+        span = self._heat()
+        tracemalloc.start()
+        try:
+            fam = build_biortho(span)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert fam.residual <= RESIDUAL_THRESHOLD
+        assert retained < 0.65 * 2**20
 
 
 class TestStructuredSolve:

@@ -326,10 +326,13 @@ class TestResidual:
     def _matrix_product_residual(fam, solved):
         n = fam.size
         with workdps(solved):
-            M = _pairing_mp(fam.span)
+            M = mp.matrix(_pairing_mp(fam.span).tolist())
         with workdps(fam.dps):
-            M = M.apply(lambda x: +x) if fam.span.real else _pairing_mp(fam.span)
-            R = M * fam.mp_coeffs.T
+            if fam.span.real:
+                M = M.apply(lambda x: +x)
+            else:
+                M = mp.matrix(_pairing_mp(fam.span).tolist())
+            R = M * mp.matrix(fam.mp_coeffs.tolist()).T
             return max(float(abs(R[i, j] - (1 if i == j else 0)))
                        for i in range(n) for j in range(n))
 
