@@ -351,8 +351,8 @@ class TestResidual:
 
     def test_streamed_memory(self):
         # the residual is formed one row of M at a time: no n^2 rounded
-        # entries are alive at once (1.17 MB here; 1.58 MB with the whole
-        # M C^T formed first)
+        # entries are alive at once (0.81 MB here, 1.17 MB with the family
+        # in mp matrices; 1.58 MB with the whole M C^T formed first)
         make = lambda: ExponentialSpan(tuple(k * k * PI2 for k in range(1, 41)), 0.4)  # noqa: E731
         build_biortho(make())   # mpmath's constant caches
         span = make()
