@@ -6,7 +6,6 @@ from .biortho_time import (
     BiorthogonalFamily,
     ExponentialSpan,
     build_biortho,
-    cauchy_inverse_oracle,
 )
 from .generators import make_rule
 from .grushin import (

@@ -35,10 +35,8 @@ table E_j = e^{-r_j T} per span.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -46,7 +44,8 @@ from mpmath import libmp
 
 from .errors import IllConditioned, NumericalError
 from .precision import (
-    DEFAULT_DPS, MAX_DPS, exact_matmul, int_parts, mp_log_abs, to_complex, to_mp, workdps,
+    DEFAULT_DPS, MAX_DPS, IntRows, exact_matmul, int_rows, mp_log_abs, to_complex, to_mp,
+    workdps,
 )
 
 RESIDUAL_THRESHOLD = 1e-8
@@ -248,7 +247,7 @@ class BiorthogonalFamily:
     dps: int                    # carried digits: everything below is held at them
     mp_coeffs: np.ndarray       # q_k = sum_j C[k, j] basis_j; both read-only mp object arrays
     mp_dual_gram: np.ndarray    # <q_i, q_j>; mp_coeffs itself on real spans without a close pair
-    int_rows: list = field(repr=False, compare=False)  # rows of C as precision.int_parts
+    int_rows: IntRows = field(repr=False, compare=False)  # mp_coeffs in precision.int_rows form
     exp_table: tuple = field(repr=False, compare=False)  # E_j = e^{-r_j T}, see _exp_table
 
     @property
@@ -330,7 +329,8 @@ def _cauchy_log_diag(span: ExponentialSpan) -> tuple:
     or ZeroDivisionError.
 
     On exponentials G_inf is the Cauchy matrix 1/(conj(r_i) + r_j), whose
-    inverse has Schechter's product formula (``cauchy_inverse_oracle``):
+    inverse has Schechter's product formula (``cauchy_inverse_oracle`` in
+    tests/closed_forms.py):
 
         ln C_ii = ln 2 Re r_i + 2 sum_{k != i} ln |(conj(r_i) + r_k) / (r_i - r_k)|.
 
@@ -426,21 +426,20 @@ def _carried(span, dps, carry, C, G, E, kappa, log10_kappa) -> BiorthogonalFamil
                 row[:] = [+x for x in row]
         M = G if real else _pairing_mp(span, E)
         # max |M C^T - I|, formed exactly one row of M at a time
-        c_rows = [int_parts(row) for row in C]
+        c_rows = int_rows(C)
         residual = max(float(abs(x - (1 if i == j else 0))) for i, m_row in enumerate(M)
-                       for j, x in enumerate(exact_matmul([int_parts(m_row)], c_rows)[0]))
+                       for j, x in enumerate(exact_matmul(int_rows([m_row]), c_rows)[0]))
         N = C   # real without a close pair: P is the identity, and the Gram P^T C P is C
         if not real:
-            g_cols = [int_parts(col) for col in G.T]
-            cg_rows = [int_parts(exact_matmul([c_row], g_cols)[0]) for c_row in c_rows]
-            ch_cols = [r._replace(im=[-x for x in r.im]) for r in c_rows]  # conj(C)^T
-            N = np.array(exact_matmul(cg_rows, ch_cols), dtype=object)
+            g_cols = int_rows(G.T)
+            cg_rows = int_rows(exact_matmul(c_rows, g_cols))
+            N = np.array(exact_matmul(cg_rows, c_rows.conj()), dtype=object)   # C G C^H
         elif any(d for _, d in basis):
             # the exponential duals are the rows of A = P^T C, their Gram
             # A P = P^T C P (C symmetric)
             A = [list(col) for col in zip(*(_transpose_paired(basis, row) for row in C))]
             N = np.array([_transpose_paired(basis, row) for row in A], dtype=object)
-            C, c_rows = np.array(A, dtype=object), [int_parts(row) for row in A]
+            C, c_rows = np.array(A, dtype=object), int_rows(A)
         diag = N.diagonal()
         if not all(x.real > 0 for x in diag):
             # force a precision retry: a negative computed norm means the
@@ -501,7 +500,7 @@ def pair_with_exponential_mp(family: BiorthogonalFamily, mu, a: int = 0) -> list
     (``int_phi_exp``, t^a being phi_0^a) takes e^{-(mu + r_j) T} =
     e^{-mu T} E_j from the family's exponential table, one exponential per
     call; it is converted once, and one ``precision.exact_matmul`` dots it
-    exactly with the family's integer rows of C.
+    exactly with the family's integer rows of C, built with the family.
     """
     if a not in (0, 1):
         raise ValueError("t-power a must be 0 or 1")
@@ -509,36 +508,8 @@ def pair_with_exponential_mp(family: BiorthogonalFamily, mu, a: int = 0) -> list
     mu = to_mp(mu)
     with workdps(family.dps):
         e_mu = mp.mpf(0) if span.T is None else mp.exp(-mu * span.T)
-        col = int_parts(int_phi_exp(mu + r, (0,) * a + (() if d is None else (d,)), span.T,
-                                    e_mu * e)
-                        for (r, d), e in zip(span.basis(), family.exp_table))
-        return [row[0] for row in exact_matmul(family.int_rows, [col])]
+        col = int_rows([[int_phi_exp(mu + r, (0,) * a + (() if d is None else (d,)), span.T,
+                                     e_mu * e)
+                         for (r, d), e in zip(span.basis(), family.exp_table)]])
+        return [x for x, in exact_matmul(family.int_rows, col)]
 
-
-def cauchy_inverse_oracle(rates) -> np.ndarray:
-    """Closed-form inverse of the infinite-horizon Gram 1/(lam_i + lam_j).
-
-    Independent of any factorization: Schechter's product formula for the
-    inverse of a Cauchy matrix, evaluated exactly (Fractions) for rational
-    rates and in high-precision floats otherwise.
-    """
-    vals = list(rates)
-    exact = all(isinstance(v, (int, Fraction)) or (isinstance(v, float) and v.is_integer())
-                for v in vals)
-    with contextlib.nullcontext() if exact else workdps(80):
-        xs = [Fraction(v) if exact else to_mp(v) for v in vals]
-        n = len(xs)
-        out = np.empty((n, n), dtype=float)
-        for i in range(n):
-            for j in range(n):
-                num = 1
-                for k in range(n):
-                    num *= (xs[j] + xs[k]) * (xs[k] + xs[i])
-                den = xs[j] + xs[i]
-                for k in range(n):
-                    if k != j:
-                        den *= xs[j] - xs[k]
-                    if k != i:
-                        den *= xs[i] - xs[k]
-                out[i, j] = float(num / den)
-    return out

@@ -193,10 +193,9 @@ def _run_tstar(cfg, out, params, meta):
     model = build_model(cfg["model"])
     est = hautus.tstar_estimate(model, K, window)
     re = [m.lam.real for m in model.modes(K)]
-    for name in ("observation", "gap"):
-        if name in est.profiles:
-            prof = est.profiles[name]
-            _profile_csv(out, f"tstar_{name}", prof, re[: len(prof)])
+    for name, prof in est.profiles.items():
+        # ReLambda at the profile's own k: a Jordan profile skips mu = 0
+        _profile_csv(out, f"tstar_{name}", prof, [re[k - 1] for k in prof.ks.tolist()])
     tmin = model.tmin_profile(K, window)
     data = {"lower": est.lower, "components": est.components}
     if tmin is not None:

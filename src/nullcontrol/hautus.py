@@ -32,6 +32,8 @@ NEAR_ZERO_WARN = 1e-10
 class TestVector:
     """A witness y: its shift lambda and the three norms entering the test."""
 
+    __test__ = False   # a witness, not a pytest test class
+
     lam: complex
     norm_y: float
     norm_Ay: float   # ||(A* + lambda) y||

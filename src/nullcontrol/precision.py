@@ -8,8 +8,16 @@ family is carried at ceil(log10 cond) + 30 digits; the solve runs at the
 digits predicted for that carry, at least DEFAULT_DPS and at most MAX_DPS,
 and again at the carried digits only on a miss, when they are more.
 Everything user-facing is reported back as ordinary floats.
-Every exact sum is one ``int_matmul`` of ``int_parts`` rows, each entry
-rounded once (``exact_matmul``, ``round_to_float``).
+
+Every exact sum runs on one form, ``IntRows``: rows of Python ints held as
+object arrays, re and (when any value is complex) im, with one exponent
+per row.  ``int_rows`` builds it from mp scalars and ``signed_rows`` from
+signed (mantissa, exponent) values; both align a row to its lowest
+exponent and refuse a non-finite value or a spread above MAX_SPREAD_BITS
+in one place.  A caller builds each operand once and keeps it;
+``int_matmul`` takes the exact A B^T of two forms with ``np.dot``, and
+each entry is rounded once, to an mp scalar (``exact_matmul``) or to a
+float (``float_matmul``).
 """
 
 from __future__ import annotations
@@ -26,10 +34,10 @@ from .errors import NumericalError
 
 DEFAULT_DPS = 60
 MAX_DPS = 6000
-# widest exponent spread, in bits, that int_parts aligns: its integers, and
-# the cost of every exact sum over them, grow with the spread (heat N = 8 at
-# T = 1e5 spreads about 9e7 bits and would take 35 s and 193 MB; the
-# widest vector of the benchmark's jobs spreads 9110 bits)
+# widest exponent spread, in bits, that a row of IntRows aligns: its
+# integers, and the cost of every exact sum over them, grow with the spread
+# (heat N = 8 at T = 1e5 spreads about 9e7 bits and would take 35 s and
+# 193 MB; the widest vector of the benchmark's jobs spreads 9110 bits)
 MAX_SPREAD_BITS = 1 << 24
 
 
@@ -75,89 +83,113 @@ def mp_log_abs(x) -> float:
         return float(mp.log(a))
 
 
-class IntVector(NamedTuple):
-    """Exact integer form of finite mp scalars: value_j = (re[j] + i im[j]) 2^exp.
+class IntRows(NamedTuple):
+    """The exact integer form of rows of finite values: entry (i, j) is
+    (re[i, j] + i im[i, j]) 2^exp[i].  ``re`` and ``im`` are object arrays of
+    Python ints; ``im`` is None when no value is complex, and a real value
+    of a complex form has a zero im."""
 
-    ``im`` is empty when no value is an mpc."""
+    re: np.ndarray
+    im: np.ndarray | None
+    exp: list
 
-    re: list
-    im: list
-    exp: int
+    def conj(self) -> "IntRows":
+        """The complex conjugate rows."""
+        return self if self.im is None else IntRows(self.re, -self.im, self.exp)
 
 
-def int_parts(values) -> IntVector:
-    """The exact integer form of a sequence of finite mp scalars, for
-    ``int_matmul``; an inf or nan raises ValueError, and an exponent spread
-    above MAX_SPREAD_BITS raises NumericalError."""
-    values = list(values)
-    cplx = mp.mpc in map(type, values)
-    if cplx:
-        flat = [x for v in values
-                for x in (v._mpc_ if type(v) is mp.mpc else (v._mpf_, libmp.fzero))]
-    else:
-        flat = [v._mpf_ for v in values]
-    # mpf tuples are normalized (odd mantissa), so the exponent of a
-    # nonzero part is the position of its least significant bit
-    exps = [x[2] for x in flat if x[1]]
-    # an inf or nan has a zero mantissa and a nonzero bit count
-    if len(exps) < len(flat) and any(x[3] for x in flat if not x[1]):
+def signed(raw) -> tuple:
+    """(signed mantissa, exponent) of a raw mpf tuple; an inf or nan raises
+    ValueError."""
+    sign, man, exp, bc = raw
+    if bc and not man:   # an inf or nan has a zero mantissa and a nonzero bit count
         raise ValueError("exact integer form of a non-finite value")
-    exp = min(exps, default=0)
-    check_spread(max(exps, default=0) - exp)
-    ints = [0 if not man else -(man << (e - exp)) if sign else man << (e - exp)
-            for sign, man, e, _ in flat]
+    return (-man if sign else man), exp
+
+
+def _aligned(values, slack: int) -> tuple:
+    """(integers, exponent): signed (mantissa, exponent) values aligned to
+    their lowest exponent.  A mantissa's lowest set bit lies at most
+    ``slack`` bits above its exponent (0 for mpmath's odd mantissas), so
+    only a coarse spread within ``slack`` of the limit needs the exact one;
+    a spread of lowest set bits above MAX_SPREAD_BITS raises NumericalError."""
+    exps = [x for m, x in values if m]
+    lo, hi = min(exps, default=0), max(exps, default=0)
+    if hi - lo + slack > MAX_SPREAD_BITS:
+        lsb = [x + (m & -m).bit_length() - 1 for m, x in values if m]
+        spread = max(lsb) - min(lsb)
+        if spread > MAX_SPREAD_BITS:
+            raise NumericalError(f"exact sum over values spread across {spread} bits, "
+                                 f"more than {MAX_SPREAD_BITS}")
+    return [m << (x - lo) if m else 0 for m, x in values], lo
+
+
+def signed_rows(rows, cplx: bool = False, slack: int = 0) -> IntRows:
+    """The exact integer form of rows of signed (mantissa, exponent) values,
+    each row aligned to its own exponent as it is read; with ``cplx`` a
+    row holds its re parts and then its im parts.  ``slack`` is as in
+    ``_aligned``."""
+    aligned = [_aligned(r, slack) for r in rows]
+    ints = np.array([a for a, _ in aligned], dtype=object)
+    exp = [e for _, e in aligned]
     if cplx:
-        return IntVector(ints[0::2], ints[1::2], exp)
-    return IntVector(ints, [], exp)
+        n = ints.shape[1] // 2
+        return IntRows(ints[:, :n], ints[:, n:], exp)
+    return IntRows(ints, None, exp)
 
 
-def check_spread(spread: int):
-    """Raise NumericalError when an exact sum would align values whose
-    exponents spread over more than MAX_SPREAD_BITS bits."""
-    if spread > MAX_SPREAD_BITS:
-        raise NumericalError(f"exact sum over values spread across {spread} bits, "
-                             f"more than {MAX_SPREAD_BITS}")
+def int_rows(rows) -> IntRows:
+    """The exact integer form of rows of finite mp scalars, for
+    ``int_matmul``; an inf or nan raises ValueError, and a row whose
+    exponents spread above MAX_SPREAD_BITS raises NumericalError."""
+    rows = [list(r) for r in rows]
+    if any(type(v) is mp.mpc for r in rows for v in r):
+        raw = [[v._mpc_ if type(v) is mp.mpc else (v._mpf_, libmp.fzero) for v in r]
+               for r in rows]
+        return signed_rows(([signed(x) for x, _ in r] + [signed(y) for _, y in r] for r in raw),
+                           cplx=True)
+    return signed_rows([signed(v._mpf_) for v in r] for r in rows)
 
 
-def int_matmul(A, B, imag: bool = True):
-    """The exact mantissas of A B^T, for lists A and B of IntVector rows of
-    one length: object arrays (re, im) of Python ints, entry (i, j) at
-    exponent A[i].exp + B[j].exp; im is None when both sides are real or
-    ``imag`` is false.  numpy runs the object-dtype products as Python int
-    products and sums, without an interpreter loop."""
-    def parts(rows):
-        """(re, im) arrays; im is None when no row is complex, and a real row's im is 0."""
-        re = np.array([r.re for r in rows], dtype=object)
-        if not any(r.im for r in rows):
-            return re, None
-        return re, np.array([r.im or [0] * len(r.re) for r in rows], dtype=object)
-
-    # np.dot, not @: the object-dtype matmul gufunc adds ~0.1 MB to peak RSS
-    (a_re, a_im), (b_re, b_im) = parts(A), parts(B)
-    re = np.dot(a_re, b_re.T)
-    if a_im is not None and b_im is not None:
-        re -= np.dot(a_im, b_im.T)
-    if not imag or (a_im is None and b_im is None):
+def int_matmul(A: IntRows, B: IntRows, imag: bool = True):
+    """The exact mantissas of A B^T: object arrays (re, im) of Python ints,
+    entry (i, j) at exponent A.exp[i] + B.exp[j]; im is None when both
+    sides are real or ``imag`` is false.  numpy runs the object-dtype
+    products as Python int products and sums, without an interpreter loop;
+    np.dot, not @: the object-dtype matmul gufunc adds ~0.1 MB to peak RSS."""
+    re = np.dot(A.re, B.re.T)
+    if A.im is not None and B.im is not None:
+        re -= np.dot(A.im, B.im.T)
+    if not imag or (A.im is None and B.im is None):
         return re, None
-    return re, ((0 if b_im is None else np.dot(a_re, b_im.T))
-                + (0 if a_im is None else np.dot(a_im, b_re.T)))
+    return re, ((0 if B.im is None else np.dot(A.re, B.im.T))
+                + (0 if A.im is None else np.dot(A.im, B.re.T)))
 
 
-def exact_matmul(A, B) -> list:
+def exact_matmul(A: IntRows, B: IntRows) -> list:
     """A B^T as rows of mp scalars, each entry of ``int_matmul`` rounded
-    once to the working precision; an entry is an mpc when its row of A or
-    of B is complex.  This is what mp.fdot computes per entry, except that
-    mp.fdot drops a partial sum or a term lying more than 2 prec bits below
-    the other; the exact sum keeps it."""
+    once to the working precision; the entries are mpc when A or B is
+    complex.  This is what mp.fdot computes per entry, except that mp.fdot
+    drops a partial sum or a term lying more than 2 prec bits below the
+    other; the exact sum keeps it."""
     prec = mp.mp.prec
     re, im = int_matmul(A, B)
-    im = [[0] * len(B)] * len(A) if im is None else im.tolist()
+    im = [[None] * len(B.exp)] * len(A.exp) if im is None else im.tolist()
 
-    def entry(x, y, e, cplx):
+    def entry(x, y, e):
         x = libmp.from_man_exp(x, e, prec, "n")
-        return mp.make_mpc((x, libmp.from_man_exp(y, e, prec, "n"))) if cplx else mp.make_mpf(x)
-    return [[entry(x, y, a.exp + b.exp, a.im or b.im) for b, x, y in zip(B, xs, ys)]
-            for a, xs, ys in zip(A, re.tolist(), im)]
+        return mp.make_mpf(x) if y is None else mp.make_mpc(
+            (x, libmp.from_man_exp(y, e, prec, "n")))
+    return [[entry(x, y, ea + eb) for x, y, eb in zip(xs, ys, B.exp)]
+            for xs, ys, ea in zip(re.tolist(), im, A.exp)]
+
+
+def float_matmul(A: IntRows, B: IntRows, prec: int) -> list:
+    """Re(A B^T) as rows of floats, each entry of ``int_matmul`` rounded
+    once to ``prec`` bits and then to float (``round_to_float``)."""
+    re, _ = int_matmul(A, B, imag=False)
+    return [[round_to_float(x, ea + eb, prec) for x, eb in zip(xs, B.exp)]
+            for xs, ea in zip(re.tolist(), A.exp)]
 
 
 def round_half_even(man: int, exp: int, bits: int):

@@ -32,8 +32,8 @@ from .errors import (
 from .models import Block2x2, ParabolicModel
 from .observations import Scalar, combine
 from .precision import (
-    DEFAULT_DPS, MAX_SPREAD_BITS, IntVector, check_spread, exact_matmul, int_matmul,
-    int_parts, mp_log_abs, round_half_even, round_to_float, to_complex, to_mp, workdps,
+    DEFAULT_DPS, exact_matmul, float_matmul, int_rows, mp_log_abs, round_half_even, signed,
+    signed_rows, to_complex, to_mp, workdps,
 )
 
 _TAIL_MODES = 50
@@ -113,16 +113,19 @@ def _norm_sq(family, terms):
 
     On a real span with scalar directions this is the quadratic form
     w^T Q conj(w), Q the dual Gram, w_b = sum of coeff * value over the
-    terms of basis row b: one exact dot per row of Q, one row at a time,
-    and one of w with the result, each a ``precision.exact_matmul``."""
+    terms of basis row b: one exact dot per row of Q, and one of w with
+    the result, each a ``precision.exact_matmul``.  When Q is C, its
+    integer rows are the family's own; otherwise Q is converted one row
+    at a time."""
     Q = family.mp_dual_gram   # <q_i(T-.), q_j(T-.)> = <q_i, q_j>
     if family.span.real and all(isinstance(t.direction, Scalar) for t in terms):
         w = [mp.mpf(0)] * family.size
         for t in terms:
             w[t.basis_index] += t.coeff_mp * to_mp(t.direction.value)
-        cw = int_parts(mp.conj(x) for x in w)
-        Qw = [exact_matmul([int_parts(row)], [cw])[0][0] for row in Q]
-        return exact_matmul([int_parts(w)], [int_parts(Qw)])[0][0]
+        cw = int_rows([[mp.conj(x) for x in w]])
+        rows = [family.int_rows] if Q is family.mp_coeffs else (int_rows([row]) for row in Q)
+        Qw = [x for r in rows for x, in exact_matmul(r, cw)]
+        return exact_matmul(int_rows([w]), int_rows([Qw]))[0][0]
     total_sq = mp.mpf(0)
     for ti in terms:
         for tj in terms:
@@ -306,15 +309,6 @@ def verify_moments(plan: ControlPlan, N_check: int | None = None) -> MomentResid
     return MomentResidualReport(residuals, max_abs, plan.tail_bound, leakage)
 
 
-def _signed(x):
-    """(signed mantissa, exponent) of a raw mpf tuple; an inf or nan raises
-    ValueError, as in ``precision.int_parts``."""
-    sign, man, exp, bc = x
-    if bc and not man:   # an inf or nan has a zero mantissa and a nonzero bit count
-        raise ValueError("exact integer form of a non-finite value")
-    return (-man if sign else man), exp
-
-
 def _exact_sum(a, ea, b, eb):
     """a 2^ea + b 2^eb as (mantissa, exponent), exactly."""
     if ea <= eb:
@@ -322,9 +316,14 @@ def _exact_sum(a, ea, b, eb):
     return (a << (ea - eb)) + b, eb
 
 
+# samples per exact object-matrix product in sample_plan
+_SAMPLE_BLOCK = 64
+
+
 def _basis_samples(basis, T: float, ts, prec: int):
     """Yield the basis values e^{-r s} and e^{-r s} phi_d(s) at each
-    s_i = T - t_i, in the exact integer form of ``precision.int_parts``.
+    s_i = T - t_i, one ``precision.IntRows`` row per sample and one form
+    per _SAMPLE_BLOCK samples.
 
     e^{-r s} is evaluated once, at s_0, and then follows the recurrence
     e^{-r s_i} = e^{-r s_(i-1)} e^{r d_i} over the exact grid steps
@@ -347,10 +346,12 @@ def _basis_samples(basis, T: float, ts, prec: int):
     and no mp scalar per sample.  s e^{-r s} is the rounded product with
     the exact s.  A d > 0 pairs real rates only.
 
-    Each sample's values are aligned to their smallest exponent; their
-    spread is checked against ``precision.MAX_SPREAD_BITS``.  Only the
-    cached factors come from mpmath, and the check for an inf or nan is
-    made on them: integer mantissas hold neither.
+    Each sample is aligned, and its spread checked, by
+    ``precision.signed_rows`` before the next is stepped; a value has at
+    most wp + 1 bits, so its lowest set bit lies at most wp above its
+    exponent.  Only the cached factors come from mpmath, and the check for
+    an inf or nan is made on them (``precision.signed``): integer
+    mantissas hold neither.
     """
     rates = list(dict.fromkeys(r for r, _ in basis))
     deltas = list(dict.fromkeys(d for _, d in basis if d))
@@ -359,7 +360,6 @@ def _basis_samples(basis, T: float, ts, prec: int):
              for r, d in basis]
     cplx = [type(r) is mp.mpc for r in rates]
     flat_c = any(cplx)
-    size = len(basis)
     wp = prec + len(ts).bit_length() + 1
 
     # T and every t_i as integers over one exponent e0, their smallest
@@ -382,9 +382,9 @@ def _basis_samples(basis, T: float, ts, prec: int):
             x = mp.make_mpf(libmp.from_man_exp(x, e0))
             vals = [mp.exp(r * x) for r in rates]
             em1 = [mp.expm1(d * x) for d in deltas]
-            pairs = [(_signed((m + 1)._mpf_), _signed((-m / d)._mpf_))
+            pairs = [(signed((m + 1)._mpf_), signed((-m / d)._mpf_))
                      for m, d in zip(em1, deltas)]
-        return [tuple(map(_signed, v._mpc_)) if c else _signed(v._mpf_)
+        return [tuple(map(signed, v._mpc_)) if c else signed(v._mpf_)
                 for v, c in zip(vals, cplx)], pairs
 
     def scaled(z, w, c):
@@ -401,43 +401,36 @@ def _basis_samples(basis, T: float, ts, prec: int):
         return (round_half_even(*_exact_sum(a * c, ea + ec, -(b * d), eb + ed), wp),
                 round_half_even(*_exact_sum(a * d, ea + ed, b * c, eb + ec), wp))
 
-    zero = (0, 0)
-    steps = {}
-    s_prev = None
-    for t in ts:
-        s = T_int - fixed(t)   # exact, s 2^e0
-        if s_prev is None:
-            e, phi = factors(-s)
-            phi = [c for _, c in phi]   # phi_d(s) = -expm1(-d s) / d
-        else:
-            step = steps.get(s_prev - s)
-            if step is None:
-                step = steps[s_prev - s] = factors(s_prev - s)
-            e = [ctimes(a, f) if c else round_half_even(a[0] * f[0], a[1] + f[1], wp)
-                 for a, f, c in zip(e, step[0], cplx)]
-            phi = [round_half_even(*_exact_sum(*round_half_even(p * f, x + y, wp), *c), wp)
-                   for (p, x), ((f, y), c) in zip(phi, step[1])]
-        s_prev = s
-        values = [e[k] if j is None else scaled(e[k], (s, e0) if j < 0 else phi[j], cplx[k])
-                  for k, j in slots]
-        if flat_c:
-            # re parts, then im parts; a value of a real rate takes a zero im
-            values = [v[0] if cplx[k] else v for v, (k, _) in zip(values, slots)] \
-                + [v[1] if cplx[k] else zero for v, (k, _) in zip(values, slots)]
-        exps = [x for m, x in values if m]
-        lo, hi = min(exps, default=0), max(exps, default=0)
-        # a value has at most wp + 1 bits, so its lowest set bit lies at
-        # most wp above its exponent: only a coarse spread that close to
-        # the limit needs the exact one
-        if hi - lo + wp > MAX_SPREAD_BITS:
-            exact = [x + (m & -m).bit_length() - 1 for m, x in values if m]
-            check_spread(max(exact) - min(exact))
-        ints = [m << (x - lo) if m else 0 for m, x in values]
-        yield IntVector(ints[:size], ints[size:], lo)
+    def values():
+        """Each sample's signed values: re parts, then im parts when any
+        rate is complex, a value of a real rate taking a zero im."""
+        zero = (0, 0)
+        steps = {}
+        s_prev = None
+        for t in ts:
+            s = T_int - fixed(t)   # exact, s 2^e0
+            if s_prev is None:
+                e, phi = factors(-s)
+                phi = [c for _, c in phi]   # phi_d(s) = -expm1(-d s) / d
+            else:
+                step = steps.get(s_prev - s)
+                if step is None:
+                    step = steps[s_prev - s] = factors(s_prev - s)
+                e = [ctimes(a, f) if c else round_half_even(a[0] * f[0], a[1] + f[1], wp)
+                     for a, f, c in zip(e, step[0], cplx)]
+                phi = [round_half_even(*_exact_sum(*round_half_even(p * f, x + y, wp), *c), wp)
+                       for (p, x), ((f, y), c) in zip(phi, step[1])]
+            s_prev = s
+            vals = [e[k] if j is None else scaled(e[k], (s, e0) if j < 0 else phi[j], cplx[k])
+                    for k, j in slots]
+            if flat_c:
+                vals = [v[0] if cplx[k] else v for v, (k, _) in zip(vals, slots)] \
+                    + [v[1] if cplx[k] else zero for v, (k, _) in zip(vals, slots)]
+            yield vals
 
-
-# samples per exact object-matrix product in sample_plan
-_SAMPLE_BLOCK = 64
+    rows = values()
+    for _ in range(0, len(ts), _SAMPLE_BLOCK):
+        yield signed_rows(islice(rows, _SAMPLE_BLOCK), flat_c, wp)
 
 
 def sample_plan(plan: ControlPlan, n: int = 2000):
@@ -451,10 +444,10 @@ def sample_plan(plan: ControlPlan, n: int = 2000):
     family's working precision; the basis values, e^{-r s} and on a
     pair's second row e^{-r s} phi_d(s), come from the integer recurrences
     of ``_basis_samples``.  Each sample is the exact integer dot product
-    of a folded row with the basis values, both in the shared form
-    ``precision.int_parts``, taken for a block of samples by one
-    ``precision.int_matmul`` (real parts only), and rounded once to the
-    family's precision and then to float (``precision.round_to_float``).
+    of a folded row with the basis values, both in the form
+    ``precision.IntRows`` (the folded rows built once), taken for a block
+    of samples by one ``precision.float_matmul`` (real parts only), and
+    rounded once to the family's precision and then to float.
     The sum stays exact at any exponent spread (the basis values fall by
     hundreds of bits between s = 0 and s = T), where mp.fdot may drop
     terms.
@@ -462,7 +455,7 @@ def sample_plan(plan: ControlPlan, n: int = 2000):
     Cost: (rates + distinct pair gaps) * (1 + distinct grid steps) mp
     exponentials; per sample, about one integer product and one
     half-even rounding per basis value at the carried precision, with no
-    libmp call and no mp scalar; per block of samples, one ``int_matmul``
+    libmp call and no mp scalar; per block of samples, one exact product
     of the folded rows with the samples' integers; then n * terms integer
     roundings and int -> float conversions.
     """
@@ -471,16 +464,15 @@ def sample_plan(plan: ControlPlan, n: int = 2000):
     family = plan.family
     with workdps(family.dps):
         prec = mp.mp.prec
-        rows = [int_parts([term.coeff_mp * c for c in family.mp_coeffs[term.basis_index, :]])
-                for term in plan.terms]
-    cols = np.empty((len(rows), n))
-    samples = _basis_samples(family.span.basis(), T, ts, prec)
-    for start in range(0, n, _SAMPLE_BLOCK):
-        block = list(islice(samples, _SAMPLE_BLOCK))
-        mans, _ = int_matmul(rows, block, imag=False)
-        for col, a, row in zip(cols, rows, mans.tolist()):
-            col[start:start + len(block)] = [round_to_float(m, a.exp + f.exp, prec)
-                                             for m, f in zip(row, block)]
+        rows = int_rows([term.coeff_mp * c for c in family.mp_coeffs[term.basis_index, :]]
+                        for term in plan.terms)
+    cols = np.empty((len(plan.terms), n))
+    start = 0
+    for block in _basis_samples(family.span.basis(), T, ts, prec):
+        stop = start + len(block.exp)
+        for col, vals in zip(cols, float_matmul(rows, block, prec)):
+            col[start:stop] = vals
+        start = stop
     scalars = [getattr(t.direction, "value", None) for t in plan.terms]
     u = None
     if all(v is not None and np.imag(v) == 0 for v in scalars):

@@ -1,8 +1,15 @@
 """Closed forms of ln|E'(lam_k)| for the sine/sinh canonical products: the
 references the condensation profiles and ``spectral.log_E_primes`` are
-checked against."""
+checked against; and the closed-form inverse of the infinite-horizon Gram
+that the dual solve's predicted condition is checked against."""
 
+import contextlib
 import math
+from fractions import Fraction
+
+import numpy as np
+
+from nullcontrol.precision import to_mp, workdps
 
 
 def ln_sinh(x: float) -> float:
@@ -27,3 +34,32 @@ def log_eprime_two_family(k: int, d: float, scale: float = 1.0) -> float:
     return (math.log(d) + ln_sinh(k * math.pi) + ln_sinh(k * math.pi / rd)
             + math.log(abs(math.sin(k * math.pi / rd)))
             - math.log(2.0 * math.pi**3 * k**5 * scale))
+
+
+def cauchy_inverse_oracle(rates) -> np.ndarray:
+    """Closed-form inverse of the infinite-horizon Gram 1/(lam_i + lam_j).
+
+    Independent of any factorization: Schechter's product formula for the
+    inverse of a Cauchy matrix, evaluated exactly (Fractions) for rational
+    rates and in high-precision floats otherwise.
+    """
+    vals = list(rates)
+    exact = all(isinstance(v, (int, Fraction)) or (isinstance(v, float) and v.is_integer())
+                for v in vals)
+    with contextlib.nullcontext() if exact else workdps(80):
+        xs = [Fraction(v) if exact else to_mp(v) for v in vals]
+        n = len(xs)
+        out = np.empty((n, n), dtype=float)
+        for i in range(n):
+            for j in range(n):
+                num = 1
+                for k in range(n):
+                    num *= (xs[j] + xs[k]) * (xs[k] + xs[i])
+                den = xs[j] + xs[i]
+                for k in range(n):
+                    if k != j:
+                        den *= xs[j] - xs[k]
+                    if k != i:
+                        den *= xs[i] - xs[k]
+                out[i, j] = float(num / den)
+    return out

@@ -23,8 +23,9 @@ compared entry by entry, exactly except for these classes:
   ``np.polyfit``: the condensation columns ``cond_v`` and ``cond_runsup``
   of ``indices.csv``, the ``y`` column of ``indices_cond.dat`` and
   ``condensation_tail`` of ``indices.json``; the profile values ``v`` and
-  ``running_sup`` of ``tstar_observation.csv``, ``tstar_gap.csv`` and
-  ``tmin.csv``, the ``y`` column of their ``.dat`` files and ``lower``,
+  ``running_sup`` of ``tstar_observation.csv``, ``tstar_gap.csv``,
+  ``tstar_jordan.csv`` and ``tmin.csv``, the ``y`` column of their
+  ``.dat`` files and ``lower``,
   ``components`` and ``tmin_tail`` of ``tstar.json``; the fitted
   ``summability_exponent`` of ``hypotheses.json``; and the ``control2x2``
   samples, the ``u`` column of ``control2x2.csv`` and ``y`` of
@@ -85,6 +86,7 @@ TOLERANCES = {
     "indices.json": {"condensation_tail": VECTOR_TOL},
     "tstar_observation.csv": _PROFILE, "tstar_observation.dat": _DAT,
     "tstar_gap.csv": _PROFILE, "tstar_gap.dat": _DAT,
+    "tstar_jordan.csv": _PROFILE, "tstar_jordan.dat": _DAT,
     "tmin.csv": _PROFILE, "tmin.dat": _DAT,
     "tstar.json": {"lower": VECTOR_TOL, "components": VECTOR_TOL, "tmin_tail": VECTOR_TOL},
     "hypotheses.json": {"summability_exponent": VECTOR_TOL},

@@ -6,30 +6,56 @@ stepped the basis values with ``libmp.mpf_mul``, ``mpf_sub`` and
 ``mpc_mul`` rounded to nearest at the carried precision, converted them
 to aligned integers and took one exact dot product per term and sample,
 rounded by libmp.  Both paths round the same exact values the same way,
-so the kernel must reproduce these samples bit for bit.  The conversion
-and the dot are written out here, not imported from ``precision``.
+so the kernel must reproduce these samples bit for bit.  The conversion,
+its spread refusal and the dot are written out here, not imported from
+``precision``.
 """
+
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
 from mpmath import libmp
 
-from nullcontrol.precision import IntVector, check_spread, int_parts, workdps
+from nullcontrol.errors import NumericalError
+from nullcontrol.precision import MAX_SPREAD_BITS, workdps
+
+
+class IntVector(NamedTuple):
+    """Exact integer form of one vector: value_j = (re[j] + i im[j]) 2^exp;
+    ``im`` is empty when no value is complex."""
+
+    re: list
+    im: list
+    exp: int
 
 
 def _int_parts_raw(flat, cplx: bool) -> IntVector:
-    """``precision.int_parts`` of raw mpf tuples: one per value, or (re, im)
-    pairs laid out flat when ``cplx``."""
+    """The exact integer form of raw mpf tuples: one per value, or (re, im)
+    pairs laid out flat when ``cplx``, aligned to their lowest set bit."""
     exps = [x[2] for x in flat if x[1]]
     if len(exps) < len(flat) and any(x[3] for x in flat if not x[1]):
         raise ValueError("exact integer form of a non-finite value")
     exp = min(exps, default=0)
-    check_spread(max(exps, default=0) - exp)
+    spread = max(exps, default=0) - exp
+    if spread > MAX_SPREAD_BITS:
+        raise NumericalError(f"exact sum over values spread across {spread} bits, "
+                             f"more than {MAX_SPREAD_BITS}")
     ints = [0 if not man else -(man << (e - exp)) if sign else man << (e - exp)
             for sign, man, e, _ in flat]
     if cplx:
         return IntVector(ints[0::2], ints[1::2], exp)
     return IntVector(ints, [], exp)
+
+
+def _int_parts(values) -> IntVector:
+    """``_int_parts_raw`` of mp scalars."""
+    values = list(values)
+    cplx = any(isinstance(v, mp.mpc) for v in values)
+    if not cplx:
+        return _int_parts_raw([v._mpf_ for v in values], False)
+    return _int_parts_raw([x for v in values for x in
+                           (v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_, libmp.fzero))], True)
 
 
 def _dot_real(a: IntVector, b: IntVector, prec: int) -> float:
@@ -40,7 +66,7 @@ def _dot_real(a: IntVector, b: IntVector, prec: int) -> float:
 
 def basis_samples(basis, T: float, ts, prec: int):
     """Yield the basis values e^{-r s} and e^{-r s} phi_d(s) at each
-    s_i = T - t_i, in the exact integer form of ``precision.int_parts``.
+    s_i = T - t_i, one ``IntVector`` per sample.
 
     e^{-r s} is evaluated once, at s_0, and then follows the recurrence
     e^{-r s_i} = e^{-r s_(i-1)} e^{r d_i} over the exact grid steps
@@ -117,7 +143,7 @@ def sample_plan(plan, n: int = 2000):
     family = plan.family
     with workdps(family.dps):
         prec = mp.mp.prec
-        rows = [int_parts([term.coeff_mp * c for c in family.mp_coeffs[term.basis_index, :]])
+        rows = [_int_parts([term.coeff_mp * c for c in family.mp_coeffs[term.basis_index, :]])
                 for term in plan.terms]
     samples = [[_dot_real(a, f, prec) for a in rows]
                for f in basis_samples(family.span.basis(), T, ts, prec)]

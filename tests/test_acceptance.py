@@ -29,7 +29,6 @@ from nullcontrol import (
     block_2x2,
     build_biortho,
     cascade_boundary_q,
-    cauchy_inverse_oracle,
     check_hypotheses,
     gramian_control_2x2,
     grushin_tstar_profile,
@@ -46,7 +45,7 @@ from nullcontrol.grushin import expected_observation_asymptote, observation_inte
 from nullcontrol.models import PiecewiseConstant
 from nullcontrol.synthesis import biorthogonalize_gram
 from nullcontrol.cli import main as cli_main
-from tests.closed_forms import log_eprime_two_family
+from tests.closed_forms import cauchy_inverse_oracle, log_eprime_two_family
 
 PI2 = math.pi**2
 X0 = math.sqrt(2.0) - 1.0

@@ -7,12 +7,9 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath import libmp
 
-from nullcontrol import (
-    ExponentialSpan,
-    build_biortho,
-    cauchy_inverse_oracle,
-)
+from nullcontrol import ExponentialSpan, build_biortho
 from nullcontrol import biortho_time
 from nullcontrol.biortho_time import (
     RESIDUAL_THRESHOLD, _pairing_mp, int_phi_exp, pair_with_exponential_mp,
@@ -25,6 +22,7 @@ from nullcontrol.models import (
 )
 from nullcontrol.precision import DEFAULT_DPS, to_complex, to_mp, workdps
 from nullcontrol.spectral import from_rule
+from tests.closed_forms import cauchy_inverse_oracle
 from tests.exponential_reference import (
     auto_dps_for_gaps, exponential_span, int_pow_exp, min_log_rel_gap, reference_family,
     solve_dps,
@@ -256,6 +254,25 @@ class TestFamilyArrays:
                 A[0, 0] = A[1, 1]
             with pytest.raises(ValueError, match="read-only"):
                 A[1] = A[2]
+
+    @pytest.mark.parametrize("span,cplx", [
+        (lambda: ExponentialSpan(tuple(k * k * PI2 for k in range(1, 13)), 0.4), False),
+        (lambda: ExponentialSpan((1 + 1j, 2 - 0.5j, 3), 1.0), True),
+        (lambda: ExponentialSpan(tuple(AcademicLfRule(0.2).mp_entries(20)), 0.5), False),
+        (lambda: ExponentialSpan(_twice((1.0, 2.0, 4.0)), 1.0), False),
+    ], ids=["real", "complex", "close-pair", "jordan"])
+    def test_int_rows_are_coeffs(self, span, cplx):
+        # every row of the integer form holds its row of C exactly: on a
+        # close-pair span, the rows of the exponential duals P^T C
+        fam = build_biortho(span())
+        C, rows = fam.mp_coeffs, fam.int_rows
+        assert (rows.im is not None) == cplx
+        assert rows.re.shape == C.shape and len(rows.exp) == fam.size
+        for i, exp in enumerate(rows.exp):
+            for j, c in enumerate(C[i]):
+                assert libmp.from_man_exp(rows.re[i, j], exp) == mp.re(c)._mpf_
+                im = 0 if rows.im is None else rows.im[i, j]
+                assert libmp.from_man_exp(im, exp) == mp.im(c)._mpf_
 
     def test_retained_memory(self):
         # what the family keeps alive: 0.50 MB here, 0.78 MB with C held in

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
-from nullcontrol import cli, grushin_tstar_profile, observation_integral, solve_mode
+from nullcontrol import cli, grushin_tstar_profile, models, observation_integral, solve_mode
 from nullcontrol.cli import main, run
 from nullcontrol.errors import RationalRootWarning
 from nullcontrol.schemas import CONFIG_SCHEMA, DIAGNOSTICS_SCHEMA, ERROR_SCHEMA
@@ -325,6 +325,28 @@ class TestOtherCommands:
         payload = json.loads((out / "tstar.json").read_text())
         assert payload["data"]["lower"] == pytest.approx(0.2, rel=0.1)
         assert (out / "tstar_gap.csv").exists()
+
+    def test_tstar_writes_every_component_profile(self, tmp_path, monkeypatch):
+        # the coupling vanishes at even k, so the Jordan profile skips those
+        # modes: its ReLambda column is read at its own k
+        monkeypatch.setattr(models.CascadeBoundaryModel, "coupling",
+                            lambda self, k: 0.0 if k % 2 == 0 else self.q.integral_sin2(k))
+        cfg = {"command": "tstar",
+               "model": {"name": "cascade_boundary_q", "q_breakpoints": [0.2, 0.8],
+                         "q_values": [1.3]},
+               "params": {"K": 8}}
+        out = tmp_path / "out"
+        assert run(cfg, out) == 0
+        components = json.loads((out / "tstar.json").read_text())["data"]["components"]
+        assert "jordan" in components
+        for name in components:
+            assert (out / f"tstar_{name}.csv").exists()
+            assert (out / f"tstar_{name}.dat").exists()
+        re = {m.k: m.lam.real for m in cli.build_model(cfg["model"]).modes(8)}
+        rows = [line.split(",") for line in
+                (out / "tstar_jordan.csv").read_text().splitlines()[1:]]
+        assert [int(k) for k, *_ in rows] == [1, 3, 5, 7]
+        assert [float(r) for _, r, *_ in rows] == [re[k] for k in (1, 3, 5, 7)]
 
     def test_biortho_command(self, tmp_path):
         cfg = {"command": "biortho", "sequence": {"rule": "power", "c": math.pi**2, "p": 2.0},

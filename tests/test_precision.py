@@ -18,8 +18,8 @@ from nullcontrol.generators import make_rule
 from nullcontrol.models import PiecewiseConstant, cascade_boundary_q
 from nullcontrol.errors import NumericalError
 from nullcontrol.precision import (
-    MAX_SPREAD_BITS, exact_matmul, int_matmul, int_parts, mp_log_abs, round_half_even,
-    round_to_float, workdps,
+    MAX_SPREAD_BITS, exact_matmul, float_matmul, int_matmul, int_rows, mp_log_abs,
+    round_half_even, round_to_float, signed_rows, workdps,
 )
 
 PI2 = math.pi**2
@@ -75,8 +75,9 @@ def _fraction(x):
     return Fraction((-1) ** sign * man) * Fraction(2) ** exp
 
 
-def _exact(a, b):
-    """sum_j a_j b_j in Fractions, rounded once to the working precision."""
+def _exact(a, b, cplx=False):
+    """sum_j a_j b_j in Fractions, rounded once to the working precision;
+    an mpc when ``cplx`` or when a or b holds one."""
     parts = [v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_, None) for v in a]
     qarts = [v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_, None) for v in b]
     re = im = Fraction(0)
@@ -88,13 +89,23 @@ def _exact(a, b):
         im += ar * bi + ai * br
     prec = mp.mp.prec
     rnd = [libmp.from_rational(x.numerator, x.denominator, prec, "n") for x in (re, im)]
-    if any(isinstance(v, mp.mpc) for v in a + b):
+    if cplx or any(isinstance(v, mp.mpc) for v in a + b):
         return mp.make_mpc(tuple(rnd))
     return mp.make_mpf(rnd[0])
 
 
 def _product(A, B):
-    return exact_matmul([int_parts(a) for a in A], [int_parts(b) for b in B])
+    return exact_matmul(int_rows(A), int_rows(B))
+
+
+def _complex(*matrices):
+    """Whether any entry is an mpc: exact_matmul then returns mpc entries."""
+    return any(isinstance(v, mp.mpc) for rows in matrices for row in rows for v in row)
+
+
+def _as_type(x, cplx):
+    """x as an mpc when ``cplx``, with the same parts."""
+    return mp.mpc(x) if cplx and not isinstance(x, mp.mpc) else x
 
 
 class TestIntDot:
@@ -111,9 +122,10 @@ class TestIntDot:
             for n in range(1, 41):
                 A = _rows(rng, prec, n, spread, (kind, "real"))
                 B = _rows(rng, prec, n, spread, [rng.choice(("real", kind)) for _ in range(3)])
+                cplx = _complex(A, B)
                 for a, got_row in zip(A, _product(A, B)):
                     for b, got in zip(B, got_row):
-                        assert _bits(got) == _bits(_exact(a, b)), (n, a, b)
+                        assert _bits(got) == _bits(_exact(a, b, cplx)), (n, a, b)
 
     # full mantissas whose magnitudes spread over at most prec bits: the
     # least significant bits of all products then lie within 2 prec bits
@@ -132,9 +144,10 @@ class TestIntDot:
                 A = _rows(rng, prec, n, spread, (kind, "real"), short=0, shift=prec)
                 B = _rows(rng, prec, n, spread, [rng.choice(("real", kind)) for _ in range(3)],
                           short=0, shift=prec)
+                cplx = _complex(A, B)
                 for a, got_row in zip(A, _product(A, B)):
                     for b, got in zip(B, got_row):
-                        assert _bits(got) == _bits(mp.fdot(a, b)), (n, a, b)
+                        assert _bits(got) == _bits(_as_type(mp.fdot(a, b), cplx)), (n, a, b)
 
     def test_keeps_terms_fdot_drops(self):
         # 1 + 2^-300 - 1 loses everything when rounded term by term at 60
@@ -152,26 +165,59 @@ class TestIntDot:
     @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan, mp.mpc(1, mp.inf)])
     def test_non_finite_values_raise(self, bad):
         with workdps(60), pytest.raises(ValueError, match="non-finite"):
-            int_parts([mp.mpf(1), bad])
+            int_rows([[mp.mpf(1), mp.mpf(2)], [mp.mpf(1), bad]])
 
     def test_parts_are_exact(self):
         with workdps(60):
-            values = [mp.mpf(3) / 7, mp.mpc(-1.5, 2) / 3, mp.mpf(0)]
-            parts = int_parts(values)
-            for v, re, im in zip(values, parts.re, parts.im):
-                assert mp.ldexp(re, parts.exp) == mp.re(v)
-                assert mp.ldexp(im, parts.exp) == mp.im(v)
-            assert int_parts(values[:1]).im == []
+            rows = [[mp.mpf(3) / 7, mp.mpc(-1.5, 2) / 3, mp.mpf(0)],
+                    [mp.ldexp(5, 300), mp.ldexp(mp.mpf(-1) / 3, 300),
+                     mp.mpc(0, mp.ldexp(1, 300)) / 7]]
+            form = int_rows(rows)
+            assert form.re.shape == form.im.shape == (2, 3)
+            for row, re, im, exp in zip(rows, form.re, form.im, form.exp):
+                for v, x, y in zip(row, re, im):
+                    assert type(x) is int and type(y) is int
+                    assert mp.ldexp(x, exp) == mp.re(v)
+                    assert mp.ldexp(y, exp) == mp.im(v)
+            assert form.exp[0] != form.exp[1]
+            assert int_rows([rows[0][:1]]).im is None
+
+    def test_conj(self):
+        with workdps(60):
+            rows = [[mp.mpc(1, 2) / 3, mp.mpf(-5) / 7], [mp.mpf(11), mp.mpc(-2, 1) / 9]]
+            form = int_rows(rows)
+            assert form.conj().re is form.re and int_rows([rows[0][1:]]).conj().im is None
+            conj = [[mp.conj(v) for v in row] for row in rows]
+            assert _product(rows, conj) == exact_matmul(form, form.conj())
+
+    def test_signed_rows_match_mp_rows(self):
+        # the same values as signed (mantissa, exponent) pairs, unnormalized
+        # (even mantissas) and complex as re parts then im parts
+        with workdps(60):
+            rows = [[mp.mpc(1, 2) / 3, mp.mpf(-5) / 7, mp.mpf(0)],
+                    [mp.mpf(11), mp.mpc(-2, 1) / 9, mp.ldexp(3, -90)]]
+            raw = [[v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_, libmp.fzero) for v in r]
+                   for r in rows]
+
+            def pair(x):
+                sign, man, exp, _ = x
+                return ((-man if sign else man) << 3), exp - 3
+
+            form = signed_rows([[pair(x[0]) for x in r] + [pair(x[1]) for x in r]
+                                for r in raw], cplx=True)
+            assert exact_matmul(form, form) == _product(rows, rows)
 
     def test_real_part_as_float(self):
         with workdps(60):
             prec = mp.mp.prec
             a = [mp.mpc(1, 2) / 3, mp.mpf(-5) / 7, mp.ldexp(1, -400)]
             b = [mp.mpc(-2, 1) / 9, mp.mpf(11), mp.mpf(1)]
-            pa, pb = int_parts(a), int_parts(b)
-            re, im = int_matmul([pa], [pb], imag=False)
+            pa, pb = int_rows([a]), int_rows([b])
+            re, im = int_matmul(pa, pb, imag=False)
             assert im is None
-            assert round_to_float(re[0, 0], pa.exp + pb.exp, prec) == float(mp.re(_exact(a, b)))
+            assert round_to_float(re[0, 0], pa.exp[0] + pb.exp[0], prec) \
+                == float(mp.re(_exact(a, b)))
+            assert float_matmul(pa, pb, prec) == [[float(mp.re(_exact(a, b)))]]
 
 
 def _float_bits(x):
@@ -223,15 +269,20 @@ def _edge_cases(prec):
 
 class TestSpreadBudget:
     def test_spread_up_to_the_budget_is_exact(self):
-        a = int_parts([mp.mpf(1), mp.ldexp(1, -MAX_SPREAD_BITS)])
-        assert a.exp == -MAX_SPREAD_BITS and a.re == [1 << MAX_SPREAD_BITS, 1]
+        a = int_rows([[mp.mpf(1), mp.ldexp(1, -MAX_SPREAD_BITS)]])
+        assert a.exp == [-MAX_SPREAD_BITS] and a.re.tolist() == [[1 << MAX_SPREAD_BITS, 1]]
 
     @pytest.mark.parametrize("spread", [MAX_SPREAD_BITS + 1, 10**22])
     def test_wider_spread_refused(self, spread):
         # the aligned integer would take spread bits (at 1e22, more than
         # CPython can shift to)
-        with pytest.raises(NumericalError, match="spread"):
-            int_parts([mp.mpf(3), mp.ldexp(1, -spread)])
+        with pytest.raises(NumericalError, match=f"spread across {spread} bits"):
+            int_rows([[mp.mpf(3), mp.ldexp(1, -spread)]])
+
+    def test_spread_per_row(self):
+        # each row is aligned to its own exponent: rows far apart are fine
+        a = int_rows([[mp.mpf(1)], [mp.ldexp(1, -2 * MAX_SPREAD_BITS)]])
+        assert a.exp == [0, -2 * MAX_SPREAD_BITS] and a.re.tolist() == [[1], [1]]
 
 
 class TestRoundHalfEven:
@@ -293,18 +344,22 @@ class TestIntDotReal:
         with workdps(dps):
             prec = mp.mp.prec
             for n in range(1, 41):
-                A = [int_parts(a) for a in _rows(rng, prec, n, 900, (kind, "real"))]
-                B = [int_parts(b) for b in _rows(
-                    rng, prec, n, 900, [rng.choice(("real", kind)) for _ in range(3)])]
+                A = int_rows(_rows(rng, prec, n, 900, (kind, "real")))
+                B = int_rows(_rows(rng, prec, n, 900,
+                                   [rng.choice(("real", kind)) for _ in range(3)]))
                 mans, _ = int_matmul(A, B, imag=False)
-                for a, row in zip(A, mans.tolist()):
-                    for b, man in zip(B, row):
-                        re = sum(x * y for x, y in zip(a.re, b.re)) \
-                            - sum(x * y for x, y in zip(a.im, b.im))
+                floats = float_matmul(A, B, prec)
+                a_im = [[0] * n] * 2 if A.im is None else A.im.tolist()
+                b_im = [[0] * n] * 3 if B.im is None else B.im.tolist()
+                for i, row in enumerate(mans.tolist()):
+                    for j, man in enumerate(row):
+                        re = sum(x * y for x, y in zip(A.re[i], B.re[j])) \
+                            - sum(x * y for x, y in zip(a_im[i], b_im[j]))
                         assert man == re
-                        want = self._reference(re, a.exp + b.exp, prec)
-                        got = round_to_float(man, a.exp + b.exp, prec)
+                        want = self._reference(re, A.exp[i] + B.exp[j], prec)
+                        got = round_to_float(man, A.exp[i] + B.exp[j], prec)
                         assert _float_bits(got) == _float_bits(want)
+                        assert _float_bits(floats[i][j]) == _float_bits(want)
 
 
 def _cascade_jordan_span(N=16, T=0.5):

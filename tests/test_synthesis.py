@@ -529,7 +529,7 @@ class TestSamplePlan:
         basis = plan.family.span.basis()
         with mp.workprec(prec + 64):
             tol = mp.ldexp(1, -prec)
-            for t, f in zip(ts, synthesis._basis_samples(basis, T_f, ts, prec)):
+            for t, f in zip(ts, _per_sample(synthesis._basis_samples(basis, T_f, ts, prec))):
                 s = mp.mpf(T_f) - mp.mpf(float(t))
                 # real spans: the integer form holds re_j 2^exp exactly
                 assert not f.im
@@ -590,6 +590,15 @@ def _assert_samples_match_reference(plan, n):
     assert cols.shape == cols_ref.shape == (len(plan.terms), n)
     assert np.array_equal(cols, cols_ref)
     assert (u is None and u_ref is None) or np.array_equal(u, u_ref)
+
+
+def _per_sample(blocks):
+    """The rows of ``synthesis._basis_samples``' blocks, one per sample, as
+    ``sampling_reference.basis_samples`` yields them."""
+    for f in blocks:
+        for i, exp in enumerate(f.exp):
+            yield sampling_reference.IntVector(
+                f.re[i].tolist(), [] if f.im is None else f.im[i].tolist(), exp)
 
 
 def _same_values(f, g):
@@ -655,7 +664,7 @@ class TestSamplingKernel:
         for offset in range(-4, 5):
             for r1 in (3, 11):
                 basis = [(mp.mpf(r1), None), (r1 + (MAX_SPREAD_BITS + offset) * mp.ln(2), None)]
-                got = run(synthesis._basis_samples(basis, 1.0, ts, 200))
+                got = run(_per_sample(synthesis._basis_samples(basis, 1.0, ts, 200)))
                 want = run(sampling_reference.basis_samples(basis, 1.0, ts, 200))
                 refused.add(isinstance(want, str))
                 if isinstance(want, str):
@@ -665,15 +674,18 @@ class TestSamplingKernel:
         assert refused == {True, False}
 
     def test_non_finite_factor_refused(self):
-        # e^{inf d} is the first step's factor: both paths raise before
-        # yielding a second sample
+        # e^{inf d} is the first step's factor: the reference raises before
+        # yielding a second sample, and the kernel, which yields blocks of
+        # samples, takes the first sample alone and refuses the step
         basis = [(mp.mpf(1), None), (mp.inf, None)]
         ts = np.linspace(0.0, 1.0, 3)
-        for samples in (synthesis._basis_samples(basis, 1.0, ts, 200),
-                        sampling_reference.basis_samples(basis, 1.0, ts, 200)):
+        samples = sampling_reference.basis_samples(basis, 1.0, ts, 200)
+        next(samples)
+        with pytest.raises(ValueError, match="non-finite"):
             next(samples)
-            with pytest.raises(ValueError, match="non-finite"):
-                next(samples)
+        assert len(list(_per_sample(synthesis._basis_samples(basis, 1.0, ts[:1], 200)))) == 1
+        with pytest.raises(ValueError, match="non-finite"):
+            list(synthesis._basis_samples(basis, 1.0, ts, 200))
 
 
 def _solve_digit_plan(monkeypatch, model, T, N):
