@@ -35,6 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridTooCoarse, GridTooFine
+from .hautus import marginal_horizon
 from .report import DEFAULT_WINDOW, ProfileReport, make_profile
 
 _GAUSS_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
@@ -275,29 +276,26 @@ def grushin_tstar_profile(a: float, b: float, n_max: int, h: float = 2e-4,
                           window: int = DEFAULT_WINDOW) -> ProfileReport:
     """Per-frequency marginal horizons T_n = [ln lam_n - ln(2 int_a^b v_n^2)] / (2 lam_n).
 
-    The witness is an exact eigenfunction, so only the observation term of
-    the quantified test survives; constant-1 convention for the unknown
+    The witness is an exact eigenfunction, so only the observation term
+    ||B* v_n||^2 = 2 int_a^b v_n^2 of the quantified test survives
+    (``hautus.marginal_horizon``); constant-1 convention for the unknown
     prefactor.  Each mode is solved once and integrated once
     (``observation_integral``).  The extras hold lambda_n, the integral
-    int_a^b v_n^2, its log and the target a^2/2 the tail is compared
-    against; the running supremum is what the CLI's ``grushin`` command
-    checks against its optional cap.  Raises ValueError unless
-    1 <= n_max <= N_MAX, before any work.
+    int_a^b v_n^2 and the target a^2/2 the tail is compared against; the
+    running supremum is what the CLI's ``grushin`` command checks against
+    its optional cap.  Raises ValueError unless 1 <= n_max <= N_MAX,
+    before any work.
     """
     if not 1 <= n_max <= N_MAX:
         raise ValueError(f"n_max must lie in 1..{N_MAX}")
     lams = np.empty(n_max)
     integrals = np.empty(n_max)
-    log_ints = np.empty(n_max)
     vals = np.empty(n_max)
     for n in range(1, n_max + 1):
         mode = solve_mode(n, h)
         integral = observation_integral(mode, a, b)
-        li = math.log(integral)
         lams[n - 1] = mode.lam
         integrals[n - 1] = integral
-        log_ints[n - 1] = li
-        vals[n - 1] = (math.log(mode.lam) - (math.log(2.0) + li)) / (2.0 * mode.lam)
-    extras = {"lambda": lams, "integral": integrals, "log_integral": log_ints,
-              "target": a * a / 2.0}
+        vals[n - 1] = marginal_horizon(mode.lam, ln_By=0.5 * (math.log(2.0) + math.log(integral)))
+    extras = {"lambda": lams, "integral": integrals, "target": a * a / 2.0}
     return make_profile("grushin_tstar", np.arange(1, n_max + 1), vals, window, extras)

@@ -1,12 +1,20 @@
 """Quantified observability inequality and minimal-horizon estimates.
 
 The inequality bounds ||y||^2 by C e^{2 T Re(lam)} times resolvent and
-observation terms.  Evaluated along a model's eigenfunction family it
-yields, mode by mode, the smallest horizon at which the bound becomes
-marginal; the windowed tails of those per-mode horizons are the T*
-estimate.  Profiles are clamped below at 0 (horizons are nonnegative) and
-a single exactly-vanishing observation forces +inf: the unquantified
-kernel test already fails there.
+observation terms.  For a unit witness y at C = 1 it turns marginal at
+
+    T = -ln(||(A* + lam) y||^2 / Re(lam)^2 + ||B* y||^2 / Re(lam)) / (2 Re(lam)),
+
+``marginal_horizon``, clamped below at 0 and +inf when both norms vanish
+(the unquantified kernel test already fails there).  Each profile takes it
+mode by mode along one family of witnesses; the windowed tails of the
+profiles are the T* estimate:
+
+* observation: eigenfunction phi_k, (A* + lam) phi_k = 0, ||B* phi_k|| given;
+* gap: two-mode kernel direction, ||(A* + lam_k) y|| = min_j |lam_k - lam_j|;
+* Jordan: chain eigenvector, ||(A* + lam) y|| = |mu_k|, or |mu_k| / |gamma_k|
+  for its gamma profile; B* y = 0 for these two;
+* Grushin: cross-section eigenfunction v_n, ||B* v_n||^2 = 2 int_a^b v_n^2.
 """
 
 from __future__ import annotations
@@ -24,8 +32,6 @@ from .errors import (
 )
 from .report import DEFAULT_WINDOW, ProfileReport, make_profile
 from . import spectral
-
-NEAR_ZERO_WARN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -57,52 +63,45 @@ def inequality_ratio(tv: TestVector, T: float, C: float) -> float:
     return rhs / tv.norm_y**2
 
 
-def _clamp(v: float) -> float:
-    return v if math.isinf(v) else max(0.0, v)
+def marginal_horizon(lam: complex, ln_Ay: float = -math.inf, ln_By: float = -math.inf) -> float:
+    """The T >= 0 at which ``inequality_ratio`` of a unit witness equals 1
+    at C = 1, from ln||(A* + lam) y|| and ln||B* y||: logs, so that norms
+    beyond the binary64 range stay finite.  +inf when both norms vanish."""
+    re = complex(lam).real
+    ln_re = math.log(re)
+    ln_rhs = np.logaddexp(2.0 * (ln_Ay - ln_re), 2.0 * ln_By - ln_re)
+    return max(0.0, float(-ln_rhs / (2.0 * re)))
 
 
 def tstar_observation_profile(model, K: int, window: int = DEFAULT_WINDOW) -> ProfileReport:
-    """Per-mode horizon from the eigenfunction witness:
-    v_k = [-ln ||B* phi_k|| + ln(Re lam_k)/2] / Re lam_k."""
+    """v_k = [-ln ||B* phi_k|| + ln(Re lam_k)/2] / Re lam_k, +inf where
+    phi_k is unobservable."""
     if not model.observation_available:
         raise ObservationUnavailable(f"model {model.name} has no observation data")
-    modes = model.modes(K)
     vals = np.empty(K)
-    warn = []
-    for i, mode in enumerate(modes):
-        re = mode.lam.real
+    for i, mode in enumerate(model.modes(K)):
         obs = mode.obs[0]
-        if obs is None or obs.unobservable:
-            vals[i] = math.inf
-            continue
-        nrm = obs.norm()
-        if nrm < NEAR_ZERO_WARN:
-            warn.append(mode.k)
-        vals[i] = _clamp((-math.log(nrm) + 0.5 * math.log(re)) / re)
-    return make_profile("tstar_observation", np.arange(1, K + 1), vals, window,
-                        extras={"near_zero_warnings": warn})
+        observed = obs is not None and not obs.unobservable
+        vals[i] = marginal_horizon(mode.lam, ln_By=math.log(obs.norm()) if observed else -math.inf)
+    return make_profile("tstar_observation", np.arange(1, K + 1), vals, window)
 
 
 def tstar_gap_profile(model, K: int, window: int = DEFAULT_WINDOW) -> ProfileReport:
-    """Per-mode horizon from pairwise eigenvalue separation:
-    v_k = [-ln inf_j |lam_k - lam_j| + ln(Re lam_k)] / Re lam_k.
-
-    Requires the model to provide a two-mode kernel direction (automatic
-    for scalar controls)."""
+    """v_k = [-ln min_j |lam_k - lam_j| + ln(Re lam_k)] / Re lam_k; needs
+    the model's two-mode kernel direction (automatic for scalar controls)."""
     if model.structural_pair_kernel is None:
         raise StructuralHypothesisMissing(
             f"model {model.name} declares no two-mode kernel rule")
     seq = model.spectrum(K)  # from_rule keeps spare entries past K
     bohr = spectral.bohr_profile(seq, K, window=window)
-    re = seq.re[:K]
-    vals = np.array([_clamp(v + math.log(r) / r) for v, r in zip(bohr.values, re)])
+    # bohr's v_k is -ln(gap_k) / Re lam_k
+    vals = np.array([marginal_horizon(r, ln_Ay=-v * r) for v, r in zip(bohr.values, seq.re)])
     return make_profile("tstar_gap", np.arange(1, K + 1), vals, window,
                         extras={"partner": bohr.extras["partner"]})
 
 
 def tstar_jordan_profile(model, K: int, window: int = DEFAULT_WINDOW) -> ProfileReport:
-    """Per-mode horizon from the Jordan coupling:
-    v_k = [-ln |mu_k| + ln(Re lam_k)] / Re lam_k, plus a secondary profile
+    """v_k = [-ln |mu_k| + ln(Re lam_k)] / Re lam_k, and the gamma profile
     [ln(|gamma_k| / |mu_k|) + ln(Re lam_k)] / Re lam_k when gamma is known."""
     modes = [m for m in model.modes(K) if m.kind == "jordan"]
     if not modes:
@@ -110,15 +109,15 @@ def tstar_jordan_profile(model, K: int, window: int = DEFAULT_WINDOW) -> Profile
     ks, vals, skipped = [], [], []
     g_ks, g_vals = [], []
     for mode in modes:
-        re = mode.lam.real
         if mode.mu is None or mode.mu == 0:
             skipped.append(mode.k)
             continue
         ks.append(mode.k)
-        vals.append(_clamp((-math.log(abs(mode.mu)) + math.log(re)) / re))
+        vals.append(marginal_horizon(mode.lam, ln_Ay=math.log(abs(mode.mu))))
         if mode.gamma is not None and mode.gamma != 0:
             g_ks.append(mode.k)
-            g_vals.append(_clamp((math.log(abs(mode.gamma) / abs(mode.mu)) + math.log(re)) / re))
+            g_vals.append(marginal_horizon(
+                mode.lam, ln_Ay=-math.log(abs(mode.gamma) / abs(mode.mu))))
     if not ks:
         raise NoJordanModes("all Jordan couplings vanish (modes " + str(skipped) + ")")
     extras = {"skipped_zero_mu": skipped}

@@ -18,6 +18,7 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -341,13 +342,11 @@ def cascade_boundary_q(q: PiecewiseConstant, M: int = 200, y0_rule=None) -> Casc
 
 def _check_rational_root(d: float, qmax: int = 50, tol: float = 1e-9) -> None:
     rd = math.sqrt(d)
-    for q in range(1, qmax + 1):
-        p = round(rd * q)
-        if p > 0 and abs(rd - p / q) < tol:
-            warnings.warn(
-                f"sqrt(d) is within {tol:g} of {p}/{q}: eigenvalue collision risk",
-                RationalRootWarning, stacklevel=3)
-            return
+    r = Fraction(rd).limit_denominator(qmax)
+    if r > 0 and abs(rd - r) < tol:
+        warnings.warn(
+            f"sqrt(d) is within {tol:g} of {r.numerator}/{r.denominator}: "
+            "eigenvalue collision risk", RationalRootWarning, stacklevel=3)
 
 
 class _TwoDiffusionBase(ParabolicModel):

@@ -1,7 +1,8 @@
 """Closed forms of ln|E'(lam_k)| for the sine/sinh canonical products: the
 references the condensation profiles and ``spectral.log_E_primes`` are
-checked against; and the closed-form inverse of the infinite-horizon Gram
-that the dual solve's predicted condition is checked against."""
+checked against; the closed-form inverse of the infinite-horizon Gram
+that the dual solve's predicted condition is checked against; and the
+per-witness horizon formulas the T* profiles are checked against."""
 
 import contextlib
 import math
@@ -63,3 +64,35 @@ def cauchy_inverse_oracle(rates) -> np.ndarray:
                         den *= xs[i] - xs[k]
                 out[i, j] = float(num / den)
     return out
+
+
+# The marginal horizon of each witness family, written out by hand in its
+# own algebra, independent of ``hautus.marginal_horizon``.
+
+def _clamp(v: float) -> float:
+    return v if math.isinf(v) else max(0.0, v)
+
+
+def horizon_observation(re: float, norm_By: float) -> float:
+    """[-ln ||B* phi_k|| + ln(Re lam_k)/2] / Re lam_k."""
+    return _clamp((-math.log(norm_By) + 0.5 * math.log(re)) / re)
+
+
+def horizon_gap(re: float, bohr_v: float) -> float:
+    """bohr's -ln(gap_k) / Re lam_k plus ln(Re lam_k) / Re lam_k."""
+    return _clamp(bohr_v + math.log(re) / re)
+
+
+def horizon_jordan(re: float, mu: complex) -> float:
+    """[-ln |mu_k| + ln(Re lam_k)] / Re lam_k."""
+    return _clamp((-math.log(abs(mu)) + math.log(re)) / re)
+
+
+def horizon_jordan_gamma(re: float, mu: complex, gamma: complex) -> float:
+    """[ln(|gamma_k| / |mu_k|) + ln(Re lam_k)] / Re lam_k."""
+    return _clamp((math.log(abs(gamma) / abs(mu)) + math.log(re)) / re)
+
+
+def horizon_grushin(lam: float, integral: float) -> float:
+    """[ln lam_n - ln(2 int_a^b v_n^2)] / (2 lam_n)."""
+    return (math.log(lam) - (math.log(2.0) + math.log(integral))) / (2.0 * lam)

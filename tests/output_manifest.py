@@ -5,12 +5,13 @@ entries whose last bits may differ between hosts.
 
     PYTHONPATH=src python tests/output_manifest.py
 
-runs the jobs in process through ``nullcontrol.cli.main``, prints every
-job and file that differs from the committed
-``tests/data/output_manifest.json`` beyond its tolerance, and rewrites
-that manifest; ``tests/test_output_manifest.py`` runs them again and
-compares.  The workload configs are read from ``perfbench/workloads.py``,
-which is loaded from its path and not changed.
+runs the jobs in process through ``nullcontrol.cli.main``, prints as
+``added:``, ``dropped:`` or ``moved:`` every job and file that the
+committed ``tests/data/output_manifest.json`` lacks, that only it holds,
+or that moved beyond its tolerance, and rewrites that manifest;
+``tests/test_output_manifest.py`` runs them again and compares.  The
+workload configs are read from ``perfbench/workloads.py``, which is
+loaded from its path and not changed.
 
 Every file is compared by sha256 except those in TOLERANCES, which are
 kept as values (a ``.dat`` file as its columns ``x`` and ``y``) and
@@ -171,23 +172,24 @@ def values_match(file: str, got: dict, want: dict) -> bool:
         for key in want)
 
 
+def _changes(prefix: str, got: dict, want: dict, same) -> list:
+    return ([("dropped", prefix + key) for key in want if key not in got]
+            + [("added", prefix + key) for key in got if key not in want]
+            + [("moved", prefix + key) for key in want
+               if key in got and not same(key, got[key], want[key])])
+
+
 def moved(got: dict, want: dict) -> list:
-    """``job`` or ``job/file`` for every job added, dropped or reconfigured
-    and every file added, dropped, or whose sha256 or values moved beyond
-    their tolerance, from manifest ``want`` to manifest ``got``."""
-    out = []
-    for name in list(want) + [name for name in got if name not in want]:
-        if name not in got or name not in want or got[name]["config"] != want[name]["config"]:
-            out.append(name)
-            continue
-        g, w = got[name], want[name]
-        for file in sorted(set(g["sha256"]) | set(w["sha256"])):
-            if g["sha256"].get(file) != w["sha256"].get(file):
-                out.append(f"{name}/{file}")
-        for file in sorted(set(g["values"]) | set(w["values"])):
-            if (file not in g["values"] or file not in w["values"]
-                    or not values_match(file, g["values"][file], w["values"][file])):
-                out.append(f"{name}/{file}")
+    """(kind, ``job`` or ``job/file``) from manifest ``want`` to manifest
+    ``got``: "added" or "dropped" for a job or file only one of them holds,
+    "moved" for a reconfigured job and for a file whose sha256 or values
+    moved beyond their tolerance."""
+    out = _changes("", got, want, lambda _, g, w: g["config"] == w["config"])
+    for name, w in want.items():
+        g = got.get(name)
+        if g is not None and g["config"] == w["config"]:
+            out += _changes(f"{name}/", g["sha256"], w["sha256"], lambda _, x, y: x == y)
+            out += _changes(f"{name}/", g["values"], w["values"], values_match)
     return out
 
 
@@ -195,8 +197,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         manifest = run_jobs(Path(tmp))
     old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
-    for line in moved(manifest, old):
-        print(f"moved: {line}")
+    for kind, line in moved(manifest, old):
+        print(f"{kind}: {line}")
     MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     print(f"{MANIFEST}: {len(manifest)} jobs")

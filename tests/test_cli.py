@@ -293,6 +293,15 @@ class TestSynthesize:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UNOBSERVABLE_MODE"
 
+    def test_no_profile_exit_code(self, tmp_path, capsys):
+        # the oscillator has no observation, pair kernel or Jordan chain
+        cfg = {"command": "tstar", "model": {"name": "harmonic_oscillator"},
+               "params": {"K": 10}}
+        cfgp = _write_config(tmp_path, cfg)
+        assert main(["--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NO_PROFILE_AVAILABLE"
+
 
 def test_power_rule_past_binary64_runs_without_warnings(tmp_path, capsys):
     # c = 1e300 takes the float view past binary64 from k = 13,417 on, and

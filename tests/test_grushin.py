@@ -256,7 +256,6 @@ class TestTstarProfile:
             want = (math.log(mode.lam) - (math.log(2.0) + li)) / (2.0 * mode.lam)
             assert prof.values[n - 1] == pytest.approx(want, rel=1e-14, abs=0)
             assert prof.extras["integral"][n - 1] == observation_integral(mode, a, b)
-            assert prof.extras["log_integral"][n - 1] == math.log(prof.extras["integral"][n - 1])
 
     @pytest.mark.parametrize("n_max", [0, 61, 10**12])
     def test_n_max_checked_before_any_work(self, n_max, monkeypatch):

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nullcontrol import (
     TestVector,
     academic_lf,
+    bohr_profile,
     cascade_boundary_q,
+    grushin_tstar_profile,
     harmonic_oscillator,
     inequality_ratio,
     pointwise_heat,
@@ -23,10 +25,19 @@ from nullcontrol import (
 )
 from nullcontrol.errors import NoJordanModes, ObservationUnavailable, StructuralHypothesisMissing
 from nullcontrol.grushin import observation_integral
+from nullcontrol.hautus import marginal_horizon
 from nullcontrol.models import ParabolicModel, PiecewiseConstant, SpectralMode
 from nullcontrol.observations import Scalar
 
 import mpmath as mp
+
+from tests.closed_forms import (
+    horizon_gap,
+    horizon_grushin,
+    horizon_jordan,
+    horizon_jordan_gamma,
+    horizon_observation,
+)
 
 PI2 = math.pi**2
 
@@ -170,6 +181,82 @@ class TestJordanProfile:
         prof = tstar_jordan_profile(ZeroMu(0.3), 8)
         assert prof.extras["skipped_zero_mu"] == [1]
         assert 1 not in prof.ks.tolist()
+
+
+ORACLE_MODELS = [
+    pytest.param(lambda: pointwise_heat(0.3), id="pointwise_heat"),
+    pytest.param(lambda: academic_lf(0.2), id="academic_lf"),
+    pytest.param(lambda: two_diffusion_boundary(2.0), id="two_diffusion_boundary"),
+    pytest.param(lambda: cascade_boundary_q(PiecewiseConstant(((0.2, 0.8, 1.0),))),
+                 id="cascade_boundary_q"),
+    pytest.param(lambda: _SyntheticJordan(0.3), id="synthetic_jordan"),
+]
+
+
+class TestMarginalHorizon:
+    """Every profile against the horizon formula of its witness family,
+    written out by hand (``tests.closed_forms``)."""
+
+    K = 30
+
+    @pytest.mark.parametrize("make", ORACLE_MODELS)
+    def test_observation_profile_matches_closed_form(self, make):
+        # pointwise_heat(0.3) is unobservable, so +inf, at k = 10, 20, 30
+        model = make()
+        want = [horizon_observation(m.lam.real, m.obs[0].norm())
+                if not m.obs[0].unobservable else math.inf for m in model.modes(self.K)]
+        got = tstar_observation_profile(model, self.K).values
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("make", ORACLE_MODELS[:4])   # the synthetic chain has no rule
+    def test_gap_profile_within_4_ulps_of_closed_form_terms(self, make):
+        # the profile rescales bohr's v_k by Re lam_k and back, so the two
+        # agree to the rounding of v_k + ln(Re lam_k) / Re lam_k: ulps of
+        # its terms, not of the sum, which cancels to 1/4 of them on the
+        # heat spectrum
+        model = make()
+        seq = model.spectrum(self.K)
+        bohr = bohr_profile(seq, self.K)
+        want = np.array([horizon_gap(r, v) for v, r in zip(bohr.values, seq.re)])
+        scale = np.abs(bohr.values) + np.log(seq.re[:self.K]) / seq.re[:self.K]
+        got = tstar_gap_profile(model, self.K).values
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(scale))
+
+    @pytest.mark.parametrize("make", ORACLE_MODELS[3:])
+    def test_jordan_profiles_match_closed_forms(self, make):
+        model = make()
+        modes = [m for m in model.modes(self.K) if m.kind == "jordan"]
+        prof = tstar_jordan_profile(model, self.K)
+        assert prof.values.tolist() == [horizon_jordan(m.lam.real, m.mu) for m in modes]
+        assert prof.extras["gamma_profile"].values.tolist() \
+            == [horizon_jordan_gamma(m.lam.real, m.mu, m.gamma) for m in modes]
+
+    def test_grushin_profile_matches_closed_form(self):
+        prof = grushin_tstar_profile(0.3, 0.5, 20, 2e-4)
+        want = [horizon_grushin(lam, integral)
+                for lam, integral in zip(prof.extras["lambda"], prof.extras["integral"])]
+        assert prof.values.tolist() == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.1, 50.0), st.floats(-10.0, 10.0),
+           st.one_of(st.just(-math.inf), st.floats(-150.0, 150.0)),
+           st.one_of(st.just(-math.inf), st.floats(-150.0, 150.0)))
+    def test_inequality_is_marginal_at_the_horizon(self, re, im, ln_Ay, ln_By):
+        lam = complex(re, im)
+        T = marginal_horizon(lam, ln_Ay, ln_By)
+        assume(0.0 < T < math.inf)
+        tv = TestVector(lam, 1.0, math.exp(ln_Ay), math.exp(ln_By))
+        assert inequality_ratio(tv, T, 1.0) == pytest.approx(1.0, rel=1e-12, abs=0)
+
+    def test_vanishing_witness_norms_give_inf(self):
+        assert marginal_horizon(complex(2.0, 3.0), -math.inf, -math.inf) == math.inf
+        # an unobservable mode: sin(10 pi x) vanishes at the point 0.3
+        assert tstar_observation_profile(pointwise_heat(0.3), 10).values[9] == math.inf
+
+    def test_norms_beyond_binary64_and_clamp(self):
+        # a pair gap of e^{-800} underflows binary64 but not its log
+        assert marginal_horizon(1.0, ln_Ay=-800.0) == 800.0
+        assert marginal_horizon(1.0, ln_By=1.0) == 0.0
 
 
 class TestTstarEstimate:

@@ -205,6 +205,16 @@ class TestTwoDiffusion:
         with pytest.warns(RationalRootWarning):
             two_diffusion_boundary(4.0)
 
+    @pytest.mark.parametrize("d,root", [(2.25, "3/2"), (100.0, "10/1")])
+    def test_rational_root_named_in_lowest_terms(self, d, root):
+        with pytest.warns(RationalRootWarning, match=f"within 1e-09 of {root}: "):
+            two_diffusion_boundary(d)
+
+    def test_irrational_root_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RationalRootWarning)
+            two_diffusion_boundary(2.0)
+
     def test_rational_root_spectrum_collides(self):
         from nullcontrol.errors import DuplicateEntry
 

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from tests.output_manifest import MANIFEST, run_jobs, values_match
+from tests.output_manifest import MANIFEST, moved, run_jobs, values_match
 
 
 @pytest.fixture(scope="module")
@@ -38,3 +38,27 @@ def test_values(outputs, manifest):
         assert sorted(got) == sorted(want["values"]), name
         for file, values in want["values"].items():
             assert values_match(file, got[file], values), f"{name}/{file}"
+
+
+def test_moved_names_added_dropped_and_moved():
+    def job(config, sha256, values):
+        return {"config": config, "sha256": sha256, "values": values}
+
+    want = {
+        "a": job({"K": 1}, {"f.csv": "0", "g.csv": "1"}, {"tstar.json": {"lower": 1.0}}),
+        "b": job({"K": 2}, {}, {}),
+        "c": job({"K": 3}, {"f.csv": "0"}, {}),
+    }
+    got = {
+        "a": job({"K": 1}, {"f.csv": "0", "h.csv": "2"},
+                 {"tstar.json": {"lower": 1.0 + 1e-13}, "tmin.csv": {"v": [0.5]}}),
+        "c": job({"K": 4}, {"f.csv": "0"}, {}),
+        "d": job({"K": 5}, {}, {}),
+    }
+    assert moved(got, want) == [
+        ("dropped", "b"), ("added", "d"), ("moved", "c"),
+        ("dropped", "a/g.csv"), ("added", "a/h.csv"), ("added", "a/tmin.csv")]
+    got["a"]["sha256"]["f.csv"] = "9"
+    got["a"]["values"]["tstar.json"]["lower"] = 1.0 + 1e-11   # past VECTOR_TOL
+    assert {("moved", "a/f.csv"), ("moved", "a/tstar.json")} <= set(moved(got, want))
+    assert moved(want, want) == []
