@@ -1,11 +1,13 @@
 """Named eigenvalue-sequence rules.
 
-Rules generate normally ordered spectra lazily: a high-precision head (the
-window actually profiled) plus a cheap float view of the far tail used by
-truncated-product evaluations.  Pair perturbations like k^2 + e^{-tau k^2}
-collapse in binary64 long before they stop mattering, so the head is kept
-in mpmath.  Both paired rules, appendixB and academic_lf, compute each pair
-at the digits its own gap needs.
+Rules generate normally ordered spectra lazily: mpmath entries for the
+head (the window actually profiled) plus a cheap float view of the far
+tail used by truncated-product evaluations.  Pair perturbations like
+k^2 + e^{-tau k^2} collapse in binary64 long before they stop mattering,
+so the head is kept in mpmath.  Generation alone chooses the digits: both
+paired rules, appendixB and academic_lf, compute each pair at the digits
+its own gap needs, every other rule at DEFAULT_DPS.  ``spectral`` forms
+its factors at DEFAULT_DPS from exact differences of stored entries.
 """
 
 from __future__ import annotations
@@ -14,16 +16,16 @@ import math
 
 import mpmath as mp
 import numpy as np
-from mpmath import libmp
 
 from .errors import NumericalError
 from .precision import DEFAULT_DPS, to_complex, to_mp, workdps
 
-# most digits a paired rule's head may take.  The largest head in use,
-# appendixB tau = 1 at K = 250 (7277 digits), takes 0.6 s for `indices`; an
-# academic_lf K = 12 head takes 0.9 s at 12,900 digits, 0.56 s of it forming
-# the pairs, which takes 1.0 s at 19,300 digits: the cost grows faster than
-# linearly in the digits (fresh process, 2-core x86-64 box)
+# most digits a paired rule may form a pair at: only generating a pair needs
+# its gap's digits, the spectral factors run at DEFAULT_DPS.  The cost grows
+# more than linearly in the digits: the ten pairs of an academic_lf K = 12
+# head take 0.29 s at 12,900 digits and 0.53-0.60 s at 19,300, and `indices`
+# on appendixB tau = 1 at K = 250 (7277 digits) takes 0.55 s (fresh process,
+# 2-core x86-64 box)
 MAX_HEAD_DPS = 20_000
 
 
@@ -50,17 +52,11 @@ class SequenceRule:
         self._float_cache = np.zeros(0)
         self.fit_cache: dict = {}
 
-    def head_dps(self, n: int) -> int:
-        return DEFAULT_DPS
-
     def mp_entries(self, n: int):
-        """First n entries as mpf/mpc, normally ordered."""
+        """First n entries as mpf/mpc, normally ordered.  Every rule defines
+        ``mp_entry(j)``, entry j alone: it depends neither on the caller's
+        precision nor on which other entries were asked for."""
         return [self.mp_entry(j) for j in range(1, n + 1)]
-
-    def mp_entry(self, j: int):
-        """Entry j alone, bit-identical to ``mp_entries(j)[j - 1]``; a rule
-        overrides this or ``mp_entries``."""
-        return self.mp_entries(j)[j - 1]
 
     def _float_block_impl(self, n: int) -> np.ndarray:
         """First n entries in binary64 (pair splittings may collapse)."""
@@ -88,7 +84,7 @@ class PowerRule(SequenceRule):
         self.real = self.c.imag == 0.0
 
     def mp_entry(self, j):
-        with workdps(self.head_dps(j)):
+        with workdps(DEFAULT_DPS):
             return to_mp(self.c) * mp.mpf(j) ** self.p
 
     def _float_block_impl(self, n):
@@ -115,9 +111,6 @@ class _PairedRule(SequenceRule):
             raise ValueError("tau must be positive")
         super().__init__()
         self.tau = float(tau)
-
-    def head_dps(self, n):
-        return self._dps((n + 1) // 2)
 
     def _dps(self, k):
         return _pair_dps(self.tau * math.pi**self.pi_power * k * k)
@@ -175,7 +168,7 @@ class TwoDiffusionRule(SequenceRule):
         self._tags: list = []
 
     def _value(self, family, k):
-        # a binary64 factor times k^2: exact at the head precision
+        # a binary64 factor times k^2: exact at DEFAULT_DPS
         return (self.scale if family == 1 else self.scale * self.d) * mp.mpf(k) ** 2
 
     def tag(self, j):
@@ -183,7 +176,7 @@ class TwoDiffusionRule(SequenceRule):
         if len(self._tags) < j:
             # two-pointer merge by exact value, family 1 first on a tie
             m, tags, ks = max(j, 2 * len(self._tags)), [], [1, 1]
-            with workdps(self.head_dps(m)):
+            with workdps(DEFAULT_DPS):
                 while len(tags) < m:
                     fam = 1 if self._value(1, ks[0]) <= self._value(2, ks[1]) else 2
                     tags.append((fam, ks[fam - 1]))
@@ -192,7 +185,7 @@ class TwoDiffusionRule(SequenceRule):
         return self._tags[j - 1]
 
     def mp_entry(self, j):
-        with workdps(self.head_dps(j)):
+        with workdps(DEFAULT_DPS):
             return self._value(*self.tag(j))
 
     def _float_block_impl(self, n):
@@ -232,17 +225,10 @@ class ExplicitRule(SequenceRule):
         self.values = vals
         self.real = all(mp.im(v) == 0 for v in vals)
 
-    def head_dps(self, n):
-        """The digits of the longest mantissa among the first n entries,
-        at least DEFAULT_DPS: entries a caller built at more digits stay distinct."""
-        bits = max((x[3] for v in self.values[:n]
-                    for x in (v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_,))), default=0)
-        return max(DEFAULT_DPS, libmp.prec_to_dps(bits))
-
-    def mp_entries(self, n):
-        if n > len(self.values):
+    def mp_entry(self, j):
+        if not 1 <= j <= len(self.values):
             raise IndexError("explicit sequence exhausted")
-        return self.values[:n]
+        return self.values[j - 1]
 
     def _float_block_impl(self, n):
         return np.array([to_complex(v) for v in self.values[:n]])

@@ -341,12 +341,14 @@ def cascade_boundary_q(q: PiecewiseConstant, M: int = 200, y0_rule=None) -> Casc
 # two diffusion speeds
 
 def _check_rational_root(d: float, qmax: int = 50, tol: float = 1e-9) -> None:
+    # warn only when the first coinciding pair lies within a profile's reach
     rd = math.sqrt(d)
     r = Fraction(rd).limit_denominator(qmax)
-    if r > 0 and abs(rd - r) < tol:
+    p, q = r.numerator, r.denominator
+    if 0 < p <= spectral._J_MAX and abs(rd - r) < tol:
         warnings.warn(
-            f"sqrt(d) is within {tol:g} of {r.numerator}/{r.denominator}: "
-            "eigenvalue collision risk", RationalRootWarning, stacklevel=3)
+            f"sqrt(d) is within {tol:g} of {p}/{q}: s k^2 at k = {p} meets "
+            f"s d m^2 at m = {q}, eigenvalue collision risk", RationalRootWarning, stacklevel=3)
 
 
 class _TwoDiffusionBase(ParabolicModel):

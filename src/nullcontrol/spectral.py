@@ -10,8 +10,10 @@ limsup-type indices of a normally ordered sequence (lam_k):
 All products are evaluated as sums of ln|.| with an adaptively truncated
 far tail.  Head factors are summed in binary64 from the float view unless
 their float error bound is too large (``_head_split``); those
-near-coincident factors are formed in mpmath at the head's digits and
-logged at 128 bits (``mp_log_abs``), so pair gaps far below binary64
+near-coincident factors are formed in mpmath at DEFAULT_DPS and logged at
+128 bits (``mp_log_abs``).  The digits of the entries are chosen by their
+rule alone: a difference of two stored entries is exact before mpmath
+rounds it once, to DEFAULT_DPS, so pair gaps far below binary64
 resolution still contribute their logarithm, correct to the float.  The far
 tails of E' and W' are summed for every k of a profile at once by one kernel:
 factors with |lam_k/lam_j| above 2^-4 directly through log1p, the rest from
@@ -29,6 +31,7 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 from .errors import DuplicateEntry, NonPositiveRealPart, TailBoundUnachievable, TooFewModes
 from .generators import SequenceRule
@@ -47,7 +50,8 @@ class SpectralSequence:
     ``values`` are mpf/mpc scalars; multiplicity is carried by ``r``,
     never by repetition.  ``rule`` is the sequence the values came from:
     an infinite rule extends it lazily past the stored head for tail
-    evaluations, a finite one is stored whole.
+    evaluations, a finite one is stored whole.  ``dps``, the digits of the
+    longest stored mantissa (at least DEFAULT_DPS), is read by validation.
     """
 
     values: tuple
@@ -103,7 +107,9 @@ def from_rule(rule: SequenceRule, K: int) -> SpectralSequence:
         if n < K:
             raise TooFewModes(f"rule {rule.name!r} has {n} entries, fewer than K={K}")
     vals = rule.mp_entries(n)
-    dps = max(rule.head_dps(n), DEFAULT_DPS)
+    # the longest stored mantissa: entries built past DEFAULT_DPS stay distinct
+    bits = max(x[3] for v in vals for x in (v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_,)))
+    dps = max(libmp.prec_to_dps(bits), DEFAULT_DPS)
     _validate(vals, dps + 10)
     return SpectralSequence(tuple(vals), (1,) * len(vals), rule, dps)
 
@@ -177,7 +183,7 @@ def _tail_start(seq: SpectralSequence, lam_abs: float, tol: float) -> int:
 # on the indices and tmin profiles.
 _RHO = 2.0**-8
 _EPS = float(np.finfo(float).eps)
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16
 
 
 def _far_sums(seq, lams: np.ndarray, n0: int, Js: np.ndarray, step: int) -> np.ndarray:
@@ -298,7 +304,7 @@ def log_E_primes(seq: SpectralSequence, ks, rel_tail_tol: float = 1e-10) -> np.n
         f, lam_f = vals[fl_js], vals[k - 1]
         total += float(np.sum(np.log(np.abs(f - lam_f)) + np.log(np.abs(f + lam_f))
                               - 2.0 * np.log(np.abs(f))))
-        with workdps(seq.dps + 20):
+        with workdps(DEFAULT_DPS):
             for j in mp_js:
                 other = seq.values[j]
                 total += mp_log_abs((other - lam) * (other + lam) / (other * other))
@@ -336,7 +342,7 @@ def bohr_profile(seq: SpectralSequence, K: int,
     partners = np.empty(K, dtype=int)
     vals = seq.float_values(len(seq))
     eps4 = 4.0 * np.finfo(float).eps
-    with workdps(seq.dps + 20):
+    with workdps(DEFAULT_DPS):
         for k in range(1, K + 1):
             lam = seq.values[k - 1]
             # candidates: every j whose true gap may be the minimum, given
@@ -421,7 +427,7 @@ def blaschke_log_wprimes(seq: SpectralSequence, ks, rel_tail_tol: float = 1e-10)
         vals, fl_js, mp_js = _head_split(seq, k, tol_abs)
         f, lam_f = vals[fl_js], vals[k - 1]
         ln_pk = float(np.sum(np.log(np.abs(np.conj(f) + lam_f)) - np.log(np.abs(f - lam_f))))
-        with workdps(seq.dps + 20):
+        with workdps(DEFAULT_DPS):
             for j in mp_js:
                 other = seq.values[j]
                 ln_pk += mp_log_abs((mp.conj(other) + lam) / (other - lam))

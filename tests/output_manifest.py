@@ -8,10 +8,12 @@ entries whose last bits may differ between hosts.
 runs the jobs in process through ``nullcontrol.cli.main``, prints as
 ``added:``, ``dropped:`` or ``moved:`` every job and file that the
 committed ``tests/data/output_manifest.json`` lacks, that only it holds,
-or that moved beyond its tolerance, and rewrites that manifest;
-``tests/test_output_manifest.py`` runs them again and compares.  The
-workload configs are read from ``perfbench/workloads.py``, which is
-loaded from its path and not changed.
+or that moved beyond its tolerance, and rewrites that manifest.  Only
+this regeneration reads the workload configs, from
+``perfbench/workloads.py`` (loaded from its path and not changed), plus
+SKIPPED.  ``tests/test_output_manifest.py`` runs the configs the manifest
+records and compares, so a re-pinned benchmark job list does not move
+the gate until the manifest is regenerated.
 
 Every file is compared by sha256 except those in TOLERANCES, which are
 kept as values (a ``.dat`` file as its columns ``x`` and ``y``) and
@@ -107,7 +109,7 @@ def make_jobs(workload: str, seed: int) -> list:
 
 
 def jobs() -> dict:
-    """{job name: config}, the workloads' jobs first."""
+    """{job name: config} of a regeneration, the workloads' jobs first."""
     named = {f"{workload}:{seed}:{i}:{config['command']}": config
              for workload in WORKLOADS for seed in SEEDS
              for i, config in enumerate(make_jobs(workload, seed))}
@@ -126,13 +128,19 @@ def _values(path: Path):
     return {name: [float(row[j]) for row in rows[1:]] for j, name in enumerate(rows[0])}
 
 
-def run_jobs(out_root: Path) -> dict:
-    """{job name: {"config", "sha256", "values"}} for every job, each run
-    through ``cli.main`` into its own directory under ``out_root``."""
+def recorded() -> dict:
+    """{job name: config} of the committed manifest."""
+    return {name: job["config"] for name, job in json.loads(MANIFEST.read_text()).items()}
+
+
+def run_jobs(out_root: Path, configs: dict) -> dict:
+    """{job name: {"config", "sha256", "values"}} for every job of
+    ``configs`` ({job name: config}), each run through ``cli.main`` into
+    its own directory under ``out_root``."""
     from nullcontrol.cli import main
 
     manifest = {}
-    for name, config in jobs().items():
+    for name, config in configs.items():
         out = out_root / name.replace(":", "_")
         cfg = out_root / f"{out.name}.json"
         cfg.write_text(json.dumps(config))
@@ -195,7 +203,7 @@ def moved(got: dict, want: dict) -> list:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = run_jobs(Path(tmp))
+        manifest = run_jobs(Path(tmp), jobs())
     old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
     for kind, line in moved(manifest, old):
         print(f"{kind}: {line}")

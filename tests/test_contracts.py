@@ -13,7 +13,9 @@ import pytest
 from nullcontrol import (
     ExponentialSpan,
     build_biortho,
+    from_rule,
     harmonic_oscillator,
+    make_rule,
     pointwise_heat,
     synthesize,
     verify_moments,
@@ -122,16 +124,32 @@ class TestRefusalsAndExitCodes:
             run(cfg, tmp_path / "o")
 
 
+def _load_tracing():
+    """The benchmark's ``perfbench/tracing.py``, loaded from its path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 class TestBenchmarkEntryPoints:
     def test_traced_names_resolve(self):
         # the benchmark's tracer wraps these names; a missing one breaks
         # every traced job
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = _load_tracing()
         for module, attr, _ in tracing.ENTRY_POINTS:
             owner = importlib.import_module(module)
             for part in attr.split("."):
                 owner = getattr(owner, part)
             assert callable(owner), (module, attr)
+
+    def test_traced_results_carry_their_attributes(self):
+        # the tracer reads .dps, .cond_estimate and .residual of a family
+        # and .dps of a spectral sequence; a missing one breaks every traced job
+        tracer = _load_tracing().Tracer()
+        tracer._observe("biortho_time.build_biortho",
+                        build_biortho(ExponentialSpan((1.0, 4.0, 9.0), 1.0)))
+        tracer._observe("spectral.from_rule", from_rule(make_rule("appendixB", tau=0.25), 100))
+        assert tracer.head_dps == [366]
+        assert len(tracer.families) == 1

@@ -75,14 +75,14 @@ class TestPairRules:
     def test_appendix_pairs_resolved_at_head_precision(self):
         rule = make_rule("appendixB", tau=1.0)
         vals = rule.mp_entries(60)
-        with mp.workdps(rule.head_dps(60) + 10):
+        with mp.workdps(rule._dps(30) + 10):
             gap = vals[59] - vals[58]  # pair 30: e^{-900}
             assert float(mp.log(gap)) == pytest.approx(-900.0, rel=1e-12)
 
     def test_academic_pairs_ordered(self):
         rule = make_rule("academic_lf", tau=0.2)
         vals = rule.mp_entries(12)
-        with mp.workdps(rule.head_dps(12) + 10):
+        with mp.workdps(rule._dps(6) + 10):
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("name", ["appendixB", "academic_lf"])
@@ -91,7 +91,7 @@ class TestPairRules:
         # MAX_HEAD_DPS the head is refused before any mp work
         lam1 = 1.0 if name == "appendixB" else math.pi**2
         tau = (MAX_HEAD_DPS - 50) * math.log(10) / lam1 * 0.999
-        assert make_rule(name, tau=tau).head_dps(2) <= MAX_HEAD_DPS
+        assert make_rule(name, tau=tau)._dps(1) <= MAX_HEAD_DPS
         for big in (tau * 1.01, 1e134, 1e300):
             with pytest.raises(NumericalError, match="digits"):
                 make_rule(name, tau=big).mp_entries(2)

@@ -210,6 +210,19 @@ class TestTwoDiffusion:
         with pytest.warns(RationalRootWarning, match=f"within 1e-09 of {root}: "):
             two_diffusion_boundary(d)
 
+    def test_rational_root_names_both_entries(self):
+        with pytest.warns(RationalRootWarning,
+                          match="within 1e-09 of 1000000/1: s k\\^2 at k = 1000000 meets "
+                                "s d m\\^2 at m = 1"):
+            two_diffusion_boundary(1e12)
+
+    def test_root_past_reach_no_warning(self):
+        # sqrt(1e100) = 1e50 is an integer in binary64, but the first pair
+        # it makes coincide, k = 1e50, lies far past any profile
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RationalRootWarning)
+            two_diffusion_boundary(1e100)
+
     def test_irrational_root_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RationalRootWarning)

@@ -1,5 +1,6 @@
-"""The benchmark outputs of seeds 1 and 4 and the configs of the commands
-the benchmark skips, against the committed manifest
+"""The outputs of the configs the committed manifest records (the
+benchmark jobs of seeds 1 and 4 and one config per command the benchmark
+skips, when it was last regenerated) against that manifest
 (``tests/output_manifest.py`` regenerates it and names its tolerance
 classes): every file by sha256, and the files whose entries may differ
 between hosts value by value, each entry at its class's tolerance."""
@@ -8,12 +9,12 @@ import json
 
 import pytest
 
-from tests.output_manifest import MANIFEST, moved, run_jobs, values_match
+from tests.output_manifest import MANIFEST, moved, recorded, run_jobs, values_match
 
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
-    return run_jobs(tmp_path_factory.mktemp("manifest"))
+    return run_jobs(tmp_path_factory.mktemp("manifest"), recorded())
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,8 @@ def manifest():
 
 
 def test_same_jobs(outputs, manifest):
-    # a changed job list needs a regenerated manifest
+    # the run covers exactly the recorded jobs at their recorded configs;
+    # the benchmark's job lists reach the manifest only by regenerating it
     assert {k: v["config"] for k, v in outputs.items()} \
         == {k: v["config"] for k, v in manifest.items()}
 

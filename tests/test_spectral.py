@@ -567,6 +567,49 @@ class TestHybridHead:
             assert partners[1] == partner_of_2
 
 
+def _explicit_sub_1e80_pair():
+    with workdps(100):
+        return _explicit([mp.mpf(1), 1 + mp.mpf("1e-80")])
+
+
+_FACTOR_DIGIT_CASES = {
+    "appendixB-0.25-K100": (lambda: from_rule(make_rule("appendixB", tau=0.25), 100), 100),
+    "appendixB-1-K250": (lambda: from_rule(make_rule("appendixB", tau=1.0), 250), 250),
+    "academic_lf-0.2-K60": (lambda: from_rule(make_rule("academic_lf", tau=0.2), 60), 60),
+    "explicit-1e-80": (_explicit_sub_1e80_pair, 2),
+}
+
+
+class TestFactorDigits:
+    """Head factors formed at DEFAULT_DPS against the same factors formed
+    at the stored digits + 20, the precision they were formed at while the
+    rules published their head digits: every value bit-identical."""
+
+    @staticmethod
+    def _profiles(seq, K, monkeypatch=None):
+        digits = []
+        if monkeypatch is not None:
+            def at_head_digits(dps):
+                digits.append(dps)
+                return workdps(seq.dps + 20)
+            monkeypatch.setattr(spectral, "workdps", at_head_digits)
+        profiles = [condensation_profile(seq, K), bohr_profile(seq, K)]
+        if K <= 100:
+            profiles.append(blaschke_profile(seq, K))
+        return profiles, digits
+
+    @pytest.mark.parametrize("case", sorted(_FACTOR_DIGIT_CASES))
+    def test_profiles_bit_identical(self, monkeypatch, case):
+        make_seq, K = _FACTOR_DIGIT_CASES[case]
+        seq = make_seq()
+        shipped, _ = self._profiles(seq, K)
+        raised, digits = self._profiles(seq, K, monkeypatch)
+        assert digits and set(digits) == {spectral.DEFAULT_DPS} and seq.dps > spectral.DEFAULT_DPS
+        for got, want in zip(shipped, raised):
+            assert got.values.tobytes() == want.values.tobytes(), (case, got.name)
+            assert np.array_equal(got.extras.get("partner", []), want.extras.get("partner", []))
+
+
 class TestProfiles:
     def test_condensation_gap_sequence_tail_small(self):
         seq = from_rule(make_rule("power", c=PI2, p=2.0), 30)
