@@ -6,8 +6,9 @@ tail used by truncated-product evaluations.  Pair perturbations like
 k^2 + e^{-tau k^2} collapse in binary64 long before they stop mattering,
 so the head is kept in mpmath.  Generation alone chooses the digits: both
 paired rules, appendixB and academic_lf, compute each pair at the digits
-its own gap needs, every other rule at DEFAULT_DPS.  ``spectral`` forms
-its factors at DEFAULT_DPS from exact differences of stored entries.
+its own gap needs, power and two_diffusion at DEFAULT_DPS, and explicit
+entries keep the digits they were given.  ``spectral`` forms its factors
+at DEFAULT_DPS from exact differences of stored entries.
 """
 
 from __future__ import annotations
