@@ -1,8 +1,10 @@
 """Named eigenvalue-sequence rules.
 
 Rules generate normally ordered spectra lazily: mpmath entries for the
-head (the window actually profiled) plus a cheap float view of the far
-tail used by truncated-product evaluations.  Pair perturbations like
+head (the window actually profiled) plus uncached binary64 ranges of any
+entries, which truncated-product evaluations read chunk by chunk, and the
+index of the first entry at or above a modulus, found from a closed-form
+estimate without generating the entries before it.  Pair perturbations like
 k^2 + e^{-tau k^2} collapse in binary64 long before they stop mattering,
 so the head is kept in mpmath.  Generation alone chooses the digits: both
 paired rules, appendixB and academic_lf, compute each pair at the digits
@@ -39,18 +41,53 @@ def _pair_dps(tau_lam: float) -> int:
     return int(digits) + 50
 
 
+def _first_true(pred, lo: int, hi: int, guess: float) -> int:
+    """First i in [lo, hi) with pred(i), for pred false and then true over
+    the range; hi if there is none.  Probes outward from ``guess`` (any
+    float, clamped into the range) in doubling steps, then bisects the
+    bracket: a few probes when the guess is close, O(log(hi - lo)) at worst."""
+    if lo >= hi:
+        return lo
+    g = lo if not guess >= lo else int(min(guess, hi - 1))  # nan -> lo, inf -> hi - 1
+    step = 1
+    if pred(g):
+        hi = g
+        while hi > lo:
+            a = max(lo, hi - step)
+            if not pred(a):
+                lo = a + 1
+                break
+            hi, step = a, 2 * step
+    else:
+        lo = g + 1
+        while lo < hi:
+            b = lo - 1 + step
+            if b >= hi:
+                break
+            if pred(b):
+                hi = b
+                break
+            lo, step = b + 1, 2 * step
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 class SequenceRule:
     """Base class: normally ordered, Re > 0 eigenvalue stream."""
 
     name = "rule"
     infinite = True
-    real = True  # every entry real: the float view is float64, else complex128
+    real = True  # every entry real: float ranges are float64, else complex128
     # spectral.from_rule rounds the stored head of an infinite rule up to a
     # multiple of this: 2 on the two-branch rules
     pair_align = 1
 
     def __init__(self):
-        self._float_cache = np.zeros(0)
         self.fit_cache: dict = {}
 
     def mp_entries(self, n: int):
@@ -59,18 +96,27 @@ class SequenceRule:
         precision nor on which other entries were asked for."""
         return [self.mp_entry(j) for j in range(1, n + 1)]
 
-    def _float_block_impl(self, n: int) -> np.ndarray:
-        """First n entries in binary64 (pair splittings may collapse)."""
+    def float_range(self, i0: int, i1: int) -> np.ndarray:
+        """Entries i0..i1-1 (0-based) in binary64, float64 for real rules,
+        else complex128; pair splittings may collapse.  Not cached: each
+        entry comes from its own float operations, whatever the range."""
         raise NotImplementedError
 
-    def float_entries(self, n: int) -> np.ndarray:
-        """First n entries in binary64: float64 for real rules, else complex128."""
-        if len(self._float_cache) < n:
-            grow = max(n, 2 * len(self._float_cache), 1024)
-            block = np.asarray(self._float_block_impl(grow))
-            self._float_cache = (np.ascontiguousarray(block.real, dtype=np.float64) if self.real
-                                 else np.asarray(block, dtype=np.complex128))
-        return self._float_cache[:n]
+    def _index_guess(self, x: float) -> float:
+        """Closed-form estimate of the 0-based index of the first entry
+        with modulus >= x (any float; only the search's speed depends on it)."""
+        return 0.0
+
+    def index_at_or_above(self, x: float, lo: int, hi: int) -> int:
+        """``bisect_left(entries, x, lo, hi, key=abs)`` over the float
+        entries, without generating them: probes single entries outward
+        from ``_index_guess``.  hi when no entry below hi reaches x (also
+        for x = inf unless the entries overflow to inf)."""
+        try:
+            guess = self._index_guess(x)
+        except (OverflowError, ZeroDivisionError, ValueError):  # no finite guess: search from hi
+            guess = math.inf
+        return _first_true(lambda i: abs(self.float_range(i, i + 1)[0]) >= x, lo, hi, guess)
 
 
 class PowerRule(SequenceRule):
@@ -88,14 +134,17 @@ class PowerRule(SequenceRule):
         with workdps(DEFAULT_DPS):
             return to_mp(self.c) * mp.mpf(j) ** self.p
 
-    def _float_block_impl(self, n):
-        ks = np.arange(1, n + 1, dtype=float)
+    def float_range(self, i0, i1):
+        ks = np.arange(i0 + 1, i1 + 1, dtype=float)
         with np.errstate(over="ignore"):  # entries past binary64 become inf
             if not self.real:
                 return self.c * ks ** self.p
-            ks **= self.p  # in place: a real rule's block stays real
+            ks **= self.p  # in place: a real rule's range stays real
             ks *= self.c.real
         return ks
+
+    def _index_guess(self, x):
+        return (x / abs(self.c)) ** (1.0 / self.p) - 1.0
 
 
 class _PairedRule(SequenceRule):
@@ -131,18 +180,22 @@ class _PairedRule(SequenceRule):
     def mp_entry(self, j):
         return self._pair((j + 1) // 2)[(j + 1) % 2]
 
-    def _float_block_impl(self, n):
-        lam = np.arange(n) // 2 + 1.0
+    def float_range(self, i0, i1):
+        lam = np.arange(i0, i1) // 2 + 1.0
         lam **= 2
         lam *= math.pi**self.pi_power
         # in place, and only where e^{-tau lam} is not 0.0 in binary64
-        # (tau lam <= 746): a block can hold millions of entries
+        # (tau lam <= 746)
         m = int(np.searchsorted(lam, 746.0 / self.tau, side="right"))
         with np.errstate(under="ignore"):
             f = np.exp(-self.tau * lam[:m])
-        f[::2] *= -self.lower
+        f[i0 % 2::2] *= -self.lower  # the lower entries: even 0-based indices
         lam[:m] += f
         return lam
+
+    def _index_guess(self, x):
+        # pair k, b_k = s k^2, holds the 0-based entries 2k - 2 and 2k - 1
+        return 2.0 * math.sqrt(x / math.pi**self.pi_power) - 2.0
 
 
 class AppendixBRule(_PairedRule):
@@ -189,20 +242,29 @@ class TwoDiffusionRule(SequenceRule):
         with workdps(DEFAULT_DPS):
             return self._value(*self.tag(j))
 
-    def _float_block_impl(self, n):
-        # the members each family can have among the first n entries, with
-        # a margin for the floors and for rounding
-        rd = math.sqrt(self.d)
-        m1 = min(n, int(n * rd / (1.0 + rd)) + 4)
-        m2 = min(n, n - m1 + 8)
-        ks = np.arange(1, max(m1, m2) + 1, dtype=float)
-        ks **= 2
-        vals = np.empty(m1 + m2)
-        np.multiply(self.scale, ks[:m1], out=vals[:m1])
-        np.multiply(self.scale * self.d, ks[:m2], out=vals[m1:])
-        del ks  # freed before the sort's merge buffer and the copy
+    def _family1_count(self, i):
+        """Members of {s k^2} among the first i float entries: the largest
+        a <= i with s a^2 <= s d (i - a + 1)^2, both sides the float
+        products of ``float_range`` (family 1 first on a tie).  Starts from
+        the root of a = sqrt(d) (i - a + 1)."""
+        s1, s2, rd = self.scale, self.scale * self.d, math.sqrt(self.d)
+        return _first_true(lambda a: s1 * float(a * a) > s2 * float((i - a + 1) ** 2),
+                           1, i + 1, rd * (i + 1) / (1.0 + rd)) - 1
+
+    def float_range(self, i0, i1):
+        a0, a1 = self._family1_count(i0), self._family1_count(i1)
+        vals = np.empty(i1 - i0)
+        # each family's members among entries i0..i1-1, family 1 first
+        for out, k0, k1, s in ((vals[:a1 - a0], a0, a1, self.scale),
+                               (vals[a1 - a0:], i0 - a0, i1 - a1, self.scale * self.d)):
+            np.square(np.arange(k0 + 1, k1 + 1, dtype=float), out=out)
+            out *= s
         vals.sort(kind="stable")  # timsort merges the two sorted runs, family 1 first on a tie
-        return vals[:n].copy()  # not a view: the cache would pin the whole array
+        return vals
+
+    def _index_guess(self, x):
+        # the members of both families below x
+        return math.sqrt(x / self.scale) + math.sqrt(x / (self.scale * self.d))
 
 
 class AcademicLfRule(_PairedRule):
@@ -231,13 +293,11 @@ class ExplicitRule(SequenceRule):
             raise IndexError("explicit sequence exhausted")
         return self.values[j - 1]
 
-    def _float_block_impl(self, n):
-        return np.array([to_complex(v) for v in self.values[:n]])
-
-    def float_entries(self, n):
-        if n > len(self.values):
+    def float_range(self, i0, i1):
+        if i1 > len(self.values):
             raise IndexError("explicit sequence exhausted")
-        return super().float_entries(n)
+        block = np.array([to_complex(v) for v in self.values[i0:i1]], dtype=complex)
+        return np.ascontiguousarray(block.real) if self.real else block
 
 
 _RULES = {

@@ -107,7 +107,7 @@ class ParabolicModel:
 
     def _decay_profile(self, name: str, xs, window: int) -> ProfileReport:
         """The profile of -ln|x_k| / lam_k over k = 1..len(xs), inf where x_k = 0."""
-        lams = self.rule.float_entries(len(xs))
+        lams = self.rule.float_range(0, len(xs))
         vals = np.array([math.inf if x == 0.0 else -math.log(abs(x)) / lam
                          for x, lam in zip(xs, lams)])
         return make_profile(name, np.arange(1, len(xs) + 1), vals, window)
@@ -459,8 +459,11 @@ class _OddRule(SequenceRule):
     def mp_entry(self, j):
         return mp.mpf(2 * j - 1)
 
-    def _float_block_impl(self, n):
-        return 2.0 * np.arange(1, n + 1) - 1.0
+    def float_range(self, i0, i1):
+        return 2.0 * np.arange(i0 + 1, i1 + 1) - 1.0
+
+    def _index_guess(self, x):
+        return (x - 1.0) / 2.0
 
 
 class HarmonicOscillatorModel(ParabolicModel):

@@ -8,24 +8,26 @@ limsup-type indices of a normally ordered sequence (lam_k):
 * pairwise (Bohr-type): v_k = -ln inf_{j!=k} |lam_k - lam_j| / Re(lam_k).
 
 All products are evaluated as sums of ln|.| with an adaptively truncated
-far tail.  Head factors are summed in binary64 from the float view unless
-their float error bound is too large (``_head_split``); those
+far tail.  Head factors are summed in binary64 from the stored head's float
+view unless their float error bound is too large (``_head_split``); those
 near-coincident factors are formed in mpmath at DEFAULT_DPS and logged at
 128 bits (``mp_log_abs``).  The digits of the entries are chosen by their
 rule alone: a difference of two stored entries is exact before mpmath
 rounds it once, to DEFAULT_DPS, so pair gaps far below binary64
 resolution still contribute their logarithm, correct to the float.  The far
-tails of E' and W' are summed for every k of a profile at once by one kernel:
-factors with |lam_k/lam_j| above 2^-4 directly through log1p, the rest from
-power sums of (s/lam_j)^2 (E') or s/lam_j (W') shared by all k
-(s = max_k |lam_k|), whose series truncation stays below
+tails of E' and W' are summed for every k of a profile at once by one
+kernel, which reads the entries past the head from the rule in uncached
+chunks (``SequenceRule.float_range``) and finds its zone bounds with
+``SequenceRule.index_at_or_above``, so no float array of the truncation
+length is held: factors with |lam_k/lam_j| above 2^-4 directly through
+log1p, the rest from power sums of (s/lam_j)^2 (E') or s/lam_j (W') shared
+by all k (s = max_k |lam_k|), whose series truncation stays below
 2 eps sum_j |lam_k/lam_j|^2 resp. 2 eps sum_j |lam_k/lam_j|.  W' keeps an
 Euler-Maclaurin completion past its work zone on real sequences.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -50,13 +52,17 @@ class SpectralSequence:
     ``values`` are mpf/mpc scalars; multiplicity is carried by ``r``,
     never by repetition.  ``rule`` is the sequence the values came from:
     an infinite rule extends it lazily past the stored head for tail
-    evaluations, a finite one is stored whole.  ``dps``, the digits of the
-    longest stored mantissa (at least DEFAULT_DPS), is read by validation.
+    evaluations, a finite one is stored whole.  ``floats`` is the binary64
+    view of the stored values (``rule.float_range``), the only float array
+    kept; entries past the head are read from the rule.  ``dps``, the digits
+    of the longest stored mantissa (at least DEFAULT_DPS), is read by
+    validation.
     """
 
     values: tuple
     r: tuple
     rule: SequenceRule
+    floats: np.ndarray = field(repr=False, compare=False)
     dps: int = DEFAULT_DPS
 
     def __len__(self) -> int:
@@ -69,12 +75,15 @@ class SpectralSequence:
         return self.values[k - 1]
 
     def float_values(self, n: int | None = None) -> np.ndarray:
+        """The first n stored entries in binary64, all of them by default."""
         n = len(self.values) if n is None else n
-        return self.rule.float_entries(n)
+        if n > len(self.values):
+            raise IndexError(f"{n} float entries asked of a head of {len(self.values)}")
+        return self.floats[:n]
 
     @property
     def re(self) -> np.ndarray:
-        return self.float_values(len(self)).real
+        return self.floats.real
 
 
 def _validate(values, context_dps) -> None:
@@ -111,7 +120,7 @@ def from_rule(rule: SequenceRule, K: int) -> SpectralSequence:
     bits = max(x[3] for v in vals for x in (v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_,)))
     dps = max(libmp.prec_to_dps(bits), DEFAULT_DPS)
     _validate(vals, dps + 10)
-    return SpectralSequence(tuple(vals), (1,) * len(vals), rule, dps)
+    return SpectralSequence(tuple(vals), (1,) * len(vals), rule, rule.float_range(0, n), dps)
 
 
 @dataclass(frozen=True)
@@ -123,11 +132,10 @@ class HypothesisReport:
     warnings: list = field(default_factory=list)
 
 
-def _power_fit(moduli: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
-    """LS fit ln|lam_k| ~ ln c + p ln k over 1-based k in [lo, hi]."""
-    ks = np.arange(lo, hi + 1, dtype=float)
-    ys = np.log(moduli[lo - 1:hi])
-    p, lnc = np.polyfit(np.log(ks), ys, 1)
+def _power_fit(moduli: np.ndarray, lo: int) -> tuple[float, float]:
+    """LS fit ln|lam_k| ~ ln c + p ln k, ``moduli`` those of 1-based k = lo, lo + 1, ..."""
+    ks = np.arange(lo, lo + len(moduli), dtype=float)
+    p, lnc = np.polyfit(np.log(ks), np.log(moduli), 1)
     return float(math.exp(lnc)), float(p)
 
 
@@ -135,10 +143,11 @@ def check_hypotheses(seq: SpectralSequence, K: int) -> HypothesisReport:
     """Sector constant and summability exponent of the first K moduli."""
     if len(seq) < max(K, 16):
         raise TooFewModes(f"need at least max(K, 16) = {max(K, 16)} entries, have {len(seq)}")
-    vals = seq.float_values(K)
+    vals = seq.floats[:K]
     moduli = np.abs(vals)
     delta = float(np.min(vals.real / moduli))
-    _, p = _power_fit(moduli, max(1, K // 2), K)
+    lo = max(1, K // 2)
+    _, p = _power_fit(moduli[lo - 1:], lo)
     summable = p > 1.0 + _FIT_TOL
     warnings = [] if summable else ["HYP_SUMMABILITY_FAIL"]
     return HypothesisReport(delta, p, summable, int(max(seq.r)), warnings)
@@ -152,7 +161,8 @@ def _tail_start(seq: SpectralSequence, lam_abs: float, tol: float) -> int:
     n = max(n0, 64)
     fit = seq.rule.fit_cache.get(("headfit", n))
     if fit is None:
-        fit = _power_fit(np.abs(seq.float_values(n)), max(1, n // 2), n)
+        lo = max(1, n // 2)
+        fit = _power_fit(np.abs(seq.rule.float_range(lo - 1, n)), lo)
         seq.rule.fit_cache[("headfit", n)] = fit
     c, p = fit
     c *= 0.8  # fit safety margin
@@ -202,23 +212,24 @@ def _far_sums(seq, lams: np.ndarray, n0: int, Js: np.ndarray, step: int) -> np.n
     J_max = int(Js.max(initial=n0))
     if J_max <= n0:
         return out
-    vals = seq.float_values(J_max)
-    if np.isrealobj(vals):
+    rule = seq.rule
+    if rule.real:
         lams = lams.real
     s = float(np.abs(lams).max())
-    J0 = bisect.bisect_left(vals, s / math.sqrt(_RHO), n0, J_max, key=abs)
+    J0 = rule.index_at_or_above(s / math.sqrt(_RHO), n0, J_max)
 
     if J0 > n0:
+        near = rule.float_range(n0, J0)
         rows = max(1, _CHUNK // (J0 - n0))  # ks per near-zone block
         for r0 in range(0, len(lams), rows):
             r = slice(r0, r0 + rows)
-            w = lams[r, None] / vals[None, n0:J0]
+            w = lams[r, None] / near[None, :]
             if step == 2:
                 np.multiply(w, w, out=w)
                 np.negative(w, out=w)
                 f = np.log1p(w, out=w).real
             else:
-                f = (np.log1p(np.conj(lams[r, None]) / vals[None, n0:J0]) - np.log1p(-w)).real
+                f = (np.log1p(np.conj(lams[r, None]) / near[None, :]) - np.log1p(-w)).real
             f[np.arange(n0, J0)[None, :] >= Js[r, None]] = 0.0
             out[r] += f.sum(axis=1)
     if J_max <= J0:
@@ -226,18 +237,18 @@ def _far_sums(seq, lams: np.ndarray, n0: int, Js: np.ndarray, step: int) -> np.n
 
     q = np.arange(1, math.ceil(2 * math.log(_EPS) / (step * math.log(_RHO))) + 1)
     # pass m sums P_{m+1} over [J0, ends[m]); Python floats take a bound past binary64 to inf
-    ends = [J_max] + [bisect.bisect_left(vals, s * _EPS ** (-1.0 / (step * m)), J0, J_max, key=abs)
+    ends = [J_max] + [rule.index_at_or_above(s * _EPS ** (-1.0 / (step * m)), J0, J_max)
                       for m in range(1, len(q))]
     edges = np.sort(np.concatenate(([J0], Js[Js > J0], np.arange(J0, J_max, _CHUNK))))
     edges = edges[np.diff(edges, prepend=J0 - 1) > 0]  # np.unique would import numpy.ma
     sums = np.zeros((len(q), len(edges)), dtype=lams.dtype)  # column i: [edges[i], edges[i+1])
-    n_buf = min(_CHUNK, J_max - J0)
-    u_buf, p_buf = np.empty(n_buf, dtype=lams.dtype), np.empty(n_buf, dtype=lams.dtype)
+    p_buf = np.empty(min(_CHUNK, J_max - J0), dtype=lams.dtype)
     for c0 in range(J0, J_max, _CHUNK):
         c1 = min(c0 + _CHUNK, J_max)
         i0, i1 = np.searchsorted(edges, (c0, c1))
         starts = edges[i0:i1] - c0
-        u = np.divide(s, vals[c0:c1], out=u_buf[:c1 - c0])
+        u = rule.float_range(c0, c1)
+        np.divide(s, u, out=u)
         if step == 2:
             np.multiply(u, u, out=u)
         p = u
@@ -269,7 +280,7 @@ def _head_split(seq: SpectralSequence, k: int, tol: float):
     tol / 2.  Returns the float view of the head, 0-based indices of the
     float factors and of the mp factors (the latter in increasing order).
     """
-    vals = seq.float_values(len(seq))
+    vals = seq.floats
     lam_f = vals[k - 1]
     others = np.delete(np.arange(len(vals)), k - 1)
     f = vals[others]
@@ -340,7 +351,7 @@ def bohr_profile(seq: SpectralSequence, K: int,
         raise TooFewModes(f"profile needs K={K} stored entries, have {len(seq)}")
     vs = np.empty(K)
     partners = np.empty(K, dtype=int)
-    vals = seq.float_values(len(seq))
+    vals = seq.floats
     eps4 = 4.0 * np.finfo(float).eps
     with workdps(DEFAULT_DPS):
         for k in range(1, K + 1):
@@ -383,11 +394,10 @@ def _blaschke_tail(seq, lam_abs: float, n0: int, tol_abs: float) -> tuple[int, f
             raise TailBoundUnachievable(f"tail completion still above tolerance at J={J}")
         fit = seq.rule.fit_cache.get(("tailfit", J))
         if fit is None:
-            moduli = np.abs(seq.float_values(J))
-            c, p = _power_fit(moduli, J // 2, J)
+            moduli = np.abs(seq.rule.float_range(J // 2 - 1, J))
+            c, p = _power_fit(moduli, J // 2)
             fit_resid = float(np.max(np.abs(
-                np.log(moduli[J // 2 - 1:J])
-                - (math.log(c) + p * np.log(np.arange(J // 2, J + 1))))))
+                np.log(moduli) - (math.log(c) + p * np.log(np.arange(J // 2, J + 1))))))
             fit = seq.rule.fit_cache[("tailfit", J)] = (c, p, fit_resid)
         c, p, fit_resid = fit
         if p <= 1.0:

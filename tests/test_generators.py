@@ -1,5 +1,6 @@
-"""Sequence rules: merge correctness, precision heads, float views."""
+"""Sequence rules: merge correctness, precision heads, float ranges and lookups."""
 
+import bisect
 import math
 import tracemalloc
 
@@ -9,7 +10,8 @@ import pytest
 
 from nullcontrol.errors import NumericalError
 from nullcontrol.generators import (
-    MAX_HEAD_DPS, AcademicLfRule, AppendixBRule, PowerRule, TwoDiffusionRule, make_rule,
+    MAX_HEAD_DPS, AcademicLfRule, AppendixBRule, ExplicitRule, PowerRule, TwoDiffusionRule,
+    make_rule,
 )
 from nullcontrol.spectral import condensation_profile, from_rule
 
@@ -24,12 +26,12 @@ class TestTwoDiffusionMerge:
         got = [float(v) for v in rule.mp_entries(n)]
         big = sorted([k * k for k in range(1, 400)] + [d * k * k for k in range(1, 400)])
         np.testing.assert_allclose(got, big[:n], rtol=1e-12)
-        np.testing.assert_allclose(np.real(rule.float_entries(n)), big[:n], rtol=1e-12)
+        np.testing.assert_allclose(np.real(rule.float_range(0, n)), big[:n], rtol=1e-12)
 
     def test_float_and_mp_views_agree(self):
         rule = make_rule("two_diffusion", d=2.0, scale=math.pi**2)
         mp_vals = [float(v) for v in rule.mp_entries(60)]
-        np.testing.assert_allclose(np.real(rule.float_entries(60)), mp_vals, rtol=1e-12)
+        np.testing.assert_allclose(np.real(rule.float_range(0, 60)), mp_vals, rtol=1e-12)
 
 
 class TestEntryAlone:
@@ -98,13 +100,13 @@ class TestPairRules:
 
     def test_float_view_collapses_harmlessly(self):
         rule = make_rule("appendixB", tau=1.0)
-        f = np.real(rule.float_entries(60))
+        f = np.real(rule.float_range(0, 60))
         assert f[58] == f[59]  # pair gap under float resolution
 
     def test_power_rule_complex(self):
         c = (1 + 1j) / math.sqrt(2.0)
         rule = make_rule("power", c=c, p=2.0)
-        v = rule.float_entries(5)
+        v = rule.float_range(0, 5)
         np.testing.assert_allclose(v[2], 9 * c, rtol=1e-15)
 
     def test_explicit_rule_bounds(self):
@@ -134,7 +136,7 @@ class TestFloatView:
     def test_explicit_rule_real_follows_values(self):
         rule = make_rule("explicit", values=[1 + 1j, 2 - 0.5j, 3])
         assert not rule.real
-        np.testing.assert_array_equal(rule.float_entries(3), [1 + 1j, 2 - 0.5j, 3])
+        np.testing.assert_array_equal(rule.float_range(0, 3), [1 + 1j, 2 - 0.5j, 3])
         assert make_rule("explicit", values=[3.0, 1.0, 2.0]).real
 
     @pytest.mark.parametrize("name, params, dtype", [
@@ -144,12 +146,12 @@ class TestFloatView:
         ("explicit", {"values": [1 + 1j, 2.0]}, np.complex128),
     ])
     def test_float_cache_dtype(self, name, params, dtype):
-        # real rules keep a contiguous float64 view, complex ones complex128
-        v = make_rule(name, **params).float_entries(2)
+        # real rules give contiguous float64 ranges, complex ones complex128
+        v = make_rule(name, **params).float_range(0, 2)
         assert v.dtype == dtype and v.flags.c_contiguous
 
 
-# the float block formulas the in-place ones replace, kept as references
+# whole-block float formulas, kept as the references of the rules' ranges
 
 def _ref_two_diffusion_block(rule, n):
     m = n + 4
@@ -178,7 +180,7 @@ _LENGTHS = (1, 2, 3, 7, 8, 9, 1023, 4097, 100_001)
 
 
 class TestFloatBlocks:
-    """Each rule's float block against the reference formula, bit for bit."""
+    """Each rule's first n float entries against the reference block, bit for bit."""
 
     @staticmethod
     def _same(got, want):
@@ -189,7 +191,7 @@ class TestFloatBlocks:
         for scale in (1.0, PI2):
             rule = TwoDiffusionRule(d, scale)
             for n in _LENGTHS + (1_109_823,):
-                assert self._same(rule._float_block_impl(n), _ref_two_diffusion_block(rule, n)), \
+                assert self._same(rule.float_range(0, n), _ref_two_diffusion_block(rule, n)), \
                     (scale, n)
 
     @pytest.mark.parametrize("cls", [AppendixBRule, AcademicLfRule])
@@ -197,14 +199,14 @@ class TestFloatBlocks:
     def test_paired(self, cls, tau):
         rule = cls(tau)
         for n in _LENGTHS + (2_174_154,):
-            assert self._same(rule._float_block_impl(n), _ref_paired_block(rule, n)), n
+            assert self._same(rule.float_range(0, n), _ref_paired_block(rule, n)), n
 
     @pytest.mark.parametrize("c", [1.0, PI2, 1e300, 1e-300, 3.0, 2.0, 1 + 0.5j])
     @pytest.mark.parametrize("p", [2.0, 1.5, 1.01, 3.0])
     def test_power(self, c, p):
         rule = PowerRule(c, p)
         for n in _LENGTHS:
-            assert self._same(rule._float_block_impl(n), _ref_power_block(rule, n)), n
+            assert self._same(rule.float_range(0, n), _ref_power_block(rule, n)), n
 
     def test_paired_entries_unchanged(self):
         # appendixB forms no power of pi; its entries are those of k^2 pi^0
@@ -232,20 +234,120 @@ class TestFloatBlocks:
                 for got, want in zip(rule._pair(k), (lam - rule.lower * f, lam + f)):
                     assert abs(got - want) <= mp.ldexp(abs(want), 1 - mp.mp.prec), k
 
-    def test_two_diffusion_cache_is_not_a_view(self):
-        # the cached float view of the spectra two_diffusion K = 100 job
-        # holds its own entries, not the first half of a doubled block
-        rule = make_rule("two_diffusion", d=2.0, scale=PI2)
-        K = 100
-        condensation_profile(from_rule(rule, K), K)
-        assert len(rule._float_cache) > 1_000_000
-        assert rule._float_cache.base is None
 
-    def test_two_diffusion_block_peak(self):
+def _ref_explicit_block(rule, n):
+    block = np.array([complex(v) for v in rule.values[:n]])
+    return block.real.copy() if rule.real else block
+
+
+_N_REF = 5000
+# (i0, i1): empty, single entries and short ranges at odd and even starts,
+# ranges across pair and merge boundaries, and the last entries
+_RANGES = ((0, 0), (0, 1), (1, 2), (2, 3), (0, 7), (1, 8), (3, 10), (4, 9), (5, 5),
+           (17, 1018), (998, 1001), (1000, 4097), (4095, _N_REF), (_N_REF - 1, _N_REF))
+_RULES = {
+    "power": lambda: PowerRule(PI2, 2.0),
+    "power-complex": lambda: PowerRule(1 + 0.5j, 1.5),
+    "power-1e300": lambda: PowerRule(1e300, 2.0),   # entries past k = 1e4 overflow to inf
+    "appendixB-0.25": lambda: AppendixBRule(0.25),
+    "appendixB-1e-4": lambda: AppendixBRule(1e-4),  # e^{-tau lam} above 0.0 on every entry
+    "academic_lf-0.2": lambda: AcademicLfRule(0.2),
+    "academic_lf-1e-4": lambda: AcademicLfRule(1e-4),
+    "two_diffusion-2": lambda: TwoDiffusionRule(2.0, PI2),
+    "two_diffusion-0.3": lambda: TwoDiffusionRule(0.3, 1.0),
+    "two_diffusion-4": lambda: TwoDiffusionRule(4.0, 1.0),  # d k^2 = (2k)^2: ties, family 1 first
+    "two_diffusion-0.25": lambda: TwoDiffusionRule(0.25, PI2),
+}
+
+
+def _ref_block(rule, n):
+    if isinstance(rule, PowerRule):
+        return _ref_power_block(rule, n)
+    if isinstance(rule, TwoDiffusionRule):
+        return _ref_two_diffusion_block(rule, n)
+    return _ref_paired_block(rule, n)
+
+
+class TestFloatRanges:
+    """float_range(i0, i1) against a slice of the reference block, bit for
+    bit, and index_at_or_above against bisect_left over that block."""
+
+    @staticmethod
+    def _same(got, want):
+        return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_RULES))
+    def test_range_is_block_slice(self, name):
+        rule = _RULES[name]()
+        ref = _ref_block(rule, _N_REF)
+        for i0, i1 in _RANGES:
+            assert self._same(rule.float_range(i0, i1), ref[i0:i1]), (i0, i1)
+
+    @pytest.mark.parametrize("d", [0.5, 2.0])
+    def test_two_diffusion_far_ranges(self, d):
+        # chunks at the offsets of the spectra two_diffusion job's far zone
+        rule = TwoDiffusionRule(d, PI2)
+        n = 1_109_823
+        ref = _ref_two_diffusion_block(rule, n)
+        for i0 in (1_000_000, 1_000_001, 1_044_287):
+            assert self._same(rule.float_range(i0, n), ref[i0:]), i0
+            assert self._same(rule.float_range(i0, i0 + 65_536), ref[i0:i0 + 65_536]), i0
+
+    def test_explicit(self):
+        for values in ([9.0, 1.0, 4.0, 4.5], [1 + 1j, 2 - 0.5j, 3.0]):
+            rule = ExplicitRule(values)
+            ref = _ref_explicit_block(rule, len(values))
+            for i0 in range(len(values) + 1):
+                for i1 in range(i0, len(values) + 1):
+                    assert self._same(rule.float_range(i0, i1), ref[i0:i1]), (i0, i1)
+            with pytest.raises(IndexError):
+                rule.float_range(0, len(values) + 1)
+
+    @pytest.mark.parametrize("name", sorted(_RULES))
+    def test_index_matches_bisect(self, name):
+        rule = _RULES[name]()
+        ref = _ref_block(rule, _N_REF)
+        mods = np.abs(ref)
+        finite = mods[np.isfinite(mods)]
+        xs = [0.0, float(finite[0]) / 2, math.inf, float(finite[-1]) * 2]
+        for i in (0, 1, 2, 3, 10, 11, 998, 999, 1000, len(finite) - 1):
+            x = float(finite[min(i, len(finite) - 1)])
+            xs += [x, np.nextafter(x, 0.0), np.nextafter(x, math.inf), x * (1 + 1e-3)]
+        for x in xs:
+            for lo, hi in ((0, _N_REF), (7, _N_REF), (0, 1001), (998, 1001), (40, 40), (100, 99)):
+                want = bisect.bisect_left(ref, x, lo, max(lo, hi), key=abs)
+                assert rule.index_at_or_above(x, lo, hi) == want, (x, lo, hi)
+
+    def test_index_past_overflow(self):
+        # c = 1e300: entries overflow to inf past k = 1e4, so x = inf finds
+        # the first of them, while a finite rule's inf bound finds hi
+        rule = PowerRule(1e300, 2.0)
+        ref = _ref_power_block(rule, 20_000)
+        first_inf = int(np.argmax(np.isinf(ref)))
+        assert 0 < first_inf < 20_000
+        assert rule.index_at_or_above(math.inf, 0, 20_000) == first_inf \
+            == bisect.bisect_left(ref, math.inf, key=abs)
+        assert rule.index_at_or_above(1e308, 0, 20_000) == bisect.bisect_left(ref, 1e308, key=abs)
+        assert PowerRule(PI2, 2.0).index_at_or_above(math.inf, 3, 8_000_000) == 8_000_000
+        assert AppendixBRule(0.25).index_at_or_above(math.inf, 3, 8_000_000) == 8_000_000
+        assert TwoDiffusionRule(2.0, PI2).index_at_or_above(math.inf, 3, 8_000_000) == 8_000_000
+
+
+class TestStreamedFarZone:
+    @pytest.mark.parametrize("name, params", [
+        ("appendixB", {"tau": 0.25}),
+        ("two_diffusion", {"d": 2.0, "scale": PI2}),
+    ])
+    def test_condensation_peak(self, name, params):
+        # K = 100 truncates at J_k up to about 1.1 million entries; the far
+        # zone is read in chunks, so the peak stays near one chunk's arrays
+        # (2.2-2.5 MB measured; 17.5-17.8 MB while a float view of J_max
+        # entries was cached on the rule)
+        rule = make_rule(name, **params)
         tracemalloc.start()
         try:
-            TwoDiffusionRule(2.0, PI2).float_entries(1_109_823)
+            condensation_profile(from_rule(rule, 100), 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24e6
+        assert peak < 6e6

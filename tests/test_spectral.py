@@ -44,7 +44,7 @@ def _all_mp_log_E_prime(seq, k, rel_tail_tol):
                 total += _log_abs(other - lam) + _log_abs(other + lam) - 2 * _log_abs(other)
     J = spectral._tail_start(seq, float(abs(lam)), rel_tail_tol)
     if J > len(seq):
-        w = to_complex(lam) / seq.float_values(J)[len(seq):]
+        w = to_complex(lam) / seq.rule.float_range(0, J)[len(seq):]
         total += float(np.sum(np.log(np.abs(1.0 - w * w))))
     return total
 
@@ -58,7 +58,7 @@ def _direct_far_sum(seq, lam_c, n0, J):
         return 0.0
     total = 0.0
     chunk = 1 << 20
-    vals = seq.float_values(J)
+    vals = seq.rule.float_range(0, J)
     real = seq.rule.real
     if real:
         vals, lam_c = vals.real, lam_c.real
@@ -81,7 +81,7 @@ def _direct_blaschke_far_sum(seq, lam_c, n0, J):
     would round 1 -+ w first: 3.7e-12 over J = 65536 (power c=1+0.5j, k=30)."""
     if J <= n0:
         return 0.0
-    vals = seq.float_values(J)[n0:J]
+    vals = seq.rule.float_range(0, J)[n0:J]
     if seq.rule.real:
         lam = lam_c.real
         return float(np.sum(np.log1p(lam / vals.real) - np.log1p(-lam / vals.real)))
@@ -276,7 +276,7 @@ class TestLogEPrime:
     @pytest.mark.parametrize("d", [2.0, 5.0])
     def test_two_family_closed_form(self, d):
         seq = from_rule(make_rule("two_diffusion", d=d, scale=1.0), 4000)
-        floats = np.real(seq.float_values(4000))
+        floats = np.real(seq.rule.float_range(0, 4000))
         for k in (1, 2, 7, 20):
             idx = int(np.searchsorted(floats, k * k) + 1)
             assert abs(floats[idx - 1] - k * k) < 1e-9
@@ -334,7 +334,7 @@ class TestFarTail:
         n0 = len(seq)
         lams, _ = _far_args(seq, [2, 5, 9, 14, 20, 3, 7, 11])
         # J0: first entry with |lam_j| >= max_k |lam_k| / sqrt(rho)
-        J0 = int(np.searchsorted(seq.float_values(1 << 16),
+        J0 = int(np.searchsorted(seq.rule.float_range(0, 1 << 16),
                                  np.abs(lams).max() / math.sqrt(spectral._RHO)))
         assert n0 + 3 < J0
         # shared J_k, J_k == J0 (empty far segment, twice), J_k inside the
@@ -433,7 +433,7 @@ class TestBlaschkeFarTail:
         seq = from_rule(make_rule("appendixB", tau=0.25), 20)
         n0 = len(seq)
         lams, _ = self._args(seq, [2, 5, 9, 14, 20, 3, 7, 11], 1e-10)
-        J0 = int(np.searchsorted(seq.float_values(1 << 16),
+        J0 = int(np.searchsorted(seq.rule.float_range(0, 1 << 16),
                                  np.abs(lams).max() / math.sqrt(spectral._RHO)))
         assert n0 + 3 < J0
         Js = np.array([J0, J0, n0 + 3, J0 + 1000, J0 + 1000, n0 - 2,
@@ -447,7 +447,7 @@ class TestBlaschkeFarTail:
         make, tol = self._CASES[case]
         seq = make()
         lams, _ = self._args(seq, [2, 5, 9, 14, 20], tol)
-        J0 = int(np.searchsorted(np.abs(seq.float_values(1 << 16)),
+        J0 = int(np.searchsorted(np.abs(seq.rule.float_range(0, 1 << 16)),
                                  np.abs(lams).max() / math.sqrt(spectral._RHO)))
         Js = J0 + np.array([1, 10, 100, 1000, 30000])
         got = spectral._far_sums(seq, lams, J0, Js, 1)
