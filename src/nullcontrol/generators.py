@@ -114,7 +114,7 @@ class SequenceRule:
         for x = inf unless the entries overflow to inf)."""
         try:
             guess = self._index_guess(x)
-        except (OverflowError, ZeroDivisionError, ValueError):  # no finite guess: search from hi
+        except OverflowError:  # a power rule's (x / |c|)^(1/p) past binary64, p < 1
             guess = math.inf
         return _first_true(lambda i: abs(self.float_range(i, i + 1)[0]) >= x, lo, hi, guess)
 

@@ -462,9 +462,6 @@ class _OddRule(SequenceRule):
     def float_range(self, i0, i1):
         return 2.0 * np.arange(i0 + 1, i1 + 1) - 1.0
 
-    def _index_guess(self, x):
-        return (x - 1.0) / 2.0
-
 
 class HarmonicOscillatorModel(ParabolicModel):
     """lam_k = 2k - 1: the reciprocal sum diverges, so the minimal-time

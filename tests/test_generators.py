@@ -339,10 +339,9 @@ class TestStreamedFarZone:
         ("two_diffusion", {"d": 2.0, "scale": PI2}),
     ])
     def test_condensation_peak(self, name, params):
-        # K = 100 truncates at J_k up to about 1.1 million entries; the far
-        # zone is read in chunks, so the peak stays near one chunk's arrays
-        # (2.2-2.5 MB measured; 17.5-17.8 MB while a float view of J_max
-        # entries was cached on the rule)
+        # K = 100 truncates at J_k up to about 1.1 million entries (8.9 MB as
+        # one float64 array); the far zone is read in chunks, so the peak
+        # stays near one chunk's arrays: 2.2-2.5 MB measured
         rule = make_rule(name, **params)
         tracemalloc.start()
         try:
