@@ -16,10 +16,7 @@ import sys
 from itertools import islice
 from pathlib import Path
 
-import jsonschema
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from . import hautus, spectral, synthesis
 from .errors import NullControlError, ValidationError
@@ -37,19 +34,7 @@ from .models import (
     two_diffusion_boundary,
     two_diffusion_pointwise,
 )
-from .schemas import CONFIG_SCHEMA, DIAGNOSTICS_SCHEMA
-
-# Built once: jsonschema.validate would re-check the schema against its
-# metaschema on every call (the tests check the constant schemas instead).
-_CONFIG = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-_DIAGNOSTICS = validator_for(DIAGNOSTICS_SCHEMA)(DIAGNOSTICS_SCHEMA)
-
-
-def _validate(validator, instance):
-    """Raise the error jsonschema.validate(instance, validator.schema) raises."""
-    error = best_match(validator.iter_errors(instance))
-    if error is not None:
-        raise error
+from .schemas import CONFIG_SCHEMA, DIAGNOSTICS_SCHEMA, SchemaViolation, validate
 
 
 # rows formatted and written at a time, so that no file is built whole in memory
@@ -84,7 +69,7 @@ def _write_dat(path: Path, xs, ys):
 def _write_json(path: Path, payload):
     # strict JSON: a non-finite float would be written as NaN or Infinity
     payload = _json_safe(payload)
-    _validate(_DIAGNOSTICS, payload)
+    validate(payload, DIAGNOSTICS_SCHEMA)  # a failure here is a program fault, not exit 2
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
@@ -308,9 +293,9 @@ _RUNNERS = {
 def run(config: dict, out_dir, seed=None) -> int:
     """Validate and dispatch one config; returns the process exit code."""
     try:
-        _validate(_CONFIG, config)
-    except jsonschema.ValidationError as exc:
-        raise ValidationError(f"config rejected: {exc.message}") from exc
+        validate(config, CONFIG_SCHEMA)
+    except SchemaViolation as exc:
+        raise ValidationError(f"config rejected: {exc}") from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params = config.get("params", {})

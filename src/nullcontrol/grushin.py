@@ -91,16 +91,15 @@ def _potential(h: float):
 
 
 def _assemble(n: int, h: float):
-    """Tridiagonal stiffness+potential and mass matrices on interior nodes."""
+    """Tridiagonal stiffness+potential matrix on interior nodes, as arrays,
+    and the uniform grid's mass matrix, as its constant diagonal and
+    off-diagonal scalars."""
     grid, pot_ll, pot_rr, pot_lr = _potential(h)
     omega_sq = (n * math.pi) ** 2
-    nin = len(grid) - 2  # interior nodes 1..nel-1
     # node i from elements i-1, i; off-diagonal via the shared element
     kd = 2.0 / h + pot_rr[:-1] * omega_sq + pot_ll[1:] * omega_sq
     ke = -1.0 / h + pot_lr[1:-1] * omega_sq
-    md = np.full(nin, 2.0 * h / 3.0)
-    me = np.full(nin - 1, h / 6.0)
-    return grid, kd, ke, md, me
+    return grid, kd, ke, 2.0 * h / 3.0, h / 6.0
 
 
 @lru_cache(maxsize=1)
@@ -150,7 +149,8 @@ def _factor_below(kd, ke, md, me, sigma: float):
 
 
 def _tridiag_times(d, e, v):
-    """A v for the symmetric tridiagonal A with diagonal d and off-diagonal e."""
+    """A v for the symmetric tridiagonal A with diagonal d and off-diagonal e,
+    each an array or, for a constant one, a scalar."""
     av = d * v
     av[:-1] += e * v[1:]
     av[1:] += e * v[:-1]

@@ -81,7 +81,8 @@ class ParabolicModel:
         self.rule = rule
         self.metadata: dict = {}
         self._modes: list[SpectralMode] = []
-        self._lock = threading.Lock()
+        self._spectra: dict[int, spectral.SpectralSequence] = {}
+        self._lock = threading.RLock()  # spectrum() holds it while it reads modes()
 
     def _mode(self, k: int) -> SpectralMode:
         raise NotImplementedError
@@ -98,9 +99,13 @@ class ParabolicModel:
             return self._modes[:K]
 
     def spectrum(self, K: int) -> spectral.SpectralSequence:
-        """The rule's first K entries (plus its buffer) with the modes' multiplicities."""
-        seq = spectral.from_rule(self.rule, K)
-        return replace(seq, r=tuple(m.r for m in self.modes(len(seq))))
+        """The rule's first K entries (plus its buffer) with the modes'
+        multiplicities, built once per K and shared."""
+        with self._lock:
+            if K not in self._spectra:
+                seq = spectral.from_rule(self.rule, K)
+                self._spectra[K] = replace(seq, r=tuple(m.r for m in self.modes(len(seq))))
+            return self._spectra[K]
 
     def tmin_profile(self, K: int, window: int = DEFAULT_WINDOW) -> ProfileReport | None:
         return None

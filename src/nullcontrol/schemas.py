@@ -1,4 +1,16 @@
-"""Published JSON schemas for run configs and diagnostics files."""
+"""Published JSON schemas for run configs and diagnostics files, and the
+validator that checks instances against them.
+
+``validate`` interprets exactly the draft 2020-12 keywords these schemas
+use and reports the error ``jsonschema.validate`` would (its ``best_match``
+over every error, with its wording), without importing jsonschema.  Any
+other keyword raises NotImplementedError, so a schema edit that outgrows
+the validator fails instead of being ignored.  This module imports only
+the standard library, so it also loads on its own from its file.
+"""
+
+import operator
+from numbers import Number
 
 COMMANDS = ["indices", "hypotheses", "tstar", "biortho", "synthesize",
             "verify", "grushin", "gramian2x2"]
@@ -137,3 +149,177 @@ ERROR_SCHEMA = {
         "message": {"type": "string"},
     },
 }
+
+
+class SchemaViolation(Exception):
+    """An instance failed its schema; the message is jsonschema's for that error."""
+
+
+_TYPES = {
+    "null": lambda x: x is None,
+    "boolean": lambda x: isinstance(x, bool),
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, Number) and not isinstance(x, bool),
+    # an integral float such as 2.0 is an integer, as in draft 2020-12
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
+
+
+def _is_type(x, types) -> bool:
+    return any(_TYPES[t](x) for t in ([types] if isinstance(types, str) else types))
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: True is not 1, and lists and objects compare by members."""
+    if a is b:
+        return True
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(v, b[k]) for k, v in a.items())
+    if isinstance(a, bool) or isinstance(b, bool):
+        return False  # distinct bools, or a bool against a number
+    return a == b
+
+
+# Each keyword check takes (keyword value, instance, schema, path) and yields
+# a message for an error of the instance itself, or the (path, subschema,
+# instance, message) of an error found below it, in jsonschema's order.
+
+def _no_check(value, x, schema, path):
+    return ()  # annotations; "then" is read by "if"
+
+
+def _type(types, x, schema, path):
+    if not _is_type(x, types):
+        names = [types] if isinstance(types, str) else types
+        yield f"{x!r} is not of type {', '.join(map(repr, names))}"
+
+
+def _enum(values, x, schema, path):
+    if not any(_equal(v, x) for v in values):
+        yield f"{x!r} is not one of {values!r}"
+
+
+def _const(value, x, schema, path):
+    if not _equal(x, value):
+        yield f"{value!r} was expected"
+
+
+def _required(names, x, schema, path):
+    if isinstance(x, dict):
+        yield from (f"{name!r} is a required property" for name in names if name not in x)
+
+
+def _properties(subschemas, x, schema, path):
+    if isinstance(x, dict):
+        for name, sub in subschemas.items():
+            if name in x:
+                yield from _errors(x[name], sub, path + (name,))
+
+
+def _additional_properties(allowed, x, schema, path):
+    if allowed is not False:
+        raise NotImplementedError("only additionalProperties: false is supported")
+    if isinstance(x, dict):
+        extras = sorted((k for k in x if k not in schema.get("properties", {})), key=str)
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            yield (f"Additional properties are not allowed "
+                   f"({', '.join(map(repr, extras))} {verb} unexpected)")
+
+
+def _property_names(sub, x, schema, path):
+    if isinstance(x, dict):
+        for name in x:  # a name's errors sit at the object's own path
+            yield from _errors(name, sub, path)
+
+
+def _items(sub, x, schema, path):
+    if isinstance(x, list):
+        for i, item in enumerate(x):
+            yield from _errors(item, sub, path + (i,))
+
+
+def _min_items(n, x, schema, path):
+    if isinstance(x, list) and len(x) < n:
+        yield f"{x!r} {'should be non-empty' if n == 1 else 'is too short'}"
+
+
+def _max_items(n, x, schema, path):
+    if isinstance(x, list) and len(x) > n:
+        yield f"{x!r} {'is expected to be empty' if n == 0 else 'is too long'}"
+
+
+def _bound(fails, words):
+    """The check of one numeric bound; a NaN instance fails no comparison,
+    so it passes every bound, as in jsonschema."""
+    def check(m, x, schema, path):
+        if _TYPES["number"](x) and fails(x, m):
+            yield f"{x!r} is {words} {m!r}"
+    return check
+
+
+def _all_of(subs, x, schema, path):
+    for sub in subs:
+        yield from _errors(x, sub, path)
+
+
+def _if(sub, x, schema, path):
+    if _valid(x, sub) and "then" in schema:
+        yield from _errors(x, schema["then"], path)
+
+
+def _not(sub, x, schema, path):
+    if _valid(x, sub):
+        yield f"{x!r} should not be valid under {sub!r}"
+
+
+KEYWORDS = {
+    "$schema": _no_check, "title": _no_check, "then": _no_check,
+    "type": _type, "enum": _enum, "const": _const, "required": _required,
+    "properties": _properties, "additionalProperties": _additional_properties,
+    "propertyNames": _property_names, "items": _items,
+    "minItems": _min_items, "maxItems": _max_items,
+    "minimum": _bound(operator.lt, "less than the minimum of"),
+    "maximum": _bound(operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": _bound(operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": _bound(operator.ge, "greater than or equal to the maximum of"),
+    "allOf": _all_of, "if": _if, "not": _not,
+}
+
+
+def _errors(x, schema: dict, path: tuple):
+    """Every error of x under schema as (path, subschema, instance, message),
+    in jsonschema's order: the schema's keywords in turn."""
+    for keyword, value in schema.items():
+        check = KEYWORDS.get(keyword)
+        if check is None:
+            raise NotImplementedError(f"schema keyword {keyword!r} is not supported")
+        for error in check(value, x, schema, path):
+            yield error if isinstance(error, tuple) else (path, schema, x, error)
+
+
+def _valid(x, schema: dict) -> bool:
+    return next(_errors(x, schema, ()), None) is None
+
+
+def _relevance(error):
+    """jsonschema's ``relevance`` for this dialect: the shallowest error,
+    then the largest path, then one whose subschema's ``type`` the
+    instance fails or that states none."""
+    path, schema, x, _ = error
+    return -len(path), path, not ("type" in schema and _is_type(x, schema["type"]))
+
+
+def validate(instance, schema: dict) -> None:
+    """Raise SchemaViolation with the message jsonschema.validate(instance,
+    schema) raises, if any; on ties the first error in schema order wins."""
+    best = max(_errors(instance, schema, ()), key=_relevance, default=None)
+    if best is not None:
+        raise SchemaViolation(best[3])

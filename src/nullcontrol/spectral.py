@@ -120,7 +120,9 @@ def from_rule(rule: SequenceRule, K: int) -> SpectralSequence:
     bits = max(x[3] for v in vals for x in (v._mpc_ if isinstance(v, mp.mpc) else (v._mpf_,)))
     dps = max(libmp.prec_to_dps(bits), DEFAULT_DPS)
     _validate(vals, dps + 10)
-    return SpectralSequence(tuple(vals), (1,) * len(vals), rule, rule.float_range(0, n), dps)
+    floats = rule.float_range(0, n)
+    floats.flags.writeable = False  # the sequence is frozen, and models share it
+    return SpectralSequence(tuple(vals), (1,) * len(vals), rule, floats, dps)
 
 
 @dataclass(frozen=True)

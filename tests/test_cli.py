@@ -1,6 +1,7 @@
 """CLI: schema validation, output formats, exit codes, determinism."""
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -18,12 +19,20 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from nullcontrol import cli, grushin_tstar_profile, models, observation_integral, solve_mode
 from nullcontrol.cli import main, run
 from nullcontrol.errors import RationalRootWarning
-from nullcontrol.schemas import CONFIG_SCHEMA, DIAGNOSTICS_SCHEMA, ERROR_SCHEMA
+from nullcontrol.schemas import (
+    CONFIG_SCHEMA,
+    DIAGNOSTICS_SCHEMA,
+    ERROR_SCHEMA,
+    KEYWORDS,
+    SchemaViolation,
+    validate,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -171,6 +180,28 @@ def test_cold_start_loads_neither_scipy_nor_numpy_ma(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, False, False]
+
+
+@pytest.mark.parametrize("cfg,code", [
+    ({"command": "indices", "sequence": {"rule": "power", "c": 1.0, "p": 2.0},
+      "params": {"K": 10}}, 0),
+    ({"command": "indices", "sequence": {"rule": "power", "bogus": 1.0}}, 2),
+], ids=["valid", "rejected"])
+def test_cold_start_loads_no_jsonschema(tmp_path, cfg, code):
+    # configs and diagnostics are checked in-package: jsonschema is the tests' oracle
+    cfgp = _write_config(tmp_path, cfg)
+    unloaded = ("jsonschema", "referencing", "rpds")
+    script = (
+        "import json, sys\n"
+        "import nullcontrol.cli as cli\n"
+        f"rc = cli.main(['--config', {str(cfgp)!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+        f"print(json.dumps([rc] + [m in sys.modules for m in {unloaded!r}]))\n"
+    )
+    env = dict(os.environ, MPMATH_NOGMPY="1", PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [code, False, False, False]
 
 
 def test_cold_start_grushin_loads_no_scipy_linalg(tmp_path):
@@ -716,3 +747,140 @@ def test_schema_valid_configs_exit_0_2_or_3(cfg):
     assert code in (0, 2, 3), cfg
     if code:
         jsonschema.validate(json.loads(err.getvalue()), ERROR_SCHEMA)
+
+
+# The in-package validator against jsonschema, its oracle: the same verdict
+# and the same best_match message on mutated configs.
+# strings, bools, null, arrays, objects, NaN, +-inf, an integral float and
+# numbers outside the stated ranges
+_ODD_VALUES = st.sampled_from(["x", "power", "indices", True, False, None, [], [0.5, 2.0], {},
+                               math.nan, math.inf, -math.inf, 2.0, 0, -1.0, 1.5, 1e300, 10**20])
+# unknown keys, and keys known elsewhere in the schema
+_ODD_KEYS = st.sampled_from(["bogus", "command", "sequence", "model", "params", "rule", "name",
+                             "c", "tau", "d", "values", "x0", "omega", "K", "N", "lam1", "T"])
+
+
+def _containers(x, path=()):
+    """The path of every object and array in x, the root's first."""
+    if isinstance(x, (dict, list)):
+        yield path
+        for k, v in (x.items() if isinstance(x, dict) else enumerate(x)):
+            yield from _containers(v, path + (k,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A schema-valid config with 1-3 edits at any level: a key added or
+    dropped, an array item added or dropped, or a value replaced."""
+    if draw(st.integers(0, 49)) == 0:
+        return copy.deepcopy(draw(_ODD_VALUES))  # not an object at all
+    cfg = draw(_configs())
+    for _ in range(draw(st.integers(1, 3))):
+        node = cfg
+        for k in draw(st.sampled_from(list(_containers(cfg)))):
+            node = node[k]
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        op = draw(st.sampled_from(["add", "drop", "set"] if keys else ["add"]))
+        value = copy.deepcopy(draw(_ODD_VALUES))
+        if op == "add" and isinstance(node, dict):
+            node[draw(_ODD_KEYS)] = value
+        elif op == "add":
+            node.append(value)
+        elif op == "drop":
+            del node[draw(st.sampled_from(keys))]
+        else:
+            node[draw(st.sampled_from(keys))] = value
+    return cfg
+
+
+def _messages(instance, schema):
+    """(validate's message, jsonschema's best_match message), None if valid."""
+    want = best_match(validator_for(schema)(schema).iter_errors(instance))
+    want = None if want is None else want.message
+    try:
+        validate(instance, schema)
+    except SchemaViolation as exc:
+        return str(exc), want
+    return None, want
+
+
+class TestValidator:
+    @settings(max_examples=2000, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_mutated_configs())
+    # pinned: the propertyNames enum error outranks additionalProperties,
+    # NaN passes every bound, an integral float is an integer, and one
+    # message of each bound, of the array lengths and of the conditionals
+    @example({"command": "indices", "sequence": {"rule": "power", "bogus": 1.0}})
+    @example({"command": "verify", "model": {"name": "pointwise_heat", "x0": math.nan},
+              "params": {"T": math.nan, "N": 2.0}})
+    @example({"command": "grushin", "params": {"a": -math.inf, "b": math.inf, "n_max": 1.5}})
+    @example({"command": "indices", "sequence": {"rule": "power"}, "params": {"K": 0}})
+    @example({"command": "grushin", "params": {"a": 1.5, "h": 0}})
+    @example({"command": "verify", "model": {"name": "pointwise_heat", "x0": 1}})
+    @example({"command": "verify", "model": {"name": "cascade_internal_q",
+                                             "omega": [-0.1, 2.0], "q_breakpoints": [0.5],
+                                             "q_values": []}})
+    @example({"command": "gramian2x2", "params": {"lam1": 1, "lam2": 2, "bvec": [1.0]}})
+    @example({"command": "gramian2x2", "params": {"lam1": 1, "lam2": 2, "y0vec": [1, 2, 3]}})
+    @example({"command": "gramian2x2", "params": {"lam1": 1}})
+    @example({"command": "hypotheses", "params": {"K": True}})
+    @example({"command": "indices", "sequence": {"rule": "explicit", "values": ["x"]},
+              "zeta": 1, "alpha": 2})
+    def test_matches_jsonschema_best_match(self, cfg):
+        got, want = _messages(cfg, CONFIG_SCHEMA)
+        assert got == want
+
+    @pytest.mark.parametrize("payload", [
+        {"command": "indices", "data": {}},
+        {"command": "indices", "seed": 1.0, "model": None, "data": {}},
+        {"command": "indices", "seed": "7", "data": {}},
+        {"command": "indices", "sequence": [], "data": {}},
+        {"command": "indices", "data": None, "extra": 1},
+        {"data": {}},
+    ])
+    def test_diagnostics_match_jsonschema(self, payload):
+        got, want = _messages(payload, DIAGNOSTICS_SCHEMA)
+        assert got == want
+
+    @staticmethod
+    def _keywords(schema):
+        """Every keyword of schema and of its subschemas, and every type name."""
+        for keyword, value in schema.items():
+            yield keyword
+            if keyword == "type":
+                yield from ([value] if isinstance(value, str) else value)
+            elif keyword == "properties":
+                for sub in value.values():
+                    yield from TestValidator._keywords(sub)
+            elif keyword == "allOf":
+                for sub in value:
+                    yield from TestValidator._keywords(sub)
+            elif keyword in ("items", "propertyNames", "if", "then", "not"):
+                yield from TestValidator._keywords(value)
+
+    def test_covers_exactly_the_published_keywords(self):
+        used = set()
+        for schema in (CONFIG_SCHEMA, DIAGNOSTICS_SCHEMA, ERROR_SCHEMA):
+            used |= set(self._keywords(schema))
+        types = {"object", "array", "number", "integer", "string", "null"}
+        assert used == set(KEYWORDS) | types
+
+    @pytest.mark.parametrize("schema", [
+        {"pattern": "^a"},
+        {"type": "object", "properties": {"a": {"uniqueItems": True}}},
+        {"if": {"type": "string"}, "then": {"minItems": 1}, "else": {"type": "array"}},
+        {"additionalProperties": {"type": "number"}},
+    ], ids=["pattern", "nested", "else", "additionalProperties-schema"])
+    def test_unsupported_keyword_raises(self, schema):
+        with pytest.raises(NotImplementedError):
+            validate({"a": [1, 1]}, schema)
+
+    def test_invalid_diagnostics_is_a_program_fault(self, tmp_path, monkeypatch):
+        # a payload outside DIAGNOSTICS_SCHEMA raises; it is not "config rejected"
+        monkeypatch.setattr(cli, "_json_safe", lambda payload: payload | {"bogus": 1})
+        cfgp = _write_config(tmp_path, {"command": "indices",
+                                        "sequence": {"rule": "power", "c": 1.0, "p": 2.0},
+                                        "params": {"K": 4}})
+        with pytest.raises(SchemaViolation, match="'bogus' was unexpected"):
+            main(["--config", str(cfgp), "--out", str(tmp_path / "o")])

@@ -76,6 +76,8 @@ class TestPencilBisection:
     @staticmethod
     def _dense_smallest(kd, ke, md, me):
         K = np.diag(kd) + np.diag(ke, 1) + np.diag(ke, -1)
+        # the mass matrix comes as its constant diagonal and off-diagonal
+        md, me = np.full(len(kd), md), np.full(len(ke), me)
         M = np.diag(md) + np.diag(me, 1) + np.diag(me, -1)
         lam, vec = scipy.linalg.eigh(K, M, subset_by_index=[0, 0])
         return lam[0], vec[:, 0]

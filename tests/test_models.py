@@ -1,6 +1,8 @@
 """Model gallery: spectra, observations, coupling integrals, closed forms."""
 
 import math
+import sys
+import threading
 import warnings
 
 import mpmath as mp
@@ -18,9 +20,11 @@ from nullcontrol import (
     harmonic_oscillator,
     pointwise_heat,
     synthesize,
+    tstar_estimate,
     two_diffusion_boundary,
     two_diffusion_pointwise,
 )
+from nullcontrol import spectral
 from nullcontrol.errors import DegenerateB, RationalRootWarning, SupportOverlap, UnobservableMode
 from nullcontrol.models import _psi_coefficients
 from nullcontrol.precision import to_complex
@@ -403,6 +407,43 @@ class TestOneSpectrum:
         seq = pointwise_heat(0.3).spectrum(8)
         assert len(seq) == 16 and seq.rule is not None
         assert check_hypotheses(seq, 8).summable
+
+    def test_spectrum_built_once_per_k(self, monkeypatch):
+        # the tstar command's gap profile and tmin profile share one head
+        built, from_rule = [], spectral.from_rule
+        monkeypatch.setattr(spectral, "from_rule",
+                            lambda rule, K: built.append(K) or from_rule(rule, K))
+        model = two_diffusion_pointwise(3.7, SQRT2 - 1.0)
+        assert "gap" in tstar_estimate(model, 30).profiles
+        model.tmin_profile(30)
+        assert built == [30]
+        seq = model.spectrum(30)
+        assert model.spectrum(30) is seq and built == [30]
+        # shared, so its float view is read-only
+        with pytest.raises(ValueError, match="read-only"):
+            seq.floats[0] = 0.0
+        model.spectrum(20)
+        assert built == [30, 20]
+
+    def test_spectrum_built_once_across_threads(self, monkeypatch):
+        built, from_rule = [], spectral.from_rule
+        monkeypatch.setattr(spectral, "from_rule",
+                            lambda rule, K: built.append(K) or from_rule(rule, K))
+        model = two_diffusion_pointwise(3.7, SQRT2 - 1.0)
+        seqs = []
+        threads = [threading.Thread(target=lambda: seqs.append(model.spectrum(30)))
+                   for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert built == [30] and len(seqs) == 8 and all(seq is seqs[0] for seq in seqs)
 
 
 class TestBlock2x2:
