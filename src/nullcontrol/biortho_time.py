@@ -44,8 +44,7 @@ from mpmath import libmp
 
 from .errors import IllConditioned, NumericalError
 from .precision import (
-    DEFAULT_DPS, MAX_DPS, IntRows, exact_matmul, int_rows, mp_log_abs, to_complex, to_mp,
-    workdps,
+    DEFAULT_DPS, MAX_DPS, IntRows, exact_matmul, int_rows, mp_log_abs, to_mp, workdps,
 )
 
 RESIDUAL_THRESHOLD = 1e-8
@@ -343,7 +342,7 @@ def _cauchy_log_diag(span: ExponentialSpan) -> tuple:
     Plain floats, not numpy: the first numpy ufunc calls of a CLI run raise
     its peak RSS by about 0.5 MB, and n = 40 takes about 0.3 ms."""
     rates = span.rates
-    r = [to_complex(x) for x in rates]
+    r = [complex(x) for x in rates]
     size = [abs(x) for x in r]
     partner = [None] * len(r)
     for k, (_, d) in enumerate(span.basis()):

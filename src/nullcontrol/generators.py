@@ -11,6 +11,11 @@ paired rules, appendixB and academic_lf, compute each pair at the digits
 its own gap needs, power and two_diffusion at DEFAULT_DPS, and explicit
 entries keep the digits they were given.  ``spectral`` forms its factors
 at DEFAULT_DPS from exact differences of stored entries.
+
+A rule holds no state: its attributes are fixed by its constructor
+arguments, and every entry, range and lookup is computed from them alone.
+two_diffusion orders both of its views, the mpmath entries and the float
+ranges, by one exact count of the {s k^2} members among the first i entries.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import NumericalError
-from .precision import DEFAULT_DPS, to_complex, to_mp, workdps
+from .precision import DEFAULT_DPS, to_mp, workdps
 
 # most digits a paired rule may form a pair at: only generating a pair needs
 # its gap's digits, the spectral factors run at DEFAULT_DPS.  The cost grows
@@ -87,9 +92,6 @@ class SequenceRule:
     # multiple of this: 2 on the two-branch rules
     pair_align = 1
 
-    def __init__(self):
-        self.fit_cache: dict = {}
-
     def mp_entries(self, n: int):
         """First n entries as mpf/mpc, normally ordered.  Every rule defines
         ``mp_entry(j)``, entry j alone: it depends neither on the caller's
@@ -125,7 +127,6 @@ class PowerRule(SequenceRule):
     name = "power"
 
     def __init__(self, c=1.0, p=2.0):
-        super().__init__()
         self.c = complex(c)
         self.p = float(p)
         self.real = self.c.imag == 0.0
@@ -157,9 +158,8 @@ class _PairedRule(SequenceRule):
     lower = 0     # a: 0 keeps b_k itself, 1 splits the pair symmetrically
 
     def __init__(self, tau):
-        if tau <= 0:
+        if not tau > 0:  # nan too
             raise ValueError("tau must be positive")
-        super().__init__()
         self.tau = float(tau)
 
     def _dps(self, k):
@@ -214,51 +214,47 @@ class TwoDiffusionRule(SequenceRule):
     pair_align = 2
 
     def __init__(self, d, scale=1.0):
-        if d <= 0 or abs(d - 1.0) <= 1e-9:
+        if not d > 0 or abs(d - 1.0) <= 1e-9:  # nan too
             raise ValueError("need d > 0 and d != 1")
-        super().__init__()
         self.d = float(d)
         self.scale = float(scale)
-        self._tags: list = []
 
     def _value(self, family, k):
         # a binary64 factor times k^2: exact at DEFAULT_DPS
         return (self.scale if family == 1 else self.scale * self.d) * mp.mpf(k) ** 2
 
+    def _family1_count(self, i):
+        """Members of {s k^2} among the first i entries: the largest a <= i
+        with s a^2 <= s d (i - a + 1)^2 (family 1 first on a tie), compared
+        exactly as integers built from the two binary64 factors s and
+        fl(s d); i when s d is not finite.  Starts from the root of
+        a = sqrt(d) (i - a + 1)."""
+        s2 = self.scale * self.d
+        if not math.isfinite(s2):
+            return i
+        (n1, d1), (n2, d2) = self.scale.as_integer_ratio(), s2.as_integer_ratio()
+        p, q, rd = n1 * d2, n2 * d1, math.sqrt(self.d)
+        return _first_true(lambda a: p * a * a > q * (i - a + 1) ** 2,
+                           1, i + 1, rd * (i + 1) / (1.0 + rd)) - 1
+
     def tag(self, j):
         """(family, k) of entry j: family 1 is {s k^2}, family 2 {s d k^2}."""
-        if len(self._tags) < j:
-            # two-pointer merge by exact value, family 1 first on a tie
-            m, tags, ks = max(j, 2 * len(self._tags)), [], [1, 1]
-            with workdps(DEFAULT_DPS):
-                while len(tags) < m:
-                    fam = 1 if self._value(1, ks[0]) <= self._value(2, ks[1]) else 2
-                    tags.append((fam, ks[fam - 1]))
-                    ks[fam - 1] += 1
-            self._tags = tags
-        return self._tags[j - 1]
+        a = self._family1_count(j)
+        return (1, a) if a > self._family1_count(j - 1) else (2, j - a)
 
     def mp_entry(self, j):
         with workdps(DEFAULT_DPS):
             return self._value(*self.tag(j))
 
-    def _family1_count(self, i):
-        """Members of {s k^2} among the first i float entries: the largest
-        a <= i with s a^2 <= s d (i - a + 1)^2, both sides the float
-        products of ``float_range`` (family 1 first on a tie).  Starts from
-        the root of a = sqrt(d) (i - a + 1)."""
-        s1, s2, rd = self.scale, self.scale * self.d, math.sqrt(self.d)
-        return _first_true(lambda a: s1 * float(a * a) > s2 * float((i - a + 1) ** 2),
-                           1, i + 1, rd * (i + 1) / (1.0 + rd)) - 1
-
     def float_range(self, i0, i1):
         a0, a1 = self._family1_count(i0), self._family1_count(i1)
         vals = np.empty(i1 - i0)
         # each family's members among entries i0..i1-1, family 1 first
-        for out, k0, k1, s in ((vals[:a1 - a0], a0, a1, self.scale),
-                               (vals[a1 - a0:], i0 - a0, i1 - a1, self.scale * self.d)):
-            np.square(np.arange(k0 + 1, k1 + 1, dtype=float), out=out)
-            out *= s
+        with np.errstate(over="ignore"):  # entries past binary64 become inf
+            for out, k0, k1, s in ((vals[:a1 - a0], a0, a1, self.scale),
+                                   (vals[a1 - a0:], i0 - a0, i1 - a1, self.scale * self.d)):
+                np.square(np.arange(k0 + 1, k1 + 1, dtype=float), out=out)
+                out *= s
         vals.sort(kind="stable")  # timsort merges the two sorted runs, family 1 first on a tie
         return vals
 
@@ -282,7 +278,6 @@ class ExplicitRule(SequenceRule):
     infinite = False
 
     def __init__(self, values):
-        super().__init__()
         vals = [to_mp(v) for v in values]
         vals.sort(key=lambda z: (abs(z), mp.arg(z)))
         self.values = vals
@@ -296,7 +291,7 @@ class ExplicitRule(SequenceRule):
     def float_range(self, i0, i1):
         if i1 > len(self.values):
             raise IndexError("explicit sequence exhausted")
-        block = np.array([to_complex(v) for v in self.values[i0:i1]], dtype=complex)
+        block = np.array([complex(v) for v in self.values[i0:i1]], dtype=complex)
         return np.ascontiguousarray(block.real) if self.real else block
 
 

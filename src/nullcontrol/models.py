@@ -26,7 +26,6 @@ import numpy as np
 from .errors import DegenerateB, RationalRootWarning, SupportOverlap
 from .generators import AcademicLfRule, PowerRule, SequenceRule, TwoDiffusionRule
 from .observations import VANISH_TOL, Scalar, SineSeries
-from .precision import to_complex
 from .report import DEFAULT_WINDOW, ProfileReport, make_profile
 from . import spectral
 
@@ -90,7 +89,7 @@ class ParabolicModel:
     def _rate(self, j: int):
         """(lam, lam_mp) of mode j, both from the rule's entry j."""
         lam_mp = self.rule.mp_entry(j)
-        return to_complex(lam_mp), lam_mp
+        return complex(lam_mp), lam_mp
 
     def modes(self, K: int) -> list[SpectralMode]:
         with self._lock:

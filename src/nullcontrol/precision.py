@@ -59,13 +59,6 @@ def to_mp(x):
     return mp.mpf(x)
 
 
-def to_complex(x) -> complex:
-    """Best-effort float view of an mp scalar (may overflow to inf)."""
-    if isinstance(x, mp.mpc):
-        return complex(float(x.real), float(x.imag))
-    return complex(float(x), 0.0)
-
-
 def mp_log_abs(x) -> float:
     """ln|x| of an mp scalar as a float; -inf for exact zero.
 

@@ -23,7 +23,10 @@ length is held: factors with |lam_k/lam_j| above 2^-4 directly through
 log1p, the rest from power sums of (s/lam_j)^2 (E') or s/lam_j (W') shared
 by all k (s = max_k |lam_k|), whose series truncation stays below
 2 eps sum_j |lam_k/lam_j|^2 resp. 2 eps sum_j |lam_k/lam_j|.  W' keeps an
-Euler-Maclaurin completion past its work zone on real sequences.
+Euler-Maclaurin completion past its work zone on real sequences.  The
+power laws fitted for the truncations live only in the call that fits
+them: the rule keeps no cache, so a repeated call repeats the same work
+and returns the same bits.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from mpmath import libmp
 
 from .errors import DuplicateEntry, NonPositiveRealPart, TailBoundUnachievable, TooFewModes
 from .generators import SequenceRule
-from .precision import DEFAULT_DPS, mp_log_abs, to_complex, workdps
+from .precision import DEFAULT_DPS, mp_log_abs, workdps
 from .report import DEFAULT_WINDOW, ProfileReport, make_profile
 
 _HEAD_BUFFER = 8
@@ -73,13 +76,6 @@ class SpectralSequence:
         if not 1 <= k <= len(self.values):
             raise IndexError(f"index k={k} outside 1..{len(self.values)}")
         return self.values[k - 1]
-
-    def float_values(self, n: int | None = None) -> np.ndarray:
-        """The first n stored entries in binary64, all of them by default."""
-        n = len(self.values) if n is None else n
-        if n > len(self.values):
-            raise IndexError(f"{n} float entries asked of a head of {len(self.values)}")
-        return self.floats[:n]
 
     @property
     def re(self) -> np.ndarray:
@@ -155,17 +151,22 @@ def check_hypotheses(seq: SpectralSequence, K: int) -> HypothesisReport:
     return HypothesisReport(delta, p, summable, int(max(seq.r)), warnings)
 
 
-def _tail_start(seq: SpectralSequence, lam_abs: float, tol: float) -> int:
-    """Smallest J with a proven bound sum_{j>J} |ln|1-lam^2/lam_j^2|| < tol."""
-    n0 = len(seq)
+def _head_fit(seq: SpectralSequence) -> tuple[float, float] | None:
+    """Power law (c, p) fitted to the moduli of entries n/2..n, n = max(len, 64),
+    of an infinite rule; None for a finite one, whose products have no tail."""
     if not seq.rule.infinite:
-        return n0  # finite sequence: the product is exact, no tail
-    n = max(n0, 64)
-    fit = seq.rule.fit_cache.get(("headfit", n))
+        return None
+    n = max(len(seq), 64)
+    lo = max(1, n // 2)
+    return _power_fit(np.abs(seq.rule.float_range(lo - 1, n)), lo)
+
+
+def _tail_start(seq: SpectralSequence, fit, lam_abs: float, tol: float) -> int:
+    """Smallest J with a proven bound sum_{j>J} |ln|1-lam^2/lam_j^2|| < tol,
+    from the head ``fit`` of ``_head_fit``."""
+    n0 = len(seq)
     if fit is None:
-        lo = max(1, n // 2)
-        fit = _power_fit(np.abs(seq.rule.float_range(lo - 1, n)), lo)
-        seq.rule.fit_cache[("headfit", n)] = fit
+        return n0  # finite sequence: the product is exact, no tail
     c, p = fit
     c *= 0.8  # fit safety margin
     if p <= 1.0:
@@ -308,6 +309,7 @@ def log_E_primes(seq: SpectralSequence, ks, rel_tail_tol: float = 1e-10) -> np.n
     logarithm.  The far tails of all ks are summed in one batch.
     """
     n0 = len(seq)
+    fit = _head_fit(seq)
     totals, lams, Js = [], [], []
     for k in ks:
         lam = seq.entry(k)
@@ -322,8 +324,8 @@ def log_E_primes(seq: SpectralSequence, ks, rel_tail_tol: float = 1e-10) -> np.n
                 other = seq.values[j]
                 total += mp_log_abs((other - lam) * (other + lam) / (other * other))
         totals.append(total)
-        lams.append(to_complex(lam))
-        Js.append(_tail_start(seq, lam_abs, rel_tail_tol))
+        lams.append(complex(lam))
+        Js.append(_tail_start(seq, fit, lam_abs, rel_tail_tol))
     return np.array(totals) + _far_sums(seq, np.array(lams), n0, np.array(Js, dtype=np.int64), 2)
 
 
@@ -378,7 +380,8 @@ def bohr_profile(seq: SpectralSequence, K: int,
                         extras={"partner": partners})
 
 
-def _blaschke_tail(seq, lam_abs: float, n0: int, tol_abs: float) -> tuple[int, float]:
+def _blaschke_tail(seq, fits: dict, lam_abs: float, n0: int,
+                   tol_abs: float) -> tuple[int, float]:
     """End J of the W' far zone [n0, J) and the closed-form remainder past J.
 
     The factors ln|(1 + lam/conj(l)) / (1 - lam/l)| only decay like
@@ -386,7 +389,9 @@ def _blaschke_tail(seq, lam_abs: float, n0: int, tol_abs: float) -> tuple[int, f
     entries; real sequences add instead an Euler-Maclaurin completion of the
     fitted power-law tail, with its error held below tol.  Complex ones are
     truncated plainly under the 2|lam|/(|l| - |lam|) bound (remainder 0).
-    Either way J doubles until the error meets tol, up to _J_MAX.
+    Either way J doubles until the error meets tol, up to _J_MAX.  The
+    power law of the entries J/2..J is fitted once per J into ``fits``,
+    which the caller shares between its ks.
     """
     if not seq.rule.infinite:
         return n0, 0.0
@@ -394,14 +399,13 @@ def _blaschke_tail(seq, lam_abs: float, n0: int, tol_abs: float) -> tuple[int, f
     while True:
         if J > _J_MAX:
             raise TailBoundUnachievable(f"tail completion still above tolerance at J={J}")
-        fit = seq.rule.fit_cache.get(("tailfit", J))
-        if fit is None:
+        if J not in fits:
             moduli = np.abs(seq.rule.float_range(J // 2 - 1, J))
             c, p = _power_fit(moduli, J // 2)
             fit_resid = float(np.max(np.abs(
                 np.log(moduli) - (math.log(c) + p * np.log(np.arange(J // 2, J + 1))))))
-            fit = seq.rule.fit_cache[("tailfit", J)] = (c, p, fit_resid)
-        c, p, fit_resid = fit
+            fits[J] = (c, p, fit_resid)
+        c, p, fit_resid = fits[J]
         if p <= 1.0:
             raise TailBoundUnachievable(f"fitted growth exponent p={p:.3f} <= 1")
         if seq.rule.real:
@@ -431,10 +435,11 @@ def blaschke_log_wprimes(seq: SpectralSequence, ks, rel_tail_tol: float = 1e-10)
     Head as in ``log_E_primes``; far zones in one batch, tails by ``_blaschke_tail``.
     """
     n0 = len(seq)
+    fits: dict = {}  # tail fits by J, shared by the ks of this call
     totals, lams, Js = [], [], []
     for k in ks:
         lam = seq.entry(k)
-        lam_c = to_complex(lam)
+        lam_c = complex(lam)
         tol_abs = rel_tail_tol * max(1.0, lam_c.real)
         vals, fl_js, mp_js = _head_split(seq, k, tol_abs)
         f, lam_f = vals[fl_js], vals[k - 1]
@@ -443,7 +448,7 @@ def blaschke_log_wprimes(seq: SpectralSequence, ks, rel_tail_tol: float = 1e-10)
             for j in mp_js:
                 other = seq.values[j]
                 ln_pk += mp_log_abs((mp.conj(other) + lam) / (other - lam))
-        J, rem = _blaschke_tail(seq, abs(lam_c), n0, tol_abs)
+        J, rem = _blaschke_tail(seq, fits, abs(lam_c), n0, tol_abs)
         totals.append(-math.log(2.0 * float(lam.real)) - ln_pk - rem)
         lams.append(lam_c)
         Js.append(J)

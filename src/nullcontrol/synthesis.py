@@ -33,7 +33,7 @@ from .models import Block2x2, ParabolicModel
 from .observations import Scalar, combine
 from .precision import (
     DEFAULT_DPS, exact_matmul, float_matmul, int_rows, mp_log_abs, round_half_even, signed,
-    signed_rows, to_complex, to_mp, workdps,
+    signed_rows, to_mp, workdps,
 )
 
 _TAIL_MODES = 50
@@ -52,7 +52,7 @@ class PlanTerm:
 
     @property
     def coeff(self) -> complex:
-        return to_complex(self.coeff_mp)
+        return complex(self.coeff_mp)
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ def _mode_terms(mode, base: int, T_mp) -> list:
         weights = [mp.fsum(alphas[b] * to_mp(mix[b, j]) for b in range(r))
                    for j in range(r)]
         return [PlanTerm(base, (mode.k, 0), mp.mpf(1),
-                         combine(obs, [to_complex(w) for w in weights]))]
+                         combine(obs, [complex(w) for w in weights]))]
     nsq = mode.obs[0].inner(mode.obs[0]).real
     return [PlanTerm(base, (mode.k, 1), _moment_rhs_mp(mode, T_mp, 1) / nsq, mode.obs[0])]
 
@@ -300,7 +300,7 @@ def verify_moments(plan: ControlPlan, N_check: int | None = None) -> MomentResid
                         continue
                     entries[(mode.k, b)] = lhs_against(obs, pair0) - _moment_rhs_mp(mode, T_mp, b)
             for key, val in entries.items():
-                cval = to_complex(val)
+                cval = complex(val)
                 if key[0] <= plan.N:
                     residuals[key] = cval
                     max_abs = max(max_abs, abs(cval))

@@ -61,7 +61,7 @@ def criterion_01():
     worst = 0.0
     for d in (2.0, 5.0):
         seq = nc.from_rule(nc.make_rule("two_diffusion", d=d, scale=1.0), 48)
-        fl = np.real(seq.float_values(48))
+        fl = np.real(seq.floats[:48])
         for k in range(1, 21):
             idx = int(np.searchsorted(fl, k * k * (1 - 1e-12)) + 1)
             got = nc.spectral.log_E_primes(seq, [idx], rel_tail_tol=1e-7)[0]

@@ -20,7 +20,7 @@ from nullcontrol.generators import AcademicLfRule, AppendixBRule, make_rule
 from nullcontrol.models import (
     PiecewiseConstant, academic_lf, cascade_boundary_q, two_diffusion_boundary,
 )
-from nullcontrol.precision import DEFAULT_DPS, to_complex, to_mp, workdps
+from nullcontrol.precision import DEFAULT_DPS, to_mp, workdps
 from nullcontrol.spectral import from_rule
 from tests.closed_forms import cauchy_inverse_oracle
 from tests.exponential_reference import (
@@ -44,7 +44,7 @@ def _float_gram(span):
 
 def _float_pairing(family, mu, a=0):
     """pair_with_exponential_mp as complex128."""
-    return np.array([to_complex(v) for v in pair_with_exponential_mp(family, mu, a)])
+    return np.array([complex(v) for v in pair_with_exponential_mp(family, mu, a)])
 
 
 @pytest.fixture
@@ -765,7 +765,7 @@ class TestPredictedDigits:
         # whose partner factor is dropped, is not compared.
         with workdps(60):
             span = ExponentialSpan(make(mp.mpf("1e-20")), None)
-        assert len(set(map(to_complex, span.rates))) < span.size
+        assert len(set(map(complex, span.rates))) < span.size
         ln_diag, _ = biortho_time._cauchy_log_diag(span)
         with workdps(200):
             C = mp.inverse(_pairing_mp(span, None, not span.real))

@@ -140,6 +140,25 @@ class TestValidation:
         assert f"'{section}'" in err["message"]
 
 
+    @pytest.mark.parametrize("cfg,error,message", [
+        ({"command": "indices", "sequence": {"rule": "two_diffusion", "d": math.nan}},
+         "VALIDATION", "need d > 0 and d != 1"),
+        ({"command": "indices", "sequence": {"rule": "appendixB", "tau": math.nan}},
+         "VALIDATION", "tau must be positive"),
+        ({"command": "tstar", "model": {"name": "two_diffusion_boundary", "d": math.nan}},
+         "VALIDATION", "need d > 0 and d != 1"),
+        ({"command": "indices", "sequence": {"rule": "two_diffusion", "d": 2.0, "scale": math.nan}},
+         "NON_POSITIVE_REAL_PART", "Re(lambda) <= 0 for entry nan"),
+    ], ids=["two_diffusion-d", "appendixB-tau", "two_diffusion_boundary-d", "two_diffusion-scale"])
+    def test_nan_parameter_refused(self, tmp_path, capsys, cfg, error, message):
+        # the schema lets NaN through (json.loads reads it); a rule refuses
+        # its own NaN parameter when it is built
+        cfgp = _write_config(tmp_path, cfg | {"params": {"K": 4}})
+        assert main(["--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == (error, message)
+
+
 class TestSchemas:
     """The CLI validates against prebuilt validators and never runs
     check_schema itself, so the constant schemas are checked here."""
@@ -279,6 +298,14 @@ class TestIndices:
                                         "sequence": {"rule": "explicit", "values": values[:16]},
                                         "params": {"K": 5}}, "hypotheses.json")
         assert main(["--config", str(cfgp), "--out", str(tmp_path / "h")]) == 0
+
+    def test_two_diffusion_entries_past_binary64(self, tmp_path):
+        # s d k^2 overflows to inf in the far zone; under the error filter
+        # for RuntimeWarning an overflow warning would end the run
+        cfg = {"command": "indices",
+               "sequence": {"rule": "two_diffusion", "d": 10.0, "scale": 1e300},
+               "params": {"K": 30}}
+        assert run(cfg, tmp_path / "out") == 0
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = {"command": "indices", "sequence": {"rule": "appendixB", "tau": 0.25},

@@ -25,7 +25,7 @@ from nullcontrol.cli import main as cli_main
 from nullcontrol.errors import SynthesisUnsupported
 from nullcontrol.models import ParabolicModel, SpectralMode
 from nullcontrol.observations import Scalar
-from nullcontrol.precision import DEFAULT_DPS, to_complex, to_mp, workdps
+from nullcontrol.precision import DEFAULT_DPS, to_mp, workdps
 from nullcontrol.synthesis import _moment_rhs_mp
 
 
@@ -49,7 +49,7 @@ class TestComplexRates:
                 return SpectralMode(k, lam, to_mp(lam), "simple",
                                     (Scalar(1.0),), (1.0 + 0.0j,))
 
-        got = to_complex(_moment_rhs_mp(OneComplexMode().modes(1)[0], to_mp(1.0), 1))
+        got = complex(_moment_rhs_mp(OneComplexMode().modes(1)[0], to_mp(1.0), 1))
         want = -np.exp(-(1.0 + 1.0j))
         assert got == pytest.approx(want, rel=1e-12)
 

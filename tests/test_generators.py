@@ -1,21 +1,37 @@
 """Sequence rules: merge correctness, precision heads, float ranges and lookups."""
 
 import bisect
+import copy
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from nullcontrol.errors import NumericalError
+from nullcontrol import generators, models
+from nullcontrol.errors import NumericalError, TailBoundUnachievable
 from nullcontrol.generators import (
     MAX_HEAD_DPS, AcademicLfRule, AppendixBRule, ExplicitRule, PowerRule, TwoDiffusionRule,
     make_rule,
 )
-from nullcontrol.spectral import condensation_profile, from_rule
+from nullcontrol.spectral import blaschke_profile, bohr_profile, condensation_profile, from_rule
 
 PI2 = math.pi**2
+
+
+def _exact_merge(d, scale, n):
+    """Reference: (family, k, value) of the first n two_diffusion entries, a
+    two-pointer merge of s k^2 and fl(s d) k^2 by exact Fraction value,
+    family 1 first on a tie."""
+    factors, ks, out = (Fraction(scale), Fraction(scale * d)), [1, 1], []
+    while len(out) < n:
+        v1, v2 = factors[0] * ks[0] ** 2, factors[1] * ks[1] ** 2
+        fam = 1 if v1 <= v2 else 2
+        out.append((fam, ks[fam - 1], v1 if fam == 1 else v2))
+        ks[fam - 1] += 1
+    return out
 
 
 class TestTwoDiffusionMerge:
@@ -33,6 +49,21 @@ class TestTwoDiffusionMerge:
         mp_vals = [float(v) for v in rule.mp_entries(60)]
         np.testing.assert_allclose(np.real(rule.float_range(0, 60)), mp_vals, rtol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1.0, PI2], ids=["1", "pi2"])
+    @pytest.mark.parametrize("d", [0.25, 0.3, 2.0, 2.25, 4.0, 7.3, 9.0, 1 + 1e-7])
+    def test_tags_match_exact_merge(self, d, scale):
+        # the family-1 count against the merge, exact ties (d = 0.25, 2.25,
+        # 4 and 9 at scale 1) included; the float view is the exact order rounded
+        n = 3000
+        want = _exact_merge(d, scale, n)
+        rule = TwoDiffusionRule(d, scale)
+        for j in range(n, 0, -1):  # largest first, on a fresh rule
+            fam, k, value = want[j - 1]
+            assert rule.tag(j) == (fam, k), j
+            x = rule.mp_entry(j)
+            assert x.man * Fraction(2) ** x.exp == value, j
+        assert rule.float_range(0, n).tolist() == [float(v) for _, _, v in want]
+
 
 class TestEntryAlone:
     @pytest.mark.parametrize("name, params", [
@@ -46,7 +77,7 @@ class TestEntryAlone:
         # entry j does not depend on how many entries are asked for
         heads = [make_rule(name, **params).mp_entries(n) for n in (1, 7, 40)]
         rule = make_rule(name, **params)
-        for j in range(40, 0, -1):  # largest first: the merge must grow on demand
+        for j in range(40, 0, -1):  # largest first: no entry before j is asked for
             got = rule.mp_entry(j)
             for head in heads:
                 if j <= len(head):
@@ -71,6 +102,45 @@ class TestEntryAlone:
         # 1, 2, 4, 8, 9, 16
         assert [rule.tag(j) for j in range(1, 7)] == [(1, 1), (2, 1), (1, 2), (2, 2),
                                                        (1, 3), (1, 4)]
+
+
+# every rule of make_rule, and the harmonic oscillator's
+_STATELESS = {
+    "power": lambda: PowerRule(PI2, 1.5),
+    "appendixB": lambda: AppendixBRule(0.25),
+    "two_diffusion": lambda: TwoDiffusionRule(2.0, PI2),
+    "academic_lf": lambda: AcademicLfRule(0.2),
+    "explicit": lambda: ExplicitRule([9.0, 1.0, 4.0 + 1j, 16.0, 2.0, 25.0, 36.0, 49.0, 64.0]),
+    "odd": models._OddRule,
+}
+
+
+class TestStatelessRules:
+    """A rule is a pure function of its constructor arguments."""
+
+    def test_every_rule_covered(self):
+        assert set(generators._RULES) <= set(_STATELESS)
+
+    @pytest.mark.parametrize("name", sorted(_STATELESS))
+    def test_attributes_fixed_at_construction(self, name):
+        rule = _STATELESS[name]()
+        before = copy.deepcopy(vars(rule))
+        K = 9
+        seq = from_rule(rule, K)
+        profiles = [condensation_profile, bohr_profile]
+        if rule.infinite:
+            profiles.append(blaschke_profile)
+        for profile in profiles:
+            try:
+                profile(seq, K)
+            except TailBoundUnachievable:  # 2k - 1 grows too slowly for a tail bound
+                assert name == "odd"
+        if isinstance(rule, TwoDiffusionRule):
+            assert [rule.tag(j) for j in (K, 1)] == [(2, 4), (1, 1)]  # 32 = 2 * 4^2 pi^2
+        n = len(seq)
+        rule.float_range(0, n)
+        assert rule.index_at_or_above(abs(seq.floats[K - 1]), 0, n) == K - 1
+        assert vars(rule) == before
 
 
 class TestPairRules:

@@ -27,7 +27,6 @@ from nullcontrol import (
 from nullcontrol import spectral
 from nullcontrol.errors import DegenerateB, RationalRootWarning, SupportOverlap, UnobservableMode
 from nullcontrol.models import _psi_coefficients
-from nullcontrol.precision import to_complex
 
 PI2 = math.pi**2
 SQRT2 = math.sqrt(2.0)
@@ -251,7 +250,7 @@ class TestTwoDiffusion:
                 warnings.simplefilter("ignore", RationalRootWarning)
                 model = two_diffusion_boundary(d)
             seq = model.spectrum(40)  # construction validates the invariants
-            mods = np.abs(seq.float_values(40))
+            mods = np.abs(seq.floats[:40])
             assert np.all(np.diff(mods) > 0)
 
     def test_condensation_tail_matches_closed_form_profile(self):
@@ -260,7 +259,7 @@ class TestTwoDiffusion:
         model = two_diffusion_boundary(2.0)
         prof = model.tmin_profile(30)
         seq = model.spectrum(30)
-        floats = np.real(seq.float_values(30))
+        floats = np.real(seq.floats[:30])
         # closed-form-based profile at the slow-family entries
         vals = []
         for k in range(1, 12):
@@ -383,7 +382,7 @@ class TestOneSpectrum:
         for j, m in enumerate(model.modes(K), start=1):
             entry = seq.entry(j)
             assert m.lam_mp == entry and repr(m.lam_mp) == repr(entry), j
-            assert m.lam == to_complex(entry), j
+            assert m.lam == complex(entry), j
 
     def test_heat_rates_are_exact(self):
         # fl(pi^2) k^2, whatever precision is in force when a mode is built

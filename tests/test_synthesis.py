@@ -34,7 +34,7 @@ from nullcontrol.errors import (
 )
 from nullcontrol.models import ParabolicModel, PointwiseHeatModel, SpectralMode
 from nullcontrol.observations import Scalar
-from nullcontrol.precision import MAX_SPREAD_BITS, to_complex, to_mp
+from nullcontrol.precision import MAX_SPREAD_BITS, to_mp
 from tests import sampling_reference
 from tests.exponential_reference import reference_family
 
@@ -65,7 +65,7 @@ def _null_coupling_q(omega=(0.5, 0.9), nzero=3):
 class TestMomentRhs:
     def test_basic_value(self):
         mode = pointwise_heat(X0).modes(1)[0]
-        got = to_complex(synthesis._moment_rhs_mp(mode, to_mp(1.0), 1))
+        got = complex(synthesis._moment_rhs_mp(mode, to_mp(1.0), 1))
         assert got == pytest.approx(-math.exp(-PI2), rel=1e-12)
         assert -math.exp(-PI2) == pytest.approx(-5.172e-5, abs=5e-8)
 
