@@ -5,14 +5,20 @@ is exponentially small in n), so the discretization is a conforming P1
 Galerkin pencil (K, M) with exactly integrated potential: by min-max every
 discrete eigenvalue is an upper bound for the true one.  The pencil is
 tridiagonal, and the LDL^T factorization of K - sigma*M (LAPACK dpttrf)
-succeeds exactly when sigma lies below the smallest eigenvalue.  One
-bisection on that test closes the bracket [n*pi, RQ*(1 + 1e-7)], n*pi by
-domain monotonicity and RQ the Rayleigh quotient of inverse iteration
-through the factor at n*pi; the upper end is reported and the bracket kept
-in ``CrossSectionMode.meta``.  The Richardson partner lambda(h/2) is not
-bisected: it is the Rayleigh quotient of the h/2 pencil after two
-inverse-iteration steps from the h eigenvector prolonged to that grid, so a
-mode costs the h bisection plus one h/2 factor.  The omega-free potential
+succeeds exactly when sigma lies below the smallest eigenvalue.  Inverse
+iteration through the factor at n*pi (a lower end by domain monotonicity)
+gives a Rayleigh quotient RQ, taken in its shifted form from the solve
+itself; being accurate to second order in the eigenvector, it lies within a
+few BRACKET_REL_TOL of the switch.  Doubling steps walk up from RQ while the
+factor succeeds, then down until it does, and one bisection closes the
+bracket they leave.  With its h/2 partner, a mode at h = 2e-4 takes 4-10
+dpttrf calls, 252 for n <= 40; n = 1 takes 27, since n*pi lies 14% below
+lambda_1 and leaves RQ 2.7e-7 off.  The upper end is
+reported and the bracket kept in ``CrossSectionMode.meta``.  The Richardson
+partner lambda(h/2) is not bisected: it is the shifted Rayleigh quotient of
+one inverse-iteration step through the h/2 pencil's factor at n*pi, from
+the h eigenvector prolonged to that grid, so a mode costs the h bracket
+plus one h/2 factor and one solve.  The omega-free potential
 integrals are assembled once per grid.  On grids fine enough that binary64
 rounding of the pencil exceeds lambda - n*pi, ``solve_mode`` raises GridTooFine.
 dpttrf/dpttrs come from scipy's ``_flapack`` extension alone, loaded by the
@@ -47,7 +53,7 @@ BRACKET_REL_TOL = 1e-10
 RICHARDSON_TOL = 1e-4
 # largest frequency solve_mode and grushin_tstar_profile accept
 N_MAX = 60
-# finest step solve_mode accepts: a mode there takes 1.5-3 s and 660 MB, and
+# finest step solve_mode accepts: a mode there takes about 2 s and 500 MB, and
 # binary64 rounding of the pencil already fails GridTooFine at h = 1e-5, n = 20
 H_MIN = 1e-6
 
@@ -157,17 +163,24 @@ def _tridiag_times(d, e, v):
     return av
 
 
-def _inverse_iteration(factor, md, me, v, iterations):
-    """Steps v <- (K - sigma M)^{-1} M v through the kept factor of K - sigma M."""
-    dpttrs = _flapack().dpttrs
-    for _ in range(iterations):
-        v = dpttrs(*factor, _tridiag_times(md, me, v))[0]
-        v /= math.sqrt(_dot(v, v))
+def _inverse_iteration(factor, md, me, v):
+    """One step v <- (K - sigma M)^{-1} M v through the kept factor of K - sigma M."""
+    v = _flapack().dpttrs(*factor, _tridiag_times(md, me, v))[0]
+    v /= math.sqrt(_dot(v, v))
     return v
 
 
-def _rayleigh(kd, ke, md, me, v):
-    return _dot(v, _tridiag_times(kd, ke, v)) / _dot(v, _tridiag_times(md, me, v))
+def _shifted_rayleigh(factor, sigma, md, me, v):
+    """(w, rq): the inverse-iteration step w = (K - sigma M)^{-1} M v through
+    the factor of K - sigma M, normalized, and its Rayleigh quotient in the
+    shifted form sigma + w.Mv / w.Mw, which takes no product with K: both
+    from the one solve.  w.Mv is taken as Mw.v, so the solve may overwrite
+    Mv and no more grid-sized arrays are live than in a plain step."""
+    w = _flapack().dpttrs(*factor, _tridiag_times(md, me, v), overwrite_b=True)[0]
+    mw = _tridiag_times(md, me, w)
+    rq = sigma + _dot(mw, v) / _dot(mw, w)
+    w /= math.sqrt(_dot(w, w))
+    return w, rq
 
 
 def _solve_eig(n, h):
@@ -182,42 +195,57 @@ def _solve_eig(n, h):
         calls += 1
         return _factor(kd, ke, md, me, sigma)
 
-    v = _inverse_iteration(kept, md, me, np.ones(len(kd)), 2)
-    hi = _rayleigh(kd, ke, md, me, v) * (1.0 + 1e-7)
-    while (f := factor(hi)) is not None:  # the quotient fell short: widen
-        lo, kept, hi = hi, f, 2.0 * hi - lo
+    v, rq = _shifted_rayleigh(kept, lo, md, me,
+                              _inverse_iteration(kept, md, me, np.ones(len(kd))))
+    # the quotient lies within a few BRACKET_REL_TOL of the switch: walk up
+    # from it, then down, in doubling steps, never below the accepted shift
+    step = 0.5 * BRACKET_REL_TOL * rq
+    hi = rq + step
+    while (f := factor(hi)) is not None:
+        lo, kept = hi, f
+        step *= 2.0
+        hi += step
+    step = 0.5 * BRACKET_REL_TOL * rq
+    while (mid := hi - step) > lo:
+        if (f := factor(mid)) is None:
+            hi = mid
+            step *= 2.0
+        else:
+            lo, kept = mid, f
+            break
     while hi - lo > BRACKET_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if (f := factor(mid)) is None:
             hi = mid
         else:
             lo, kept = mid, f
-    return grid, lo, hi, _inverse_iteration(kept, md, me, v, 1), calls
+    return grid, lo, hi, _inverse_iteration(kept, md, me, v), calls
 
 
 def _half_step_rayleigh(n, h, v):
-    """(lambda(h/2), dpttrf calls): the Rayleigh quotient of the h/2 pencil
-    after two inverse-iteration steps from the h eigenvector ``v`` (interior
-    nodes) prolonged to the nested grid, shifted at n*pi as ``_solve_eig`` is."""
+    """(lambda(h/2), dpttrf calls): the shifted Rayleigh quotient of the h/2
+    pencil after one inverse-iteration step from the h eigenvector ``v``
+    (interior nodes) prolonged to the nested grid, shifted at n*pi as
+    ``_solve_eig`` is."""
     _, kd, ke, md, me = _assemble(n, h / 2.0)
     coarse = np.zeros(len(v) + 2)
     coarse[1:-1] = v
     fine = np.empty(2 * len(coarse) - 1)
     fine[::2] = coarse  # the h nodes, then the midpoints by linear interpolation
     fine[1::2] = 0.5 * (coarse[:-1] + coarse[1:])
-    _, kept, calls = _factor_below(kd, ke, md, me, n * math.pi)
-    w = _inverse_iteration(kept, md, me, fine[1:-1], 2)
-    return _rayleigh(kd, ke, md, me, w), calls
+    sigma, kept, calls = _factor_below(kd, ke, md, me, n * math.pi)
+    return _shifted_rayleigh(kept, sigma, md, me, fine[1:-1])[1], calls
 
 
 def solve_mode(n: int, h: float = 2e-4) -> CrossSectionMode:
     """Ground mode of the cross-section operator at frequency n.
 
-    ``lam`` is the upper end of the certified bracket at step h.  Its
-    Richardson partner ``meta["lam_half_step"]`` is a Rayleigh quotient of
-    the h/2 pencil, not a certified bracket: it only has to resolve the
-    RICHARDSON_TOL guard.  ``meta["dpttrf_calls"]`` counts the h bisection
-    plus the h/2 factor.
+    ``lam`` is the upper end of the certified bracket at step h, walked out
+    from the Rayleigh quotient and closed by bisection.  Its Richardson
+    partner ``meta["lam_half_step"]`` is the shifted Rayleigh quotient of
+    one inverse-iteration step on the h/2 pencil, not a certified bracket:
+    it only has to resolve the RICHARDSON_TOL guard.  ``meta["dpttrf_calls"]``
+    counts the h bracket's factorizations plus the h/2 factor.
 
     Raises GridTooCoarse when the h vs h/2 Richardson difference exceeds
     RICHARDSON_TOL * lambda_n, and GridTooFine when the certified bracket does not
