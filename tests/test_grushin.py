@@ -159,22 +159,19 @@ class TestCertifiedBracket:
         total = sum(solve_mode(n, H).meta["dpttrf_calls"] for n in range(1, 41))
         assert total <= 300
 
-    @staticmethod
-    def _off_centre(monkeypatch, rel):
+    @pytest.mark.parametrize("rel", [1 - 1e-6, 1 + 1e-6], ids=["walk-up", "walk-down"])
+    @pytest.mark.parametrize("n,h", [(1, H), (5, H), (20, H), (40, H), (20, 1e-5)])
+    def test_bracket_certified_from_off_centre_quotient(self, monkeypatch, n, h, rel):
         # a quotient 1e-6 off forces the walk away from it in one direction
         shifted = grushin._shifted_rayleigh
 
         def off_centre(*args):
             w, rq = shifted(*args)
             return w, rq * rel
-        monkeypatch.setattr(grushin, "_shifted_rayleigh", off_centre)
 
-    @pytest.mark.parametrize("rel", [1 - 1e-6, 1 + 1e-6], ids=["walk-up", "walk-down"])
-    @pytest.mark.parametrize("n,h", [(1, H), (5, H), (20, H), (40, H), (20, 1e-5)])
-    def test_bracket_certified_from_off_centre_quotient(self, monkeypatch, n, h, rel):
         _, kd, ke, md, me = _assemble(n, h)
         shift = _factor_below(kd, ke, md, me, n * math.pi)[0]
-        self._off_centre(monkeypatch, rel)
+        monkeypatch.setattr(grushin, "_shifted_rayleigh", off_centre)
         _, lo, hi, _, _ = _solve_eig(n, h)
         assert lo >= shift
         assert _factor(kd, ke, md, me, lo) is not None
